@@ -11,6 +11,7 @@ Conventions, fixed once here and relied on everywhere:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -152,13 +153,6 @@ class MatSpace:
         """All q^dim - 1 nonzero elements, flattened, deterministic order."""
         grid = self.coefficient_grid()[1:]
         return (grid @ self.basis.astype(np.int64)) % self.q
-
-    def element_matrices(self):
-        return [row.reshape(self.n, self.n) for row in self.nonzero_elements()]
-
-
-def span_rows(q, n, rows):
-    return MatSpace.from_rows(q, n, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +308,48 @@ def projective_vectors(q, n):
     return out
 
 
+class _Points:
+    """Projective rank-one points u w^T of M_n(F_q), u and w normalised.
+
+    Points are sorted by their flattened entries.  Point i is the outer
+    product of projective vectors u[i] and w[i] (indices into
+    projective_vectors), and of_uw inverts that map.  vector_images maps
+    matrices to permutations of the projective vectors, so a pair (A, B)
+    sends point i to of_uw[image of u[i] under A, image of w[i] under B^T].
+    """
+
+    def __init__(self, q, n):
+        self.q = q
+        self.n = n
+        self.vectors = np.stack(projective_vectors(q, n)).astype(np.int64)
+        m = self.vectors.shape[0]
+        flat = self.vectors[:, None, :, None] * self.vectors[None, :, None, :]
+        flat = flat.reshape(m * m, n * n) % q
+        order = np.lexsort(flat.T[::-1])
+        self.flat = flat[order]
+        self.u, self.w = np.divmod(order, m)
+        self.of_uw = np.argsort(order).astype(np.int32).reshape(m, m)
+        # projective index of every nonzero vector, by base-q encoding
+        self._weights = q ** np.arange(n, dtype=np.int64)
+        self._vector_index = np.full(q**n, -1, dtype=np.int16)
+        for unit in range(1, q):
+            self._vector_index[(unit * self.vectors % q) @ self._weights] = np.arange(m)
+
+    def __len__(self):
+        return self.flat.shape[0]
+
+    def vector_images(self, mats):
+        """(c, n, n) matrices -> (c, m) indices of the projective vectors
+        proportional to M v, one column per projective vector v."""
+        moved = (np.asarray(mats, dtype=np.int64) @ self.vectors.T) % self.q
+        return self._vector_index[np.einsum("k,ckm->cm", self._weights, moved)]
+
+
+@lru_cache(maxsize=8)
+def points_for(q, n):
+    return _Points(q, n)
+
+
 def rank_one_elements(q, n):
     """All (q^n - 1)^2 / (q - 1) rank-one matrices, ordered by encoding.
 
@@ -329,12 +365,6 @@ def rank_one_elements(q, n):
                 mats.append(np.outer(u, w).astype(np.uint8) % q)
     mats.sort(key=lambda m: encode(m, q))
     return mats
-
-
-def rank_one_points(q, n):
-    """Projective representatives of rank-one matrices (both factors normalised)."""
-    us = projective_vectors(q, n)
-    return [np.outer(u, w).astype(np.uint8) for u in us for w in us]
 
 
 # ---------------------------------------------------------------------------

@@ -42,13 +42,6 @@ def encode(M, q):
     return value
 
 
-def encode_rows(flat, q):
-    """Encode a batch of flattened matrices (B, n*n) to a list of ints."""
-    A = np.asarray(flat, dtype=np.int64)
-    weights = [q**k for k in range(A.shape[1])]
-    return [int(sum(int(d) * w for d, w in zip(row, weights))) for row in A]
-
-
 # ---------------------------------------------------------------------------
 # File formats
 #

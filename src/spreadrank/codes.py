@@ -77,7 +77,8 @@ def decomposition_from_rank_ones(spread, rank_ones):
         for t in range(len(mats))
     )
     D = PureDecomposition(q, (n, n, n), summands)
-    assert np.array_equal(D.tensor(), spread.hypercube()), "reconstruction failed"
+    if not np.array_equal(D.tensor(), spread.hypercube()):
+        raise NotContained("decomposition does not reconstruct the spread-set tensor")
     return D
 
 

@@ -11,6 +11,13 @@ small solution space.
 Anchor candidates are pre-filtered by division signatures: the multiset, over
 invertible Y, of characteristic-polynomial multisets of S Y^-1 is a full
 G-invariant of S and is compared before any backtracking.
+
+Stabilizer groups act on the projective rank-one points by permutations:
+(A, B) sends u w^T to (A u)(B^T w)^T, so two int16 tables over the
+projective vectors of F_q^n give every element's action by index gathers.
+Orbit keys, stabilizers of spaces and orbits of points all use those
+tables; a space counts through its rank-one points, which determine it when
+it is the group's space plus their span.
 """
 
 from __future__ import annotations
@@ -21,10 +28,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import gf
-from .algebra import MatSpace, SpreadSet
-from .errors import NotInvertible, TooLarge
+from .algebra import MatSpace, SpreadSet, points_for, rank_one_elements
+from .errors import BadParameters, NotContained, NotInvertible, TooLarge
 
 _ENUMERATE_CAP = 1 << 13  # max q^dim scanned when a solution space is left
+_TABLE_CHUNK = 4096  # group elements per pass when building point tables
 
 
 # ---------------------------------------------------------------------------
@@ -50,25 +58,14 @@ class Isotopism:
             gf.mat_inverse(self.A, self.q), gf.mat_inverse(self.B, self.q), self.q
         )
 
-    def compose(self, other):
-        """self after other: (self o other)(X) = self(other(X))."""
-        return Isotopism(
-            gf.mat_mul(self.A, other.A, self.q),
-            gf.mat_mul(other.B, self.B, self.q),
-            self.q,
-        )
-
     def apply_mat(self, M):
         return gf.mat_mul(gf.mat_mul(self.A, M, self.q), self.B, self.q)
 
 
 def act(g, space):
     """Canonical space {A X B : X in space}."""
-    A = g.A.astype(np.int64)
-    B = g.B.astype(np.int64)
-    mats = space.basis.reshape(-1, space.n, space.n).astype(np.int64)
-    moved = (A @ mats @ B) % space.q
-    return MatSpace.from_rows(space.q, space.n, moved.reshape(-1, space.n * space.n))
+    moved = _act_arrays(g.A[None], g.B[None], space.basis, space.q)[0]
+    return MatSpace.from_rows(space.q, space.n, moved)
 
 
 def _act_arrays(gA, gB, basis, q):
@@ -224,7 +221,8 @@ def _unital_generators(space):
     n = space.n
     ident = np.eye(n, dtype=np.int64).reshape(-1)
     coeffs = gf.solve(space.basis.T, ident, space.q)
-    assert coeffs is not None, "space does not contain the identity"
+    if coeffs is None:
+        raise NotContained("space does not contain the identity")
     pivot = int(np.nonzero(coeffs)[0][0])
     gens = [space.basis[i] for i in range(space.dim) if i != pivot]
     return [g.reshape(n, n).astype(np.int64) for g in gens]
@@ -394,7 +392,8 @@ def are_equivalent(s1, s2):
                 gf.mat_inverse((A.astype(np.int64) @ x1) % q, q), y, q
             )
             witness = Isotopism(A, B, q)
-            assert act(witness, s1) == s2
+            if act(witness, s1) != s2:
+                raise NotContained("equivalence witness does not map s1 onto s2")
             return witness
     return None
 
@@ -430,11 +429,31 @@ def _sort_key(space):
     return (space.dim, space.key)
 
 
+def _rank_one_points_inside(space, group):
+    """Sorted indices (into points_for) of the rank-one points in the space.
+
+    They determine the space only when it is group.space plus their span,
+    so that is checked: for such spaces, g maps V onto V' iff it maps the
+    points of V onto those of V', since g fixes group.space.
+    """
+    pts = points_for(space.q, space.n)
+    inside = np.nonzero(space.contains_batch(pts.flat))[0]
+    rows = pts.flat[inside]
+    if group.space is not None:
+        if not space.contains_space(group.space):
+            raise BadParameters("space does not contain the group's space")
+        rows = np.concatenate([group.space.basis, rows])
+    if gf.rank(rows, space.q) != space.dim:
+        raise BadParameters("space is not the group's space plus its rank-one points")
+    return inside
+
+
 def _orbit_canonical_key(space, group):
-    gA, gB = group.element_arrays()
-    images = _act_arrays(gA, gB, space.basis, space.q)
-    reduced, _ = gf.rref_batch(images, space.q)
-    return min(img.tobytes() for img in reduced)
+    """Least sorted image, over the group, of the space's rank-one points."""
+    images = np.sort(group.point_images(_rank_one_points_inside(space, group)), axis=1)
+    for col in range(images.shape[1]):
+        images = images[images[:, col] == images[:, col].min()]
+    return images[0].tobytes()
 
 
 def equivalence_classes(spaces, group=None, workers=1):
@@ -442,6 +461,9 @@ def equivalence_classes(spaces, group=None, workers=1):
 
     Under the full group the test is are_equivalent; when an explicit
     subgroup is supplied, classes are orbits under exactly that subgroup.
+    Each space must then contain group.space and equal group.space plus the
+    span of its rank-one points (BadParameters otherwise), so that the
+    orbit of its rank-one point set is a complete key.
     The output is a deterministic function of the input set: representatives
     are the members with least sorted-encoding multiset, sorted.
     """
@@ -506,8 +528,9 @@ def equivalence_classes(spaces, group=None, workers=1):
 class StabilizerGroup:
     """Setwise stabilizer {(A, B) : A S B = S}, fully enumerated.
 
-    Carries the complete element arrays (order is the pair count) plus a
-    small generating subset found greedily.
+    Carries the complete element arrays (order is the pair count).  Each
+    element also permutes the projective rank-one points, u w^T ->
+    (A u)(B^T w)^T; point_tables holds that action as two index tables.
     """
 
     def __init__(self, q, n, A, B, space=None):
@@ -516,7 +539,7 @@ class StabilizerGroup:
         self.A = A
         self.B = B
         self.space = space
-        self._gen_idx = None
+        self._tables = None
 
     @classmethod
     def trivial(cls, q, n):
@@ -527,72 +550,41 @@ class StabilizerGroup:
     def order(self):
         return self.A.shape[0]
 
-    def element_arrays(self):
-        return self.A, self.B
-
     def isotopisms(self):
         return [Isotopism(a, b, self.q) for a, b in zip(self.A, self.B)]
 
-    def _keys(self):
-        return [a.tobytes() + b.tobytes() for a, b in zip(self.A, self.B)]
-
-    def _closure_size(self, gen_pairs):
-        """BFS closure of the given generators inside the group; returns keys."""
-        q, n = self.q, self.n
-        ident = np.eye(n, dtype=np.uint8)
-        seen = {ident.tobytes() + ident.tobytes()}
-        newA = ident[None].astype(np.int64)
-        newB = ident[None].astype(np.int64)
-        while newA.shape[0]:
-            nextA, nextB = [], []
-            for ga, gb in gen_pairs:
-                pA = (newA @ ga) % q
-                pB = (gb.astype(np.int64) @ newB) % q
-                for a, b in zip(pA.astype(np.uint8), pB.astype(np.uint8)):
-                    key = a.tobytes() + b.tobytes()
-                    if key not in seen:
-                        seen.add(key)
-                        nextA.append(a)
-                        nextB.append(b)
-            if nextA:
-                newA = np.stack(nextA).astype(np.int64)
-                newB = np.stack(nextB).astype(np.int64)
-            else:
-                break
-        return seen
-
-    def generator_indices(self):
-        """Greedy generating subset (indices into the element arrays)."""
-        if self._gen_idx is not None:
-            return self._gen_idx
-        keys = self._keys()
-        order_idx = sorted(range(self.order), key=lambda i: keys[i])
-        gens = []
-        covered = self._closure_size([])
-        for i in order_idx:
-            if keys[i] in covered:
-                continue
-            gens.append(i)
-            covered = self._closure_size(
-                [(self.A[j].astype(np.int64), self.B[j]) for j in gens]
+    def point_tables(self):
+        """int16 (order, m) tables: the projective index of A v and of B^T v
+        for every projective vector v, built in chunks of elements."""
+        if self._tables is None:
+            pts = points_for(self.q, self.n)
+            self._tables = tuple(
+                np.concatenate([
+                    pts.vector_images(M[i : i + _TABLE_CHUNK])
+                    for i in range(0, self.order, _TABLE_CHUNK)
+                ])
+                for M in (self.A, self.B.transpose(0, 2, 1))
             )
-            if len(covered) == self.order:
-                break
-        assert len(covered) == self.order, "generator closure mismatch"
-        self._gen_idx = gens
-        return gens
+        return self._tables
 
-    def generators(self):
-        return [
-            Isotopism(self.A[i], self.B[i], self.q) for i in self.generator_indices()
-        ]
+    def point_images(self, idx):
+        """(order, len(idx)) indices of the images of the given points."""
+        pts = points_for(self.q, self.n)
+        TA, TB = self.point_tables()
+        return pts.of_uw[TA[:, pts.u[idx]], TB[:, pts.w[idx]]]
 
     def stabilizer_of_space(self, space):
-        """Subgroup of elements that also fix the given space setwise."""
-        images = _act_arrays(self.A, self.B, space.basis, space.q)
-        reduced = space.reduce(images.reshape(-1, space.n * space.n))
-        ok = ~reduced.reshape(self.order, -1).any(axis=1)
-        return StabilizerGroup(self.q, self.n, self.A[ok], self.B[ok], space)
+        """Subgroup of elements that also fix the given space setwise.
+
+        The space must be self.space plus the span of its rank-one points
+        (BadParameters otherwise); an element then fixes it iff it fixes
+        that point set.
+        """
+        inside = _rank_one_points_inside(space, self)
+        ok = (np.sort(self.point_images(inside), axis=1) == inside).all(axis=1)
+        sub = StabilizerGroup(self.q, self.n, self.A[ok], self.B[ok], space)
+        sub._tables = tuple(T[ok] for T in self.point_tables())
+        return sub
 
 
 def automorphism_group(space):
@@ -663,39 +655,21 @@ def _brute_force_stabilizer(space):
 def rank_one_orbits(group, q, n):
     """Partition of all rank-one matrices into orbits of the group.
 
+    Sweeps the matrices in encoding order: the least unlabelled one
+    represents its orbit, the set of its images A X B over the group.
     Returns a list of (representative matrix, orbit size), sorted by the
     representative's encoding.
     """
-    from .algebra import rank_one_elements
-
     mats = rank_one_elements(q, n)
-    flat = np.stack([m.reshape(-1) for m in mats]).astype(np.int64)
-    index = {m.tobytes(): i for i, m in enumerate(np.asarray(flat, dtype=np.uint8))}
-    parent = list(range(len(mats)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    gen_idx = group.generator_indices()
-    for gi in gen_idx:
-        A = group.A[gi].astype(np.int64)
-        B = group.B[gi].astype(np.int64)
-        moved = (A @ flat.reshape(-1, n, n) @ B) % q
-        moved = moved.reshape(-1, n * n).astype(np.uint8)
-        for i, row in enumerate(moved):
-            union(i, index[row.tobytes()])
-
-    orbits = {}
-    for i in range(len(mats)):
-        orbits.setdefault(find(i), []).append(i)
-    out = [(mats[min(members)], len(members)) for members in orbits.values()]
-    out.sort(key=lambda item: _encode_rows_int(item[0].reshape(1, -1), q)[0])
+    flat = np.stack(mats).reshape(len(mats), n * n)
+    codes = _encode_rows_int(flat, q)  # ascending: mats are sorted by encoding
+    labelled = np.zeros(len(mats), dtype=bool)
+    out = []
+    for i, M in enumerate(mats):
+        if labelled[i]:
+            continue
+        images = _act_arrays(group.A, group.B, flat[i], q)[:, 0]
+        hit = np.unique(np.searchsorted(codes, _encode_rows_int(images, q)))
+        labelled[hit] = True
+        out.append((M, hit.size))
     return out

@@ -69,9 +69,5 @@ class RankExceedsCap(SpreadRankError):
     """Tensor rank search exceeded the caller-supplied cap."""
 
 
-class PruningUnavailable(SpreadRankError):
-    """Code-nonexistence precondition for search pruning could not be established."""
-
-
 class UnknownBound(SpreadRankError):
     """The bound table has no entry and exhaustive search is infeasible."""

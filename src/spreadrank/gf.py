@@ -81,33 +81,7 @@ def rank(rows, q):
 
 def rank_batch(mats, q):
     """Ranks of a (B, r, c) stack over F_q, vectorised across the batch."""
-    A = np.asarray(mats, dtype=np.int16) % q
-    if A.ndim == 2:
-        A = A[None]
-    A = A.copy()
-    nb, nr, nc = A.shape
-    inv = inv_table(q).astype(np.int16)
-    row = np.zeros(nb, dtype=np.int64)
-    rowidx = np.arange(nr)
-    for c in range(nc):
-        colvals = A[:, :, c]
-        cand = (colvals != 0) & (rowidx[None, :] >= row[:, None])
-        has = cand.any(axis=1)
-        b = np.nonzero(has)[0]
-        if b.size == 0:
-            continue
-        piv = np.argmax(cand[b], axis=1)
-        cur = row[b]
-        tmp = A[b, piv, :].copy()
-        A[b, piv, :] = A[b, cur, :]
-        A[b, cur, :] = tmp
-        pivrow = (A[b, cur, :] * inv[A[b, cur, c]][:, None]) % q
-        A[b, cur, :] = pivrow
-        factors = A[b, :, c].copy()
-        factors[np.arange(b.size), cur] = 0
-        A[b] = (A[b] - factors[:, :, None] * pivrow[:, None, :]) % q
-        row[b] += 1
-    return row
+    return rref_batch(mats, q)[1]
 
 
 def rref_batch(mats, q):

@@ -12,6 +12,12 @@ Three entry points:
     discarding (2n-1)-dimensional spaces with too few independent rank ones
     when the matching code-nonexistence fact licenses it.
 
+Orbit reduction uses the stabilizer groups' permutation tables of the
+projective rank-one points (see spreadrank.equivalence): a child is a parent
+plus one point, so the point's images name the children in its orbit, and
+a classified level's spaces are keyed by the least image of their point
+sets.
+
 Counting conventions (they pin the published intermediate numbers): children
 of one parent are deduplicated as spans; once equivalence reduction stops,
 levels count distinct children summed over parents, without cross-parent
@@ -25,7 +31,6 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
@@ -34,41 +39,13 @@ from . import gf
 from .algebra import (
     MatSpace,
     SpreadSet,
-    projective_vectors,
+    points_for,
     rank_one_elements,  # noqa: F401  (re-exported: part of the search surface)
 )
 from .codec import encode
 from .codes import code_exists
 from .equivalence import automorphism_group, equivalence_classes
-from .errors import RankExceedsCap
-
-# ---------------------------------------------------------------------------
-# Projective rank-one points
-# ---------------------------------------------------------------------------
-
-
-class _Points:
-    """Projective rank-one points of M_n(F_q) with index lookup."""
-
-    def __init__(self, q, n):
-        self.q = q
-        self.n = n
-        us = projective_vectors(q, n)
-        mats = [np.outer(u, w) % q for u in us for w in us]
-        flat = np.stack([m.reshape(-1) for m in mats]).astype(np.int64)
-        order = np.lexsort(flat.T[::-1])
-        self.flat = flat[order]
-        self.index = {
-            row.tobytes(): i for i, row in enumerate(self.flat.astype(np.uint8))
-        }
-
-    def __len__(self):
-        return self.flat.shape[0]
-
-
-@lru_cache(maxsize=8)
-def points_for(q, n):
-    return _Points(q, n)
+from .errors import BadParameters, RankExceedsCap
 
 
 def _normalize_rows(rows, q):
@@ -314,39 +291,25 @@ def verify_decomposition(spread, mats):
 def _point_orbit_reps(group, ext, pts):
     """One child-defining point per orbit of the group on the children.
 
-    The group must stabilise the parent; generators then permute the child
-    spans, and union-find over generator moves recovers the orbits.
+    The group must stabilise the parent, so it permutes the children: the
+    orbit of a child is the set of children holding the images of its
+    point.  Sweeping in child order, the least unlabelled child is the least
+    member of its orbit and represents it.
     """
-    if not ext.group_reps:
-        return []
-    q, n = group.q, group.n
-    child_of_point = {}
+    child_of_point = np.full(len(pts), -1, dtype=np.int64)
     for child_no, members in enumerate(ext.group_members):
-        for p in members:
-            child_of_point[int(p)] = child_no
-    parent_union = list(range(len(ext.group_reps)))
-
-    def find(i):
-        while parent_union[i] != i:
-            parent_union[i] = parent_union[parent_union[i]]
-            i = parent_union[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent_union[max(ri, rj)] = min(ri, rj)
-
-    for gi in group.generator_indices():
-        A = group.A[gi].astype(np.int64)
-        B = group.B[gi].astype(np.int64)
-        moved = (A @ pts.flat[ext.group_reps].reshape(-1, n, n) @ B) % q
-        moved = _normalize_rows(moved.reshape(-1, n * n), q).astype(np.uint8)
-        for child_no, row in enumerate(moved):
-            target = pts.index[row.tobytes()]
-            union(child_no, child_of_point[target])
-    reps = sorted({ext.group_reps[find(i)] for i in range(len(ext.group_reps))})
-    return reps
+        child_of_point[members] = child_no
+    labelled = np.zeros(len(ext.group_reps), dtype=bool)
+    reps = []
+    for child_no, point in enumerate(ext.group_reps):
+        if labelled[child_no]:
+            continue
+        hit = child_of_point[group.point_images([point])[:, 0]]
+        if (hit < 0).any():
+            raise BadParameters("the group does not stabilise the parent")
+        labelled[hit] = True
+        reps.append(point)
+    return sorted(reps)
 
 
 # ---------------------------------------------------------------------------
@@ -500,18 +463,23 @@ class _Checkpoint:
         self.path = path
         self.interval = interval
         self._last = time.time()
-        self.data = None
-        if path is not None and os.path.exists(path):
-            try:
-                with open(path) as fh:
-                    data = json.load(fh)
-                if data.get("version") == 1:
-                    self.data = data
-            except (OSError, ValueError):
-                self.data = None
 
-    def matches(self, params):
-        return self.data is not None and self.data.get("params") == params
+    def load(self, params):
+        """(snapshot, None) when the file resumes a run with these params;
+        (None, why it is ignored) for any other file; (None, None) without one."""
+        if self.path is None or not os.path.exists(self.path):
+            return None, None
+        try:
+            with open(self.path) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            return None, f"unreadable ({type(exc).__name__})"
+        if not isinstance(data, dict) or data.get("version") != 1:
+            version = data.get("version") if isinstance(data, dict) else None
+            return None, f"version {version!r}, expected 1"
+        if data.get("params") != params:
+            return None, "parameters differ"
+        return data, None
 
     def save(self, builder, force=False):
         """Write a snapshot; builder is only invoked when a write happens."""
@@ -583,9 +551,12 @@ def disprove_rank(
         "n": n,
         "R": R,
         "spread": space.encodings(),
+        "stop_at_witness": stop_at_witness,
     }
     ckpt = _Checkpoint(checkpoint, checkpoint_interval)
-    resume = ckpt.data if ckpt.matches(params) else None
+    resume, ignored = ckpt.load(params)
+    if ignored:
+        report.flags.append(f"checkpoint-ignored: {ignored}")
 
     if stop_at_witness and resume is None:
         hit = _diag_probe(space, R, pts)

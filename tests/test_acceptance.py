@@ -16,7 +16,7 @@ import pytest
 from spreadrank import algebra, atlas, codec, codes, equivalence, gf, search
 
 # Frozen level counts produced by this package's conventions (deterministic;
-# see decisions ledger for the comparison against the published tables).
+# see NOTES.md for the comparison against the published tables).
 OUR_ORDER16_LEVELS = {
     5: {"spaces": 165, "classes": 19},
     6: {"spaces": 2830, "classes": 236, "survivors": 33},
@@ -144,8 +144,8 @@ def test_criterion_6_order16_classification():
         entry = rep.level(dim)
         for key, value in expect.items():
             ok &= entry[key] == value
-    # published class counts reproduce exactly; the dim-7 raw count is
-    # representative-dependent (published 4371 vs 4414 here), flagged
+    # published class counts reproduce exactly; the dim-7 raw count differs
+    # (published 4371 vs 4414 here, see NOTES.md), flagged
     published = atlas.ORDER16_COUNTS
     ok &= rep.level(5)["classes"] == published["dim5_classes"]
     ok &= rep.level(6)["classes"] == published["dim6_classes"]
@@ -157,7 +157,7 @@ def test_criterion_6_order16_classification():
     flag = ""
     if rep.level(7)["spaces"] != published["dim7_spaces"]:
         flag = (f"[flagged: dim-7 raw {rep.level(7)['spaces']} vs published "
-                f"{published['dim7_spaces']}, representative-dependent]")
+                f"{published['dim7_spaces']}, see NOTES.md]")
     report(6, ok, f"order-16 classes 19/236/33/910/2/23, 0 spread sets {flag}")
 
 
@@ -223,7 +223,7 @@ def test_criterion_8_f81_exhaustion(f81_report):
     if rep.level(6)["classes"] != published["dim6_classes"]:
         flags.append(
             f"dim-6 classes {rep.level(6)['classes']} vs published "
-            f"{published['dim6_classes']} (engine-dependent, see ledger)"
+            f"{published['dim6_classes']} (engine-dependent, see NOTES.md)"
         )
     if rep.level(7)["spaces"] != published["dim7_spaces"]:
         flags.append(
@@ -238,10 +238,10 @@ def test_criterion_8_f81_exhaustion(f81_report):
 def test_criterion_8_published_f81_counts(f81_report):
     """Literal published intermediate counts.
 
-    The exact-orbit engine proves there are at most 417 classes of
-    six-dimensional spaces over any fixed five-dimensional space (215 under
+    The exact-orbit engine proves there are at most 403 classes of
+    six-dimensional spaces over the one five-dimensional class (215 under
     the full automorphism group), so the printed 662 cannot be an exact
-    equivalence-class count; see the decisions ledger for the analysis.
+    equivalence-class count; see NOTES.md for the analysis.
     This assertion is kept faithful to the criterion text and is expected
     to fail.
     """
@@ -252,7 +252,7 @@ def test_criterion_8_published_f81_counts(f81_report):
         f"six-dimensional level: {rep.level(6)['classes']} classes under the "
         f"exact engine vs published {published['dim6_classes']}; the printed "
         "count is an artifact of the original partially-merging equivalence "
-        "step (ledger: order-81 intermediate counts)"
+        "step (NOTES.md: order-81 intermediate counts)"
     )
     assert rep.level(7)["spaces"] == published["dim7_spaces"]
     assert rep.level(7)["survivors"] == published["dim7_survivors"]
@@ -269,7 +269,7 @@ def test_criterion_8_gtf81_exhaustion(gtf_report):
 
 @pytest.mark.extended
 def test_criterion_8_published_gtf81_counts(gtf_report):
-    """Literal published intermediate counts (expected to fail; see ledger)."""
+    """Literal published intermediate counts (expected to fail; see NOTES.md)."""
     rep = gtf_report
     published = atlas.GTF81_DISPROVE_COUNTS
     assert rep.outcome == "exhausted"

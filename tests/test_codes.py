@@ -36,6 +36,15 @@ def test_decomposition_missing_matrix_not_contained():
             codes.decomposition_from_rank_ones(e.spread_set(), subset)
 
 
+def test_decomposition_rejects_failed_reconstruction(monkeypatch):
+    e = atlas.atlas_get("F16")
+    monkeypatch.setattr(
+        codes.PureDecomposition, "tensor", lambda D: np.zeros(D.dims, dtype=np.uint8)
+    )
+    with pytest.raises(NotContained):
+        codes.decomposition_from_rank_ones(e.spread_set(), e.decomposition_matrices())
+
+
 def test_decomposition_rejects_dependent():
     e = atlas.atlas_get("F16")
     mats = e.decomposition_matrices()

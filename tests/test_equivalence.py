@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from spreadrank import algebra, equivalence, gf
-from spreadrank.errors import NotInvertible
+from spreadrank import algebra, atlas, equivalence, gf, search
+from spreadrank.errors import BadParameters, NotContained, NotInvertible
 
 
 def random_invertible(rng, q, n):
@@ -208,6 +208,11 @@ def test_rank_one_orbits_trivial_group():
     orbits = equivalence.rank_one_orbits(trivial, 2, 2)
     assert len(orbits) == 9
     assert all(size == 1 for _, size in orbits)
+    # without the scalar pairs (I, lambda I), the scalar multiples of a
+    # rank-one matrix lie in different orbits
+    orbits = equivalence.rank_one_orbits(equivalence.StabilizerGroup.trivial(3, 2), 3, 2)
+    assert len(orbits) == 32
+    assert all(size == 1 for _, size in orbits)
 
 
 def test_stabilizer_of_space_subgroup():
@@ -228,3 +233,145 @@ def test_order_divides_gl_squared():
     aut = equivalence.automorphism_group(f4.space)
     gl2 = 6
     assert (gl2 * gl2) % aut.order == 0
+
+
+# ---------------------------------------------------------------------------
+# Point-table action against the matrix action it replaces
+# ---------------------------------------------------------------------------
+
+
+def rref_orbit_key(space, group):
+    """Oracle orbit key: least RREF of the basis images over the group."""
+    images = equivalence._act_arrays(group.A, group.B, space.basis, space.q)
+    reduced, _ = gf.rref_batch(images, space.q)
+    return min(img.tobytes() for img in reduced)
+
+
+def partition(spaces, key):
+    classes = {}
+    for s in spaces:
+        classes.setdefault(key(s), set()).add(s.key)
+    return sorted(sorted(members) for members in classes.values())
+
+
+def children(parent):
+    pts = search.points_for(parent.q, parent.n)
+    ext = search.extension_groups(parent, pts)
+    return [parent.extend(pts.flat[i]) for i in ext.group_reps]
+
+
+def assert_same_partition(spaces, group):
+    classes = partition(spaces, lambda s: rref_orbit_key(s, group))
+    assert partition(spaces, lambda s: equivalence._orbit_canonical_key(s, group)) == classes
+    return len(classes)
+
+
+def test_point_key_partitions_like_rref_key_f16():
+    f16 = atlas.atlas_get("F16").space()
+    aut = equivalence.automorphism_group(f16)
+    dim5 = children(f16)
+    assert assert_same_partition(dim5, aut) == 1
+    dim6 = children(equivalence.equivalence_classes(dim5, group=aut)[0])
+    assert assert_same_partition(dim6, aut) == 32
+
+
+def test_point_key_partitions_like_rref_key_s1_sample():
+    rng = np.random.default_rng(6)
+    s1 = atlas.atlas_get("S1").space()
+    aut = equivalence.automorphism_group(s1)
+    reps5 = equivalence.equivalence_classes(children(s1), group=aut)
+    dim6 = [c for rep in reps5 for c in children(rep)]
+    sample = [dim6[i] for i in rng.choice(len(dim6), 150, replace=False)]
+    # images under random automorphisms make sure that classes merge
+    isos = aut.isotopisms()
+    sample += [equivalence.act(isos[rng.integers(aut.order)], s) for s in sample[:50]]
+    assert assert_same_partition(sample, aut) < len({s.key for s in sample})
+
+
+def field_cases():
+    """(group, parent) pairs: an automorphism group on its own space and
+    the stabilizer of a child on that child; q = 3 has scalar pairs."""
+    for q, n in ((2, 4), (3, 3)):
+        space = algebra.field_construct(q, n).space
+        aut = equivalence.automorphism_group(space)
+        yield aut, space
+        child = children(space)[3]
+        yield aut.stabilizer_of_space(child), child
+
+
+def brute_point_orbit_reps(group, ext, pts):
+    """Orbit representatives from the matrix images of every child's point
+    under every group element."""
+    child_of = {}
+    for child_no, members in enumerate(ext.group_members):
+        for p in members:
+            child_of[pts.flat[p].astype(np.uint8).tobytes()] = child_no
+    reps = set()
+    for point in ext.group_reps:
+        moved = equivalence._act_arrays(group.A, group.B, pts.flat[point], pts.q)
+        rows = search._normalize_rows(moved[:, 0], pts.q).astype(np.uint8)
+        orbit = {child_of[row.tobytes()] for row in rows}
+        reps.add(ext.group_reps[min(orbit)])
+    return sorted(reps)
+
+
+def test_point_orbit_reps_match_brute_scan():
+    for group, parent in field_cases():
+        pts = search.points_for(parent.q, parent.n)
+        ext = search.extension_groups(parent, pts)
+        reps = search._point_orbit_reps(group, ext, pts)
+        assert reps == brute_point_orbit_reps(group, ext, pts)
+        assert len(reps) < len(ext.group_reps)
+
+
+def test_stabilizer_of_space_matches_brute_scan():
+    for group, parent in field_cases():
+        for child in children(parent)[:2]:
+            stab = group.stabilizer_of_space(child)
+            keep = [equivalence.act(g, child) == child for g in group.isotopisms()]
+            assert np.array_equal(stab.A, group.A[keep])
+            assert np.array_equal(stab.B, group.B[keep])
+            fresh = equivalence.StabilizerGroup(stab.q, stab.n, stab.A, stab.B)
+            for sliced, built in zip(stab.point_tables(), fresh.point_tables()):
+                assert np.array_equal(sliced, built)
+
+
+def test_point_action_requires_group_space_plus_rank_one_span():
+    f16 = atlas.atlas_get("F16").space()
+    aut = equivalence.automorphism_group(f16)
+    pts = search.points_for(2, 4)
+    without_f16 = algebra.MatSpace.from_rows(2, 4, pts.flat[:1])
+    # F16 plus a matrix that brings in no rank-one point
+    rng = np.random.default_rng(7)
+    while True:
+        extra = f16.extend(rng.integers(0, 2, 16))
+        if extra.dim == 5 and not extra.contains_batch(pts.flat).any():
+            break
+    for bad in (without_f16, extra):
+        with pytest.raises(BadParameters):
+            equivalence._orbit_canonical_key(bad, aut)
+        with pytest.raises(BadParameters):
+            aut.stabilizer_of_space(bad)
+        with pytest.raises(BadParameters):
+            equivalence.equivalence_classes([bad], group=aut)
+
+
+# ---------------------------------------------------------------------------
+# Checks that guard results raise, so that python -O keeps them
+# ---------------------------------------------------------------------------
+
+
+def test_unital_generators_rejects_space_without_identity():
+    space = algebra.MatSpace.from_rows(2, 2, np.array([[0, 1, 1, 0]]))
+    with pytest.raises(NotContained):
+        equivalence._unital_generators(space)
+
+
+def test_are_equivalent_rejects_false_witness(monkeypatch):
+    rng = np.random.default_rng(8)
+    space = random_space_with_identity(rng, 2, 4, 2)
+    moved = equivalence.act(random_isotopism(rng, 2, 4), space)
+    assert moved != space
+    monkeypatch.setattr(equivalence, "act", lambda g, s: s)
+    with pytest.raises(NotContained):
+        equivalence.are_equivalent(space, moved)

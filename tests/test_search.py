@@ -220,3 +220,39 @@ def test_child_keys_match_extend():
     for idx, key in list(zip(ext.group_reps, keys))[:25]:
         child = f16.extend(pts.flat[idx])
         assert child.basis.tobytes() == key
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        (None, "parameters differ"),
+        ('{"version": 0}', "version 0, expected 1"),
+        ("{not json", "unreadable (JSONDecodeError)"),
+    ],
+)
+def test_disprove_rank_flags_ignored_checkpoint(tmp_path, content, reason):
+    f8 = algebra.field_construct(2, 3)
+    baseline = search.disprove_rank(f8, 5, stop_at_witness=False)
+    ckpt = tmp_path / "state.json"
+    if content is None:
+        # a snapshot of the same search with stop_at_witness on
+        class Stop(Exception):
+            pass
+
+        def interrupt(event):
+            if "parents_done" in event:
+                raise Stop
+
+        with pytest.raises(Stop):
+            search.disprove_rank(
+                f8, 5, checkpoint=str(ckpt), checkpoint_interval=0.0, progress=interrupt
+            )
+    else:
+        ckpt.write_text(content)
+    rep = search.disprove_rank(
+        f8, 5, stop_at_witness=False, checkpoint=str(ckpt), checkpoint_interval=0.0
+    )
+    assert f"checkpoint-ignored: {reason}" in rep.flags
+    assert "resumed-from-checkpoint" not in rep.flags
+    assert rep.levels == baseline.levels
+    assert rep.outcome == baseline.outcome
