@@ -6,7 +6,9 @@ problem A (S1 X1^-1) A^-1 = S2 Y^-1 between spaces containing the identity.
 Conjugacy is solved by guessing images of a few generators among elements of
 the target with matching characteristic polynomial; each guess is a linear
 constraint on A, so the search intersects nullspaces and enumerates the last
-small solution space.
+small solution space.  The candidates of that space are validated as a batch:
+one batched inverse, one product for the images of the basis of U under
+every candidate, and one membership test in V.
 
 Anchor candidates are pre-filtered by division signatures: the multiset, over
 invertible Y, of characteristic-polynomial multisets of S Y^-1 is a full
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product as iproduct
 
 import numpy as np
 
@@ -229,9 +232,16 @@ def _unital_generators(space):
 
 
 def _constraint_matrix(g, W, q, n):
-    """Matrix of A -> A g - W A acting on row-major flattened A."""
+    """Matrix of A -> A g - W A acting on row-major flattened A.
+
+    Entry [(i, j), (k, l)] is [i = k] g[l, j] - W[i, k] [j = l].
+    """
     eye = np.eye(n, dtype=np.int64)
-    return (np.kron(eye, g.T) - np.kron(W, eye)) % q
+    C = (
+        eye[:, None, :, None] * g.T[None, :, None, :]
+        - W[:, None, :, None] * eye[None, :, None, :]
+    )
+    return C.reshape(n * n, n * n) % q
 
 
 def _intersect(basis, C, q):
@@ -245,7 +255,22 @@ def _intersect(basis, C, q):
     return (null.astype(np.int64) @ basis.astype(np.int64)) % q
 
 
-def _conjugators(dataU, dataV, find_all, limit=None):
+def _conjugating(cands, u_mats, V_space, q):
+    """The candidates A of a (B, n, n) stack with A U A^-1 in V_space for
+    every U in u_mats, in input order.
+
+    One batched inverse, one product and one membership test cover the
+    whole stack.
+    """
+    inverses, invertible = gf.inverse_batch(cands, q)
+    A = cands[invertible].astype(np.int64)
+    A_inv = inverses[invertible].astype(np.int64)
+    images = (A[:, None] @ u_mats[None] @ A_inv[:, None]) % q
+    inside = V_space.contains_batch(images.reshape(-1, images.shape[-1] ** 2))
+    return A[inside.reshape(A.shape[0], u_mats.shape[0]).all(axis=1)].astype(np.uint8)
+
+
+def _conjugators(dataU, dataV, find_all):
     """Invertible A with A U A^-1 = V.  Yields uint8 matrices.
 
     dataU/dataV wrap unital spaces of equal dimension whose charpoly
@@ -269,36 +294,18 @@ def _conjugators(dataU, dataV, find_all, limit=None):
     gens = [gens[i] for i in by_count]
     gen_ids = gen_ids[by_count]
 
-    u_basis_mats = [b.reshape(n, n).astype(np.int64) for b in U_space.basis]
+    u_mats = U_space.basis.reshape(-1, n, n).astype(np.int64)
     full = np.eye(n * n, dtype=np.uint8)
 
     found = []
 
-    def validate(cands):
-        """Filter a (B, n, n) stack down to genuine conjugators."""
-        good = []
-        invertible = gf.rank_batch(cands, q) == n
-        for A, ok in zip(cands, invertible):
-            if not ok:
-                continue
-            A = A.astype(np.int64)
-            A_inv = gf.mat_inverse(A, q).astype(np.int64)
-            images = np.stack([(A @ bm @ A_inv) % q for bm in u_basis_mats])
-            if V_space.contains_batch(images.reshape(len(u_basis_mats), -1)).all():
-                good.append(A.astype(np.uint8))
-        return good
-
     def enumerate_basis(basis):
         d = basis.shape[0]
-        if d == 0:
-            return []
         if q**d > _ENUMERATE_CAP:
             raise TooLarge(f"conjugacy solution space q^{d} too large to scan")
-        from itertools import product as iproduct
-
         grid = np.array(list(iproduct(range(q), repeat=d)), dtype=np.int64)[1:]
         cands = (grid @ basis.astype(np.int64)) % q
-        return validate(cands.reshape(-1, n, n))
+        return _conjugating(cands.reshape(-1, n, n), u_mats, V_space, q)
 
     def recurse(idx, basis):
         if basis.shape[0] == 0:
@@ -307,8 +314,6 @@ def _conjugators(dataU, dataV, find_all, limit=None):
             for A in enumerate_basis(basis):
                 found.append(A)
                 if not find_all:
-                    return True
-                if limit is not None and len(found) >= limit:
                     return True
             return not find_all and bool(found)
         g = gens[idx]
@@ -400,23 +405,25 @@ def are_equivalent(s1, s2):
 
 def _brute_force_equivalent(s1, s2):
     """Last resort for spaces with no invertible element: scan GL x GL."""
-    q, n = s1.q, s1.n
-    if q**(n * n) > 4096:
-        raise TooLarge("no invertible anchor and ambient too large to scan")
-    from itertools import product as iproduct
+    why = "no invertible anchor and ambient too large to scan"
+    return next(_isotopisms_between(s1, s2, why), None)
 
-    ident = np.eye(n, dtype=np.uint8)
-    gl = []
-    for entries in iproduct(range(q), repeat=n * n):
-        M = np.array(entries, dtype=np.int64).reshape(n, n)
-        if gf.mat_det(M, q) != 0:
-            gl.append(M)
+
+def _isotopisms_between(s1, s2, why):
+    """Every (A, B) in GL_n(q)^2 with act((A, B), s1) = s2, A-major, each
+    factor in lexicographic order of its entries.  Raises TooLarge(why)
+    when M_n(q) has more than 4096 elements."""
+    q, n = s1.q, s1.n
+    if q ** (n * n) > 4096:
+        raise TooLarge(why)
+    mats = np.array(list(iproduct(range(q), repeat=n * n)), dtype=np.uint8)
+    mats = mats.reshape(-1, n, n)
+    gl = mats[gf.det_batch(mats, q) != 0]
     for A in gl:
         for B in gl:
-            g = Isotopism(A.astype(np.uint8), B.astype(np.uint8), q)
+            g = Isotopism(A, B, q)
             if act(g, s1) == s2:
-                return g
-    return None
+                yield g
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +614,7 @@ def automorphism_group(space):
     dataU = space_data(U)
 
     pairs_A, pairs_B = [], []
-    units = list(range(1, q))
+    units = np.arange(1, q, dtype=np.int64)[None, :, None, None]
     for cpm2, y_idx in per_y:
         if cpm2 != cpm_x:
             continue
@@ -615,36 +622,29 @@ def automorphism_group(space):
         y_inv = gf.mat_inverse(y, q).astype(np.int64)
         V = _right_translate(space, y_inv)
         dataV = space_data(V)
-        for A in _conjugators(dataU, dataV, find_all=True):
-            base = gf.mat_inverse((A.astype(np.int64) @ x1) % q, q).astype(np.int64)
-            for lam in units:
-                B = (base * lam % q) @ y % q
-                pairs_A.append(A)
-                pairs_B.append(B.astype(np.uint8))
-    A_arr = np.stack(pairs_A)
-    B_arr = np.stack(pairs_B)
+        As = list(_conjugators(dataU, dataV, find_all=True))
+        if not As:
+            continue
+        As = np.stack(As)
+        bases, invertible = gf.inverse_batch((As.astype(np.int64) @ x1) % q, q)
+        if not invertible.all():
+            raise NotInvertible("a conjugator times the anchor is singular")
+        # B = lam (A x1)^-1 y for every unit lam, A-major
+        B = (bases[:, None].astype(np.int64) * units % q) @ y % q
+        pairs_A.append(np.repeat(As, q - 1, axis=0))
+        pairs_B.append(B.reshape(-1, n, n).astype(np.uint8))
+    A_arr = np.concatenate(pairs_A)
+    B_arr = np.concatenate(pairs_B)
     return StabilizerGroup(q, n, A_arr, B_arr, space)
 
 
 def _brute_force_stabilizer(space):
-    q, n = space.q, space.n
-    if q ** (n * n) > 4096:
-        raise TooLarge("stabilizer of anchor-free space too large to scan")
-    from itertools import product as iproduct
-
-    gl = []
-    for entries in iproduct(range(q), repeat=n * n):
-        M = np.array(entries, dtype=np.uint8).reshape(n, n)
-        if gf.mat_det(M, q) != 0:
-            gl.append(M)
-    pairs_A, pairs_B = [], []
-    for A in gl:
-        for B in gl:
-            g = Isotopism(A, B, q)
-            if act(g, space) == space:
-                pairs_A.append(A)
-                pairs_B.append(B)
-    return StabilizerGroup(q, n, np.stack(pairs_A), np.stack(pairs_B), space)
+    found = list(
+        _isotopisms_between(space, space, "stabilizer of anchor-free space too large to scan")
+    )
+    A = np.stack([g.A for g in found])
+    B = np.stack([g.B for g in found])
+    return StabilizerGroup(space.q, space.n, A, B, space)
 
 
 # ---------------------------------------------------------------------------

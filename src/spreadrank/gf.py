@@ -90,12 +90,18 @@ def rref_batch(mats, q):
     A = np.asarray(mats, dtype=np.int16) % q
     if A.ndim == 2:
         A = A[None]
-    A = A.copy()
-    nb, nr, nc = A.shape
+    return _eliminate(A, q, A.shape[2])
+
+
+def _eliminate(A, q, ncols):
+    """Gauss-Jordan elimination of an int16 (B, r, c) residue stack, in
+    place, with pivots taken from the first ncols columns only.  Returns
+    (the uint8 stack, the number of pivots of each item)."""
+    nb, nr, _ = A.shape
     inv = inv_table(q).astype(np.int16)
     row = np.zeros(nb, dtype=np.int64)
     rowidx = np.arange(nr)
-    for c in range(nc):
+    for c in range(ncols):
         colvals = A[:, :, c]
         cand = (colvals != 0) & (rowidx[None, :] >= row[:, None])
         has = cand.any(axis=1)
@@ -190,6 +196,24 @@ def mat_inverse(M, q):
     if R.shape[0] < n or tuple(piv[:n]) != tuple(range(n)):
         raise SingularMatrix("matrix has no inverse over F_%d" % q)
     return R[:n, n:].astype(np.uint8)
+
+
+def inverse_batch(mats, q):
+    """Inverses of a (B, n, n) stack over F_q.
+
+    Returns (inverses, invertible): one elimination of [M | I] with pivots
+    in the left block only, where an item is invertible iff it gets n
+    pivots, and its right block is then the inverse.  Inverses of the
+    singular items are zero.
+    """
+    A = np.asarray(mats, dtype=np.int16) % q
+    n = A.shape[-1]
+    eye = np.broadcast_to(np.eye(n, dtype=np.int16), A.shape)
+    R, ranks = _eliminate(np.concatenate([A, eye], axis=2), q, n)
+    invertible = ranks == n
+    inverses = R[:, :, n:]
+    inverses[~invertible] = 0
+    return inverses, invertible
 
 
 def mat_mul(A, B, q):

@@ -1,4 +1,12 @@
 import pytest
+from hypothesis import settings
+
+# Derandomized and small, so that every run of the suite draws the same
+# examples; the property tests then cost a few seconds in all.
+settings.register_profile(
+    "suite", derandomize=True, database=None, max_examples=25, deadline=None
+)
+settings.load_profile("suite")
 
 
 def pytest_addoption(parser):

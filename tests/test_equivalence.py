@@ -1,5 +1,9 @@
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from spreadrank import algebra, atlas, equivalence, gf, search
 from spreadrank.errors import BadParameters, NotContained, NotInvertible
@@ -375,3 +379,168 @@ def test_are_equivalent_rejects_false_witness(monkeypatch):
     monkeypatch.setattr(equivalence, "act", lambda g, s: s)
     with pytest.raises(NotContained):
         equivalence.are_equivalent(space, moved)
+
+
+# ---------------------------------------------------------------------------
+# Batched conjugacy kernel against the per-candidate loops it replaces
+# ---------------------------------------------------------------------------
+
+
+def kron_constraint_matrix(g, W, q, n):
+    """Oracle: the matrix of A -> A g - W A from Kronecker products."""
+    eye = np.eye(n, dtype=np.int64)
+    return (np.kron(eye, g.T) - np.kron(W, eye)) % q
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (2, 4), (3, 4)])
+def test_constraint_matrix_matches_kron(q, n):
+    rng = np.random.default_rng(10 * q + n)
+    for _ in range(20):
+        g = rng.integers(0, q, (n, n)).astype(np.int64)
+        W = rng.integers(0, q, (n, n)).astype(np.int64)
+        fast = equivalence._constraint_matrix(g, W, q, n)
+        slow = kron_constraint_matrix(g, W, q, n)
+        assert fast.dtype == slow.dtype and fast.shape == slow.shape
+        assert fast.tobytes() == slow.tobytes()
+
+
+def oracle_conjugating(cands, u_mats, V_space, q):
+    """Oracle: one rank batch, then one inverse and one membership test per
+    candidate."""
+    n = cands.shape[-1]
+    good = []
+    invertible = gf.rank_batch(cands, q) == n
+    for A, ok in zip(cands, invertible):
+        if not ok:
+            continue
+        A = A.astype(np.int64)
+        A_inv = gf.mat_inverse(A, q).astype(np.int64)
+        images = np.stack([(A @ bm @ A_inv) % q for bm in u_mats])
+        if V_space.contains_batch(images.reshape(len(u_mats), -1)).all():
+            good.append(A.astype(np.uint8))
+    return good
+
+
+def oracle_automorphism_group(space):
+    """Oracle: automorphism_group with one inverse per conjugator and one B
+    per (conjugator, unit)."""
+    q, n = space.q, space.n
+    data = equivalence.space_data(space)
+    mats = data.elems.reshape(-1, n, n)
+    _, per_y = data.division_data()
+    x_idx = int(data.invertible_projective()[0])
+    cpm_x = {yi: k for k, yi in per_y}[x_idx]
+    x1 = mats[x_idx].astype(np.int64)
+    U = equivalence._right_translate(space, gf.mat_inverse(x1, q).astype(np.int64))
+    dataU = equivalence.space_data(U)
+    pairs_A, pairs_B = [], []
+    for cpm2, y_idx in per_y:
+        if cpm2 != cpm_x:
+            continue
+        y = mats[y_idx].astype(np.int64)
+        V = equivalence._right_translate(space, gf.mat_inverse(y, q).astype(np.int64))
+        dataV = equivalence.space_data(V)
+        for A in equivalence._conjugators(dataU, dataV, find_all=True):
+            base = gf.mat_inverse((A.astype(np.int64) @ x1) % q, q).astype(np.int64)
+            for lam in range(1, q):
+                pairs_A.append(A)
+                pairs_B.append(((base * lam % q) @ y % q).astype(np.uint8))
+    return np.stack(pairs_A), np.stack(pairs_B)
+
+
+@pytest.mark.parametrize(
+    "name", ["F16", "S1", "S2", pytest.param("F81", marks=pytest.mark.slow)]
+)
+def test_automorphism_group_matches_per_candidate_oracle(name, monkeypatch):
+    space = atlas.atlas_get(name).space()
+    fast = equivalence.automorphism_group(space)
+    monkeypatch.setattr(equivalence, "_conjugating", oracle_conjugating)
+    A, B = oracle_automorphism_group(space)
+    for got, want in ((fast.A, A), (fast.B, B)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_are_equivalent_witness_matches_per_candidate_oracle(monkeypatch):
+    rng = np.random.default_rng(9)
+    pairs = []
+    for q in (2, 3):
+        for _ in range(8):
+            space = random_space_with_identity(rng, q, 4, int(rng.integers(1, 4)))
+            pairs.append((space, equivalence.act(random_isotopism(rng, q, 4), space)))
+    fast = [equivalence.are_equivalent(s1, s2) for s1, s2 in pairs]
+    monkeypatch.setattr(equivalence, "_conjugating", oracle_conjugating)
+    slow = [equivalence.are_equivalent(s1, s2) for s1, s2 in pairs]
+    for got, want in zip(fast, slow):
+        assert got.A.tobytes() == want.A.tobytes()
+        assert got.B.tobytes() == want.B.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Properties at n = 2 against the brute-force GL x GL scans
+# ---------------------------------------------------------------------------
+
+
+def gl2(q):
+    mats = np.array(list(product(range(q), repeat=4)), dtype=np.uint8).reshape(-1, 2, 2)
+    return mats[gf.det_batch(mats, q) != 0]
+
+
+GL2 = {q: gl2(q) for q in (2, 3)}
+
+
+def spaces_2x2(q, rows):
+    """Spans of `rows` random 2 x 2 matrices over F_q."""
+    entries = st.lists(st.integers(0, q - 1), min_size=4 * rows, max_size=4 * rows)
+    return entries.map(lambda e: algebra.MatSpace.from_rows(q, 2, np.reshape(e, (rows, 4))))
+
+
+def isotopisms_2x2(q):
+    gl = st.sampled_from(list(GL2[q]))
+    return st.tuples(gl, gl).map(lambda AB: equivalence.Isotopism(*AB, q))
+
+
+fields = st.sampled_from([2, 3])
+
+
+@given(fields.flatmap(lambda q: st.integers(2, 4).flatmap(lambda k: spaces_2x2(q, k))))
+def test_automorphism_group_equals_brute_force_stabilizer(space):
+    assume(space.dim >= 2)
+    assume(equivalence.space_data(space).invertible_projective().size > 0)
+    aut = equivalence.automorphism_group(space)
+    brute = equivalence._brute_force_stabilizer(space)
+    as_set = lambda g: {a.tobytes() + b.tobytes() for a, b in zip(g.A, g.B)}
+    assert aut.order == len(as_set(aut))
+    assert as_set(aut) == as_set(brute)
+
+
+@given(
+    fields.flatmap(
+        lambda q: st.integers(1, 3).flatmap(
+            lambda k: st.tuples(spaces_2x2(q, k), spaces_2x2(q, k))
+        )
+    )
+)
+def test_are_equivalent_agrees_with_brute_force_on_random_pairs(pair):
+    s1, s2 = pair
+    assume(s1.dim > 0 and s2.dim > 0)
+    witness = equivalence.are_equivalent(s1, s2)
+    assert (witness is None) == (equivalence._brute_force_equivalent(s1, s2) is None)
+    if witness is not None:
+        assert equivalence.act(witness, s1) == s2
+
+
+@given(
+    fields.flatmap(
+        lambda q: st.tuples(
+            st.integers(1, 3).flatmap(lambda k: spaces_2x2(q, k)), isotopisms_2x2(q)
+        )
+    )
+)
+def test_are_equivalent_agrees_with_brute_force_on_isotopic_pairs(case):
+    space, g = case
+    assume(space.dim > 0)
+    moved = equivalence.act(g, space)
+    witness = equivalence.are_equivalent(space, moved)
+    assert witness is not None and equivalence.act(witness, space) == moved
+    assert equivalence._brute_force_equivalent(space, moved) is not None

@@ -38,6 +38,27 @@ def test_inverse_round_trip():
             assert np.array_equal(gf.mat_mul(M, inv, q), np.eye(4, dtype=np.uint8))
 
 
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_inverse_batch_matches_mat_inverse(q, n):
+    rng = np.random.default_rng(100 * q + n)
+    mats = rng.integers(0, q, (60, n, n)).astype(np.uint8)
+    mats[::4, -1] = mats[::4, 0]  # a repeated row: singular
+    mats[1] = 0
+    inverses, invertible = gf.inverse_batch(mats, q)
+    assert inverses.shape == mats.shape and inverses.dtype == np.uint8
+    assert 0 < invertible.sum() < len(mats)
+    for M, inv, ok in zip(mats, inverses, invertible):
+        try:
+            expected = gf.mat_inverse(M, q)
+        except SingularMatrix:
+            assert not ok
+            assert not inv.any()
+        else:
+            assert ok
+            assert np.array_equal(inv, expected)
+
+
 def test_rank_batch_matches_single():
     rng = np.random.default_rng(3)
     for q in (2, 3, 5):

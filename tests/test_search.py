@@ -1,3 +1,6 @@
+import functools
+import json
+
 import numpy as np
 import pytest
 
@@ -151,33 +154,51 @@ def test_disprove_rank_worker_invariance():
     assert rep1.outcome == rep2.outcome
 
 
-def test_disprove_rank_checkpoint_resume(tmp_path):
-    f8 = algebra.field_construct(2, 3)
-    baseline = search.disprove_rank(f8, 5)
+@functools.lru_cache(maxsize=None)
+def uninterrupted(n, R):
+    return search.disprove_rank(algebra.field_construct(2, n), R)
+
+
+@pytest.mark.parametrize(
+    "n, R, dim, event",
+    [
+        # F8 R=5: the only chunk of the final level
+        pytest.param(3, 5, 5, 1, id="f8-final-only"),
+        # F16 R=8: the raw filter level has 8 chunks, the final level 26
+        pytest.param(4, 8, 7, 1, id="f16-raw-first"),
+        pytest.param(4, 8, 7, 4, id="f16-raw-middle"),
+        pytest.param(4, 8, 8, 13, id="f16-final-middle"),
+    ],
+)
+def test_disprove_rank_checkpoint_resume(tmp_path, n, R, dim, event):
+    spread = algebra.field_construct(2, n)
+    baseline = uninterrupted(n, R)
 
     ckpt = tmp_path / "state.json"
 
     class Stop(Exception):
         pass
 
-    calls = {"n": 0}
+    seen = []
 
-    def interrupt(event):
-        if "parents_done" in event:
-            calls["n"] += 1
-            raise Stop
+    def interrupt(update):
+        if update["dim"] == dim and "parents_done" in update:
+            seen.append(update["parents_done"])
+            if len(seen) == event:
+                raise Stop
 
     with pytest.raises(Stop):
         search.disprove_rank(
-            f8, 5, checkpoint=str(ckpt), checkpoint_interval=0.0, progress=interrupt
+            spread, R, checkpoint=str(ckpt), checkpoint_interval=0.0, progress=interrupt
         )
-    assert ckpt.exists()
+    state = json.loads(ckpt.read_text())
+    assert (state["dim"], state["parents_done"]) == (dim, seen[-1])
     resumed = search.disprove_rank(
-        f8, 5, checkpoint=str(ckpt), checkpoint_interval=0.0
+        spread, R, checkpoint=str(ckpt), checkpoint_interval=0.0
     )
     assert "resumed-from-checkpoint" in resumed.flags
     assert resumed.outcome == baseline.outcome
-    assert [lvl for lvl in resumed.levels] == baseline.levels
+    assert resumed.levels == baseline.levels
     assert not ckpt.exists()  # cleared after a finished run
 
 
