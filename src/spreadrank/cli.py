@@ -71,7 +71,7 @@ def cmd_rank(args):
     progress = _progress if args.verbose else None
     try:
         rank, witness, reports = search.tensor_rank(
-            spread, max_R=args.max, workers=args.workers, progress=progress
+            spread, max_R=args.max, progress=progress
         )
     except RankExceedsCap as exc:
         print(f"not determined: {exc}", file=sys.stderr)
@@ -95,7 +95,7 @@ def cmd_search(args):
             d, k = item.split(":")
             prune[int(d)] = int(k)
     report, classes = search.spread_sets_by_rank(
-        args.q, args.n, args.max, prune=prune, workers=args.workers,
+        args.q, args.n, args.max, prune=prune,
         progress=_progress if args.verbose else None,
     )
     if args.json:
@@ -112,7 +112,6 @@ def cmd_disprove(args):
     report = search.disprove_rank(
         spread,
         args.rank,
-        workers=args.workers,
         checkpoint=args.checkpoint,
         checkpoint_interval=args.checkpoint_interval,
         progress=_progress if args.verbose else None,
@@ -215,7 +214,6 @@ def build_parser():
     def common(sp, spread=False):
         sp.add_argument("--json", action="store_true")
         sp.add_argument("--verbose", action="store_true")
-        sp.add_argument("--workers", type=int, default=1)
         if spread:
             sp.add_argument("--atlas")
             sp.add_argument("--spreadset")

@@ -463,7 +463,7 @@ def _orbit_canonical_key(space, group):
     return images[0].tobytes()
 
 
-def equivalence_classes(spaces, group=None, workers=1):
+def equivalence_classes(spaces, group=None):
     """Representatives of the distinct equivalence classes of the input.
 
     Under the full group the test is are_equivalent; when an explicit
@@ -489,40 +489,20 @@ def equivalence_classes(spaces, group=None, workers=1):
         reps = [min(members, key=_sort_key) for members in classes.values()]
         return sorted(reps, key=_sort_key)
 
-    def classify(chunk):
-        buckets = {}
-        for s in chunk:
-            buckets.setdefault(space_data(s).fingerprint, []).append(s)
-        classes = []  # list of member lists
-        for fp in sorted(buckets, key=repr):
-            reps_here = []
-            for s in buckets[fp]:
-                for members in reps_here:
-                    if are_equivalent(members[0], s) is not None:
-                        members.append(s)
-                        break
-                else:
-                    reps_here.append([s])
-            classes.extend(reps_here)
-        return classes
-
-    if workers <= 1 or len(items) < 4:
-        classes = classify(items)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = [items[i::workers] for i in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(classify, chunks))
-        classes = partials[0]
-        for extra in partials[1:]:
-            for members in extra:
-                for existing in classes:
-                    if are_equivalent(existing[0], members[0]) is not None:
-                        existing.extend(members)
-                        break
-                else:
-                    classes.append(members)
+    buckets = {}
+    for s in items:
+        buckets.setdefault(space_data(s).fingerprint, []).append(s)
+    classes = []  # list of member lists
+    for fp in sorted(buckets, key=repr):
+        reps_here = []
+        for s in buckets[fp]:
+            for members in reps_here:
+                if are_equivalent(members[0], s) is not None:
+                    members.append(s)
+                    break
+            else:
+                reps_here.append([s])
+        classes.extend(reps_here)
     reps = [min(members, key=_sort_key) for members in classes]
     return sorted(reps, key=_sort_key)
 

@@ -64,7 +64,6 @@ class _Extension:
     inside_idx: np.ndarray  # point indices lying inside the parent
     group_reps: list        # one representative point index per child span
     group_members: list     # arrays of point indices per child span
-    norm_rows: np.ndarray   # normalised reduced row defining each child
 
 
 def extension_groups(parent, pts):
@@ -78,8 +77,7 @@ def extension_groups(parent, pts):
     inside_idx = np.nonzero(~nz)[0]
     out_idx = np.nonzero(nz)[0]
     if out_idx.size == 0:
-        empty = np.zeros((0, red.shape[1]), dtype=np.int64)
-        return _Extension(inside_idx, [], [], empty)
+        return _Extension(inside_idx, [], [])
     rows_n = _normalize_rows(red[out_idx], parent.q).astype(np.uint8)
     width = rows_n.shape[1]
     blob = rows_n.tobytes()
@@ -87,28 +85,12 @@ def extension_groups(parent, pts):
     for pos in range(out_idx.size):
         sig = blob[pos * width : (pos + 1) * width]
         seen.setdefault(sig, []).append(pos)
-    reps, members, rows = [], [], []
+    reps, members = [], []
     for sig in sorted(seen):
         poss = seen[sig]
         reps.append(int(out_idx[poss[0]]))
         members.append(out_idx[np.array(poss)])
-        rows.append(rows_n[poss[0]])
-    return _Extension(inside_idx, reps, members, np.stack(rows).astype(np.int64))
-
-
-def child_keys(parent, norm_rows):
-    """Canonical RREF keys of the children spanned by the parent plus one row."""
-    q = parent.q
-    B = parent.basis.astype(np.int64)
-    piv = np.array(parent.pivots, dtype=np.int64)
-    out = []
-    for row in norm_rows:
-        lead = int(np.argmax(row != 0))
-        newB = (B - np.outer(B[:, lead], row)) % q
-        pos = int(np.searchsorted(piv, lead))
-        stacked = np.insert(newB, pos, row, axis=0).astype(np.uint8)
-        out.append(stacked.tobytes())
-    return out
+    return _Extension(inside_idx, reps, members)
 
 
 def _rank_one_profile(parent, ext, pts):
@@ -312,6 +294,22 @@ def _point_orbit_reps(group, ext, pts):
     return sorted(reps)
 
 
+def _orbit_children(parents, pts, stabilizer):
+    """Children of the parents, one per orbit of stabilizer(parent) on each
+    parent's children, deduplicated as spans, with the number of child spans
+    before the orbit reduction."""
+    children, seen, spans = [], set(), 0
+    for parent in parents:
+        ext = extension_groups(parent, pts)
+        spans += len(ext.group_reps)
+        for idx in _point_orbit_reps(stabilizer(parent), ext, pts):
+            child = parent.extend(pts.flat[idx])
+            if child.key not in seen:
+                seen.add(child.key)
+                children.append(child)
+    return children, spans
+
+
 # ---------------------------------------------------------------------------
 # Classification by tensor rank (diagonal-seeded search)
 # ---------------------------------------------------------------------------
@@ -327,7 +325,7 @@ def default_prune_schedule(n):
     return {n + 2: 2, n + 3: 3}
 
 
-def spread_sets_by_rank(q, n, R, prune=None, workers=1, progress=None):
+def spread_sets_by_rank(q, n, R, prune=None, progress=None):
     """Representatives of all semifield spread sets of tensor rank <= R.
 
     Grows rank-one spanned spaces from the diagonal space one projective
@@ -347,19 +345,8 @@ def spread_sets_by_rank(q, n, R, prune=None, workers=1, progress=None):
     dim = n
     while dim < R:
         dim += 1
-        candidates = []
-        cand_keys = set()
-        raw_count = 0
-        for parent in current:
-            ext = extension_groups(parent, pts)
-            raw_count += len(ext.group_reps)
-            aut = automorphism_group(parent)
-            for idx in _point_orbit_reps(aut, ext, pts):
-                child = parent.extend(pts.flat[idx])
-                if child.key not in cand_keys:
-                    cand_keys.add(child.key)
-                    candidates.append(child)
-        classes = equivalence_classes(candidates, workers=workers)
+        candidates, raw_count = _orbit_children(current, pts, automorphism_group)
+        classes = equivalence_classes(candidates)
         entry = {"dim": dim, "spaces": raw_count, "classes": len(classes)}
         if dim in prune:
             kneed = prune[dim]
@@ -376,7 +363,7 @@ def spread_sets_by_rank(q, n, R, prune=None, workers=1, progress=None):
     spread_sets = []
     for space in current:
         spread_sets.extend(find_spread_sets(space, n, classes=False))
-    final = equivalence_classes(spread_sets, workers=workers)
+    final = equivalence_classes(spread_sets)
     report.extra["spread_set_classes"] = len(final)
     report.outcome = "classified"
     report.wall_time = time.time() - t0
@@ -389,28 +376,42 @@ def spread_sets_by_rank(q, n, R, prune=None, workers=1, progress=None):
 
 
 def _process_parent(parent, pts, mode, n, R):
-    """One parent's children at a raw level; mode selects the filter."""
+    """One parent's kept children at a raw level, with their rank-one scores.
+
+    A child's score is the dimension of the span of its rank-one points:
+    "filter" keeps the children scoring at least n, "final" those scoring R
+    (spanned by rank ones), and the plain modes keep every child ("plain"
+    without scores).  Returns (child spans, kept children, their scores).
+    """
     ext = extension_groups(parent, pts)
     spans = len(ext.group_reps)
     if mode == "plain":
-        children = [parent.extend(pts.flat[i]) for i in ext.group_reps]
-        return spans, spans, children
+        return spans, [parent.extend(pts.flat[i]) for i in ext.group_reps], []
     base_rank, extras = _rank_one_profile(parent, ext, pts)
-    if mode == "plain-ordered":
-        # keep everything, but richest rank-one content first so that a
-        # following witness level hits spanned spaces early
-        order = np.argsort(-extras, kind="stable")
-        children = [
-            (int(base_rank + extras[i]), parent.extend(pts.flat[ext.group_reps[i]]))
-            for i in order
-        ]
-        return spans, spans, children
+    scores = base_rank + extras
     if mode == "filter":
-        good = np.nonzero(base_rank + extras >= n)[0]
-    else:  # "final": spanned by rank ones
-        good = np.nonzero(base_rank + extras == R)[0]
-    children = [parent.extend(pts.flat[ext.group_reps[i]]) for i in good]
-    return spans, len(good), children
+        keep = np.nonzero(scores >= n)[0]
+    elif mode == "final":
+        keep = np.nonzero(scores == R)[0]
+    else:
+        keep = np.arange(spans)
+    children = [parent.extend(pts.flat[ext.group_reps[i]]) for i in keep]
+    return spans, children, scores[keep].tolist()
+
+
+def _level_mode(dim, R, n, prune_ok, stop_at_witness):
+    """How disprove_rank treats the level of the given dimension."""
+    if dim == R:
+        return "final"
+    if dim <= 2 * n - 2:
+        return "reduce"
+    if prune_ok and dim == 2 * n - 1:
+        return "filter"
+    if stop_at_witness and dim == R - 1:
+        # richest rank-one content first, so the final level meets spanned
+        # spaces early
+        return "plain-ordered"
+    return "plain"
 
 
 def _rank_one_spanned(space, pts):
@@ -456,6 +457,10 @@ def _diag_probe(space, R, pts):
     return None
 
 
+CHECKPOINT_VERSION = 2  # snapshot layout; files of any other version are ignored
+_CHUNK = 4  # parents per raw-level step: the unit of snapshots and progress
+
+
 class _Checkpoint:
     """Atomic JSON snapshots of a raw-level scan, resumable mid-level."""
 
@@ -474,9 +479,9 @@ class _Checkpoint:
                 data = json.load(fh)
         except (OSError, ValueError) as exc:
             return None, f"unreadable ({type(exc).__name__})"
-        if not isinstance(data, dict) or data.get("version") != 1:
+        if not isinstance(data, dict) or data.get("version") != CHECKPOINT_VERSION:
             version = data.get("version") if isinstance(data, dict) else None
-            return None, f"version {version!r}, expected 1"
+            return None, f"version {version!r}, expected {CHECKPOINT_VERSION}"
         if data.get("params") != params:
             return None, "parameters differ"
         return data, None
@@ -489,7 +494,7 @@ class _Checkpoint:
         if not force and now - self._last < self.interval:
             return
         payload = builder()
-        payload["version"] = 1
+        payload["version"] = CHECKPOINT_VERSION
         tmp = self.path + ".tmp"
         with open(tmp, "w") as fh:
             json.dump(payload, fh)
@@ -508,7 +513,6 @@ def disprove_rank(
     spread,
     R,
     aut=None,
-    workers=1,
     stop_at_witness=True,
     checkpoint=None,
     checkpoint_interval=300.0,
@@ -524,6 +528,11 @@ def disprove_rank(
     independent rank ones.  The final level counts R-dimensional children and
     how many are spanned by rank ones; "exhausted" with zero witnesses proves
     tensor rank > R.
+
+    The other levels are scanned raw, _CHUNK parents at a time; with a
+    checkpoint path, each step may save a snapshot, and a run started again
+    with the same spread set, R and stop_at_witness resumes from it and
+    reproduces the levels, outcome and witness of an uninterrupted run.
     """
     t0 = time.time()
     space = spread.space if isinstance(spread, SpreadSet) else spread
@@ -534,7 +543,6 @@ def disprove_rank(
     report = SearchReport("disprove-rank", q, n)
     report.extra["R"] = R
 
-    filter_dim = 2 * n - 1
     prune_ok = code_exists(q, R, n, n + 1) is False
     if not prune_ok:
         report.flags.append(
@@ -569,12 +577,13 @@ def disprove_rank(
 
     current = [space]
     dim = n
-    witnesses_found = []
-
     if resume is not None:
-        dim = resume["dim"] - 1  # the loop will re-enter the level below
+        dim = resume["dim"] - 1  # the loop re-enters the interrupted level
         report.levels = [e for e in resume["levels"] if e.get("dim", 0) < resume["dim"]]
         report.flags.append("resumed-from-checkpoint")
+
+    def stabilizer(parent):
+        return aut if parent is space else aut.stabilizer_of_space(parent)
 
     # the scans keep hundreds of thousands of small immutable objects alive;
     # generational GC sweeps dominate unless collection is deferred to level
@@ -582,144 +591,85 @@ def disprove_rank(
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return _disprove_levels(
-            space, R, aut, pts, report, params, ckpt, resume, current, dim,
-            witnesses_found, prune_ok, filter_dim, workers, stop_at_witness,
-            progress, t0,
-        )
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-        gc.collect()
+        while dim < R:
+            dim += 1
+            mode = _level_mode(dim, R, n, prune_ok, stop_at_witness)
+            if mode == "reduce":
+                # per-parent stabilizer orbits pre-reduce the children, then
+                # one global reduction under the full automorphism group
+                children, _ = _orbit_children(current, pts, stabilizer)
+                current = equivalence_classes(children, group=aut)
+                report.levels.append({"dim": dim, "classes": len(current)})
+                if progress:
+                    progress(report.levels[-1])
+                continue
 
-
-def _disprove_levels(space, R, aut, pts, report, params, ckpt, resume, current,
-                     dim, witnesses_found, prune_ok, filter_dim, workers,
-                     stop_at_witness, progress, t0):
-    q, n = space.q, space.n
-    while dim < R:
-        dim += 1
-        reduce_level = dim <= 2 * n - 2 and dim < R
-        is_filter = prune_ok and dim == filter_dim and dim < R
-        is_final = dim == R
-        if is_final:
-            mode = "final"
-        elif is_filter:
-            mode = "filter"
-        elif stop_at_witness and dim == R - 1:
-            mode = "plain-ordered"
-        else:
-            mode = "plain"
-
-        if reduce_level:
-            # per-parent stabilizer orbits pre-reduce the children, then one
-            # global reduction under the full automorphism group
-            children = []
-            seen = set()
-            for parent in current:
-                ext = extension_groups(parent, pts)
-                stab = aut if parent is space else aut.stabilizer_of_space(parent)
-                for idx in _point_orbit_reps(stab, ext, pts):
-                    child = parent.extend(pts.flat[idx])
-                    if child.key not in seen:
-                        seen.add(child.key)
-                        children.append(child)
-            classes = equivalence_classes(children, group=aut)
-            current = classes
-            report.levels.append({"dim": dim, "classes": len(classes)})
-            if progress:
-                progress(report.levels[-1])
-            continue
-
-        # raw level, possibly resumable mid-scan
-        counts = {"spaces": 0, "good": 0}
-        kept = []
-        start = 0
-        if resume is not None and resume["dim"] == dim:
-            counts = resume["counts"]
-            start = resume["parents_done"]
-            kept = [MatSpace.from_encodings(q, n, e) for e in resume["kept"]]
-            current = [MatSpace.from_encodings(q, n, e) for e in resume["parents"]]
-        resume = None
-
-        pool = None
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            pool = ThreadPoolExecutor(max_workers=workers)
-        try:
-            batch = 4 * max(1, workers)
-            pos = start
-            while pos < len(current):
-                chunk = current[pos : pos + batch]
-                if pool is not None:
-                    outs = list(
-                        pool.map(lambda p: _process_parent(p, pts, mode, n, R), chunk)
-                    )
-                else:
-                    outs = [_process_parent(p, pts, mode, n, R) for p in chunk]
-                for spans, good, children in outs:
+            # raw level: kept children (the final level keeps its first
+            # witness only) and, when ordering, their rank-one scores
+            counts, kept, scores, pos = {"spaces": 0, "good": 0}, [], [], 0
+            if resume is not None:
+                counts, pos, scores = resume["counts"], resume["parents_done"], resume["scores"]
+                kept = [MatSpace.from_encodings(q, n, e) for e in resume["kept"]]
+                current = [MatSpace.from_encodings(q, n, e) for e in resume["parents"]]
+                resume = None
+            stop_early = mode == "final" and stop_at_witness
+            while pos < len(current) and not (stop_early and kept):
+                chunk = current[pos : pos + _CHUNK]
+                for parent in chunk:
+                    spans, children, child_scores = _process_parent(parent, pts, mode, n, R)
                     counts["spaces"] += spans
-                    counts["good"] += good
+                    counts["good"] += len(children)
                     kept.extend(children)
+                    if mode == "plain-ordered":
+                        scores.extend(child_scores)
+                if mode == "final":
+                    del kept[1:]
                 pos += len(chunk)
 
-                def snapshot(pos=pos, counts=dict(counts)):
+                def snapshot():
                     return {
                         "params": params,
-                        "levels": report.levels
-                        + [{"dim": dim, "partial": True, **counts}],
+                        "levels": report.levels + [{"dim": dim, "partial": True, **counts}],
                         "dim": dim,
                         "parents_done": pos,
                         "counts": counts,
-                        "kept": [] if mode == "final" else [
-                            (s[1] if isinstance(s, tuple) else s).encodings()
-                            for s in kept
-                        ],
+                        "kept": [s.encodings() for s in kept],
+                        "scores": scores,
                         "parents": [s.encodings() for s in current],
                     }
 
                 ckpt.save(snapshot)
                 if progress:
-                    progress(
-                        {
-                            "dim": dim,
-                            "parents_done": pos,
-                            "parents_total": len(current),
-                            **counts,
-                        }
-                    )
-                if is_final and stop_at_witness and counts["good"] > 0:
-                    break
-        finally:
-            if pool is not None:
-                pool.shutdown()
+                    progress({
+                        "dim": dim,
+                        "parents_done": pos,
+                        "parents_total": len(current),
+                        **counts,
+                    })
 
-        if is_final:
-            report.levels.append(
-                {"dim": dim, "spaces": counts["spaces"], "witnesses": counts["good"]}
-            )
-            witnesses_found = kept
-            break
-        if is_filter:
-            report.levels.append(
-                {"dim": dim, "spaces": counts["spaces"], "survivors": counts["good"]}
-            )
-        else:
-            report.levels.append({"dim": dim, "spaces": counts["spaces"]})
-        if mode == "plain-ordered" and kept and isinstance(kept[0], tuple):
-            kept.sort(key=lambda item: -item[0])
-            kept = [child for _, child in kept]
-        current = kept
+            entry = {"dim": dim, "spaces": counts["spaces"]}
+            report.levels.append(entry)
+            if mode == "final":
+                entry["witnesses"] = counts["good"]
+                if kept:
+                    report.witness = _witness_rank_ones(kept[0], pts)
+                break
+            if mode == "filter":
+                entry["survivors"] = counts["good"]
+            if mode == "plain-ordered":
+                # stable: equal scores keep the scan order
+                order = np.argsort(-np.array(scores, dtype=np.int64), kind="stable")
+                kept = [kept[i] for i in order]
+            current = kept
+            gc.collect()
+            if progress:
+                progress(entry)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
         gc.collect()
-        if progress:
-            progress(report.levels[-1])
 
-    if witnesses_found:
-        report.outcome = "witness"
-        report.witness = _witness_rank_ones(witnesses_found[0], pts)
-    else:
-        report.outcome = "exhausted"
+    report.outcome = "witness" if report.witness else "exhausted"
     report.wall_time = time.time() - t0
     ckpt.clear()
     return report
@@ -740,7 +690,7 @@ def _witness_rank_ones(space, pts):
     return [encode(r.reshape(space.n, space.n), space.q) for r in chosen]
 
 
-def tensor_rank(spread, aut=None, max_R=None, workers=1, progress=None):
+def tensor_rank(spread, aut=None, max_R=None, progress=None):
     """Exact tensor rank of a spread set, with a rank-one witness list.
 
     Runs the exhaustion search at increasing target dimensions starting from
@@ -761,7 +711,7 @@ def tensor_rank(spread, aut=None, max_R=None, workers=1, progress=None):
     cap = max_R if max_R is not None else 4 * n
     reports = []
     for target in range(lower, cap + 1):
-        rep = disprove_rank(spread, target, aut=aut, workers=workers, progress=progress)
+        rep = disprove_rank(spread, target, aut=aut, progress=progress)
         reports.append(rep)
         if rep.outcome == "witness":
             return target, rep.witness, reports

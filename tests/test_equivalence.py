@@ -137,18 +137,6 @@ def test_equivalence_classes_deterministic_under_permutation():
     assert [r.key for r in reps1] == [r.key for r in reps2]
 
 
-def test_equivalence_classes_worker_invariance():
-    rng = np.random.default_rng(5)
-    spaces = []
-    for _ in range(5):
-        s = random_space_with_identity(rng, 2, 4, 2)
-        g = random_isotopism(rng, 2, 4)
-        spaces += [s, equivalence.act(g, s)]
-    reps1 = equivalence.equivalence_classes(spaces, workers=1)
-    reps2 = equivalence.equivalence_classes(spaces, workers=2)
-    assert [r.key for r in reps1] == [r.key for r in reps2]
-
-
 def test_equivalence_classes_under_subgroup():
     # orbits under an explicit subgroup, not the full group
     f4 = algebra.field_construct(2, 2, (1, 1, 1))

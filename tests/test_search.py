@@ -146,33 +146,35 @@ def test_disprove_rank_finds_rank8_witnesses():
         assert ok and len(rep.witness) == 8
 
 
-def test_disprove_rank_worker_invariance():
-    f8 = algebra.field_construct(2, 3)
-    rep1 = search.disprove_rank(f8, 5, workers=1)
-    rep2 = search.disprove_rank(f8, 5, workers=2)
-    assert rep1.levels == rep2.levels
-    assert rep1.outcome == rep2.outcome
-
-
 @functools.lru_cache(maxsize=None)
-def uninterrupted(n, R):
-    return search.disprove_rank(algebra.field_construct(2, n), R)
+def uninterrupted(n, R, stop_at_witness):
+    return search.disprove_rank(
+        algebra.field_construct(2, n), R, stop_at_witness=stop_at_witness
+    )
 
 
 @pytest.mark.parametrize(
-    "n, R, dim, event",
+    "n, R, stop_at_witness, dim, event",
     [
         # F8 R=5: the only chunk of the final level
-        pytest.param(3, 5, 5, 1, id="f8-final-only"),
+        pytest.param(3, 5, True, 5, 1, id="f8-final-only"),
         # F16 R=8: the raw filter level has 8 chunks, the final level 26
-        pytest.param(4, 8, 7, 1, id="f16-raw-first"),
-        pytest.param(4, 8, 7, 4, id="f16-raw-middle"),
-        pytest.param(4, 8, 8, 13, id="f16-final-middle"),
+        pytest.param(4, 8, True, 7, 1, id="f16-raw-first"),
+        pytest.param(4, 8, True, 7, 4, id="f16-raw-middle"),
+        pytest.param(4, 8, True, 8, 13, id="f16-final-middle"),
+        # F8 R=8: dim 7 is ordered by rank-one content for the witness level
+        pytest.param(3, 8, True, 7, 1, id="f8-ordered-first"),
+        pytest.param(3, 8, True, 7, 3, id="f8-ordered-third"),
+        # F8 R=8: the first final chunk holds the witness that stops the run
+        pytest.param(3, 8, True, 8, 1, id="f8-final-witness-chunk"),
+        # F8 R=7 without stopping: the last of 113 final chunks, after all
+        # 2610 witnesses have been counted
+        pytest.param(3, 7, False, 7, 113, id="f8-final-last-all-witnesses"),
     ],
 )
-def test_disprove_rank_checkpoint_resume(tmp_path, n, R, dim, event):
+def test_disprove_rank_checkpoint_resume(tmp_path, n, R, stop_at_witness, dim, event):
     spread = algebra.field_construct(2, n)
-    baseline = uninterrupted(n, R)
+    baseline = uninterrupted(n, R, stop_at_witness)
 
     ckpt = tmp_path / "state.json"
 
@@ -189,16 +191,19 @@ def test_disprove_rank_checkpoint_resume(tmp_path, n, R, dim, event):
 
     with pytest.raises(Stop):
         search.disprove_rank(
-            spread, R, checkpoint=str(ckpt), checkpoint_interval=0.0, progress=interrupt
+            spread, R, stop_at_witness=stop_at_witness, checkpoint=str(ckpt),
+            checkpoint_interval=0.0, progress=interrupt,
         )
     state = json.loads(ckpt.read_text())
     assert (state["dim"], state["parents_done"]) == (dim, seen[-1])
     resumed = search.disprove_rank(
-        spread, R, checkpoint=str(ckpt), checkpoint_interval=0.0
+        spread, R, stop_at_witness=stop_at_witness, checkpoint=str(ckpt),
+        checkpoint_interval=0.0,
     )
     assert "resumed-from-checkpoint" in resumed.flags
     assert resumed.outcome == baseline.outcome
     assert resumed.levels == baseline.levels
+    assert resumed.witness == baseline.witness
     assert not ckpt.exists()  # cleared after a finished run
 
 
@@ -229,25 +234,18 @@ def test_extension_groups_partition():
         covered.update(int(i) for i in members)
     assert covered == set(range(len(pts)))
     # every child signature corresponds to a distinct span
-    keys = search.child_keys(f16, ext.norm_rows)
-    assert len(set(keys)) == len(keys) == len(ext.group_reps)
-
-
-def test_child_keys_match_extend():
-    f16 = atlas.atlas_get("F16").space()
-    pts = search.points_for(2, 4)
-    ext = search.extension_groups(f16, pts)
-    keys = search.child_keys(f16, ext.norm_rows)
-    for idx, key in list(zip(ext.group_reps, keys))[:25]:
-        child = f16.extend(pts.flat[idx])
-        assert child.basis.tobytes() == key
+    keys = {f16.extend(pts.flat[i]).key for i in ext.group_reps}
+    assert len(keys) == len(ext.group_reps)
 
 
 @pytest.mark.parametrize(
     "content, reason",
     [
         (None, "parameters differ"),
-        ('{"version": 0}', "version 0, expected 1"),
+        (
+            json.dumps({"version": search.CHECKPOINT_VERSION - 1}),
+            f"version {search.CHECKPOINT_VERSION - 1}, expected {search.CHECKPOINT_VERSION}",
+        ),
         ("{not json", "unreadable (JSONDecodeError)"),
     ],
 )
