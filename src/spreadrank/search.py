@@ -44,26 +44,24 @@ from .algebra import (
 )
 from .codec import encode
 from .codes import code_exists
-from .equivalence import automorphism_group, equivalence_classes
-from .errors import BadParameters, RankExceedsCap
-
-
-def _normalize_rows(rows, q):
-    """Scale each nonzero row so its leading entry is 1."""
-    rows = rows % q
-    lead_pos = np.argmax(rows != 0, axis=1)
-    lead_val = rows[np.arange(rows.shape[0]), lead_pos]
-    inv = gf.inv_table(q)
-    return (rows * inv[lead_val][:, None]) % q
+from .equivalence import _leading_coeff, automorphism_group, equivalence_classes
+from .errors import BadParameters, RankExceedsCap, TooLarge
 
 
 @dataclass
 class _Extension:
-    """Children of one parent space under rank-one point extension."""
+    """Children of one parent space under rank-one point extension.
+
+    Children are numbered in the order of their normalised residues; the
+    point out_idx[i] lies in child[i], and its residue is lead[i] times the
+    normalised residue of that child.
+    """
 
     inside_idx: np.ndarray  # point indices lying inside the parent
-    group_reps: list        # one representative point index per child span
-    group_members: list     # arrays of point indices per child span
+    out_idx: np.ndarray     # point indices outside the parent, increasing
+    child: np.ndarray       # child number of each outside point
+    group_reps: np.ndarray  # least point index of each child
+    lead: np.ndarray        # leading residue entry of each outside point
 
 
 def extension_groups(parent, pts):
@@ -71,50 +69,62 @@ def extension_groups(parent, pts):
 
     Two points span the same child iff their residues modulo the parent are
     proportional, so the normalised residue is a complete child signature.
+    Each signature is packed into one int64 with the first column most
+    significant, so sorting the packed values orders the children by their
+    normalised residue rows; np.unique then numbers the children in that
+    order and finds each child's least point index in one pass.
     """
+    q = parent.q
     red = parent.reduce(pts.flat)
     nz = red.any(axis=1)
     inside_idx = np.nonzero(~nz)[0]
     out_idx = np.nonzero(nz)[0]
-    if out_idx.size == 0:
-        return _Extension(inside_idx, [], [])
-    rows_n = _normalize_rows(red[out_idx], parent.q).astype(np.uint8)
-    width = rows_n.shape[1]
-    blob = rows_n.tobytes()
-    seen = {}
-    for pos in range(out_idx.size):
-        sig = blob[pos * width : (pos + 1) * width]
-        seen.setdefault(sig, []).append(pos)
-    reps, members = [], []
-    for sig in sorted(seen):
-        poss = seen[sig]
-        reps.append(int(out_idx[poss[0]]))
-        members.append(out_idx[np.array(poss)])
-    return _Extension(inside_idx, reps, members)
+    rows = red[out_idx]
+    lead = _leading_coeff(rows, q)
+    normed = (rows * gf.inv_table(q)[lead][:, None]) % q
+    width = normed.shape[1]
+    if q**width > np.iinfo(np.int64).max:
+        raise TooLarge(f"residues of M_{parent.n}(F_{q}) do not pack into int64")
+    sig = normed @ (q ** np.arange(width - 1, -1, -1, dtype=np.int64))
+    _, first, child = np.unique(sig, return_index=True, return_inverse=True)
+    return _Extension(inside_idx, out_idx, child, out_idx[first], lead)
 
 
 def _rank_one_profile(parent, ext, pts):
-    """Rank-one span data per child: child span dim = base_rank + extras[i]."""
+    """Rank-one span data per child: child span dim = base_rank + extras[i].
+
+    The work is done in quotient coordinates.  With the parent's RREF basis
+    B and pivot columns piv, a point x outside the parent is x[piv]·B + λ·r,
+    where r is the normalised residue of its child and λ its lead, so inside
+    the child it has coordinates (x[piv], λ); inside points have (x[piv], 0).
+    The inside points span the base; each outside point is reduced modulo the
+    base, which leaves its dim - base_rank free coordinates and λ, and
+    extras[i] is the rank of those short rows over the members of child i.
+    """
     q = parent.q
+    coords = pts.flat[:, list(parent.pivots)]
     if ext.inside_idx.size:
-        base_rows, base_piv = gf.rref(pts.flat[ext.inside_idx], q)
+        base_rows, base_piv = gf.rref(coords[ext.inside_idx], q)
     else:
-        base_rows = np.zeros((0, pts.flat.shape[1]), dtype=np.uint8)
-        base_piv = ()
+        base_rows, base_piv = np.zeros((0, parent.dim), dtype=np.uint8), ()
     base_rank = base_rows.shape[0]
-    if not ext.group_reps:
+    nchild = len(ext.group_reps)
+    if not nchild:
         return base_rank, np.zeros(0, dtype=np.int64)
-    maxlen = max(len(m) for m in ext.group_members)
-    batch = np.zeros(
-        (len(ext.group_members), maxlen, pts.flat.shape[1]), dtype=np.int64
-    )
-    for i, memb in enumerate(ext.group_members):
-        rows = pts.flat[memb]
-        if base_rank:
-            rows = (rows - rows[:, list(base_piv)] @ base_rows.astype(np.int64)) % q
-        batch[i, : len(memb)] = rows
-    extras = gf.rank_batch(batch, q)
-    return base_rank, extras
+    rows = coords[ext.out_idx]
+    if base_rank:
+        rows = (rows - rows[:, list(base_piv)] @ base_rows.astype(np.int64)) % q
+    free = np.ones(parent.dim, dtype=bool)
+    free[list(base_piv)] = False
+    rows = np.concatenate([rows[:, free], ext.lead[:, None]], axis=1)
+    # one gather into a zero-padded (children, largest child, width) batch
+    order = np.argsort(ext.child, kind="stable")
+    sizes = np.bincount(ext.child, minlength=nchild)
+    starts = np.cumsum(sizes) - sizes
+    by_child = ext.child[order]
+    batch = np.zeros((nchild, sizes.max(), rows.shape[1]), dtype=np.int64)
+    batch[by_child, np.arange(order.size) - starts[by_child]] = rows[order]
+    return base_rank, gf.rank_batch(batch, q)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +289,7 @@ def _point_orbit_reps(group, ext, pts):
     member of its orbit and represents it.
     """
     child_of_point = np.full(len(pts), -1, dtype=np.int64)
-    for child_no, members in enumerate(ext.group_members):
-        child_of_point[members] = child_no
+    child_of_point[ext.out_idx] = ext.child
     labelled = np.zeros(len(ext.group_reps), dtype=bool)
     reps = []
     for child_no, point in enumerate(ext.group_reps):
@@ -290,7 +299,7 @@ def _point_orbit_reps(group, ext, pts):
         if (hit < 0).any():
             raise BadParameters("the group does not stabilise the parent")
         labelled[hit] = True
-        reps.append(point)
+        reps.append(int(point))
     return sorted(reps)
 
 
@@ -531,8 +540,10 @@ def disprove_rank(
 
     The other levels are scanned raw, _CHUNK parents at a time; with a
     checkpoint path, each step may save a snapshot, and a run started again
-    with the same spread set, R and stop_at_witness resumes from it and
-    reproduces the levels, outcome and witness of an uninterrupted run.
+    with the same spread set, R, stop_at_witness and filter setting resumes
+    from it and reproduces the levels, outcome and witness of an
+    uninterrupted run.  When R equals the dimension of the spread set no
+    level runs, and the outcome says whether it is spanned by rank ones.
     """
     t0 = time.time()
     space = spread.space if isinstance(spread, SpreadSet) else spread
@@ -553,6 +564,14 @@ def disprove_rank(
         aut = automorphism_group(space)
     report.extra["aut_order"] = aut.order
 
+    if space.dim == R:
+        # no level runs: the input is the only R-dimensional candidate
+        if _rank_one_spanned(space, pts):
+            report.witness = _witness_rank_ones(space, pts)
+        report.outcome = "witness" if report.witness else "exhausted"
+        report.wall_time = time.time() - t0
+        return report
+
     params = {
         "algorithm": "disprove-rank",
         "q": q,
@@ -560,6 +579,7 @@ def disprove_rank(
         "R": R,
         "spread": space.encodings(),
         "stop_at_witness": stop_at_witness,
+        "filter": prune_ok,
     }
     ckpt = _Checkpoint(checkpoint, checkpoint_interval)
     resume, ignored = ckpt.load(params)

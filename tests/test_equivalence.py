@@ -295,13 +295,14 @@ def brute_point_orbit_reps(group, ext, pts):
     """Orbit representatives from the matrix images of every child's point
     under every group element."""
     child_of = {}
-    for child_no, members in enumerate(ext.group_members):
-        for p in members:
-            child_of[pts.flat[p].astype(np.uint8).tobytes()] = child_no
+    for p, child_no in zip(ext.out_idx, ext.child):
+        child_of[pts.flat[p].astype(np.uint8).tobytes()] = child_no
     reps = set()
     for point in ext.group_reps:
         moved = equivalence._act_arrays(group.A, group.B, pts.flat[point], pts.q)
-        rows = search._normalize_rows(moved[:, 0], pts.q).astype(np.uint8)
+        rows = moved[:, 0].astype(np.int64) % pts.q
+        lead = equivalence._leading_coeff(rows, pts.q)
+        rows = ((rows * gf.inv_table(pts.q)[lead][:, None]) % pts.q).astype(np.uint8)
         orbit = {child_of[row.tobytes()] for row in rows}
         reps.add(ext.group_reps[min(orbit)])
     return sorted(reps)

@@ -3,8 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from spreadrank import algebra, atlas, codec, codes, equivalence, search
+from spreadrank import algebra, atlas, codec, codes, equivalence, gf, search
 
 # ---------------------------------------------------------------------------
 # Rank-one enumeration and spread-set search
@@ -125,6 +127,39 @@ def test_tensor_rank_knuth_invariant():
     assert rank == 6
 
 
+def test_disprove_rank_at_the_input_dimension():
+    # R equals the input's dimension, so no level runs: the input itself
+    # must be tested for being spanned by rank ones
+    spanned = algebra.MatSpace.from_encodings(2, 2, [2, 12])
+    rep = search.disprove_rank(spanned, 2)
+    assert rep.outcome == "witness" and rep.levels == []
+    ok, _ = search.verify_decomposition(spanned, [codec.decode(v, 2, 2) for v in rep.witness])
+    assert ok and len(rep.witness) == 2
+    rank, _, _ = search.tensor_rank(spanned)
+    assert rank == codes.brute_force_tensor_rank(np.stack(spanned.matrices()), 2, 8) == 2
+    f4 = algebra.field_construct(2, 2, (1, 1, 1))
+    rep = search.disprove_rank(f4, 2)
+    assert rep.outcome == "exhausted" and rep.witness is None
+
+
+@given(
+    st.sampled_from([2, 3]).flatmap(
+        lambda q: st.tuples(
+            st.just(q), st.lists(st.integers(0, q - 1), min_size=8, max_size=8)
+        )
+    )
+)
+def test_tensor_rank_agrees_with_brute_force_on_random_2x2_spaces(case):
+    q, entries = case
+    space = algebra.MatSpace.from_rows(q, 2, np.reshape(entries, (2, 4)))
+    assume(space.dim == 2)  # singular spaces included
+    rank, witness, _ = search.tensor_rank(space)
+    assert rank == codes.brute_force_tensor_rank(np.stack(space.matrices()), q, 8)
+    ok, reason = search.verify_decomposition(space, [codec.decode(v, q, 2) for v in witness])
+    assert ok, reason
+    assert len(witness) == rank
+
+
 def test_disprove_rank_witness_and_exhaustion():
     f4 = algebra.field_construct(2, 2, (1, 1, 1))
     rep = search.disprove_rank(f4, 3)
@@ -229,13 +264,123 @@ def test_extension_groups_partition():
     f16 = atlas.atlas_get("F16").space()
     pts = search.points_for(2, 4)
     ext = search.extension_groups(f16, pts)
-    covered = set(ext.inside_idx.tolist())
-    for members in ext.group_members:
-        covered.update(int(i) for i in members)
-    assert covered == set(range(len(pts)))
-    # every child signature corresponds to a distinct span
-    keys = {f16.extend(pts.flat[i]).key for i in ext.group_reps}
-    assert len(keys) == len(ext.group_reps)
+    covered = np.concatenate([ext.inside_idx, ext.out_idx])
+    assert sorted(covered.tolist()) == list(range(len(pts)))
+    # every point spans the child it is assigned to, and every child
+    # signature corresponds to a distinct span
+    keys = [f16.extend(pts.flat[i]).key for i in ext.group_reps]
+    for point, child_no in zip(ext.out_idx, ext.child):
+        assert f16.extend(pts.flat[point]).key == keys[child_no]
+    assert len(set(keys)) == len(ext.group_reps)
+
+
+# ---------------------------------------------------------------------------
+# Raw-level kernels against the per-child loops they replace
+# ---------------------------------------------------------------------------
+
+
+def oracle_extension_groups(parent, pts):
+    """Children grouped in a dict of normalised residue bytes:
+    (inside point indices, least point of each child, members of each
+    child), the children sorted by those bytes."""
+    red = parent.reduce(pts.flat)
+    nz = red.any(axis=1)
+    inside_idx, out_idx = np.nonzero(~nz)[0], np.nonzero(nz)[0]
+    rows = red[out_idx]
+    lead = rows[np.arange(rows.shape[0]), np.argmax(rows != 0, axis=1)]
+    rows_n = ((rows * gf.inv_table(parent.q)[lead][:, None]) % parent.q).astype(np.uint8)
+    seen = {}
+    for pos, row in enumerate(rows_n):
+        seen.setdefault(row.tobytes(), []).append(pos)
+    members = [out_idx[seen[sig]] for sig in sorted(seen)]
+    return inside_idx, [int(m[0]) for m in members], members
+
+
+def oracle_rank_one_profile(parent, inside_idx, members, pts):
+    """Base rank and per-child extras by row-reducing each child's members,
+    over all n^2 columns, modulo the RREF of the inside points."""
+    q, width = parent.q, pts.flat.shape[1]
+    if inside_idx.size:
+        base_rows, base_piv = gf.rref(pts.flat[inside_idx], q)
+    else:
+        base_rows, base_piv = np.zeros((0, width), dtype=np.uint8), ()
+    base_rank = base_rows.shape[0]
+    if not members:
+        return base_rank, np.zeros(0, dtype=np.int64)
+    batch = np.zeros((len(members), max(map(len, members)), width), dtype=np.int64)
+    for i, memb in enumerate(members):
+        rows = pts.flat[memb]
+        if base_rank:
+            rows = (rows - rows[:, list(base_piv)] @ base_rows.astype(np.int64)) % q
+        batch[i, : len(memb)] = rows
+    return base_rank, gf.rank_batch(batch, q)
+
+
+def seeded_parents(space, seed, depth, per_level=3):
+    """The space and random descendants of it, up to depth points added."""
+    rng = np.random.default_rng(seed)
+    pts = search.points_for(space.q, space.n)
+    parents, level = [space], [space]
+    for _ in range(depth):
+        nxt = []
+        for parent in level:
+            reps = search.extension_groups(parent, pts).group_reps
+            for i in rng.choice(len(reps), min(per_level, len(reps)), replace=False):
+                nxt.append(parent.extend(pts.flat[reps[i]]))
+        level = nxt[:per_level]
+        parents += level
+    return parents
+
+
+def kernel_parents(name):
+    if name == "full-M2(F2)":  # no outside points
+        return [algebra.MatSpace.from_rows(2, 2, np.eye(4, dtype=np.uint8))]
+    if name == "F27":
+        return seeded_parents(algebra.field_construct(3, 3).space, 5, 4)
+    # an atlas spread set (no inside points) and its seeded descendants
+    seed, depth = {"F16": (1, 4), "S1": (2, 4), "F81": (3, 3), "V": (4, 3)}[name]
+    return seeded_parents(atlas.atlas_get(name).space(), seed, depth)
+
+
+@pytest.mark.parametrize("name", ["full-M2(F2)", "F16", "S1", "F81", "V", "F27"])
+def test_raw_level_kernels_match_per_child_oracles(name):
+    for parent in kernel_parents(name):
+        pts = search.points_for(parent.q, parent.n)
+        ext = search.extension_groups(parent, pts)
+        inside_idx, reps, members = oracle_extension_groups(parent, pts)
+        assert np.array_equal(ext.inside_idx, inside_idx)
+        assert ext.group_reps.tolist() == reps
+        got = [ext.out_idx[ext.child == c] for c in range(len(ext.group_reps))]
+        assert [m.tolist() for m in got] == [m.tolist() for m in members]
+        base_rank, extras = search._rank_one_profile(parent, ext, pts)
+        want_rank, want_extras = oracle_rank_one_profile(parent, inside_idx, members, pts)
+        assert base_rank == want_rank
+        assert np.array_equal(extras, want_extras)
+
+
+def test_disprove_rank_checkpoint_records_the_filter_flag(tmp_path):
+    f16 = algebra.field_construct(2, 4)
+    baseline = uninterrupted(4, 8, True)
+    ckpt = tmp_path / "state.json"
+
+    class Stop(Exception):
+        pass
+
+    def interrupt(event):
+        if event["dim"] == 7 and "parents_done" in event:
+            raise Stop
+
+    with pytest.raises(Stop):
+        search.disprove_rank(f16, 8, checkpoint=str(ckpt), checkpoint_interval=0.0, progress=interrupt)
+    state = json.loads(ckpt.read_text())
+    assert state["params"]["filter"] is True  # no [8, 4, 5]_2 code exists
+    state["params"]["filter"] = False
+    ckpt.write_text(json.dumps(state))
+    rep = search.disprove_rank(f16, 8, checkpoint=str(ckpt), checkpoint_interval=0.0)
+    assert "checkpoint-ignored: parameters differ" in rep.flags
+    assert "resumed-from-checkpoint" not in rep.flags
+    assert rep.levels == baseline.levels
+    assert rep.outcome == baseline.outcome
 
 
 @pytest.mark.parametrize(
