@@ -12,7 +12,6 @@ Conventions, fixed once here and relied on everywhere:
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -142,16 +141,11 @@ class MatSpace:
         pivots = self.pivots[:pos] + (lead,) + self.pivots[pos:]
         return MatSpace(self.q, self.n, stacked, pivots)
 
-    def coefficient_grid(self):
-        k = self.dim
-        if self.q**k > _ENUM_CAP:
-            raise TooLarge(f"q^dim = {self.q}^{k} too large to enumerate")
-        grid = np.array(list(product(range(self.q), repeat=k)), dtype=np.int64)
-        return grid
-
     def nonzero_elements(self):
-        """All q^dim - 1 nonzero elements, flattened, deterministic order."""
-        grid = self.coefficient_grid()[1:]
+        """All q^dim - 1 nonzero elements, flattened, in coefficient order."""
+        if self.q**self.dim > _ENUM_CAP:
+            raise TooLarge(f"q^dim = {self.q}^{self.dim} too large to enumerate")
+        grid = gf.coefficient_grid(self.q, self.dim)[1:]
         return (grid @ self.basis.astype(np.int64)) % self.q
 
 
@@ -298,14 +292,19 @@ def is_concise(T, q):
 
 
 def projective_vectors(q, n):
-    """The (q^n - 1)/(q - 1) nonzero vectors with leading coefficient 1."""
-    out = []
-    for coords in product(range(q), repeat=n):
-        v = np.array(coords, dtype=np.uint8)
-        nz = np.nonzero(v)[0]
-        if nz.size and v[nz[0]] == 1:
-            out.append(v)
-    return out
+    """The (q^n - 1)/(q - 1) nonzero vectors of F_q^n with leading
+    coefficient 1, as the rows of one uint8 array in coefficient_grid order."""
+    grid = gf.coefficient_grid(q, n)[1:]
+    return grid[gf.leading_coeff(grid, q) == 1].astype(np.uint8)
+
+
+def rank_one_rows(q, d2, d3):
+    """Flattened u w^T for projective u in F_q^d2 and w in F_q^d3, u-major:
+    one row per projective rank-one point of the d2 x d3 matrices."""
+    us = projective_vectors(q, d2).astype(np.int64)
+    ws = projective_vectors(q, d3).astype(np.int64)
+    flat = us[:, None, :, None] * ws[None, :, None, :]
+    return flat.reshape(us.shape[0] * ws.shape[0], d2 * d3) % q
 
 
 class _Points:
@@ -321,10 +320,9 @@ class _Points:
     def __init__(self, q, n):
         self.q = q
         self.n = n
-        self.vectors = np.stack(projective_vectors(q, n)).astype(np.int64)
+        self.vectors = projective_vectors(q, n).astype(np.int64)
         m = self.vectors.shape[0]
-        flat = self.vectors[:, None, :, None] * self.vectors[None, :, None, :]
-        flat = flat.reshape(m * m, n * n) % q
+        flat = rank_one_rows(q, n, n)
         order = np.lexsort(flat.T[::-1])
         self.flat = flat[order]
         self.u, self.w = np.divmod(order, m)
@@ -353,18 +351,13 @@ def points_for(q, n):
 def rank_one_elements(q, n):
     """All (q^n - 1)^2 / (q - 1) rank-one matrices, ordered by encoding.
 
-    Outer products u w^T with u projectively normalised and w arbitrary
-    nonzero hit every rank-one matrix exactly once.
+    The unit multiples of the projective rank-one points hit every rank-one
+    matrix exactly once.
     """
-    us = projective_vectors(q, n)
-    mats = []
-    for u in us:
-        for wc in product(range(q), repeat=n):
-            w = np.array(wc, dtype=np.uint8)
-            if w.any():
-                mats.append(np.outer(u, w).astype(np.uint8) % q)
-    mats.sort(key=lambda m: encode(m, q))
-    return mats
+    flat = np.arange(1, q)[:, None, None] * points_for(q, n).flat % q
+    flat = flat.reshape(-1, n * n)
+    order = np.argsort(flat @ q ** np.arange(n * n, dtype=np.int64))
+    return list(flat[order].astype(np.uint8).reshape(-1, n, n))
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,12 @@ def cmd_decode(args):
 
 
 def cmd_encode(args):
+    n = len(args.rows)
+    if any(len(row) != n or not row.isdecimal() for row in args.rows):
+        raise SystemExit2(f"need {n} rows of {n} digits each")
     rows = [[int(c) for c in row] for row in args.rows]
+    if max(map(max, rows)) >= args.q:
+        raise SystemExit2(f"digits must be below q = {args.q}")
     print(codec.encode(np.array(rows, dtype=np.uint8), args.q))
     return 0
 
@@ -90,10 +95,11 @@ def cmd_rank(args):
 def cmd_search(args):
     prune = None
     if args.prune:
-        prune = {}
-        for item in args.prune.split(","):
-            d, k = item.split(":")
-            prune[int(d)] = int(k)
+        try:
+            prune = {int(d): int(k) for d, k in
+                     (item.split(":") for item in args.prune.split(","))}
+        except ValueError:
+            raise SystemExit2(f"--prune wants dim:k,dim:k, got {args.prune!r}") from None
     report, classes = search.spread_sets_by_rank(
         args.q, args.n, args.max, prune=prune,
         progress=_progress if args.verbose else None,
@@ -195,6 +201,8 @@ def cmd_atlas(args):
         print(f"{len(results) - bad}/{len(results)} checks passed")
         return 0 if bad == 0 else 1
     if args.action == "export":
+        if not args.output:
+            raise SystemExit2("atlas export needs --output PATH")
         entry = atlas.atlas_get(args.name)
         codec.write_spreadset_file(args.output, entry.q, entry.n,
                                    entry.basis_matrices())

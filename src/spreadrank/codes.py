@@ -9,12 +9,12 @@ bound the tensor rank from below through the shortest-code table N_q(k, d).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
 from . import gf
-from .algebra import SpreadSet, contraction_space
+from .algebra import SpreadSet, contraction_space, rank_one_rows
 from .errors import (
     DependentGenerators,
     NotContained,
@@ -106,8 +106,7 @@ def _codewords(G, q):
     k = basis.shape[0]
     if k > _ENUM_LIMITS.get(q, 8):
         raise TooLarge(f"cannot enumerate q^{k} codewords at q={q}")
-    grid = np.array(list(product(range(q), repeat=k)), dtype=np.int64)
-    return (grid @ basis.astype(np.int64)) % q
+    return (gf.coefficient_grid(q, k) @ basis.astype(np.int64)) % q
 
 
 def weight_distribution(G, q):
@@ -133,12 +132,10 @@ def min_distance(G, q):
 
 
 def _projective_column_key(col, q):
-    col = col.astype(np.int64) % q
-    nz = np.nonzero(col)[0]
-    if nz.size == 0:
+    col = col.astype(np.int64)[None] % q
+    if not col.any():
         return b"0"
-    scaled = (col * int(gf.inv_table(q)[col[nz[0]]])) % q
-    return scaled.astype(np.uint8).tobytes()
+    return (col * gf.inv_table(q)[gf.leading_coeff(col, q)] % q).astype(np.uint8).tobytes()
 
 
 def code_equivalent(G1, G2, q):
@@ -168,27 +165,14 @@ def code_equivalent(G1, G2, q):
     if zerosA != keysB.get(b"0", 0):
         return False
 
-    # information set of G1: first k independent columns
-    info = []
-    span = np.zeros((0, k), dtype=np.int64)
-    for j in range(colsA.shape[0]):
-        cand = np.concatenate([span, colsA[j][None]], axis=0)
-        if gf.rank(cand, q) > span.shape[0]:
-            info.append(j)
-            span = cand
-        if len(info) == k:
-            break
-    if len(info) < k:
-        return False  # cannot happen after the rank check above
-    MA = colsA[info].T  # k x k invertible
-    MA_inv = gf.mat_inverse(MA, q).astype(np.int64)
-
     nonzero_B = [j for j in range(colsB.shape[0]) if colsB[j].any()]
-    keyB_counter = Counter(_projective_column_key(colsB[j], q) for j in nonzero_B)
 
     units = list(range(1, q))
     from itertools import permutations as ipermutations
 
+    # the pivot columns of basisA are an information set on which basisA is
+    # the identity, so the row map sending them to the picked columns of
+    # basisB, scaled, is those scaled columns themselves
     for picks in ipermutations(nonzero_B, k):
         sub = colsB[list(picks)].T.astype(np.int64)
         if gf.mat_rank(sub, q) != k:
@@ -197,7 +181,6 @@ def code_equivalent(G1, G2, q):
         for scalars in product(units, repeat=k - 1):
             lam = np.array((1,) + scalars, dtype=np.int64)
             S = (sub * lam[None, :]) % q
-            S = (S @ MA_inv) % q
             mappedA = (S @ basisA.astype(np.int64)) % q
             mapped_keys = Counter(
                 _projective_column_key(c, q) for c in mappedA.T
@@ -235,24 +218,6 @@ def _gaussian_binomial(n, k, q):
     return num // den
 
 
-def _iter_subspace_generators(length, k, q):
-    """All k-dim subspaces of F_q^length, one RREF generator matrix each."""
-    for pivots in combinations(range(length), k):
-        free_positions = []
-        for r in range(k):
-            for c in range(pivots[r] + 1, length):
-                if c not in pivots:
-                    free_positions.append((r, c))
-        base = np.zeros((k, length), dtype=np.int64)
-        for r, p in enumerate(pivots):
-            base[r, p] = 1
-        for fill in product(range(q), repeat=len(free_positions)):
-            G = base.copy()
-            for (r, c), v in zip(free_positions, fill):
-                G[r, c] = v
-            yield G
-
-
 def griesmer_bound(q, k, d):
     """Minimal length permitted by the Griesmer bound."""
     total = 0
@@ -280,7 +245,7 @@ def code_exists(q, length, k, d):
     if length < griesmer_bound(q, k, d):
         return False
     if _gaussian_binomial(length, k, q) <= _SUBSPACE_ENUM_CAP and q**k <= 4096:
-        for G in _iter_subspace_generators(length, k, q):
+        for G in gf.rref_subspaces(length, k, q):
             if min_distance(G, q) >= d:
                 return True
         return False
@@ -339,9 +304,8 @@ def genbound(T, q, detailed=False):
             continue
         n_rows, n_cols = basis[0].shape
         rows = np.stack([b.reshape(-1) for b in basis])
-        mats = rows.reshape(-1, n_rows, n_cols)
         dim = len(basis)
-        grid = np.array(list(product(range(q), repeat=dim)), dtype=np.int64)[1:]
+        grid = gf.coefficient_grid(q, dim)[1:]
         elems = (grid @ rows.astype(np.int64)) % q
         d_i = int(gf.rank_batch(elems.reshape(-1, n_rows, n_cols), q).min())
         try:
@@ -364,15 +328,6 @@ def genbound(T, q, detailed=False):
 _ORACLE_POINT_CAP = 4096
 
 
-def _projective_rank_ones(q, d2, d3):
-    from .algebra import projective_vectors
-
-    us = projective_vectors(q, d2)
-    ws = projective_vectors(q, d3)
-    pts = [np.outer(u, w).reshape(-1).astype(np.int64) for u in us for w in ws]
-    return pts
-
-
 def brute_force_tensor_rank(T, q, cap):
     """Exact tensor rank by exhaustive search, provided it is at most cap.
 
@@ -390,22 +345,12 @@ def brute_force_tensor_rank(T, q, cap):
     if T.ndim != 3:
         raise TooLarge("oracle supports tensors of order <= 3")
     d1, d2, d3 = T.shape
-    points = _projective_rank_ones(q, d2, d3)
+    points = rank_one_rows(q, d2, d3)
     if len(points) > _ORACLE_POINT_CAP:
         raise TooLarge(f"{len(points)} pure tensors exceed the oracle cap")
     target = contraction_space(T, 1, q)
     target_rows = np.stack([b.reshape(-1) for b in target])
     t_dim = target_rows.shape[0]
-
-    def covered(rows):
-        if rows.shape[0] == 0:
-            return False
-        aug = np.concatenate([rows, target_rows], axis=0)
-        return gf.rank(aug, q) == gf.rank(rows, q)
-
-    all_rows = np.stack(points)
-    if not covered(all_rows):
-        return None
 
     def deficiency(rows):
         """Dimension of target not yet inside the span of rows."""
@@ -415,12 +360,11 @@ def brute_force_tensor_rank(T, q, cap):
         r_join = gf.rank(np.concatenate([rows, target_rows]), q)
         return r_join - r_span
 
+    if deficiency(points):
+        return None  # even all rank ones do not span the target
+
     def dfs(start, chosen, budget):
-        rows = (
-            np.stack([points[i] for i in chosen])
-            if chosen
-            else np.zeros((0, d2 * d3), dtype=np.int64)
-        )
+        rows = points[chosen]
         lack = deficiency(rows)
         if lack == 0:
             return True

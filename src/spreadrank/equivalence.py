@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iproduct
 
 import numpy as np
 
@@ -87,14 +86,9 @@ def _act_arrays(gA, gB, basis, q):
 @lru_cache(maxsize=4)
 def _charpoly_code_table(q, n):
     """charpoly lookup keyed by integer encoding; only built for q = 2."""
-    size = q ** (n * n)
-    codes = np.arange(size, dtype=np.int64)
-    digits = np.zeros((size, n * n), dtype=np.int64)
-    tmp = codes.copy()
-    for pos in range(n * n):
-        digits[:, pos] = tmp % q
-        tmp //= q
-    cps = gf.charpoly_batch(digits.reshape(size, n, n), q)
+    # row c of the reversed grid holds the base-q digits of c, least first
+    digits = gf.coefficient_grid(q, n * n)[:, ::-1]
+    cps = gf.charpoly_batch(digits.reshape(-1, n, n), q)
     # map distinct rows to small ids
     _, ids = np.unique(cps, axis=0, return_inverse=True)
     return ids.astype(np.int16)
@@ -171,7 +165,7 @@ class SpaceData:
         idx = np.nonzero(mask)[0]
         if self.q == 2:
             return idx
-        lead = _leading_coeff(self.elems[idx], self.q)
+        lead = gf.leading_coeff(self.elems[idx], self.q)
         return idx[lead == 1]
 
     def division_data(self):
@@ -193,12 +187,6 @@ class SpaceData:
             sig = tuple(sorted(k for k, _ in per_y))
             self._div_sig = (sig, per_y)
         return self._div_sig
-
-
-def _leading_coeff(rows, q):
-    padded = np.concatenate([rows % q, np.ones((rows.shape[0], 1), dtype=rows.dtype)], axis=1)
-    first = np.argmax(padded != 0, axis=1)
-    return padded[np.arange(rows.shape[0]), first]
 
 
 _DATA_CACHE = {}
@@ -303,7 +291,7 @@ def _conjugators(dataU, dataV, find_all):
         d = basis.shape[0]
         if q**d > _ENUMERATE_CAP:
             raise TooLarge(f"conjugacy solution space q^{d} too large to scan")
-        grid = np.array(list(iproduct(range(q), repeat=d)), dtype=np.int64)[1:]
+        grid = gf.coefficient_grid(q, d)[1:]
         cands = (grid @ basis.astype(np.int64)) % q
         return _conjugating(cands.reshape(-1, n, n), u_mats, V_space, q)
 
@@ -416,8 +404,7 @@ def _isotopisms_between(s1, s2, why):
     q, n = s1.q, s1.n
     if q ** (n * n) > 4096:
         raise TooLarge(why)
-    mats = np.array(list(iproduct(range(q), repeat=n * n)), dtype=np.uint8)
-    mats = mats.reshape(-1, n, n)
+    mats = gf.coefficient_grid(q, n * n).astype(np.uint8).reshape(-1, n, n)
     gl = mats[gf.det_batch(mats, q) != 0]
     for A in gl:
         for B in gl:

@@ -2,12 +2,16 @@
 
 Matrices and vectors are numpy uint8 arrays of residues.  Every operation is
 pure; hot paths have batched variants that vectorise over a leading axis.
+
+The enumerators of vectors (coefficient_grid), of projective normal forms
+(leading_coeff) and of subspaces in RREF (rref_subspaces) live here, so
+every module that walks F_q^k or its subspaces walks it in the same order.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -34,6 +38,45 @@ def inv_table(q):
 def as_residues(a, q):
     """Coerce to a uint8 array of residues mod q."""
     return (np.asarray(a, dtype=np.int64) % q).astype(np.uint8)
+
+
+# ---------------------------------------------------------------------------
+# Enumerators
+# ---------------------------------------------------------------------------
+
+
+def coefficient_grid(q, k):
+    """Every vector of F_q^k as an int64 (q^k, k) array in lexicographic
+    order, the order of itertools.product: the first entry is the most
+    significant, so row 0 is the zero vector, and k = 0 gives one empty row."""
+    return np.indices((q,) * k, dtype=np.int64).reshape(k, q**k).T
+
+
+def leading_coeff(rows, q):
+    """First nonzero entry of each row of a 2-D residue array (1 for a zero
+    row); dividing a row by it gives the row's projective normal form."""
+    padded = np.concatenate([rows % q, np.ones((rows.shape[0], 1), dtype=rows.dtype)], axis=1)
+    first = np.argmax(padded != 0, axis=1)
+    return padded[np.arange(rows.shape[0]), first]
+
+
+def rref_subspaces(length, k, q):
+    """Yield every k-dimensional subspace of F_q^length once, as its int64
+    (k, length) RREF generator matrix.
+
+    Pivot sets come in itertools.combinations order; within one, the free
+    entries (right of each row's pivot, outside the pivot columns) are
+    filled row-major in coefficient_grid order.
+    """
+    for pivots in combinations(range(length), k):
+        pivots = list(pivots)
+        free = np.arange(length) > np.array(pivots, dtype=np.int64)[:, None]
+        free[:, pivots] = False
+        grid = coefficient_grid(q, int(free.sum()))
+        block = np.zeros((grid.shape[0], k, length), dtype=np.int64)
+        block[:, np.arange(k), pivots] = 1
+        block[:, free] = grid
+        yield from block
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +270,6 @@ def mat_rank(M, q):
 
 @lru_cache(maxsize=None)
 def _principal_subsets(n):
-    from itertools import combinations
-
     return {k: list(combinations(range(n), k)) for k in range(1, n + 1)}
 
 

@@ -31,7 +31,6 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from itertools import combinations, product
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from .algebra import (
 )
 from .codec import encode
 from .codes import code_exists
-from .equivalence import _leading_coeff, automorphism_group, equivalence_classes
+from .equivalence import automorphism_group, equivalence_classes
 from .errors import BadParameters, RankExceedsCap, TooLarge
 
 
@@ -80,7 +79,7 @@ def extension_groups(parent, pts):
     inside_idx = np.nonzero(~nz)[0]
     out_idx = np.nonzero(nz)[0]
     rows = red[out_idx]
-    lead = _leading_coeff(rows, q)
+    lead = gf.leading_coeff(rows, q)
     normed = (rows * gf.inv_table(q)[lead][:, None]) % q
     width = normed.shape[1]
     if q**width > np.iinfo(np.int64).max:
@@ -172,38 +171,15 @@ class SearchReport:
 # ---------------------------------------------------------------------------
 
 
-def _iter_first_row_bases(n, k, q, allowed):
-    """RREF bases (w_1..w_k) of k-dim subspaces of F_q^n with rows in allowed."""
-    cols = list(range(n))
-    for pivots in combinations(cols, k):
-        nonpiv = [c for c in cols if c not in pivots]
-        free_slots = [[c for c in nonpiv if c > pivots[r]] for r in range(k)]
-
-        def build(r, rows):
-            if r == k:
-                yield list(rows)
-                return
-            base = np.zeros(n, dtype=np.uint8)
-            base[pivots[r]] = 1
-            for fill in product(range(q), repeat=len(free_slots[r])):
-                w = base.copy()
-                for c, v in zip(free_slots[r], fill):
-                    w[c] = v
-                if w.tobytes() in allowed:
-                    rows.append(w)
-                    yield from build(r + 1, rows)
-                    rows.pop()
-
-        yield from build(0, [])
-
-
 def iter_spread_sets(space, k):
     """Yield each k-dimensional nonsingular subspace of the space exactly once.
 
     The first-row map is injective on a nonsingular subspace, so fixing the
     RREF basis of the first-row subspace fixes one basis per subspace: the
-    search runs over first-row subspaces and the matching invertible
-    elements, pruning whenever a singular combination appears.
+    search runs over the first-row subspaces whose RREF rows are all first
+    rows of invertible elements, in gf.rref_subspaces order, and over the
+    matching invertible elements, pruning whenever a singular combination
+    appears.
     """
     q, n = space.q, space.n
     elems = space.nonzero_elements()
@@ -212,15 +188,12 @@ def iter_spread_sets(space, k):
     inv_rows = elems[ranks == n]
     by_first = {}
     for row in inv_rows:
-        by_first.setdefault(row[:n].astype(np.uint8).tobytes(), []).append(row)
-    allowed = set(by_first)
+        by_first.setdefault(row[:n].tobytes(), []).append(row)
 
     def candidates(chosen, w):
         for cand in by_first[w.tobytes()]:
             if chosen:
-                grid = np.array(
-                    list(product(range(q), repeat=len(chosen))), dtype=np.int64
-                )
+                grid = gf.coefficient_grid(q, len(chosen))
                 combos = (grid @ np.stack(chosen) + cand) % q
                 # unit multiples of cand are covered by scaling whole combos
                 if not bool((gf.rank_batch(combos.reshape(-1, n, n), q) == n).all()):
@@ -236,8 +209,9 @@ def iter_spread_sets(space, k):
             yield from dfs(chosen, w_rows)
             chosen.pop()
 
-    for w_rows in _iter_first_row_bases(n, k, q, allowed):
-        yield from dfs([], w_rows)
+    for G in gf.rref_subspaces(n, k, q):
+        if all(w.tobytes() in by_first for w in G):
+            yield from dfs([], G)
 
 
 def find_spread_sets(space, k, classes=True):
@@ -423,9 +397,16 @@ def _level_mode(dim, R, n, prune_ok, stop_at_witness):
     return "plain"
 
 
-def _rank_one_spanned(space, pts):
+def _rank_one_basis(space, pts):
+    """The space's rank-one points that are independent of the points before
+    them: the pivot columns of the RREF of the inside points' transpose."""
     inside = pts.flat[space.contains_batch(pts.flat)]
-    return inside.shape[0] > 0 and gf.rank(inside, space.q) == space.dim
+    _, piv = gf.rref(inside.T, space.q)
+    return inside[list(piv)]
+
+
+def _rank_one_spanned(space, pts):
+    return len(_rank_one_basis(space, pts)) == space.dim
 
 
 def _diag_probe(space, R, pts):
@@ -518,6 +499,15 @@ class _Checkpoint:
                 pass
 
 
+def _input_space(spread):
+    """The space of a spread set or MatSpace input, which must have dimension
+    n: the rank searches start their levels and bounds at n."""
+    space = spread.space if isinstance(spread, SpreadSet) else spread
+    if space.dim != space.n:
+        raise BadParameters(f"input has dimension {space.dim}, expected n = {space.n}")
+    return space
+
+
 def disprove_rank(
     spread,
     R,
@@ -542,11 +532,12 @@ def disprove_rank(
     checkpoint path, each step may save a snapshot, and a run started again
     with the same spread set, R, stop_at_witness and filter setting resumes
     from it and reproduces the levels, outcome and witness of an
-    uninterrupted run.  When R equals the dimension of the spread set no
-    level runs, and the outcome says whether it is spanned by rank ones.
+    uninterrupted run.  When R = n no level runs, and the outcome says
+    whether the input is spanned by rank ones.  An input whose dimension is
+    not n raises BadParameters.
     """
     t0 = time.time()
-    space = spread.space if isinstance(spread, SpreadSet) else spread
+    space = _input_space(spread)
     q, n = space.q, space.n
     if R < n:
         raise RankExceedsCap("target dimension below the spread-set dimension")
@@ -697,17 +688,8 @@ def disprove_rank(
 
 def _witness_rank_ones(space, pts):
     """An independent rank-one spanning list for a rank-one spanned space."""
-    inside = pts.flat[space.contains_batch(pts.flat)]
-    chosen = []
-    span = np.zeros((0, inside.shape[1]), dtype=np.int64)
-    for row in inside:
-        cand = np.concatenate([span, row[None]], axis=0)
-        if gf.rank(cand, space.q) > span.shape[0]:
-            chosen.append(row)
-            span = cand
-        if len(chosen) == space.dim:
-            break
-    return [encode(r.reshape(space.n, space.n), space.q) for r in chosen]
+    rows = _rank_one_basis(space, pts)
+    return [encode(r.reshape(space.n, space.n), space.q) for r in rows]
 
 
 def tensor_rank(spread, aut=None, max_R=None, progress=None):
@@ -719,7 +701,7 @@ def tensor_rank(spread, aut=None, max_R=None, progress=None):
     """
     from .codes import genbound
 
-    space = spread.space if isinstance(spread, SpreadSet) else spread
+    space = _input_space(spread)
     q, n = space.q, space.n
     if aut is None:
         aut = automorphism_group(space)

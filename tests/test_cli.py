@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from spreadrank import cli
 
@@ -118,6 +119,25 @@ def test_unknown_atlas_entry_usage_error(capsys):
     code, _, err = run(capsys, "rank", "--atlas", "NOPE")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["search", "--q", "2", "--n", "3", "--max", "5", "--prune", "5"],
+                     "--prune", id="prune-without-colon"),
+        pytest.param(["search", "--q", "2", "--n", "3", "--max", "5", "--prune", "5:x"],
+                     "--prune", id="prune-not-an-integer"),
+        pytest.param(["atlas", "export", "F16"], "--output", id="export-without-output"),
+        pytest.param(["encode", "012", "--q", "2"], "rows of", id="encode-not-square"),
+        pytest.param(["encode", "01", "1x", "--q", "2"], "rows of", id="encode-not-a-digit"),
+        pytest.param(["encode", "01", "12", "--q", "2"], "below q", id="encode-digit-not-below-q"),
+    ],
+)
+def test_malformed_input_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_bad_subcommand_exit_2(capsys):

@@ -301,7 +301,7 @@ def brute_point_orbit_reps(group, ext, pts):
     for point in ext.group_reps:
         moved = equivalence._act_arrays(group.A, group.B, pts.flat[point], pts.q)
         rows = moved[:, 0].astype(np.int64) % pts.q
-        lead = equivalence._leading_coeff(rows, pts.q)
+        lead = gf.leading_coeff(rows, pts.q)
         rows = ((rows * gf.inv_table(pts.q)[lead][:, None]) % pts.q).astype(np.uint8)
         orbit = {child_of[row.tobytes()] for row in rows}
         reps.add(ext.group_reps[min(orbit)])

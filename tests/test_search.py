@@ -7,6 +7,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from spreadrank import algebra, atlas, codec, codes, equivalence, gf, search
+from spreadrank.errors import BadParameters
 
 # ---------------------------------------------------------------------------
 # Rank-one enumeration and spread-set search
@@ -140,6 +141,26 @@ def test_disprove_rank_at_the_input_dimension():
     f4 = algebra.field_construct(2, 2, (1, 1, 1))
     rep = search.disprove_rank(f4, 2)
     assert rep.outcome == "exhausted" and rep.witness is None
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda sp: search.disprove_rank(sp, 4, stop_at_witness=False), id="disprove"),
+        pytest.param(search.tensor_rank, id="tensor-rank"),
+    ],
+)
+@pytest.mark.parametrize("encodings", [[1, 6, 8], [1]], ids=["dim3", "dim1"])
+def test_rank_searches_reject_inputs_of_dimension_other_than_n(monkeypatch, call, encodings):
+    # levels and rank bounds start at n: M_2(F_2) ⊃ <1, 6, 8> spans by rank
+    # ones at dim 4 yet was reported exhausted, and <1> has rank 1, not 2
+    def never(space):
+        raise AssertionError("automorphism_group ran before the check")
+
+    monkeypatch.setattr(search, "automorphism_group", never)
+    space = algebra.MatSpace.from_encodings(2, 2, encodings)
+    with pytest.raises(BadParameters, match="dimension"):
+        call(space)
 
 
 @given(
