@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import algebra, atlas, codec, codes, equivalence, search
-from .errors import NotFound, SpreadRankError
+from .errors import SpreadRankError
 
 
 def _progress(event):
@@ -165,9 +165,11 @@ def cmd_knuth(args):
 
 
 def cmd_equiv(args):
-    if args.atlas and len(args.atlas) == 2:
+    if args.atlas:
         s1 = atlas.atlas_get(args.atlas[0]).spread_set().space
         s2 = atlas.atlas_get(args.atlas[1]).spread_set().space
+    elif len(args.files) != 2:
+        raise SystemExit2("need --atlas NAME NAME or two spread-set files")
     else:
         q1, n1, m1 = codec.read_spreadset_file(args.files[0])
         q2, n2, m2 = codec.read_spreadset_file(args.files[1])
@@ -300,10 +302,8 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (SystemExit2, NotFound) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SpreadRankError as exc:
+    except (SystemExit2, SpreadRankError, OSError) as exc:
+        # OSError: a named file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

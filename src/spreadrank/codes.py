@@ -150,6 +150,8 @@ def code_equivalent(G1, G2, q):
     k = basisA.shape[0]
     if basisB.shape[0] != k:
         return False
+    if k == 0:
+        return True
     if weight_distribution(basisA, q) != weight_distribution(basisB, q):
         return False
 
@@ -182,12 +184,7 @@ def code_equivalent(G1, G2, q):
             lam = np.array((1,) + scalars, dtype=np.int64)
             S = (sub * lam[None, :]) % q
             mappedA = (S @ basisA.astype(np.int64)) % q
-            mapped_keys = Counter(
-                _projective_column_key(c, q) for c in mappedA.T
-            )
-            if mapped_keys == Counter(
-                _projective_column_key(c, q) for c in colsB
-            ):
+            if Counter(_projective_column_key(c, q) for c in mappedA.T) == keysB:
                 return True
     return False
 
@@ -284,23 +281,19 @@ def min_rank_in_space(space):
     return int(gf.rank_batch(elems, space.q).min())
 
 
-def genbound(T, q, detailed=False):
+def genbound(T, q):
     """Code-theoretic lower bound on tensor rank: the best N_q(dim, d_i) over
     the three slots, where d_i is the least rank of a nonzero contraction.
 
-    Slots whose table entry is unknown are skipped; the result is then
-    flagged partial.
+    Slots whose table entry is unknown are skipped.
     """
     T = np.asarray(T)
     if T.ndim != 3:
         raise TooLarge("genbound supports order-3 tensors")
     best = 0
-    per_slot = {}
-    partial = False
     for slot in (1, 2, 3):
         basis = contraction_space(T, slot, q)
         if not basis:
-            per_slot[slot] = (0, 0, 0)
             continue
         n_rows, n_cols = basis[0].shape
         rows = np.stack([b.reshape(-1) for b in basis])
@@ -309,15 +302,9 @@ def genbound(T, q, detailed=False):
         elems = (grid @ rows.astype(np.int64)) % q
         d_i = int(gf.rank_batch(elems.reshape(-1, n_rows, n_cols), q).min())
         try:
-            bound = nq_lookup(q, dim, d_i)
+            best = max(best, nq_lookup(q, dim, d_i))
         except UnknownBound:
-            partial = True
-            per_slot[slot] = (dim, d_i, None)
-            continue
-        per_slot[slot] = (dim, d_i, bound)
-        best = max(best, bound)
-    if detailed:
-        return best, {"per_slot": per_slot, "partial": partial}
+            pass
     return best
 
 

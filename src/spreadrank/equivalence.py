@@ -14,6 +14,15 @@ Anchor candidates are pre-filtered by division signatures: the multiset, over
 invertible Y, of characteristic-polynomial multisets of S Y^-1 is a full
 G-invariant of S and is compared before any backtracking.
 
+automorphism_group is the same anchored search with S1 = S2 and every
+conjugator kept.  The two anchor rules stay apart: are_equivalent anchors on
+the element whose cpm class (charpoly multiset of S X1^-1) is rarest in S2,
+which leaves the fewest Y to try, while automorphism_group anchors on the
+first projective invertible element and lists the group in the order of its
+Y.  The classes differ (on S1 and S2 the first anchor's has 9 members and
+the rarest 6, on I 8 and 2), so one rule would reorder the group's element
+arrays.
+
 Stabilizer groups act on the projective rank-one points by permutations:
 (A, B) sends u w^T to (A u)(B^T w)^T, so two int16 tables over the
 projective vectors of F_q^n give every element's action by index gathers.
@@ -24,6 +33,7 @@ it is the group's space plus their span.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -59,9 +69,6 @@ class Isotopism:
         return Isotopism(
             gf.mat_inverse(self.A, self.q), gf.mat_inverse(self.B, self.q), self.q
         )
-
-    def apply_mat(self, M):
-        return gf.mat_mul(gf.mat_mul(self.A, M, self.q), self.B, self.q)
 
 
 def act(g, space):
@@ -329,6 +336,37 @@ def _right_translate(space, m_inv):
     return MatSpace.from_rows(space.q, n, rows.reshape(-1, n * n))
 
 
+def _anchored_isotopisms(d1, d2, x_idx, find_all):
+    """Isotopisms from S1 to S2 that send the anchor x, element x_idx of S1,
+    into S2, one (A, B) pair of (k, n, n) uint8 stacks per image y.
+
+    The images y are the projective invertible elements of S2 whose cpm key
+    matches x's, in division_data order.  For each, A runs over the
+    conjugators of S1 x^-1 onto S2 y^-1 (all of them with find_all, else the
+    first) and B = (A x)^-1 y, from one batched inverse.
+    """
+    q, n = d1.q, d1.n
+    _, per_y1 = d1.division_data()
+    _, per_y2 = d2.division_data()
+    cpm_x = {yi: k for k, yi in per_y1}[x_idx]
+    x = d1.elems[x_idx].reshape(n, n).astype(np.int64)
+    dataU = space_data(_right_translate(d1.space, gf.mat_inverse(x, q).astype(np.int64)))
+    mats2 = d2.elems.reshape(-1, n, n)
+    for cpm, y_idx in per_y2:
+        if cpm != cpm_x:
+            continue
+        y = mats2[y_idx].astype(np.int64)
+        V = _right_translate(d2.space, gf.mat_inverse(y, q).astype(np.int64))
+        As = list(_conjugators(dataU, space_data(V), find_all))
+        if not As:
+            continue
+        As = np.stack(As)
+        inverses, invertible = gf.inverse_batch((As.astype(np.int64) @ x) % q, q)
+        if not invertible.all():
+            raise NotInvertible("a conjugator times the anchor is singular")
+        yield As, ((inverses.astype(np.int64) @ y) % q).astype(np.uint8)
+
+
 def are_equivalent(s1, s2):
     """A witness Isotopism g with act(g, s1) = s2, or None.
 
@@ -362,32 +400,13 @@ def are_equivalent(s1, s2):
         return None
 
     # anchor on the S1 side whose cpm is rarest on the S2 side
-    from collections import Counter
-
     count2 = Counter(k for k, _ in per_y2)
-    cpm1, x_idx = min(per_y1, key=lambda item: (count2[item[0]], item[1]))
-    mats1 = d1.elems.reshape(-1, n, n)
-    mats2 = d2.elems.reshape(-1, n, n)
-    x1 = mats1[x_idx].astype(np.int64)
-    x1_inv = gf.mat_inverse(x1, q).astype(np.int64)
-    U = _right_translate(s1, x1_inv)
-    dataU = space_data(U)
-
-    for cpm2, y_idx in per_y2:
-        if cpm2 != cpm1:
-            continue
-        y = mats2[y_idx].astype(np.int64)
-        y_inv = gf.mat_inverse(y, q).astype(np.int64)
-        V = _right_translate(s2, y_inv)
-        dataV = space_data(V)
-        for A in _conjugators(dataU, dataV, find_all=False):
-            B = gf.mat_mul(
-                gf.mat_inverse((A.astype(np.int64) @ x1) % q, q), y, q
-            )
-            witness = Isotopism(A, B, q)
-            if act(witness, s1) != s2:
-                raise NotContained("equivalence witness does not map s1 onto s2")
-            return witness
+    _, x_idx = min(per_y1, key=lambda item: (count2[item[0]], item[1]))
+    for As, Bs in _anchored_isotopisms(d1, d2, x_idx, find_all=False):
+        witness = Isotopism(As[0], Bs[0], q)
+        if act(witness, s1) != s2:
+            raise NotContained("equivalence witness does not map s1 onto s2")
+        return witness
     return None
 
 
@@ -562,7 +581,9 @@ class StabilizerGroup:
 
 
 def automorphism_group(space):
-    """Exact setwise stabilizer of a space containing an invertible element."""
+    """Exact setwise stabilizer of a space containing an invertible element:
+    the anchored search from the space to itself, every conjugator kept,
+    each B times every unit, A-major."""
     if isinstance(space, SpreadSet):
         space = space.space
     q, n = space.q, space.n
@@ -570,39 +591,12 @@ def automorphism_group(space):
     inv_idx = data.invertible_projective()
     if inv_idx.size == 0:
         return _brute_force_stabilizer(space)
-    mats = data.elems.reshape(-1, n, n)
-    _, per_y = data.division_data()
-    x_idx = int(inv_idx[0])
-    cpm_by_idx = {yi: k for k, yi in per_y}
-    cpm_x = cpm_by_idx[x_idx]
-    x1 = mats[x_idx].astype(np.int64)
-    x1_inv = gf.mat_inverse(x1, q).astype(np.int64)
-    U = _right_translate(space, x1_inv)
-    dataU = space_data(U)
-
-    pairs_A, pairs_B = [], []
     units = np.arange(1, q, dtype=np.int64)[None, :, None, None]
-    for cpm2, y_idx in per_y:
-        if cpm2 != cpm_x:
-            continue
-        y = mats[y_idx].astype(np.int64)
-        y_inv = gf.mat_inverse(y, q).astype(np.int64)
-        V = _right_translate(space, y_inv)
-        dataV = space_data(V)
-        As = list(_conjugators(dataU, dataV, find_all=True))
-        if not As:
-            continue
-        As = np.stack(As)
-        bases, invertible = gf.inverse_batch((As.astype(np.int64) @ x1) % q, q)
-        if not invertible.all():
-            raise NotInvertible("a conjugator times the anchor is singular")
-        # B = lam (A x1)^-1 y for every unit lam, A-major
-        B = (bases[:, None].astype(np.int64) * units % q) @ y % q
+    pairs_A, pairs_B = [], []
+    for As, Bs in _anchored_isotopisms(data, data, int(inv_idx[0]), find_all=True):
         pairs_A.append(np.repeat(As, q - 1, axis=0))
-        pairs_B.append(B.reshape(-1, n, n).astype(np.uint8))
-    A_arr = np.concatenate(pairs_A)
-    B_arr = np.concatenate(pairs_B)
-    return StabilizerGroup(q, n, A_arr, B_arr, space)
+        pairs_B.append((Bs[:, None] * units % q).reshape(-1, n, n).astype(np.uint8))
+    return StabilizerGroup(q, n, np.concatenate(pairs_A), np.concatenate(pairs_B), space)
 
 
 def _brute_force_stabilizer(space):

@@ -389,15 +389,6 @@ def poly_trim(p):
     return tuple(p)
 
 
-def poly_mul(a, b, q):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % q
-    return poly_trim(out)
-
-
 def poly_divmod(a, b, q):
     a = list(a)
     b = poly_trim(b)
@@ -514,9 +505,6 @@ class ExtField:
         e[min(1, self.n - 1)] = 1
         return e
 
-    def add(self, a, b):
-        return ((a.astype(np.int64) + b) % self.q).astype(np.uint8)
-
     def mul(self, a, b):
         conv = np.convolve(a.astype(np.int64), b.astype(np.int64))
         out = (conv[:, None] * self._red[: conv.size]).sum(axis=0) % self.q
@@ -544,10 +532,6 @@ class ExtField:
     def norm_over_prime(self, a):
         """a^((q^n - 1) / (q - 1)), the relative norm down to F_q."""
         return self.pow(a, (self.q**self.n - 1) // (self.q - 1))
-
-    def elements(self):
-        for coords in product(range(self.q), repeat=self.n):
-            yield np.array(coords[::-1], dtype=np.uint8)
 
     # -- matrices ------------------------------------------------------------
 

@@ -179,8 +179,10 @@ def iter_spread_sets(space, k):
     search runs over the first-row subspaces whose RREF rows are all first
     rows of invertible elements, in gf.rref_subspaces order, and over the
     matching invertible elements, pruning whenever a singular combination
-    appears.
+    appears.  k must be at least 1 (BadParameters otherwise).
     """
+    if k < 1:
+        raise BadParameters(f"partial-spread dimension must be at least 1, got {k}")
     q, n = space.q, space.n
     elems = space.nonzero_elements()
     mats = elems.reshape(-1, n, n)
@@ -423,27 +425,19 @@ def _diag_probe(space, R, pts):
     if probe.dim > R or probe.dim < R - 2:
         return None
 
-    def scan_last(cand):
-        """cand has dimension R-1; return a spanned extension if one exists."""
-        ext = extension_groups(cand, pts)
-        base_rank, extras = _rank_one_profile(cand, ext, pts)
-        hits = np.nonzero(base_rank + extras == R)[0]
-        if hits.size:
-            return cand.extend(pts.flat[ext.group_reps[int(hits[0])]])
-        return None
-
     if probe.dim == R:
         return probe if _rank_one_spanned(probe, pts) else None
-    if probe.dim == R - 1:
-        return scan_last(probe)
-    # dimension R-2: try the most rank-one-rich children first, capped
-    ext = extension_groups(probe, pts)
-    base_rank, extras = _rank_one_profile(probe, ext, pts)
-    order = np.argsort(-extras, kind="stable")[:64]
-    for i in order:
-        witness = scan_last(probe.extend(pts.flat[ext.group_reps[int(i)]]))
-        if witness is not None:
-            return witness
+    if probe.dim == R - 2:
+        # the most rank-one-rich children first, capped
+        _, children, scores = _process_parent(probe, pts, "plain-ordered", n, R)
+        order = np.argsort(-np.array(scores, dtype=np.int64), kind="stable")[:64]
+        candidates = [children[i] for i in order]
+    else:
+        candidates = [probe]
+    for cand in candidates:
+        _, spanned, _ = _process_parent(cand, pts, "final", n, R)
+        if spanned:
+            return spanned[0]
     return None
 
 

@@ -132,6 +132,11 @@ def test_unknown_atlas_entry_usage_error(capsys):
         pytest.param(["encode", "012", "--q", "2"], "rows of", id="encode-not-square"),
         pytest.param(["encode", "01", "1x", "--q", "2"], "rows of", id="encode-not-a-digit"),
         pytest.param(["encode", "01", "12", "--q", "2"], "below q", id="encode-digit-not-below-q"),
+        pytest.param(["search", "--q", "2", "--n", "3", "--max", "5", "--prune", "5:0"],
+                     "at least 1", id="prune-partial-spread-dim-zero"),
+        pytest.param(["equiv", "one.txt"], "two spread-set files", id="equiv-one-file"),
+        pytest.param(["rank", "--spreadset", "/nonexistent/spread.txt"],
+                     "No such file", id="spreadset-file-missing"),
     ],
 )
 def test_malformed_input_is_a_usage_error(capsys, argv, message):

@@ -121,6 +121,13 @@ def test_code_equivalent_monomial_invariance():
     assert codes.code_equivalent(G, moved, 3)
 
 
+def test_code_equivalent_zero_dimensional_codes():
+    zero = np.zeros((1, 3), dtype=np.uint8)
+    assert codes.code_equivalent(zero, zero, 2)
+    assert not codes.code_equivalent(zero, np.array([[1, 0, 1]]), 2)
+    assert not codes.code_equivalent(np.array([[1, 0, 1]]), zero, 2)
+
+
 def test_computed_codes_match_published_up_to_slot_cycle():
     # slot labelling differs by one cyclic shift from the published choice;
     # with that shift the generator matrices agree entry-exact

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -463,6 +464,52 @@ def test_are_equivalent_witness_matches_per_candidate_oracle(monkeypatch):
     for got, want in zip(fast, slow):
         assert got.A.tobytes() == want.A.tobytes()
         assert got.B.tobytes() == want.B.tobytes()
+
+
+def oracle_are_equivalent(s1, s2):
+    """Oracle: the anchor loop of are_equivalent before it was shared with
+    automorphism_group, with one mat_inverse per y and one mat_mul per
+    witness.  The pre-filters are assumed passed."""
+    q, n = s1.q, s1.n
+    d1, d2 = equivalence.space_data(s1), equivalence.space_data(s2)
+    _, per_y1 = d1.division_data()
+    _, per_y2 = d2.division_data()
+    count2 = Counter(k for k, _ in per_y2)
+    cpm1, x_idx = min(per_y1, key=lambda item: (count2[item[0]], item[1]))
+    mats1 = d1.elems.reshape(-1, n, n)
+    mats2 = d2.elems.reshape(-1, n, n)
+    x1 = mats1[x_idx].astype(np.int64)
+    U = equivalence._right_translate(s1, gf.mat_inverse(x1, q).astype(np.int64))
+    dataU = equivalence.space_data(U)
+    for cpm2, y_idx in per_y2:
+        if cpm2 != cpm1:
+            continue
+        y = mats2[y_idx].astype(np.int64)
+        V = equivalence._right_translate(s2, gf.mat_inverse(y, q).astype(np.int64))
+        for A in equivalence._conjugators(dataU, equivalence.space_data(V), find_all=False):
+            B = gf.mat_mul(gf.mat_inverse((A.astype(np.int64) @ x1) % q, q), y, q)
+            return equivalence.Isotopism(A, B, q)
+    return None
+
+
+def test_are_equivalent_witness_matches_anchor_loop_oracle():
+    rng = np.random.default_rng(11)
+    pairs = []
+    for q in (2, 3):
+        for _ in range(8):
+            space = random_space_with_identity(rng, q, 4, int(rng.integers(1, 4)))
+            pairs.append((space, equivalence.act(random_isotopism(rng, q, 4), space)))
+    for name in ("F16", "S1", "S2", "F81", "I"):
+        space = atlas.atlas_get(name).space()
+        pairs.append((space, equivalence.act(random_isotopism(rng, space.q, 4), space)))
+    for s1, s2 in pairs:
+        assert s1 != s2
+        got = equivalence.are_equivalent(s1, s2)
+        want = oracle_are_equivalent(s1, s2)
+        assert equivalence.act(got, s1) == s2
+        for g, w in ((got.A, want.A), (got.B, want.B)):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
 
 
 # ---------------------------------------------------------------------------

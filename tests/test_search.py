@@ -49,6 +49,15 @@ def test_contains_partial_spread_trivial():
     assert search.contains_partial_spread(f16, 4)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_partial_spread_dimension_below_one_is_rejected(k):
+    f16 = atlas.atlas_get("F16").space()
+    with pytest.raises(BadParameters, match="at least 1"):
+        search.contains_partial_spread(f16, k)
+    with pytest.raises(BadParameters, match="at least 1"):
+        search.find_spread_sets(f16, k)
+
+
 def test_first_row_normalisation_completeness():
     # a 1-dim nonsingular space whose first row is not e_1 must still be found
     M = np.array([[0, 1], [1, 1]], dtype=np.uint8)  # first row e_2
@@ -377,6 +386,48 @@ def test_raw_level_kernels_match_per_child_oracles(name):
         want_rank, want_extras = oracle_rank_one_profile(parent, inside_idx, members, pts)
         assert base_rank == want_rank
         assert np.array_equal(extras, want_extras)
+
+
+def oracle_diag_probe(space, R, pts):
+    """Oracle: the diagonal probe with its own scan of the last level, before
+    it scored through _process_parent."""
+    n = space.n
+    probe = space
+    for e in np.eye(n, dtype=np.uint8):
+        probe = probe.extend(np.diag(e))
+    if probe.dim > R or probe.dim < R - 2:
+        return None
+
+    def scan_last(cand):
+        ext = search.extension_groups(cand, pts)
+        base_rank, extras = search._rank_one_profile(cand, ext, pts)
+        hits = np.nonzero(base_rank + extras == R)[0]
+        if hits.size:
+            return cand.extend(pts.flat[ext.group_reps[int(hits[0])]])
+        return None
+
+    if probe.dim == R:
+        return probe if search._rank_one_spanned(probe, pts) else None
+    if probe.dim == R - 1:
+        return scan_last(probe)
+    ext = search.extension_groups(probe, pts)
+    base_rank, extras = search._rank_one_profile(probe, ext, pts)
+    for i in np.argsort(-extras, kind="stable")[:64]:
+        witness = scan_last(probe.extend(pts.flat[ext.group_reps[int(i)]]))
+        if witness is not None:
+            return witness
+    return None
+
+
+@pytest.mark.parametrize("name", atlas.atlas_list())
+def test_diag_probe_matches_scan_oracle(name):
+    space = atlas.atlas_get(name).space()
+    pts = algebra.points_for(space.q, space.n)
+    for R in (7, 8, 9):
+        got = search._diag_probe(space, R, pts)
+        want = oracle_diag_probe(space, R, pts)
+        assert (got is None) == (want is None), R
+        assert got is None or got.key == want.key, R
 
 
 def test_disprove_rank_checkpoint_records_the_filter_flag(tmp_path):
