@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import gf
-from .codec import encode
+from .codec import encode_rows
 from .errors import (
     BadParameters,
     BadSlot,
@@ -58,7 +58,10 @@ class MatSpace:
 
     @classmethod
     def from_matrices(cls, q, n, mats):
-        return cls.from_rows(q, n, np.stack([np.asarray(m) for m in mats]))
+        """Span of n x n matrices; no matrices give the zero space."""
+        if any(np.shape(m) != (n, n) for m in mats):
+            raise DimensionMismatch(f"need {n} x {n} matrices")
+        return cls.from_rows(q, n, np.reshape(mats, (len(mats), n * n)))
 
     @classmethod
     def from_encodings(cls, q, n, encodings):
@@ -93,8 +96,7 @@ class MatSpace:
         return [row.reshape(self.n, self.n) for row in self.basis]
 
     def encodings(self):
-        weights = self.q ** np.arange(self.n * self.n, dtype=np.int64)
-        return [int(v) for v in self.basis.astype(np.int64) @ weights]
+        return encode_rows(self.basis, self.q).tolist()
 
     def reduce(self, vectors):
         """Residues of flattened matrices modulo this space, batched."""
@@ -189,7 +191,7 @@ class SpreadSet:
         return cls(q, [decode(v, q, n) for v in encodings], check=check)
 
     def encodings(self):
-        return [encode(m, self.q) for m in self.matrices]
+        return encode_rows(np.reshape(self.matrices, (self.n, -1)), self.q).tolist()
 
     def hypercube(self):
         return hypercube_from_spreadset(self)
@@ -328,10 +330,9 @@ class _Points:
         self.u, self.w = np.divmod(order, m)
         self.of_uw = np.argsort(order).astype(np.int32).reshape(m, m)
         # projective index of every nonzero vector, by base-q encoding
-        self._weights = q ** np.arange(n, dtype=np.int64)
         self._vector_index = np.full(q**n, -1, dtype=np.int16)
         for unit in range(1, q):
-            self._vector_index[(unit * self.vectors % q) @ self._weights] = np.arange(m)
+            self._vector_index[encode_rows(unit * self.vectors % q, q)] = np.arange(m)
 
     def __len__(self):
         return self.flat.shape[0]
@@ -339,8 +340,9 @@ class _Points:
     def vector_images(self, mats):
         """(c, n, n) matrices -> (c, m) indices of the projective vectors
         proportional to M v, one column per projective vector v."""
-        moved = (np.asarray(mats, dtype=np.int64) @ self.vectors.T) % self.q
-        return self._vector_index[np.einsum("k,ckm->cm", self._weights, moved)]
+        # row j of vectors @ M^T is (M v_j)^T
+        moved = (self.vectors @ np.swapaxes(np.asarray(mats, dtype=np.int64), 1, 2)) % self.q
+        return self._vector_index[encode_rows(moved, self.q)]
 
 
 @lru_cache(maxsize=8)
@@ -356,7 +358,7 @@ def rank_one_elements(q, n):
     """
     flat = np.arange(1, q)[:, None, None] * points_for(q, n).flat % q
     flat = flat.reshape(-1, n * n)
-    order = np.argsort(flat @ q ** np.arange(n * n, dtype=np.int64))
+    order = np.argsort(encode_rows(flat, q))
     return list(flat[order].astype(np.uint8).reshape(-1, n, n))
 
 

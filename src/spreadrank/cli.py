@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import algebra, atlas, codec, codes, equivalence, search
-from .errors import SpreadRankError
+from .errors import NotNonsingular, SpreadRankError
 
 
 def _progress(event):
@@ -29,6 +29,14 @@ def _load_spread(args):
         q, n, mats = codec.read_spreadset_file(args.spreadset)
         return algebra.SpreadSet(q, mats)
     raise SystemExit2("need --atlas NAME or --spreadset PATH")
+
+
+def _load_decomposition(args, spread):
+    """The matrices of the --decomp file, whose q and n must be the spread set's."""
+    q, n, _, mats = codec.read_decomposition_file(args.decomp)
+    if (q, n) != (spread.q, spread.n):
+        raise SystemExit2(f"decomposition has q={q} n={n}, spread set q={spread.q} n={spread.n}")
+    return mats
 
 
 class SystemExit2(Exception):
@@ -57,14 +65,18 @@ def cmd_encode(args):
 
 
 def cmd_verify(args):
-    spread = _load_spread(args)
     if args.decomp:
-        q, n, r, mats = codec.read_decomposition_file(args.decomp)
+        spread = _load_spread(args)
+        mats = _load_decomposition(args, spread)
         ok, reason = search.verify_decomposition(spread, mats)
-        out = {"verified": bool(ok), "reason": reason, "R": r}
+        out = {"verified": bool(ok), "reason": reason, "R": len(mats)}
     else:
-        ok = algebra.is_nonsingular(spread.space)
-        out = {"verified": bool(ok), "reason": "nonsingular" if ok else "singular"}
+        try:
+            _load_spread(args)  # a dependent basis stays a usage error
+            ok = True
+        except NotNonsingular:
+            ok = False
+        out = {"verified": ok, "reason": "nonsingular" if ok else "singular"}
     print(json.dumps(out) if args.json else out["reason"])
     return 0 if ok else 1
 
@@ -135,8 +147,7 @@ def cmd_codes(args):
         if not args.decomp:
             raise SystemExit2("need --decomp PATH (or --g1-paper)")
         spread = _load_spread(args)
-        q, n, r, dmats = codec.read_decomposition_file(args.decomp)
-        D = codes.decomposition_from_rank_ones(spread, dmats)
+        D = codes.decomposition_from_rank_ones(spread, _load_decomposition(args, spread))
         gs = codes.codes_from_decomposition(D)
         mats = {f"G{i + 1}": G for i, G in enumerate(gs)}
     out = {}

@@ -34,12 +34,17 @@ def decode(value, q, n):
 def encode(M, q):
     """Inverse of decode; digit positions run row-major from entry (1, 1)."""
     A = np.asarray(M)
-    n = A.shape[0]
-    _check_dims(q, n)
-    value = 0
-    for d in A.reshape(-1)[::-1]:
-        value = value * q + int(d) % q
-    return value
+    _check_dims(q, A.shape[0])
+    return int(encode_rows(A.reshape(-1) % q, q))
+
+
+def encode_rows(rows, q):
+    """int64 base-q values of the rows along the last axis, entry 0 least
+    significant; the entries must already be residues mod q."""
+    width = rows.shape[-1]
+    if q**width > 2**63:
+        raise EncodingOverflow(f"q^{width} exceeds 64-bit range for q={q}")
+    return rows.astype(np.int64) @ q ** np.arange(width, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from itertools import product
 import numpy as np
 
 from . import gf
-from .algebra import SpreadSet, contraction_space, rank_one_rows
+from .algebra import MatSpace, SpreadSet, contraction_space, rank_one_rows
 from .errors import (
     DependentGenerators,
     NotContained,
@@ -61,16 +61,13 @@ def decomposition_from_rank_ones(spread, rank_ones):
         raise TypeError("need a SpreadSet with an ordered basis")
     q, n = spread.q, spread.n
     mats = [gf.as_residues(m, q) for m in rank_ones]
-    stacked = np.stack([m.reshape(-1) for m in mats])
-    if gf.rank(stacked, q) != len(mats):
+    span = MatSpace.from_matrices(q, n, mats)
+    if span.dim != len(mats):
         raise DependentGenerators("rank-one matrices are linearly dependent")
-    coeff_rows = []
-    for M in spread.matrices:
-        coeffs = gf.solve_membership(mats, M, q)
-        if coeffs is None:
-            raise NotContained("spread set is not contained in the span")
-        coeff_rows.append(coeffs)
-    coeff = np.stack(coeff_rows)  # (n, R): basis matrix i = sum_t coeff[i,t] A_t
+    if not span.contains_space(spread.space):
+        raise NotContained("spread set is not contained in the span")
+    # (n, R): basis matrix i = sum_t coeff[i,t] A_t
+    coeff = np.stack([gf.solve_membership(mats, M, q) for M in spread.matrices])
     factors = [gf.rank_one_factor(M, q) for M in mats]
     summands = tuple(
         (coeff[:, t].astype(np.uint8), factors[t][0], factors[t][1])

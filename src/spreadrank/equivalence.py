@@ -41,6 +41,7 @@ import numpy as np
 
 from . import gf
 from .algebra import MatSpace, SpreadSet, points_for, rank_one_elements
+from .codec import encode_rows
 from .errors import BadParameters, NotContained, NotInvertible, TooLarge
 
 _ENUMERATE_CAP = 1 << 13  # max q^dim scanned when a solution space is left
@@ -101,11 +102,6 @@ def _charpoly_code_table(q, n):
     return ids.astype(np.int16)
 
 
-def _encode_rows_int(rows, q):
-    w = q ** np.arange(rows.shape[1], dtype=np.int64)
-    return rows.astype(np.int64) @ w
-
-
 class SpaceData:
     """Lazy caches of element-level invariants for one MatSpace."""
 
@@ -135,7 +131,7 @@ class SpaceData:
     def _cp_of_mats(self, mats):
         if self.q == 2 and self.n <= 4:
             table = _charpoly_code_table(self.q, self.n)
-            codes = _encode_rows_int(mats.reshape(mats.shape[0], -1) % self.q, self.q)
+            codes = encode_rows(mats.reshape(mats.shape[0], -1) % self.q, self.q)
             return table[codes]
         # stable id: evaluate the coefficient tuple as a base-(q+1) integer
         cps = gf.charpoly_batch(mats, self.q)
@@ -266,7 +262,8 @@ def _conjugating(cands, u_mats, V_space, q):
 
 
 def _conjugators(dataU, dataV, find_all):
-    """Invertible A with A U A^-1 = V.  Yields uint8 matrices.
+    """Invertible A with A U A^-1 = V, as a (k, n, n) uint8 stack: all of
+    them with find_all, else at most the first.
 
     dataU/dataV wrap unital spaces of equal dimension whose charpoly
     multisets already match.
@@ -277,8 +274,7 @@ def _conjugators(dataU, dataV, find_all):
     if not gens:
         if find_all:
             raise TooLarge("stabilizer of a 1-dimensional unital space")
-        yield np.eye(n, dtype=np.uint8)
-        return
+        return np.eye(n, dtype=np.uint8)[None]
 
     v_mats = dataV.elems.reshape(-1, n, n).astype(np.int64)
     v_ids = dataV.cp_ids
@@ -288,40 +284,30 @@ def _conjugators(dataU, dataV, find_all):
     )
     gens = [gens[i] for i in by_count]
     gen_ids = gen_ids[by_count]
-
     u_mats = U_space.basis.reshape(-1, n, n).astype(np.int64)
-    full = np.eye(n * n, dtype=np.uint8)
+    empty = np.zeros((0, n, n), dtype=np.uint8)
 
-    found = []
-
-    def enumerate_basis(basis):
+    def search(idx, basis):
+        """Conjugators in span(basis), guessing images of gens[idx:] in V."""
         d = basis.shape[0]
-        if q**d > _ENUMERATE_CAP:
-            raise TooLarge(f"conjugacy solution space q^{d} too large to scan")
-        grid = gf.coefficient_grid(q, d)[1:]
-        cands = (grid @ basis.astype(np.int64)) % q
-        return _conjugating(cands.reshape(-1, n, n), u_mats, V_space, q)
+        if d == 0:
+            return empty
+        if idx == len(gens) or q**d <= 256:
+            if q**d > _ENUMERATE_CAP:
+                raise TooLarge(f"conjugacy solution space q^{d} too large to scan")
+            cands = (gf.coefficient_grid(q, d)[1:] @ basis.astype(np.int64)) % q
+            found = _conjugating(cands.reshape(-1, n, n), u_mats, V_space, q)
+            return found if find_all else found[:1]
+        found = []
+        for wi in np.nonzero(v_ids == gen_ids[idx])[0]:
+            C = _constraint_matrix(gens[idx], v_mats[wi], q, n)
+            sub = search(idx + 1, _intersect(basis, C, q))
+            if len(sub) and not find_all:
+                return sub
+            found.append(sub)
+        return np.concatenate(found) if found else empty
 
-    def recurse(idx, basis):
-        if basis.shape[0] == 0:
-            return False
-        if idx == len(gens) or q ** basis.shape[0] <= 256:
-            for A in enumerate_basis(basis):
-                found.append(A)
-                if not find_all:
-                    return True
-            return not find_all and bool(found)
-        g = gens[idx]
-        cand_idx = np.nonzero(v_ids == gen_ids[idx])[0]
-        for wi in cand_idx:
-            C = _constraint_matrix(g, v_mats[wi], q, n)
-            nb = _intersect(basis, C, q)
-            if recurse(idx + 1, nb):
-                return True
-        return False
-
-    recurse(0, full)
-    yield from found
+    return search(0, np.eye(n * n, dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +343,9 @@ def _anchored_isotopisms(d1, d2, x_idx, find_all):
             continue
         y = mats2[y_idx].astype(np.int64)
         V = _right_translate(d2.space, gf.mat_inverse(y, q).astype(np.int64))
-        As = list(_conjugators(dataU, space_data(V), find_all))
-        if not As:
+        As = _conjugators(dataU, space_data(V), find_all)
+        if not len(As):
             continue
-        As = np.stack(As)
         inverses, invertible = gf.inverse_batch((As.astype(np.int64) @ x) % q, q)
         if not invertible.all():
             raise NotInvertible("a conjugator times the anchor is singular")
@@ -623,14 +608,14 @@ def rank_one_orbits(group, q, n):
     """
     mats = rank_one_elements(q, n)
     flat = np.stack(mats).reshape(len(mats), n * n)
-    codes = _encode_rows_int(flat, q)  # ascending: mats are sorted by encoding
+    codes = encode_rows(flat, q)  # ascending: mats are sorted by encoding
     labelled = np.zeros(len(mats), dtype=bool)
     out = []
     for i, M in enumerate(mats):
         if labelled[i]:
             continue
         images = _act_arrays(group.A, group.B, flat[i], q)[:, 0]
-        hit = np.unique(np.searchsorted(codes, _encode_rows_int(images, q)))
+        hit = np.unique(np.searchsorted(codes, encode_rows(images, q)))
         labelled[hit] = True
         out.append((M, hit.size))
     return out

@@ -38,13 +38,14 @@ from . import gf
 from .algebra import (
     MatSpace,
     SpreadSet,
+    hypercube_from_spreadset,
     points_for,
     rank_one_elements,  # noqa: F401  (re-exported: part of the search surface)
 )
-from .codec import encode
+from .codec import encode_rows
 from .codes import code_exists
 from .equivalence import automorphism_group, equivalence_classes
-from .errors import BadParameters, RankExceedsCap, TooLarge
+from .errors import BadParameters, RankExceedsCap
 
 
 @dataclass
@@ -81,10 +82,7 @@ def extension_groups(parent, pts):
     rows = red[out_idx]
     lead = gf.leading_coeff(rows, q)
     normed = (rows * gf.inv_table(q)[lead][:, None]) % q
-    width = normed.shape[1]
-    if q**width > np.iinfo(np.int64).max:
-        raise TooLarge(f"residues of M_{parent.n}(F_{q}) do not pack into int64")
-    sig = normed @ (q ** np.arange(width - 1, -1, -1, dtype=np.int64))
+    sig = encode_rows(normed[:, ::-1], q)
     _, first, child = np.unique(sig, return_index=True, return_inverse=True)
     return _Extension(inside_idx, out_idx, child, out_idx[first], lead)
 
@@ -216,12 +214,9 @@ def iter_spread_sets(space, k):
             yield from dfs([], G)
 
 
-def find_spread_sets(space, k, classes=True):
-    """k-dimensional nonsingular subspaces, up to equivalence by default."""
-    found = list(iter_spread_sets(space, k))
-    if not classes:
-        return found
-    return equivalence_classes(found)
+def find_spread_sets(space, k):
+    """k-dimensional nonsingular subspaces, up to equivalence."""
+    return equivalence_classes(iter_spread_sets(space, k))
 
 
 def contains_partial_spread(space, k):
@@ -347,7 +342,7 @@ def spread_sets_by_rank(q, n, R, prune=None, progress=None):
 
     spread_sets = []
     for space in current:
-        spread_sets.extend(find_spread_sets(space, n, classes=False))
+        spread_sets.extend(iter_spread_sets(space, n))
     final = equivalence_classes(spread_sets)
     report.extra["spread_set_classes"] = len(final)
     report.outcome = "classified"
@@ -360,43 +355,20 @@ def spread_sets_by_rank(q, n, R, prune=None, progress=None):
 # ---------------------------------------------------------------------------
 
 
-def _process_parent(parent, pts, mode, n, R):
-    """One parent's kept children at a raw level, with their rank-one scores.
+def _process_parent(parent, pts, least):
+    """One parent's children at a raw level whose rank-one score reaches least.
 
-    A child's score is the dimension of the span of its rank-one points:
-    "filter" keeps the children scoring at least n, "final" those scoring R
-    (spanned by rank ones), and the plain modes keep every child ("plain"
-    without scores).  Returns (child spans, kept children, their scores).
+    A child's score is the dimension of the span of its rank-one points, at
+    most the child's dimension, so least = dim keeps the children spanned by
+    rank ones and least = 0 keeps every child.  Returns (child spans, kept
+    children in child order, their scores).
     """
     ext = extension_groups(parent, pts)
-    spans = len(ext.group_reps)
-    if mode == "plain":
-        return spans, [parent.extend(pts.flat[i]) for i in ext.group_reps], []
     base_rank, extras = _rank_one_profile(parent, ext, pts)
     scores = base_rank + extras
-    if mode == "filter":
-        keep = np.nonzero(scores >= n)[0]
-    elif mode == "final":
-        keep = np.nonzero(scores == R)[0]
-    else:
-        keep = np.arange(spans)
+    keep = np.nonzero(scores >= least)[0]
     children = [parent.extend(pts.flat[ext.group_reps[i]]) for i in keep]
-    return spans, children, scores[keep].tolist()
-
-
-def _level_mode(dim, R, n, prune_ok, stop_at_witness):
-    """How disprove_rank treats the level of the given dimension."""
-    if dim == R:
-        return "final"
-    if dim <= 2 * n - 2:
-        return "reduce"
-    if prune_ok and dim == 2 * n - 1:
-        return "filter"
-    if stop_at_witness and dim == R - 1:
-        # richest rank-one content first, so the final level meets spanned
-        # spaces early
-        return "plain-ordered"
-    return "plain"
+    return len(ext.group_reps), children, scores[keep].tolist()
 
 
 def _rank_one_basis(space, pts):
@@ -429,13 +401,13 @@ def _diag_probe(space, R, pts):
         return probe if _rank_one_spanned(probe, pts) else None
     if probe.dim == R - 2:
         # the most rank-one-rich children first, capped
-        _, children, scores = _process_parent(probe, pts, "plain-ordered", n, R)
+        _, children, scores = _process_parent(probe, pts, 0)
         order = np.argsort(-np.array(scores, dtype=np.int64), kind="stable")[:64]
         candidates = [children[i] for i in order]
     else:
         candidates = [probe]
     for cand in candidates:
-        _, spanned, _ = _process_parent(cand, pts, "final", n, R)
+        _, spanned, _ = _process_parent(cand, pts, R)
         if spanned:
             return spanned[0]
     return None
@@ -470,12 +442,12 @@ class _Checkpoint:
             return None, "parameters differ"
         return data, None
 
-    def save(self, builder, force=False):
+    def save(self, builder):
         """Write a snapshot; builder is only invoked when a write happens."""
         if self.path is None:
             return
         now = time.time()
-        if not force and now - self._last < self.interval:
+        if now - self._last < self.interval:
             return
         payload = builder()
         payload["version"] = CHECKPOINT_VERSION
@@ -598,8 +570,8 @@ def disprove_rank(
     try:
         while dim < R:
             dim += 1
-            mode = _level_mode(dim, R, n, prune_ok, stop_at_witness)
-            if mode == "reduce":
+            final = dim == R
+            if dim <= 2 * n - 2 and not final:
                 # per-parent stabilizer orbits pre-reduce the children, then
                 # one global reduction under the full automorphism group
                 children, _ = _orbit_children(current, pts, stabilizer)
@@ -609,25 +581,30 @@ def disprove_rank(
                     progress(report.levels[-1])
                 continue
 
-            # raw level: kept children (the final level keeps its first
-            # witness only) and, when ordering, their rank-one scores
+            # raw level: keep the children whose rank-one score reaches least
+            # (n at the filter level, R at the final one, which keeps only its
+            # first witness).  With stop_at_witness the level before the final
+            # one is ordered richest first, so spanned spaces come early; at
+            # R = 2n that level is the filter level, which keeps scan order.
+            filtering = prune_ok and dim == 2 * n - 1 and not final
+            least = R if final else n if filtering else 0
+            ordered = stop_at_witness and dim == R - 1 and not filtering
             counts, kept, scores, pos = {"spaces": 0, "good": 0}, [], [], 0
             if resume is not None:
                 counts, pos, scores = resume["counts"], resume["parents_done"], resume["scores"]
                 kept = [MatSpace.from_encodings(q, n, e) for e in resume["kept"]]
                 current = [MatSpace.from_encodings(q, n, e) for e in resume["parents"]]
                 resume = None
-            stop_early = mode == "final" and stop_at_witness
-            while pos < len(current) and not (stop_early and kept):
+            while pos < len(current) and not (final and stop_at_witness and kept):
                 chunk = current[pos : pos + _CHUNK]
                 for parent in chunk:
-                    spans, children, child_scores = _process_parent(parent, pts, mode, n, R)
+                    spans, children, child_scores = _process_parent(parent, pts, least)
                     counts["spaces"] += spans
                     counts["good"] += len(children)
                     kept.extend(children)
-                    if mode == "plain-ordered":
+                    if ordered:
                         scores.extend(child_scores)
-                if mode == "final":
+                if final:
                     del kept[1:]
                 pos += len(chunk)
 
@@ -654,14 +631,14 @@ def disprove_rank(
 
             entry = {"dim": dim, "spaces": counts["spaces"]}
             report.levels.append(entry)
-            if mode == "final":
+            if final:
                 entry["witnesses"] = counts["good"]
                 if kept:
                     report.witness = _witness_rank_ones(kept[0], pts)
                 break
-            if mode == "filter":
+            if filtering:
                 entry["survivors"] = counts["good"]
-            if mode == "plain-ordered":
+            if ordered:
                 # stable: equal scores keep the scan order
                 order = np.argsort(-np.array(scores, dtype=np.int64), kind="stable")
                 kept = [kept[i] for i in order]
@@ -683,7 +660,7 @@ def disprove_rank(
 def _witness_rank_ones(space, pts):
     """An independent rank-one spanning list for a rank-one spanned space."""
     rows = _rank_one_basis(space, pts)
-    return [encode(r.reshape(space.n, space.n), space.q) for r in rows]
+    return encode_rows(rows, space.q).tolist()
 
 
 def tensor_rank(spread, aut=None, max_R=None, progress=None):
@@ -699,11 +676,7 @@ def tensor_rank(spread, aut=None, max_R=None, progress=None):
     q, n = space.q, space.n
     if aut is None:
         aut = automorphism_group(space)
-    if isinstance(spread, SpreadSet):
-        hyper = spread.hypercube()
-    else:
-        hyper = np.stack(space.matrices())
-    lower = max(genbound(hyper, q), n)
+    lower = max(genbound(hypercube_from_spreadset(spread), q), n)
     cap = max_R if max_R is not None else 4 * n
     reports = []
     for target in range(lower, cap + 1):

@@ -25,6 +25,14 @@ def test_matspace_canonical_equality():
     assert s1.dim == 4
 
 
+def test_matspace_from_matrices_zero_space_and_shape_check():
+    zero = algebra.MatSpace.from_matrices(2, 4, [])
+    assert zero.dim == 0 and zero.encodings() == []
+    assert not zero.contains(np.eye(4, dtype=np.uint8))
+    with pytest.raises(DimensionMismatch):
+        algebra.MatSpace.from_matrices(2, 2, [np.eye(3, dtype=np.uint8)] * 4)
+
+
 def test_matspace_membership_and_extend():
     space = algebra.MatSpace.from_encodings(2, 4, F16_BASIS)
     assert space.contains(np.eye(4, dtype=np.uint8))

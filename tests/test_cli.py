@@ -154,3 +154,57 @@ def test_unknown_option_exit_2(capsys):
                        "--workers", "2")
     assert code == 2
     assert "unrecognized arguments: --workers 2" in err
+
+
+def test_verify_singular_spread_set_is_refuted(capsys, tmp_path):
+    spread = tmp_path / "singular.txt"
+    spread.write_text("2 2\n9\n6\n")  # I plus the swap matrix is the all-ones matrix
+    code, out, err = run(capsys, "verify", "--spreadset", str(spread))
+    assert (code, out.strip(), err) == (1, "singular", "")
+    code, out, _ = run(capsys, "verify", "--spreadset", str(spread), "--json")
+    assert code == 1 and json.loads(out) == {"verified": False, "reason": "singular"}
+
+
+def test_verify_dependent_spread_set_basis_is_a_usage_error(capsys, tmp_path):
+    spread = tmp_path / "dependent.txt"
+    spread.write_text("2 2\n9\n9\n")
+    code, out, err = run(capsys, "verify", "--spreadset", str(spread))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "dimension 1" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "codes"])
+@pytest.mark.parametrize(
+    "decomp, message",
+    [
+        pytest.param("2 3 1\n1\n", "n=3", id="wrong-n"),
+        # the F16 witness read over F_3
+        pytest.param("3 4 9\n85\n8738\n57582\n32896\n1632\n3072\n30576\n53261\n4096\n",
+                     "q=3", id="wrong-q"),
+    ],
+)
+def test_decomposition_over_another_q_or_n_is_a_usage_error(
+    capsys, tmp_path, command, decomp, message
+):
+    spread = tmp_path / "f16.txt"
+    run(capsys, "atlas", "export", "F16", "--output", str(spread))
+    path = tmp_path / "decomp.txt"
+    path.write_text(decomp)
+    code, out, err = run(capsys, command, "--spreadset", str(spread), "--decomp", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_empty_decomposition(capsys, tmp_path):
+    spread = tmp_path / "f16.txt"
+    run(capsys, "atlas", "export", "F16", "--output", str(spread))
+    empty = tmp_path / "empty.txt"
+    empty.write_text("2 4 0\n")
+    code, out, _ = run(capsys, "verify", "--spreadset", str(spread), "--decomp", str(empty),
+                       "--json")
+    assert code == 1
+    assert json.loads(out) == {"verified": False, "reason": "span does not contain the spread set",
+                               "R": 0}
+    code, out, err = run(capsys, "codes", "--spreadset", str(spread), "--decomp", str(empty))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "not contained" in err

@@ -41,6 +41,17 @@ def test_round_trip_random_n4():
         assert np.array_equal(codec.decode(codec.encode(M, q), q, 4), M % q)
 
 
+def test_encode_rows_matches_encode_along_the_last_axis():
+    rng = np.random.default_rng(2)
+    for q, n in ((2, 4), (3, 4), (5, 3)):
+        mats = rng.integers(0, q, (3, 5, n, n))
+        got = codec.encode_rows(mats.reshape(3, 5, n * n), q)
+        assert got.dtype == np.int64 and got.shape == (3, 5)
+        assert got.tolist() == [[codec.encode(M, q) for M in row] for row in mats]
+    with pytest.raises(EncodingOverflow):
+        codec.encode_rows(np.zeros((1, 64), dtype=np.uint8), 2)
+
+
 def test_decode_overflow():
     with pytest.raises(EncodingOverflow):
         codec.decode(2**16, 2, 4)

@@ -396,7 +396,7 @@ def test_constraint_matrix_matches_kron(q, n):
 
 def oracle_conjugating(cands, u_mats, V_space, q):
     """Oracle: one rank batch, then one inverse and one membership test per
-    candidate."""
+    candidate; the passing candidates as a (k, n, n) uint8 stack."""
     n = cands.shape[-1]
     good = []
     invertible = gf.rank_batch(cands, q) == n
@@ -408,7 +408,7 @@ def oracle_conjugating(cands, u_mats, V_space, q):
         images = np.stack([(A @ bm @ A_inv) % q for bm in u_mats])
         if V_space.contains_batch(images.reshape(len(u_mats), -1)).all():
             good.append(A.astype(np.uint8))
-    return good
+    return np.array(good, dtype=np.uint8).reshape(-1, n, n)
 
 
 def oracle_automorphism_group(space):

@@ -211,6 +211,76 @@ def test_disprove_rank_finds_rank8_witnesses():
         assert ok and len(rep.witness) == 8
 
 
+# (field, R, stop_at_witness, diagonal probe on, outcome, levels, witness),
+# frozen from the runs before every raw level kept the children whose
+# rank-one score reaches a threshold.  Between them they cover reduce,
+# filter, plain, ordered and final levels; with the probe off, F8 R=6 runs
+# its filter level as level R - 1 and R=7 its ordered level up to a witness.
+FROZEN_RUNS = [
+    ("F4", 3, True, True, "witness", [], [8, 1, 15]),
+    ("F4", 3, False, True, "witness", [{"dim": 3, "spaces": 3, "witnesses": 3}], [8, 1, 15]),
+    ("F4", 4, True, True, "witness", [], [8, 4, 2, 1]),
+    ("F4", 4, False, True, "witness",
+     [{"dim": 3, "spaces": 3, "survivors": 3}, {"dim": 4, "spaces": 3, "witnesses": 3}],
+     [8, 4, 2, 1]),
+    ("F4", 5, True, True, "exhausted",
+     [{"dim": 3, "spaces": 3}, {"dim": 4, "spaces": 3}, {"dim": 5, "spaces": 0, "witnesses": 0}],
+     None),
+    ("F4", 5, False, True, "exhausted",
+     [{"dim": 3, "spaces": 3}, {"dim": 4, "spaces": 3}, {"dim": 5, "spaces": 0, "witnesses": 0}],
+     None),
+    ("F8", 5, True, True, "exhausted",
+     [{"dim": 4, "classes": 1}, {"dim": 5, "spaces": 30, "witnesses": 0}], None),
+    ("F8", 5, False, True, "exhausted",
+     [{"dim": 4, "classes": 1}, {"dim": 5, "spaces": 30, "witnesses": 0}], None),
+    ("F8", 6, True, True, "witness", [], [256, 16, 432, 1, 195, 63]),
+    ("F8", 6, False, True, "witness",
+     [{"dim": 4, "classes": 1}, {"dim": 5, "spaces": 30, "survivors": 12},
+      {"dim": 6, "spaces": 180, "witnesses": 27}],
+     [256, 432, 2, 45, 195, 511]),
+    ("F8", 6, True, False, "witness",
+     [{"dim": 4, "classes": 1}, {"dim": 5, "spaces": 30, "survivors": 12},
+      {"dim": 6, "spaces": 60, "witnesses": 9}],
+     [256, 432, 2, 45, 195, 511]),
+    ("F8", 7, True, True, "witness", [], [256, 128, 32, 16, 1, 365, 195]),
+    ("F8", 7, False, True, "witness",
+     [{"dim": 4, "classes": 1}, {"dim": 5, "spaces": 30}, {"dim": 6, "spaces": 450},
+      {"dim": 7, "spaces": 3150, "witnesses": 2610}],
+     [256, 128, 32, 16, 1, 365, 195]),
+    ("F8", 7, True, False, "witness",
+     [{"dim": 4, "classes": 1}, {"dim": 5, "spaces": 30}, {"dim": 6, "spaces": 450},
+      {"dim": 7, "spaces": 28, "witnesses": 28}],
+     [256, 128, 32, 16, 1, 365, 195]),
+    ("F8", 8, True, True, "witness",
+     [{"dim": 4, "classes": 1}, {"dim": 5, "spaces": 30}, {"dim": 6, "spaces": 450},
+      {"dim": 7, "spaces": 3150}, {"dim": 8, "spaces": 12, "witnesses": 12}],
+     [256, 128, 64, 32, 16, 2, 1, 45]),
+    ("F8", 8, False, True, "witness",
+     [{"dim": 4, "classes": 1}, {"dim": 5, "spaces": 30}, {"dim": 6, "spaces": 450},
+      {"dim": 7, "spaces": 3150}, {"dim": 8, "spaces": 9450, "witnesses": 9450}],
+     [256, 128, 64, 32, 16, 2, 1, 45]),
+]
+
+
+@pytest.mark.parametrize(
+    "field, R, stop_at_witness, probe, outcome, levels, witness",
+    FROZEN_RUNS,
+    ids=[f"{r[0]}-R{r[1]}-{'stop' if r[2] else 'all'}{'' if r[3] else '-noprobe'}"
+         for r in FROZEN_RUNS],
+)
+def test_disprove_rank_matches_frozen_runs(
+    monkeypatch, field, R, stop_at_witness, probe, outcome, levels, witness
+):
+    spread = {
+        "F4": algebra.field_construct(2, 2, (1, 1, 1)),
+        "F8": algebra.field_construct(2, 3),
+    }[field]
+    if not probe:
+        monkeypatch.setattr(search, "_diag_probe", lambda space, R, pts: None)
+    rep = search.disprove_rank(spread, R, stop_at_witness=stop_at_witness)
+    assert (rep.outcome, rep.levels, rep.witness) == (outcome, levels, witness)
+
+
 @functools.lru_cache(maxsize=None)
 def uninterrupted(n, R, stop_at_witness):
     return search.disprove_rank(
@@ -388,6 +458,39 @@ def test_raw_level_kernels_match_per_child_oracles(name):
         assert np.array_equal(extras, want_extras)
 
 
+def oracle_process_parent(parent, pts, mode, n, R):
+    """Oracle: the raw-level kernel that branched on a level kind, before
+    every level kept the children whose score reaches a threshold."""
+    ext = search.extension_groups(parent, pts)
+    spans = len(ext.group_reps)
+    if mode == "plain":
+        return spans, [parent.extend(pts.flat[i]) for i in ext.group_reps], []
+    base_rank, extras = search._rank_one_profile(parent, ext, pts)
+    scores = base_rank + extras
+    if mode == "filter":
+        keep = np.nonzero(scores >= n)[0]
+    elif mode == "final":
+        keep = np.nonzero(scores == R)[0]
+    else:
+        keep = np.arange(spans)
+    children = [parent.extend(pts.flat[ext.group_reps[i]]) for i in keep]
+    return spans, children, scores[keep].tolist()
+
+
+@pytest.mark.parametrize("name", ["full-M2(F2)", "F16", "S1", "F81", "V", "F27"])
+def test_process_parent_matches_level_kind_oracle(name):
+    for parent in kernel_parents(name):
+        pts = search.points_for(parent.q, parent.n)
+        n, R = parent.n, parent.dim + 1  # R: the children's dimension
+        for mode, least in (("plain", 0), ("plain-ordered", 0), ("filter", n), ("final", R)):
+            spans, children, scores = search._process_parent(parent, pts, least)
+            want_spans, want_children, want_scores = oracle_process_parent(parent, pts, mode, n, R)
+            assert spans == want_spans
+            assert [c.key for c in children] == [c.key for c in want_children]
+            if mode != "plain":  # the plain kind did not score
+                assert scores == want_scores
+
+
 def oracle_diag_probe(space, R, pts):
     """Oracle: the diagonal probe with its own scan of the last level, before
     it scored through _process_parent."""
@@ -446,6 +549,8 @@ def test_disprove_rank_checkpoint_records_the_filter_flag(tmp_path):
         search.disprove_rank(f16, 8, checkpoint=str(ckpt), checkpoint_interval=0.0, progress=interrupt)
     state = json.loads(ckpt.read_text())
     assert state["params"]["filter"] is True  # no [8, 4, 5]_2 code exists
+    # dim 7 is both the filter level and level R - 1, and keeps scan order
+    assert state["scores"] == []
     state["params"]["filter"] = False
     ckpt.write_text(json.dumps(state))
     rep = search.disprove_rank(f16, 8, checkpoint=str(ckpt), checkpoint_interval=0.0)
