@@ -59,7 +59,10 @@ def _parse_header(line, want, path):
     parts = line.split()
     if len(parts) != want or not all(p.isdigit() for p in parts):
         raise ParseError(f"bad header in {path!s}", line=1)
-    return [int(p) for p in parts]
+    values = [int(p) for p in parts]
+    if values[0] < 2 or values[1] < 1:
+        raise ParseError(f"header of {path!s} needs q >= 2 and n >= 1", line=1)
+    return values
 
 
 def _parse_body(lines, count, q, n, path):

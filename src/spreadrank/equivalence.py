@@ -91,15 +91,19 @@ def _act_arrays(gA, gB, basis, q):
 # ---------------------------------------------------------------------------
 
 
+def _charpoly_ids(mats, q):
+    """Charpoly id of each matrix of a (B, n, n) stack: the base-q code of
+    its non-leading charpoly coefficients."""
+    return encode_rows(gf.charpoly_batch(mats, q)[:, 1:], q)
+
+
 @lru_cache(maxsize=4)
 def _charpoly_code_table(q, n):
-    """charpoly lookup keyed by integer encoding; only built for q = 2."""
+    """_charpoly_ids of every n x n matrix, indexed by its encoding; only
+    built for q = 2."""
     # row c of the reversed grid holds the base-q digits of c, least first
     digits = gf.coefficient_grid(q, n * n)[:, ::-1]
-    cps = gf.charpoly_batch(digits.reshape(-1, n, n), q)
-    # map distinct rows to small ids
-    _, ids = np.unique(cps, axis=0, return_inverse=True)
-    return ids.astype(np.int16)
+    return _charpoly_ids(digits.reshape(-1, n, n), q)
 
 
 class SpaceData:
@@ -131,12 +135,8 @@ class SpaceData:
     def _cp_of_mats(self, mats):
         if self.q == 2 and self.n <= 4:
             table = _charpoly_code_table(self.q, self.n)
-            codes = encode_rows(mats.reshape(mats.shape[0], -1) % self.q, self.q)
-            return table[codes]
-        # stable id: evaluate the coefficient tuple as a base-(q+1) integer
-        cps = gf.charpoly_batch(mats, self.q)
-        w = np.array([(self.q + 1) ** k for k in range(cps.shape[1])], dtype=np.int64)
-        return (cps.astype(np.int64) % self.q) @ w
+            return table[encode_rows(mats.reshape(mats.shape[0], -1) % self.q, self.q)]
+        return _charpoly_ids(mats, self.q)
 
     @property
     def cp_ids(self):

@@ -3,6 +3,10 @@
 Matrices and vectors are numpy uint8 arrays of residues.  Every operation is
 pure; hot paths have batched variants that vectorise over a leading axis.
 
+Determinants and characteristic polynomials have one kernel, charpoly_batch:
+the division-free Samuelson-Berkowitz recurrence, batched over the stack.
+det_batch reads the determinant off its constant coefficient.
+
 The enumerators of vectors (coefficient_grid), of projective normal forms
 (leading_coeff) and of subspaces in RREF (rref_subspaces) live here, so
 every module that walks F_q^k or its subspaces walks it in the same order.
@@ -11,7 +15,7 @@ every module that walks F_q^k or its subspaces walks it in the same order.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -170,64 +174,16 @@ def _eliminate(A, q, ncols):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _perm_data(k):
-    perms = list(permutations(range(k)))
-    signs = []
-    for p in perms:
-        s = 1
-        for i in range(k):
-            for j in range(i + 1, k):
-                if p[i] > p[j]:
-                    s = -s
-        signs.append(s)
-    return perms, signs
-
-
 def mat_det(M, q):
     """Determinant over F_q."""
     return int(det_batch(np.asarray(M)[None], q)[0])
 
 
 def det_batch(mats, q):
-    """Determinants of a (B, k, k) stack via Leibniz expansion (k <= 4)."""
-    A = np.asarray(mats, dtype=np.int64) % q
-    k = A.shape[-1]
-    if k == 0:
-        return np.ones(A.shape[0], dtype=np.int64)
-    if k > 4:
-        # elimination fallback, one item at a time
-        return np.array([_det_eliminate(m, q) for m in A], dtype=np.int64)
-    perms, signs = _perm_data(k)
-    total = np.zeros(A.shape[0], dtype=np.int64)
-    for p, s in zip(perms, signs):
-        term = A[:, 0, p[0]].copy()
-        for i in range(1, k):
-            term = (term * A[:, i, p[i]]) % q
-        total = (total + s * term) % q
-    return total % q
-
-
-def _det_eliminate(M, q):
-    A = np.asarray(M, dtype=np.int64) % q
-    A = A.copy()
-    n = A.shape[0]
-    inv = inv_table(q)
-    det = 1
-    for c in range(n):
-        hits = np.nonzero(A[c:, c])[0]
-        if hits.size == 0:
-            return 0
-        p = c + int(hits[0])
-        if p != c:
-            A[[c, p]] = A[[p, c]]
-            det = -det
-        det = (det * A[c, c]) % q
-        A[c] = (A[c] * inv[A[c, c]]) % q
-        below = np.nonzero(A[c + 1:, c])[0] + c + 1
-        if below.size:
-            A[below] = (A[below] - np.outer(A[below, c], A[c])) % q
-    return det % q
+    """Determinants of a (B, k, k) stack: (-1)^k times the constant
+    coefficient of charpoly_batch, the one determinant kernel."""
+    k = np.shape(mats)[-1]
+    return (charpoly_batch(mats, q)[:, k].astype(np.int64) * (-1) ** k) % q
 
 
 def mat_inverse(M, q):
@@ -268,34 +224,38 @@ def mat_rank(M, q):
     return int(rank(np.asarray(M), q))
 
 
-@lru_cache(maxsize=None)
-def _principal_subsets(n):
-    return {k: list(combinations(range(n), k)) for k in range(1, n + 1)}
-
-
 def charpoly_batch(mats, q):
     """Characteristic polynomials det(xI - M) for a (B, n, n) stack.
 
     Returns a (B, n + 1) int8 array of coefficients, highest degree first
-    (leading coefficient 1).  Uses sums of principal minors, which stays exact
-    in characteristic 2 and 3 where Leverrier-style division fails.
+    (leading coefficient 1).  This is the one determinant and charpoly
+    kernel: the Samuelson-Berkowitz recurrence, which has no divisions and
+    so stays exact in characteristic 2 and 3.  Step k borders the leading
+    k x k block P with column c, row r and corner a; the charpoly of the
+    bordered block is the Toeplitz convolution of (1, -a, -r c, -r P c,
+    ..., -r P^(k-1) c) with the charpoly of P.
     """
     A = np.asarray(mats, dtype=np.int64) % q
     if A.ndim == 2:
         A = A[None]
     nb, n, _ = A.shape
-    out = np.zeros((nb, n + 1), dtype=np.int64)
-    out[:, 0] = 1
-    subsets = _principal_subsets(n)
-    for k in range(1, n + 1):
-        acc = np.zeros(nb, dtype=np.int64)
-        for S in subsets[k]:
-            idx = np.array(S)
-            sub = A[:, idx[:, None], idx[None, :]]
-            acc = (acc + det_batch(sub, q)) % q
-        # coefficient of x^(n-k) is (-1)^k * e_k(principal minors)
-        out[:, k] = (acc * (-1) ** k) % q
-    return out.astype(np.int8)
+    poly = np.ones((nb, 1), dtype=np.int64)
+    for k in range(n):
+        P, row = A[:, :k, :k], A[:, k, :k]
+        col = A[:, :k, k]
+        toeplitz = np.empty((nb, k + 2), dtype=np.int64)
+        toeplitz[:, 0] = 1
+        toeplitz[:, 1] = -A[:, k, k]
+        for j in range(k):
+            if j:
+                col = (P @ col[:, :, None])[:, :, 0] % q
+            toeplitz[:, j + 2] = -(row * col).sum(axis=1)
+        toeplitz %= q
+        nxt = np.zeros((nb, k + 2), dtype=np.int64)
+        for j in range(k + 1):
+            nxt[:, j:] += toeplitz[:, : k + 2 - j] * poly[:, j, None]
+        poly = nxt % q
+    return poly.astype(np.int8)
 
 
 def charpoly(M, q):

@@ -311,9 +311,14 @@ def spread_sets_by_rank(q, n, R, prune=None, progress=None):
     Grows rank-one spanned spaces from the diagonal space one projective
     rank-one point at a time; each level is classified up to equivalence and
     filtered by the prune schedule, and spread sets are extracted at
-    dimension R.
+    dimension R.  n must be at least 1 and R at most n^2 (BadParameters
+    otherwise).
     """
     t0 = time.time()
+    if n < 1:
+        raise BadParameters(f"spread-set dimension must be at least 1, got {n}")
+    if R > n * n:
+        raise BadParameters(f"target dimension {R} exceeds n^2 = {n * n}")
     if prune is None:
         prune = default_prune_schedule(n)
     prune = {d: k for d, k in prune.items() if d <= R}
@@ -500,13 +505,15 @@ def disprove_rank(
     from it and reproduces the levels, outcome and witness of an
     uninterrupted run.  When R = n no level runs, and the outcome says
     whether the input is spanned by rank ones.  An input whose dimension is
-    not n raises BadParameters.
+    not n, or R > n^2, raises BadParameters.
     """
     t0 = time.time()
     space = _input_space(spread)
     q, n = space.q, space.n
     if R < n:
         raise RankExceedsCap("target dimension below the spread-set dimension")
+    if R > n * n:
+        raise BadParameters(f"target dimension {R} exceeds n^2 = {n * n}")
     pts = points_for(q, n)
     report = SearchReport("disprove-rank", q, n)
     report.extra["R"] = R

@@ -110,10 +110,11 @@ def test_criterion_4_bounds():
         e = atlas.atlas_get(name)
         ok &= codes.genbound(e.spread_set().hypercube(), e.q) == 8
     # the code-nonexistence consultation drives the dimension-(2n-1) filter:
-    # with an excluded code the filter stays on, otherwise it is flagged off
+    # with an excluded code the filter stays on ([4,2,3]_2 for F4), otherwise
+    # it is flagged off ([7,3,4]_2, the simplex code, for F8)
     f4 = algebra.field_construct(2, 2, (1, 1, 1))
     on = search.disprove_rank(f4, 4, stop_at_witness=False)
-    off = search.disprove_rank(f4, 5, stop_at_witness=False)
+    off = search.disprove_rank(algebra.field_construct(2, 3), 7)
     ok &= not any(f.startswith("filter-disabled") for f in on.flags)
     ok &= any(f.startswith("filter-disabled") for f in off.flags)
     report(4, ok, "genbound = 8 on every atlas entry; [8,4,5]_3 excluded")

@@ -137,9 +137,19 @@ def test_unknown_atlas_entry_usage_error(capsys):
         pytest.param(["equiv", "one.txt"], "two spread-set files", id="equiv-one-file"),
         pytest.param(["rank", "--spreadset", "/nonexistent/spread.txt"],
                      "No such file", id="spreadset-file-missing"),
+        pytest.param(["verify", "--spreadset", "n0.txt"], "n >= 1", id="verify-header-n-zero"),
+        pytest.param(["equiv", "n0.txt", "n0.txt"], "n >= 1", id="equiv-header-n-zero"),
+        pytest.param(["disprove", "--atlas", "F16", "--rank", "17"], "n^2",
+                     id="disprove-rank-above-n-squared"),
+        pytest.param(["search", "--q", "2", "--n", "0", "--max", "3"], "at least 1",
+                     id="search-n-zero"),
+        pytest.param(["search", "--q", "2", "--n", "2", "--max", "5"], "n^2",
+                     id="search-max-above-n-squared"),
     ],
 )
-def test_malformed_input_is_a_usage_error(capsys, argv, message):
+def test_malformed_input_is_a_usage_error(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "n0.txt").write_text("2 0\n")
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err

@@ -394,6 +394,25 @@ def test_constraint_matrix_matches_kron(q, n):
         assert fast.tobytes() == slow.tobytes()
 
 
+@pytest.mark.parametrize("n, sample", [(3, None), (4, 3000)], ids=["all-3x3", "sample-4x4"])
+def test_charpoly_table_ids_equal_kernel_ids(monkeypatch, n, sample):
+    # one charpoly id: the q = 2 table is a precomputed copy of the kernel's
+    mats = gf.coefficient_grid(2, n * n).astype(np.uint8).reshape(-1, n, n)
+    if sample:
+        mats = mats[np.random.default_rng(n).choice(len(mats), sample, replace=False)]
+    kernel_ids = equivalence._charpoly_ids(mats, 2)
+    data = equivalence.SpaceData(algebra.MatSpace.from_matrices(2, n, [np.eye(n, dtype=np.uint8)]))
+    equivalence._charpoly_code_table(2, n)
+
+    def no_kernel(mats, q):
+        raise AssertionError("the q = 2 path ran the kernel")
+
+    monkeypatch.setattr(gf, "charpoly_batch", no_kernel)
+    table_ids = data._cp_of_mats(mats)
+    assert table_ids.tobytes() == kernel_ids.tobytes()
+    assert len(np.unique(kernel_ids)) == 2**n  # every monic charpoly of degree n occurs
+
+
 def oracle_conjugating(cands, u_mats, V_space, q):
     """Oracle: one rank batch, then one inverse and one membership test per
     candidate; the passing candidates as a (k, n, n) uint8 stack."""

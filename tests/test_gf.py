@@ -1,8 +1,59 @@
+from itertools import combinations, permutations
+
 import numpy as np
 import pytest
 
 from spreadrank import codec, gf
 from spreadrank.errors import NotIrreducible, NotRankOne, SingularMatrix
+
+
+def oracle_det(mats, q):
+    """Leibniz expansion over every permutation, the old determinant."""
+    A = np.asarray(mats, dtype=np.int64) % q
+    k = A.shape[-1]
+    total = np.zeros(A.shape[0], dtype=np.int64)
+    for p in permutations(range(k)):
+        inversions = sum(p[i] > p[j] for i, j in combinations(range(k), 2))
+        term = np.ones(A.shape[0], dtype=np.int64)
+        for i in range(k):
+            term = (term * A[:, i, p[i]]) % q
+        total = (total + (-1) ** inversions * term) % q
+    return total
+
+
+def oracle_charpoly(mats, q):
+    """The coefficient of x^(n-k) is (-1)^k times the sum of the k x k
+    principal minors, the old charpoly."""
+    A = np.asarray(mats, dtype=np.int64) % q
+    nb, n, _ = A.shape
+    out = np.zeros((nb, n + 1), dtype=np.int64)
+    out[:, 0] = 1
+    for k in range(1, n + 1):
+        for S in combinations(range(n), k):
+            idx = np.array(S)
+            out[:, k] += oracle_det(A[:, idx[:, None], idx[None, :]], q)
+        out[:, k] = (out[:, k] * (-1) ** k) % q
+    return out.astype(np.int8)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", range(7))
+def test_charpoly_and_det_kernel_match_oracles(q, n):
+    # n = 5 and 6 are the sizes the old determinant reduced by elimination
+    rng = np.random.default_rng(10 * q + n)
+    mats = rng.integers(0, q, (40, n, n)).astype(np.uint8)
+    if n:
+        mats[::3, -1] = mats[::3, 0] if n > 1 else 0  # singular
+        mats[1] = 0
+    dets = gf.det_batch(mats, q)
+    assert dets.dtype == np.int64
+    assert dets.tobytes() == oracle_det(mats, q).tobytes()
+    if n:
+        assert not dets[::3].any() and dets.any()
+    cps = gf.charpoly_batch(mats, q)
+    assert cps.shape == (40, n + 1)
+    assert cps.tobytes() == oracle_charpoly(mats, q).tobytes()
+    assert [gf.mat_det(M, q) for M in mats[:5]] == dets[:5].tolist()
 
 
 def test_rank_identity_and_zero():

@@ -172,6 +172,17 @@ def test_rank_searches_reject_inputs_of_dimension_other_than_n(monkeypatch, call
         call(space)
 
 
+def test_disprove_rank_rejects_targets_above_n_squared(monkeypatch):
+    # M_n(F_q) itself is spanned by rank ones, so R > n^2 has no exhaustion:
+    # F4 at R = 5 was reported exhausted although its rank is 3
+    def never(space):
+        raise AssertionError("automorphism_group ran before the check")
+
+    monkeypatch.setattr(search, "automorphism_group", never)
+    with pytest.raises(BadParameters, match="n\\^2"):
+        search.disprove_rank(algebra.field_construct(2, 2), 5, stop_at_witness=False)
+
+
 @given(
     st.sampled_from([2, 3]).flatmap(
         lambda q: st.tuples(
@@ -223,12 +234,6 @@ FROZEN_RUNS = [
     ("F4", 4, False, True, "witness",
      [{"dim": 3, "spaces": 3, "survivors": 3}, {"dim": 4, "spaces": 3, "witnesses": 3}],
      [8, 4, 2, 1]),
-    ("F4", 5, True, True, "exhausted",
-     [{"dim": 3, "spaces": 3}, {"dim": 4, "spaces": 3}, {"dim": 5, "spaces": 0, "witnesses": 0}],
-     None),
-    ("F4", 5, False, True, "exhausted",
-     [{"dim": 3, "spaces": 3}, {"dim": 4, "spaces": 3}, {"dim": 5, "spaces": 0, "witnesses": 0}],
-     None),
     ("F8", 5, True, True, "exhausted",
      [{"dim": 4, "classes": 1}, {"dim": 5, "spaces": 30, "witnesses": 0}], None),
     ("F8", 5, False, True, "exhausted",
