@@ -15,13 +15,9 @@ invertible Y, of characteristic-polynomial multisets of S Y^-1 is a full
 G-invariant of S and is compared before any backtracking.
 
 automorphism_group is the same anchored search with S1 = S2 and every
-conjugator kept.  The two anchor rules stay apart: are_equivalent anchors on
-the element whose cpm class (charpoly multiset of S X1^-1) is rarest in S2,
-which leaves the fewest Y to try, while automorphism_group anchors on the
-first projective invertible element and lists the group in the order of its
-Y.  The classes differ (on S1 and S2 the first anchor's has 9 members and
-the rarest 6, on I 8 and 2), so one rule would reorder the group's element
-arrays.
+conjugator kept.  Both anchor on the element of S1 whose cpm class (charpoly
+multiset of S1 X1^-1) is rarest in S2, least index first, which leaves the
+fewest Y to try.
 
 Stabilizer groups act on the projective rank-one points by permutations:
 (A, B) sends u w^T to (A u)(B^T w)^T, so two int16 tables over the
@@ -154,12 +150,7 @@ class SpaceData:
             span_dim = 0
             if r1.size:
                 span_dim = gf.rank(self.elems[r1], self.q)
-            self._fingerprint = (
-                self.space.dim,
-                multiset,
-                int(r1.size) // (self.q - 1),
-                int(span_dim),
-            )
+            self._fingerprint = (self.space.dim, multiset, int(span_dim))
         return self._fingerprint
 
     def invertible_projective(self):
@@ -172,22 +163,25 @@ class SpaceData:
         return idx[lead == 1]
 
     def division_data(self):
-        """(signature, list of (cpm_key, element)) over projective invertible Y.
+        """(signature, list of (cpm_key, element, Y^-1)) over projective
+        invertible Y, with Y^-1 an (n, n) uint8 matrix.
 
         cpm_key is the sorted charpoly multiset of S Y^-1; the signature is
-        the sorted multiset of cpm_keys, a full equivalence invariant.
+        the sorted multiset of cpm_keys, a full equivalence invariant.  One
+        batched inverse covers every Y.
         """
         if self._div_sig is None:
-            mats = self.elems.reshape(-1, self.n, self.n)
+            mats = self.elems.reshape(-1, self.n, self.n).astype(np.int64)
+            idx = self.invertible_projective()
+            inverses = gf.inverse_batch(mats[idx], self.q)[0].astype(np.uint8)
             per_y = []
-            for yi in self.invertible_projective():
-                y_inv = gf.mat_inverse(mats[yi], self.q).astype(np.int64)
-                prods = (mats.astype(np.int64) @ y_inv) % self.q
+            for yi, y_inv in zip(idx.tolist(), inverses):
+                prods = (mats @ y_inv.astype(np.int64)) % self.q
                 ids = self._cp_of_mats(prods)
                 vals, counts = np.unique(ids, return_counts=True)
                 key = tuple(zip(vals.tolist(), counts.tolist()))
-                per_y.append((key, int(yi)))
-            sig = tuple(sorted(k for k, _ in per_y))
+                per_y.append((key, yi, y_inv))
+            sig = tuple(sorted(k for k, _, _ in per_y))
             self._div_sig = (sig, per_y)
         return self._div_sig
 
@@ -271,19 +265,18 @@ def _conjugators(dataU, dataV, find_all):
     q, n = dataU.q, dataU.n
     U_space, V_space = dataU.space, dataV.space
     gens = _unital_generators(U_space)
-    if not gens:
-        if find_all:
-            raise TooLarge("stabilizer of a 1-dimensional unital space")
+    if not gens and not find_all:
         return np.eye(n, dtype=np.uint8)[None]
 
     v_mats = dataV.elems.reshape(-1, n, n).astype(np.int64)
     v_ids = dataV.cp_ids
-    gen_ids = dataU._cp_of_mats(np.stack(gens))
-    by_count = sorted(
-        range(len(gens)), key=lambda i: int((v_ids == gen_ids[i]).sum())
-    )
-    gens = [gens[i] for i in by_count]
-    gen_ids = gen_ids[by_count]
+    if gens:
+        gen_ids = dataU._cp_of_mats(np.stack(gens))
+        by_count = sorted(
+            range(len(gens)), key=lambda i: int((v_ids == gen_ids[i]).sum())
+        )
+        gens = [gens[i] for i in by_count]
+        gen_ids = gen_ids[by_count]
     u_mats = U_space.basis.reshape(-1, n, n).astype(np.int64)
     empty = np.zeros((0, n, n), dtype=np.uint8)
 
@@ -322,27 +315,30 @@ def _right_translate(space, m_inv):
     return MatSpace.from_rows(space.q, n, rows.reshape(-1, n * n))
 
 
-def _anchored_isotopisms(d1, d2, x_idx, find_all):
-    """Isotopisms from S1 to S2 that send the anchor x, element x_idx of S1,
-    into S2, one (A, B) pair of (k, n, n) uint8 stacks per image y.
+def _anchored_isotopisms(d1, d2, find_all):
+    """Isotopisms from S1 to S2 that send the anchor x of S1 into S2, one
+    (A, B) pair of (k, n, n) uint8 stacks per image y.
 
-    The images y are the projective invertible elements of S2 whose cpm key
-    matches x's, in division_data order.  For each, A runs over the
-    conjugators of S1 x^-1 onto S2 y^-1 (all of them with find_all, else the
-    first) and B = (A x)^-1 y, from one batched inverse.
+    The anchor is the projective invertible element of S1 whose cpm key is
+    rarest among those of S2, the least index on ties.  The images y are the
+    projective invertible elements of S2 with x's cpm key, in division_data
+    order.  For each, A runs over the conjugators of S1 x^-1 onto S2 y^-1
+    (all of them with find_all, else the first) and B = (A x)^-1 y, from
+    one batched inverse.
     """
     q, n = d1.q, d1.n
     _, per_y1 = d1.division_data()
     _, per_y2 = d2.division_data()
-    cpm_x = {yi: k for k, yi in per_y1}[x_idx]
+    count2 = Counter(k for k, _, _ in per_y2)
+    cpm_x, x_idx, x_inv = min(per_y1, key=lambda item: (count2[item[0]], item[1]))
     x = d1.elems[x_idx].reshape(n, n).astype(np.int64)
-    dataU = space_data(_right_translate(d1.space, gf.mat_inverse(x, q).astype(np.int64)))
+    dataU = space_data(_right_translate(d1.space, x_inv.astype(np.int64)))
     mats2 = d2.elems.reshape(-1, n, n)
-    for cpm, y_idx in per_y2:
+    for cpm, y_idx, y_inv in per_y2:
         if cpm != cpm_x:
             continue
         y = mats2[y_idx].astype(np.int64)
-        V = _right_translate(d2.space, gf.mat_inverse(y, q).astype(np.int64))
+        V = _right_translate(d2.space, y_inv.astype(np.int64))
         As = _conjugators(dataU, space_data(V), find_all)
         if not len(As):
             continue
@@ -379,15 +375,10 @@ def are_equivalent(s1, s2):
             return None
         return _brute_force_equivalent(s1, s2)
 
-    sig1, per_y1 = d1.division_data()
-    sig2, per_y2 = d2.division_data()
-    if sig1 != sig2:
+    if d1.division_data()[0] != d2.division_data()[0]:
         return None
 
-    # anchor on the S1 side whose cpm is rarest on the S2 side
-    count2 = Counter(k for k, _ in per_y2)
-    _, x_idx = min(per_y1, key=lambda item: (count2[item[0]], item[1]))
-    for As, Bs in _anchored_isotopisms(d1, d2, x_idx, find_all=False):
+    for As, Bs in _anchored_isotopisms(d1, d2, find_all=False):
         witness = Isotopism(As[0], Bs[0], q)
         if act(witness, s1) != s2:
             raise NotContained("equivalence witness does not map s1 onto s2")
@@ -573,12 +564,11 @@ def automorphism_group(space):
         space = space.space
     q, n = space.q, space.n
     data = space_data(space)
-    inv_idx = data.invertible_projective()
-    if inv_idx.size == 0:
+    if data.invertible_projective().size == 0:
         return _brute_force_stabilizer(space)
     units = np.arange(1, q, dtype=np.int64)[None, :, None, None]
     pairs_A, pairs_B = [], []
-    for As, Bs in _anchored_isotopisms(data, data, int(inv_idx[0]), find_all=True):
+    for As, Bs in _anchored_isotopisms(data, data, find_all=True):
         pairs_A.append(np.repeat(As, q - 1, axis=0))
         pairs_B.append((Bs[:, None] * units % q).reshape(-1, n, n).astype(np.uint8))
     return StabilizerGroup(q, n, np.concatenate(pairs_A), np.concatenate(pairs_B), space)

@@ -26,7 +26,6 @@ merging.  Classified levels count equivalence classes.
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import time
@@ -418,7 +417,7 @@ def _diag_probe(space, R, pts):
     return None
 
 
-CHECKPOINT_VERSION = 2  # snapshot layout; files of any other version are ignored
+CHECKPOINT_VERSION = 2  # snapshot layout; files of any other version are refused
 _CHUNK = 4  # parents per raw-level step: the unit of snapshots and progress
 
 
@@ -431,21 +430,25 @@ class _Checkpoint:
         self._last = time.time()
 
     def load(self, params):
-        """(snapshot, None) when the file resumes a run with these params;
-        (None, why it is ignored) for any other file; (None, None) without one."""
+        """The snapshot when the file resumes a run with these params, None
+        without a file.  Any other file raises BadParameters and is left as
+        it is."""
         if self.path is None or not os.path.exists(self.path):
-            return None, None
+            return None
         try:
             with open(self.path) as fh:
                 data = json.load(fh)
         except (OSError, ValueError) as exc:
-            return None, f"unreadable ({type(exc).__name__})"
-        if not isinstance(data, dict) or data.get("version") != CHECKPOINT_VERSION:
+            why = f"unreadable ({type(exc).__name__})"
+        else:
             version = data.get("version") if isinstance(data, dict) else None
-            return None, f"version {version!r}, expected {CHECKPOINT_VERSION}"
-        if data.get("params") != params:
-            return None, "parameters differ"
-        return data, None
+            if version != CHECKPOINT_VERSION:
+                why = f"version {version!r}, expected {CHECKPOINT_VERSION}"
+            elif data.get("params") != params:
+                why = "parameters differ"
+            else:
+                return data
+        raise BadParameters(f"checkpoint {self.path} is not a snapshot of this run: {why}")
 
     def save(self, builder):
         """Write a snapshot; builder is only invoked when a write happens."""
@@ -503,7 +506,8 @@ def disprove_rank(
     checkpoint path, each step may save a snapshot, and a run started again
     with the same spread set, R, stop_at_witness and filter setting resumes
     from it and reproduces the levels, outcome and witness of an
-    uninterrupted run.  When R = n no level runs, and the outcome says
+    uninterrupted run; any other file at that path raises BadParameters and
+    is left as it is.  When R = n no level runs, and the outcome says
     whether the input is spanned by rank ones.  An input whose dimension is
     not n, or R > n^2, raises BadParameters.
     """
@@ -546,9 +550,7 @@ def disprove_rank(
         "filter": prune_ok,
     }
     ckpt = _Checkpoint(checkpoint, checkpoint_interval)
-    resume, ignored = ckpt.load(params)
-    if ignored:
-        report.flags.append(f"checkpoint-ignored: {ignored}")
+    resume = ckpt.load(params)
 
     if stop_at_witness and resume is None:
         hit = _diag_probe(space, R, pts)
@@ -569,94 +571,83 @@ def disprove_rank(
     def stabilizer(parent):
         return aut if parent is space else aut.stabilizer_of_space(parent)
 
-    # the scans keep hundreds of thousands of small immutable objects alive;
-    # generational GC sweeps dominate unless collection is deferred to level
-    # boundaries (the space graph is cycle-free)
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        while dim < R:
-            dim += 1
-            final = dim == R
-            if dim <= 2 * n - 2 and not final:
-                # per-parent stabilizer orbits pre-reduce the children, then
-                # one global reduction under the full automorphism group
-                children, _ = _orbit_children(current, pts, stabilizer)
-                current = equivalence_classes(children, group=aut)
-                report.levels.append({"dim": dim, "classes": len(current)})
-                if progress:
-                    progress(report.levels[-1])
-                continue
-
-            # raw level: keep the children whose rank-one score reaches least
-            # (n at the filter level, R at the final one, which keeps only its
-            # first witness).  With stop_at_witness the level before the final
-            # one is ordered richest first, so spanned spaces come early; at
-            # R = 2n that level is the filter level, which keeps scan order.
-            filtering = prune_ok and dim == 2 * n - 1 and not final
-            least = R if final else n if filtering else 0
-            ordered = stop_at_witness and dim == R - 1 and not filtering
-            counts, kept, scores, pos = {"spaces": 0, "good": 0}, [], [], 0
-            if resume is not None:
-                counts, pos, scores = resume["counts"], resume["parents_done"], resume["scores"]
-                kept = [MatSpace.from_encodings(q, n, e) for e in resume["kept"]]
-                current = [MatSpace.from_encodings(q, n, e) for e in resume["parents"]]
-                resume = None
-            while pos < len(current) and not (final and stop_at_witness and kept):
-                chunk = current[pos : pos + _CHUNK]
-                for parent in chunk:
-                    spans, children, child_scores = _process_parent(parent, pts, least)
-                    counts["spaces"] += spans
-                    counts["good"] += len(children)
-                    kept.extend(children)
-                    if ordered:
-                        scores.extend(child_scores)
-                if final:
-                    del kept[1:]
-                pos += len(chunk)
-
-                def snapshot():
-                    return {
-                        "params": params,
-                        "levels": report.levels + [{"dim": dim, "partial": True, **counts}],
-                        "dim": dim,
-                        "parents_done": pos,
-                        "counts": counts,
-                        "kept": [s.encodings() for s in kept],
-                        "scores": scores,
-                        "parents": [s.encodings() for s in current],
-                    }
-
-                ckpt.save(snapshot)
-                if progress:
-                    progress({
-                        "dim": dim,
-                        "parents_done": pos,
-                        "parents_total": len(current),
-                        **counts,
-                    })
-
-            entry = {"dim": dim, "spaces": counts["spaces"]}
-            report.levels.append(entry)
-            if final:
-                entry["witnesses"] = counts["good"]
-                if kept:
-                    report.witness = _witness_rank_ones(kept[0], pts)
-                break
-            if filtering:
-                entry["survivors"] = counts["good"]
-            if ordered:
-                # stable: equal scores keep the scan order
-                order = np.argsort(-np.array(scores, dtype=np.int64), kind="stable")
-                kept = [kept[i] for i in order]
-            current = kept
-            gc.collect()
+    while dim < R:
+        dim += 1
+        final = dim == R
+        if dim <= 2 * n - 2 and not final:
+            # per-parent stabilizer orbits pre-reduce the children, then
+            # one global reduction under the full automorphism group
+            children, _ = _orbit_children(current, pts, stabilizer)
+            current = equivalence_classes(children, group=aut)
+            report.levels.append({"dim": dim, "classes": len(current)})
             if progress:
-                progress(entry)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-        gc.collect()
+                progress(report.levels[-1])
+            continue
+
+        # raw level: keep the children whose rank-one score reaches least
+        # (n at the filter level, R at the final one, which keeps only its
+        # first witness).  With stop_at_witness the level before the final
+        # one is ordered richest first, so spanned spaces come early; at
+        # R = 2n that level is the filter level, which keeps scan order.
+        filtering = prune_ok and dim == 2 * n - 1 and not final
+        least = R if final else n if filtering else 0
+        ordered = stop_at_witness and dim == R - 1 and not filtering
+        counts, kept, scores, pos = {"spaces": 0, "good": 0}, [], [], 0
+        if resume is not None:
+            counts, pos, scores = resume["counts"], resume["parents_done"], resume["scores"]
+            kept = [MatSpace.from_encodings(q, n, e) for e in resume["kept"]]
+            current = [MatSpace.from_encodings(q, n, e) for e in resume["parents"]]
+            resume = None
+        while pos < len(current) and not (final and stop_at_witness and kept):
+            chunk = current[pos : pos + _CHUNK]
+            for parent in chunk:
+                spans, children, child_scores = _process_parent(parent, pts, least)
+                counts["spaces"] += spans
+                counts["good"] += len(children)
+                kept.extend(children)
+                if ordered:
+                    scores.extend(child_scores)
+            if final:
+                del kept[1:]
+            pos += len(chunk)
+
+            def snapshot():
+                return {
+                    "params": params,
+                    "levels": report.levels + [{"dim": dim, "partial": True, **counts}],
+                    "dim": dim,
+                    "parents_done": pos,
+                    "counts": counts,
+                    "kept": [s.encodings() for s in kept],
+                    "scores": scores,
+                    "parents": [s.encodings() for s in current],
+                }
+
+            ckpt.save(snapshot)
+            if progress:
+                progress({
+                    "dim": dim,
+                    "parents_done": pos,
+                    "parents_total": len(current),
+                    **counts,
+                })
+
+        entry = {"dim": dim, "spaces": counts["spaces"]}
+        report.levels.append(entry)
+        if final:
+            entry["witnesses"] = counts["good"]
+            if kept:
+                report.witness = _witness_rank_ones(kept[0], pts)
+            break
+        if filtering:
+            entry["survivors"] = counts["good"]
+        if ordered:
+            # stable: equal scores keep the scan order
+            order = np.argsort(-np.array(scores, dtype=np.int64), kind="stable")
+            kept = [kept[i] for i in order]
+        current = kept
+        if progress:
+            progress(entry)
 
     report.outcome = "witness" if report.witness else "exhausted"
     report.wall_time = time.time() - t0
@@ -670,7 +661,7 @@ def _witness_rank_ones(space, pts):
     return encode_rows(rows, space.q).tolist()
 
 
-def tensor_rank(spread, aut=None, max_R=None, progress=None):
+def tensor_rank(spread, max_R=None, progress=None):
     """Exact tensor rank of a spread set, with a rank-one witness list.
 
     Runs the exhaustion search at increasing target dimensions starting from
@@ -681,8 +672,7 @@ def tensor_rank(spread, aut=None, max_R=None, progress=None):
 
     space = _input_space(spread)
     q, n = space.q, space.n
-    if aut is None:
-        aut = automorphism_group(space)
+    aut = automorphism_group(space)
     lower = max(genbound(hypercube_from_spreadset(spread), q), n)
     cap = max_R if max_R is not None else 4 * n
     reports = []

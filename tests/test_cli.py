@@ -99,6 +99,23 @@ def test_disprove_small(capsys, tmp_path):
     assert data["outcome"] == "witness"
 
 
+def test_rank_one_dimensional_spread_set(capsys, tmp_path):
+    spread = tmp_path / "f3.txt"
+    spread.write_text("3 1\n1\n")
+    code, out, _ = run(capsys, "rank", "--spreadset", str(spread))
+    assert (code, out.strip()) == (0, "1")
+
+
+def test_disprove_refuses_a_checkpoint_path_holding_another_file(capsys, tmp_path):
+    notes = tmp_path / "notes.txt"
+    notes.write_text("notes\n")
+    code, out, err = run(capsys, "disprove", "--atlas", "F16", "--rank", "8",
+                         "--checkpoint", str(notes), "--checkpoint-interval", "0")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: checkpoint {notes} is not a snapshot")
+    assert notes.read_text() == "notes\n"
+
+
 def test_search_small(capsys):
     code, out, _ = run(capsys, "search", "--q", "2", "--n", "2", "--max", "3",
                        "--json")

@@ -430,20 +430,20 @@ def oracle_conjugating(cands, u_mats, V_space, q):
     return np.array(good, dtype=np.uint8).reshape(-1, n, n)
 
 
-def oracle_automorphism_group(space):
-    """Oracle: automorphism_group with one inverse per conjugator and one B
-    per (conjugator, unit)."""
+def oracle_automorphism_group(space, x_idx):
+    """Oracle: automorphism_group anchored on element x_idx, with one
+    mat_inverse per anchor, y and conjugator and one B per (conjugator,
+    unit)."""
     q, n = space.q, space.n
     data = equivalence.space_data(space)
     mats = data.elems.reshape(-1, n, n)
     _, per_y = data.division_data()
-    x_idx = int(data.invertible_projective()[0])
-    cpm_x = {yi: k for k, yi in per_y}[x_idx]
+    cpm_x = {yi: k for k, yi, _ in per_y}[x_idx]
     x1 = mats[x_idx].astype(np.int64)
     U = equivalence._right_translate(space, gf.mat_inverse(x1, q).astype(np.int64))
     dataU = equivalence.space_data(U)
     pairs_A, pairs_B = [], []
-    for cpm2, y_idx in per_y:
+    for cpm2, y_idx, _ in per_y:
         if cpm2 != cpm_x:
             continue
         y = mats[y_idx].astype(np.int64)
@@ -464,10 +464,30 @@ def test_automorphism_group_matches_per_candidate_oracle(name, monkeypatch):
     space = atlas.atlas_get(name).space()
     fast = equivalence.automorphism_group(space)
     monkeypatch.setattr(equivalence, "_conjugating", oracle_conjugating)
-    A, B = oracle_automorphism_group(space)
+    data = equivalence.space_data(space)
+    _, per_y = data.division_data()
+    count = Counter(k for k, _, _ in per_y)
+    rarest = min(per_y, key=lambda item: (count[item[0]], item[1]))[1]
+    A, B = oracle_automorphism_group(space, rarest)
     for got, want in ((fast.A, A), (fast.B, B)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+    # the group the first anchor gives, in another order
+    A, B = oracle_automorphism_group(space, int(data.invertible_projective()[0]))
+    as_set = lambda gA, gB: {a.tobytes() + b.tobytes() for a, b in zip(gA, gB)}
+    assert len(A) == fast.order
+    assert as_set(A, B) == as_set(fast.A, fast.B)
+
+
+@pytest.mark.parametrize("name", ["F16", "S1", "F81", "I"])
+def test_division_data_keeps_the_inverse_of_each_element(name):
+    data = equivalence.space_data(atlas.atlas_get(name).space())
+    n, q = data.n, data.q
+    _, per_y = data.division_data()
+    assert [yi for _, yi, _ in per_y] == data.invertible_projective().tolist()
+    for _, yi, y_inv in per_y:
+        want = gf.mat_inverse(data.elems[yi].reshape(n, n), q)
+        assert y_inv.dtype == want.dtype and y_inv.tobytes() == want.tobytes()
 
 
 def test_are_equivalent_witness_matches_per_candidate_oracle(monkeypatch):
@@ -493,14 +513,14 @@ def oracle_are_equivalent(s1, s2):
     d1, d2 = equivalence.space_data(s1), equivalence.space_data(s2)
     _, per_y1 = d1.division_data()
     _, per_y2 = d2.division_data()
-    count2 = Counter(k for k, _ in per_y2)
-    cpm1, x_idx = min(per_y1, key=lambda item: (count2[item[0]], item[1]))
+    count2 = Counter(k for k, _, _ in per_y2)
+    cpm1, x_idx, _ = min(per_y1, key=lambda item: (count2[item[0]], item[1]))
     mats1 = d1.elems.reshape(-1, n, n)
     mats2 = d2.elems.reshape(-1, n, n)
     x1 = mats1[x_idx].astype(np.int64)
     U = equivalence._right_translate(s1, gf.mat_inverse(x1, q).astype(np.int64))
     dataU = equivalence.space_data(U)
-    for cpm2, y_idx in per_y2:
+    for cpm2, y_idx, _ in per_y2:
         if cpm2 != cpm1:
             continue
         y = mats2[y_idx].astype(np.int64)
@@ -558,9 +578,9 @@ def isotopisms_2x2(q):
 fields = st.sampled_from([2, 3])
 
 
-@given(fields.flatmap(lambda q: st.integers(2, 4).flatmap(lambda k: spaces_2x2(q, k))))
+@given(fields.flatmap(lambda q: st.integers(1, 4).flatmap(lambda k: spaces_2x2(q, k))))
 def test_automorphism_group_equals_brute_force_stabilizer(space):
-    assume(space.dim >= 2)
+    assume(space.dim >= 1)
     assume(equivalence.space_data(space).invertible_projective().size > 0)
     aut = equivalence.automorphism_group(space)
     brute = equivalence._brute_force_stabilizer(space)

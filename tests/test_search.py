@@ -104,6 +104,14 @@ def test_tensor_rank_f4():
     assert codes.brute_force_tensor_rank(f4.hypercube(), 2, 4) == rank
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_tensor_rank_of_a_one_dimensional_spread_set(q):
+    f = algebra.field_construct(q, 1)
+    rank, witness, _ = search.tensor_rank(f)
+    assert (rank, witness) == (1, [1])
+    assert equivalence.automorphism_group(f).order == (q - 1) ** 2
+
+
 def test_tensor_rank_f8():
     f8 = algebra.field_construct(2, 3)
     rank, witness, _ = search.tensor_rank(f8)
@@ -558,9 +566,14 @@ def test_disprove_rank_checkpoint_records_the_filter_flag(tmp_path):
     assert state["scores"] == []
     state["params"]["filter"] = False
     ckpt.write_text(json.dumps(state))
+    before = ckpt.read_bytes()
+    with pytest.raises(BadParameters, match="parameters differ"):
+        search.disprove_rank(f16, 8, checkpoint=str(ckpt), checkpoint_interval=0.0)
+    assert ckpt.read_bytes() == before
+    state["params"]["filter"] = True
+    ckpt.write_text(json.dumps(state))
     rep = search.disprove_rank(f16, 8, checkpoint=str(ckpt), checkpoint_interval=0.0)
-    assert "checkpoint-ignored: parameters differ" in rep.flags
-    assert "resumed-from-checkpoint" not in rep.flags
+    assert "resumed-from-checkpoint" in rep.flags
     assert rep.levels == baseline.levels
     assert rep.outcome == baseline.outcome
 
@@ -577,8 +590,8 @@ def test_disprove_rank_checkpoint_records_the_filter_flag(tmp_path):
     ],
 )
 def test_disprove_rank_flags_ignored_checkpoint(tmp_path, content, reason):
+    """A file that is not a snapshot of this run is refused and kept."""
     f8 = algebra.field_construct(2, 3)
-    baseline = search.disprove_rank(f8, 5, stop_at_witness=False)
     ckpt = tmp_path / "state.json"
     if content is None:
         # a snapshot of the same search with stop_at_witness on
@@ -595,10 +608,10 @@ def test_disprove_rank_flags_ignored_checkpoint(tmp_path, content, reason):
             )
     else:
         ckpt.write_text(content)
-    rep = search.disprove_rank(
-        f8, 5, stop_at_witness=False, checkpoint=str(ckpt), checkpoint_interval=0.0
-    )
-    assert f"checkpoint-ignored: {reason}" in rep.flags
-    assert "resumed-from-checkpoint" not in rep.flags
-    assert rep.levels == baseline.levels
-    assert rep.outcome == baseline.outcome
+    before = ckpt.read_bytes()
+    with pytest.raises(BadParameters) as err:
+        search.disprove_rank(
+            f8, 5, stop_at_witness=False, checkpoint=str(ckpt), checkpoint_interval=0.0
+        )
+    assert str(err.value) == f"checkpoint {ckpt} is not a snapshot of this run: {reason}"
+    assert ckpt.read_bytes() == before
