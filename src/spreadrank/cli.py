@@ -131,7 +131,6 @@ def cmd_disprove(args):
         spread,
         args.rank,
         checkpoint=args.checkpoint,
-        checkpoint_interval=args.checkpoint_interval,
         progress=_progress if args.verbose else None,
     )
     print(report.to_json() if args.json else report.levels)
@@ -274,7 +273,6 @@ def build_parser():
     common(sp, spread=True)
     sp.add_argument("--rank", type=int, required=True)
     sp.add_argument("--checkpoint")
-    sp.add_argument("--checkpoint-interval", type=float, default=300.0)
     sp.set_defaults(func=cmd_disprove)
 
     sp = sub.add_parser("codes", help="codes attached to a decomposition")

@@ -313,7 +313,7 @@ def spread_sets_by_rank(q, n, R, prune=None, progress=None):
     dimension R.  n must be at least 1 and R at most n^2 (BadParameters
     otherwise).
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     if n < 1:
         raise BadParameters(f"spread-set dimension must be at least 1, got {n}")
     if R > n * n:
@@ -350,7 +350,7 @@ def spread_sets_by_rank(q, n, R, prune=None, progress=None):
     final = equivalence_classes(spread_sets)
     report.extra["spread_set_classes"] = len(final)
     report.outcome = "classified"
-    report.wall_time = time.time() - t0
+    report.wall_time = time.perf_counter() - t0
     return report, final
 
 
@@ -417,53 +417,67 @@ def _diag_probe(space, R, pts):
     return None
 
 
-CHECKPOINT_VERSION = 2  # snapshot layout; files of any other version are refused
-_CHUNK = 4  # parents per raw-level step: the unit of snapshots and progress
+CHECKPOINT_VERSION = 3  # log layout; files of any other version are refused
+_CHUNK = 4  # parents per raw-level step: the unit of log records and progress
 
 
 class _Checkpoint:
-    """Atomic JSON snapshots of a raw-level scan, resumable mid-level."""
+    """An append-only JSON-lines log of the raw levels, resumable mid-level.
 
-    def __init__(self, path, interval):
+    Line 1 is the header {version, params}.  When a raw level starts, the
+    log is rewritten as the header plus one level record: the levels before
+    it, dim and the parents' encodings.  Each step then appends its progress
+    event plus the encodings and scores of the children kept in that step,
+    so a step costs O(step), not O(level).  A torn last line is dropped when
+    the log is read.  Without a path nothing is encoded or written.
+    """
+
+    def __init__(self, path, params):
         self.path = path
-        self.interval = interval
-        self._last = time.time()
+        self.header = {"version": CHECKPOINT_VERSION, "params": params}
 
-    def load(self, params):
-        """The snapshot when the file resumes a run with these params, None
-        without a file.  Any other file raises BadParameters and is left as
-        it is."""
+    def load(self):
+        """The records after the header (the level record, then its steps)
+        when the log resumes a run with these params, None without a file.
+        Any other file raises BadParameters and is left as it is."""
         if self.path is None or not os.path.exists(self.path):
             return None
         try:
             with open(self.path) as fh:
-                data = json.load(fh)
+                lines = fh.read().split("\n")
+            header = json.loads(lines[0])
+            # the last piece is empty, or a record torn by an interruption
+            records = [json.loads(line) for line in lines[1:-1]]
         except (OSError, ValueError) as exc:
             why = f"unreadable ({type(exc).__name__})"
         else:
-            version = data.get("version") if isinstance(data, dict) else None
+            version = header.get("version") if isinstance(header, dict) else None
             if version != CHECKPOINT_VERSION:
                 why = f"version {version!r}, expected {CHECKPOINT_VERSION}"
-            elif data.get("params") != params:
+            elif header.get("params") != self.header["params"]:
                 why = "parameters differ"
             else:
-                return data
+                return records
         raise BadParameters(f"checkpoint {self.path} is not a snapshot of this run: {why}")
 
-    def save(self, builder):
-        """Write a snapshot; builder is only invoked when a write happens."""
-        if self.path is None:
-            return
-        now = time.time()
-        if now - self._last < self.interval:
-            return
-        payload = builder()
-        payload["version"] = CHECKPOINT_VERSION
-        tmp = self.path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, self.path)
-        self._last = now
+    def _write(self, mode, records):
+        with open(self.path, mode) as fh:
+            fh.writelines(json.dumps(r) + "\n" for r in records)
+
+    def rewrite(self, records):
+        """The header followed by these records."""
+        if self.path is not None:
+            self._write("w", [self.header, *records])
+
+    def start_level(self, levels, dim, parents):
+        if self.path is not None:
+            parents = [s.encodings() for s in parents]
+            self.rewrite([{"levels": levels, "dim": dim, "parents": parents}])
+
+    def step(self, event, kept, scores):
+        if self.path is not None:
+            kept = [s.encodings() for s in kept]
+            self._write("a", [{**event, "kept": kept, "scores": scores}])
 
     def clear(self):
         if self.path is not None:
@@ -482,15 +496,7 @@ def _input_space(spread):
     return space
 
 
-def disprove_rank(
-    spread,
-    R,
-    aut=None,
-    stop_at_witness=True,
-    checkpoint=None,
-    checkpoint_interval=300.0,
-    progress=None,
-):
+def disprove_rank(spread, R, aut=None, stop_at_witness=True, checkpoint=None, progress=None):
     """Exhaustive search for an R-dimensional rank-one spanned space containing
     the spread set.
 
@@ -502,16 +508,18 @@ def disprove_rank(
     how many are spanned by rank ones; "exhausted" with zero witnesses proves
     tensor rank > R.
 
-    The other levels are scanned raw, _CHUNK parents at a time; with a
-    checkpoint path, each step may save a snapshot, and a run started again
-    with the same spread set, R, stop_at_witness and filter setting resumes
-    from it and reproduces the levels, outcome and witness of an
-    uninterrupted run; any other file at that path raises BadParameters and
-    is left as it is.  When R = n no level runs, and the outcome says
-    whether the input is spanned by rank ones.  An input whose dimension is
-    not n, or R > n^2, raises BadParameters.
+    The other levels are scanned raw, _CHUNK parents at a time.  With a
+    checkpoint path, the log's header is written before the first level (an
+    unwritable path raises OSError at once), and each step appends one record
+    (see _Checkpoint).  A run started again with the same spread set, R,
+    stop_at_witness and filter setting resumes from the log and reproduces
+    the levels, outcome and witness of an uninterrupted run; any other file
+    at that path raises BadParameters and is left as it is.  The file is
+    removed when the run finishes.  When R = n no level runs, and the outcome
+    says whether the input is spanned by rank ones.  An input whose dimension
+    is not n, or R > n^2, raises BadParameters.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     space = _input_space(spread)
     q, n = space.q, space.n
     if R < n:
@@ -537,7 +545,7 @@ def disprove_rank(
         if _rank_one_spanned(space, pts):
             report.witness = _witness_rank_ones(space, pts)
         report.outcome = "witness" if report.witness else "exhausted"
-        report.wall_time = time.time() - t0
+        report.wall_time = time.perf_counter() - t0
         return report
 
     params = {
@@ -549,23 +557,25 @@ def disprove_rank(
         "stop_at_witness": stop_at_witness,
         "filter": prune_ok,
     }
-    ckpt = _Checkpoint(checkpoint, checkpoint_interval)
-    resume = ckpt.load(params)
+    log = _Checkpoint(checkpoint, params)
+    records = log.load()
 
-    if stop_at_witness and resume is None:
+    # any log, even a header alone, was written after the probe missed
+    if stop_at_witness and records is None:
         hit = _diag_probe(space, R, pts)
         if hit is not None:
             report.outcome = "witness"
             report.witness = _witness_rank_ones(hit, pts)
             report.flags.append("diagonal-probe")
-            report.wall_time = time.time() - t0
+            report.wall_time = time.perf_counter() - t0
             return report
+    log.rewrite(records or [])  # on resume, without a torn last record
 
     current = [space]
     dim = n
-    if resume is not None:
-        dim = resume["dim"] - 1  # the loop re-enters the interrupted level
-        report.levels = [e for e in resume["levels"] if e.get("dim", 0) < resume["dim"]]
+    if records:
+        dim = records[0]["dim"] - 1  # the loop re-enters the interrupted level
+        report.levels = records[0]["levels"]
         report.flags.append("resumed-from-checkpoint")
 
     def stabilizer(parent):
@@ -593,13 +603,19 @@ def disprove_rank(
         least = R if final else n if filtering else 0
         ordered = stop_at_witness and dim == R - 1 and not filtering
         counts, kept, scores, pos = {"spaces": 0, "good": 0}, [], [], 0
-        if resume is not None:
-            counts, pos, scores = resume["counts"], resume["parents_done"], resume["scores"]
-            kept = [MatSpace.from_encodings(q, n, e) for e in resume["kept"]]
-            current = [MatSpace.from_encodings(q, n, e) for e in resume["parents"]]
-            resume = None
+        if records:
+            current = [MatSpace.from_encodings(q, n, e) for e in records[0]["parents"]]
+            for step in records[1:]:
+                kept.extend(MatSpace.from_encodings(q, n, e) for e in step["kept"])
+                scores.extend(step["scores"])
+                counts = {"spaces": step["spaces"], "good": step["good"]}
+                pos = step["parents_done"]
+            records = None
+        else:
+            log.start_level(report.levels, dim, current)
         while pos < len(current) and not (final and stop_at_witness and kept):
             chunk = current[pos : pos + _CHUNK]
+            kept_before, scores_before = len(kept), len(scores)
             for parent in chunk:
                 spans, children, child_scores = _process_parent(parent, pts, least)
                 counts["spaces"] += spans
@@ -610,27 +626,10 @@ def disprove_rank(
             if final:
                 del kept[1:]
             pos += len(chunk)
-
-            def snapshot():
-                return {
-                    "params": params,
-                    "levels": report.levels + [{"dim": dim, "partial": True, **counts}],
-                    "dim": dim,
-                    "parents_done": pos,
-                    "counts": counts,
-                    "kept": [s.encodings() for s in kept],
-                    "scores": scores,
-                    "parents": [s.encodings() for s in current],
-                }
-
-            ckpt.save(snapshot)
+            event = {"dim": dim, "parents_done": pos, "parents_total": len(current), **counts}
+            log.step(event, kept[kept_before:], scores[scores_before:])
             if progress:
-                progress({
-                    "dim": dim,
-                    "parents_done": pos,
-                    "parents_total": len(current),
-                    **counts,
-                })
+                progress(event)
 
         entry = {"dim": dim, "spaces": counts["spaces"]}
         report.levels.append(entry)
@@ -650,8 +649,8 @@ def disprove_rank(
             progress(entry)
 
     report.outcome = "witness" if report.witness else "exhausted"
-    report.wall_time = time.time() - t0
-    ckpt.clear()
+    report.wall_time = time.perf_counter() - t0
+    log.clear()
     return report
 
 

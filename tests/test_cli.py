@@ -110,10 +110,32 @@ def test_disprove_refuses_a_checkpoint_path_holding_another_file(capsys, tmp_pat
     notes = tmp_path / "notes.txt"
     notes.write_text("notes\n")
     code, out, err = run(capsys, "disprove", "--atlas", "F16", "--rank", "8",
-                         "--checkpoint", str(notes), "--checkpoint-interval", "0")
+                         "--checkpoint", str(notes))
     assert code == 2 and out == ""
     assert err.startswith(f"error: checkpoint {notes} is not a snapshot")
     assert notes.read_text() == "notes\n"
+
+
+def test_disprove_refuses_an_unwritable_checkpoint_path_at_once(capsys, tmp_path):
+    # F16 has rank 9, so the diagonal probe misses, and the log is opened
+    # before the first level sends a progress event
+    path = tmp_path / "no" / "such" / "state.json"
+    code, out, err = run(capsys, "disprove", "--atlas", "F16", "--rank", "8",
+                         "--checkpoint", str(path), "--verbose")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(path) in err
+    assert len(err.splitlines()) == 1
+    assert not path.parent.exists()
+
+
+def test_disprove_leaves_no_checkpoint_file(capsys, tmp_path):
+    path = tmp_path / "state.json"
+    # a diagonal-probe witness, then an exhaustion that runs its levels
+    for rank, exit_code in ((9, 1), (7, 0)):
+        code, _, _ = run(capsys, "disprove", "--atlas", "F16", "--rank", str(rank),
+                         "--checkpoint", str(path), "--json")
+        assert code == exit_code
+        assert not path.exists()
 
 
 def test_search_small(capsys):
@@ -177,10 +199,10 @@ def test_bad_subcommand_exit_2(capsys):
 
 
 def test_unknown_option_exit_2(capsys):
-    code, _, err = run(capsys, "disprove", "--atlas", "F16", "--rank", "8",
-                       "--workers", "2")
-    assert code == 2
-    assert "unrecognized arguments: --workers 2" in err
+    for option in (["--workers", "2"], ["--checkpoint-interval", "0"]):
+        code, _, err = run(capsys, "disprove", "--atlas", "F16", "--rank", "8", *option)
+        assert code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in err
 
 
 def test_verify_singular_spread_set_is_refuted(capsys, tmp_path):

@@ -294,6 +294,28 @@ def test_disprove_rank_matches_frozen_runs(
     assert (rep.outcome, rep.levels, rep.witness) == (outcome, levels, witness)
 
 
+def log_records(path):
+    """The JSON-lines records of a checkpoint log, header first."""
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+class Stop(Exception):
+    pass
+
+
+def interrupt_at(dim, event):
+    """A progress callback that raises Stop at the event-th step of level dim."""
+    seen = []
+
+    def progress(update):
+        if update["dim"] == dim and "parents_done" in update:
+            seen.append(update["parents_done"])
+            if len(seen) == event:
+                raise Stop
+
+    return progress
+
+
 @functools.lru_cache(maxsize=None)
 def uninterrupted(n, R, stop_at_witness):
     return search.disprove_rank(
@@ -325,34 +347,63 @@ def test_disprove_rank_checkpoint_resume(tmp_path, n, R, stop_at_witness, dim, e
     baseline = uninterrupted(n, R, stop_at_witness)
 
     ckpt = tmp_path / "state.json"
-
-    class Stop(Exception):
-        pass
-
-    seen = []
-
-    def interrupt(update):
-        if update["dim"] == dim and "parents_done" in update:
-            seen.append(update["parents_done"])
-            if len(seen) == event:
-                raise Stop
-
     with pytest.raises(Stop):
         search.disprove_rank(
             spread, R, stop_at_witness=stop_at_witness, checkpoint=str(ckpt),
-            checkpoint_interval=0.0, progress=interrupt,
+            progress=interrupt_at(dim, event),
         )
-    state = json.loads(ckpt.read_text())
-    assert (state["dim"], state["parents_done"]) == (dim, seen[-1])
+    # the header, the level record, then one record per step of the level
+    records = log_records(ckpt)
+    assert [r["dim"] for r in records[1:]] == [dim] * (1 + event)
+    last = records[-1]
+    assert last["parents_done"] == min(event * search._CHUNK, last["parents_total"])
     resumed = search.disprove_rank(
-        spread, R, stop_at_witness=stop_at_witness, checkpoint=str(ckpt),
-        checkpoint_interval=0.0,
+        spread, R, stop_at_witness=stop_at_witness, checkpoint=str(ckpt)
     )
     assert "resumed-from-checkpoint" in resumed.flags
     assert resumed.outcome == baseline.outcome
     assert resumed.levels == baseline.levels
     assert resumed.witness == baseline.witness
     assert not ckpt.exists()  # cleared after a finished run
+
+
+def test_disprove_rank_resumes_past_a_torn_last_record(tmp_path):
+    f8 = algebra.field_construct(2, 3)
+    baseline = uninterrupted(3, 8, True)
+    ckpt = tmp_path / "state.json"
+    # interrupted at the third step of the ordered level, with the third
+    # step's record cut in half
+    with pytest.raises(Stop):
+        search.disprove_rank(f8, 8, checkpoint=str(ckpt), progress=interrupt_at(7, 3))
+    text = ckpt.read_text()
+    torn = len(text.splitlines()[-1]) // 2 + 1
+    ckpt.write_text(text[:-torn])
+    # resumed from the second step, then interrupted again at the final level
+    with pytest.raises(Stop):
+        search.disprove_rank(f8, 8, checkpoint=str(ckpt), progress=interrupt_at(8, 1))
+    assert [r["dim"] for r in log_records(ckpt)[1:]] == [8, 8]
+    resumed = search.disprove_rank(f8, 8, checkpoint=str(ckpt))
+    assert "resumed-from-checkpoint" in resumed.flags
+    assert (resumed.outcome, resumed.levels, resumed.witness) == (
+        baseline.outcome, baseline.levels, baseline.witness
+    )
+    assert not ckpt.exists()
+
+
+def test_disprove_rank_checkpoint_step_only_appends(tmp_path):
+    f16 = algebra.field_construct(2, 4)
+    ckpt = tmp_path / "state.json"
+    logs = []
+
+    def snapshot(event):
+        if event["dim"] == 7 and "parents_done" in event:
+            logs.append(ckpt.read_bytes())
+
+    search.disprove_rank(f16, 8, checkpoint=str(ckpt), progress=snapshot)
+    assert len(logs) == 8  # the raw filter level has 8 steps
+    for before, after in zip(logs, logs[1:]):
+        assert after.startswith(before)
+        assert after.count(b"\n") == before.count(b"\n") + 1
 
 
 # ---------------------------------------------------------------------------
@@ -550,29 +601,21 @@ def test_disprove_rank_checkpoint_records_the_filter_flag(tmp_path):
     f16 = algebra.field_construct(2, 4)
     baseline = uninterrupted(4, 8, True)
     ckpt = tmp_path / "state.json"
-
-    class Stop(Exception):
-        pass
-
-    def interrupt(event):
-        if event["dim"] == 7 and "parents_done" in event:
-            raise Stop
-
     with pytest.raises(Stop):
-        search.disprove_rank(f16, 8, checkpoint=str(ckpt), checkpoint_interval=0.0, progress=interrupt)
-    state = json.loads(ckpt.read_text())
-    assert state["params"]["filter"] is True  # no [8, 4, 5]_2 code exists
+        search.disprove_rank(f16, 8, checkpoint=str(ckpt), progress=interrupt_at(7, 1))
+    header, level, step = log_records(ckpt)
+    assert header["params"]["filter"] is True  # no [8, 4, 5]_2 code exists
     # dim 7 is both the filter level and level R - 1, and keeps scan order
-    assert state["scores"] == []
-    state["params"]["filter"] = False
-    ckpt.write_text(json.dumps(state))
+    assert (level["dim"], step["scores"]) == (7, [])
+    header["params"]["filter"] = False
+    ckpt.write_text("".join(json.dumps(r) + "\n" for r in (header, level, step)))
     before = ckpt.read_bytes()
     with pytest.raises(BadParameters, match="parameters differ"):
-        search.disprove_rank(f16, 8, checkpoint=str(ckpt), checkpoint_interval=0.0)
+        search.disprove_rank(f16, 8, checkpoint=str(ckpt))
     assert ckpt.read_bytes() == before
-    state["params"]["filter"] = True
-    ckpt.write_text(json.dumps(state))
-    rep = search.disprove_rank(f16, 8, checkpoint=str(ckpt), checkpoint_interval=0.0)
+    header["params"]["filter"] = True
+    ckpt.write_text("".join(json.dumps(r) + "\n" for r in (header, level, step)))
+    rep = search.disprove_rank(f16, 8, checkpoint=str(ckpt))
     assert "resumed-from-checkpoint" in rep.flags
     assert rep.levels == baseline.levels
     assert rep.outcome == baseline.outcome
@@ -594,24 +637,13 @@ def test_disprove_rank_flags_ignored_checkpoint(tmp_path, content, reason):
     f8 = algebra.field_construct(2, 3)
     ckpt = tmp_path / "state.json"
     if content is None:
-        # a snapshot of the same search with stop_at_witness on
-        class Stop(Exception):
-            pass
-
-        def interrupt(event):
-            if "parents_done" in event:
-                raise Stop
-
+        # a log of the same search with stop_at_witness on
         with pytest.raises(Stop):
-            search.disprove_rank(
-                f8, 5, checkpoint=str(ckpt), checkpoint_interval=0.0, progress=interrupt
-            )
+            search.disprove_rank(f8, 5, checkpoint=str(ckpt), progress=interrupt_at(5, 1))
     else:
         ckpt.write_text(content)
     before = ckpt.read_bytes()
     with pytest.raises(BadParameters) as err:
-        search.disprove_rank(
-            f8, 5, stop_at_witness=False, checkpoint=str(ckpt), checkpoint_interval=0.0
-        )
+        search.disprove_rank(f8, 5, stop_at_witness=False, checkpoint=str(ckpt))
     assert str(err.value) == f"checkpoint {ckpt} is not a snapshot of this run: {reason}"
     assert ckpt.read_bytes() == before
