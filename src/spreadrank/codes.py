@@ -9,6 +9,7 @@ bound the tensor rank from below through the shortest-code table N_q(k, d).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -220,6 +221,7 @@ def griesmer_bound(q, k, d):
     return total
 
 
+@lru_cache(maxsize=None)
 def code_exists(q, length, k, d):
     """True / False / None (unknown) for the existence of an [length, k, d]_q
     linear code.

@@ -42,7 +42,7 @@ from .algebra import (
     rank_one_elements,  # noqa: F401  (re-exported: part of the search surface)
 )
 from .codec import encode_rows
-from .codes import code_exists
+from .codes import code_exists, genbound
 from .equivalence import automorphism_group, equivalence_classes
 from .errors import BadParameters, RankExceedsCap
 
@@ -275,17 +275,15 @@ def _point_orbit_reps(group, ext, pts):
 
 def _orbit_children(parents, pts, stabilizer):
     """Children of the parents, one per orbit of stabilizer(parent) on each
-    parent's children, deduplicated as spans, with the number of child spans
-    before the orbit reduction."""
-    children, seen, spans = [], set(), 0
+    parent's children, with the number of child spans before the orbit
+    reduction.  Equal spans from two parents are left to the callers'
+    equivalence_classes."""
+    children, spans = [], 0
     for parent in parents:
         ext = extension_groups(parent, pts)
         spans += len(ext.group_reps)
-        for idx in _point_orbit_reps(stabilizer(parent), ext, pts):
-            child = parent.extend(pts.flat[idx])
-            if child.key not in seen:
-                seen.add(child.key)
-                children.append(child)
+        reps = _point_orbit_reps(stabilizer(parent), ext, pts)
+        children.extend(parent.extend(pts.flat[idx]) for idx in reps)
     return children, spans
 
 
@@ -364,15 +362,15 @@ def _process_parent(parent, pts, least):
 
     A child's score is the dimension of the span of its rank-one points, at
     most the child's dimension, so least = dim keeps the children spanned by
-    rank ones and least = 0 keeps every child.  Returns (child spans, kept
-    children in child order, their scores).
+    rank ones and least = 0 keeps every child.  Returns (child spans, the
+    point indices that define the kept children, in child order, and their
+    scores); nothing is built.
     """
     ext = extension_groups(parent, pts)
     base_rank, extras = _rank_one_profile(parent, ext, pts)
     scores = base_rank + extras
     keep = np.nonzero(scores >= least)[0]
-    children = [parent.extend(pts.flat[ext.group_reps[i]]) for i in keep]
-    return len(ext.group_reps), children, scores[keep].tolist()
+    return len(ext.group_reps), ext.group_reps[keep].tolist(), scores[keep].tolist()
 
 
 def _rank_one_basis(space, pts):
@@ -403,48 +401,48 @@ def _diag_probe(space, R, pts):
 
     if probe.dim == R:
         return probe if _rank_one_spanned(probe, pts) else None
+    candidates = [probe]
     if probe.dim == R - 2:
-        # the most rank-one-rich children first, capped
-        _, children, scores = _process_parent(probe, pts, 0)
-        order = np.argsort(-np.array(scores, dtype=np.int64), kind="stable")[:64]
-        candidates = [children[i] for i in order]
-    else:
-        candidates = [probe]
+        # the most rank-one-rich children first (a stable sort), capped
+        _, points, scores = _process_parent(probe, pts, 0)
+        richest = sorted(zip(scores, points), key=lambda sp: -sp[0])[:64]
+        candidates = (probe.extend(pts.flat[point]) for _, point in richest)
     for cand in candidates:
-        _, spanned, _ = _process_parent(cand, pts, R)
-        if spanned:
-            return spanned[0]
+        _, points, _ = _process_parent(cand, pts, R)
+        if points:
+            return cand.extend(pts.flat[points[0]])
     return None
 
 
-CHECKPOINT_VERSION = 3  # log layout; files of any other version are refused
+CHECKPOINT_VERSION = 4  # log layout; files of any other version are refused
 _CHUNK = 4  # parents per raw-level step: the unit of log records and progress
 
 
 class _Checkpoint:
     """An append-only JSON-lines log of the raw levels, resumable mid-level.
 
-    Line 1 is the header {version, params}.  When a raw level starts, the
-    log is rewritten as the header plus one level record: the levels before
-    it, dim and the parents' encodings.  Each step then appends its progress
-    event plus the encodings and scores of the children kept in that step,
-    so a step costs O(step), not O(level).  A torn last line is dropped when
-    the log is read.  Without a path nothing is encoded or written.
+    Line 1 is the header {version, params}.  Every later line is one
+    raw-level step: its progress event plus the rows of the children it
+    kept, so a step costs O(step).  The classified levels are not logged: a
+    resumed run recomputes them.  A torn last line is dropped when the log
+    is read and cut off before the next append.  Without a path nothing is
+    written.
     """
 
     def __init__(self, path, params):
         self.path = path
         self.header = {"version": CHECKPOINT_VERSION, "params": params}
+        self.end = None  # bytes of the whole lines that load read
 
     def load(self):
-        """The records after the header (the level record, then its steps)
-        when the log resumes a run with these params, None without a file.
-        Any other file raises BadParameters and is left as it is."""
+        """The step records when the log resumes a run with these params,
+        None without a file.  Any other file raises BadParameters and is
+        left as it is."""
         if self.path is None or not os.path.exists(self.path):
             return None
         try:
-            with open(self.path) as fh:
-                lines = fh.read().split("\n")
+            with open(self.path, "rb") as fh:
+                lines = fh.read().split(b"\n")
             header = json.loads(lines[0])
             # the last piece is empty, or a record torn by an interruption
             records = [json.loads(line) for line in lines[1:-1]]
@@ -457,27 +455,25 @@ class _Checkpoint:
             elif header.get("params") != self.header["params"]:
                 why = "parameters differ"
             else:
+                self.end = sum(len(line) + 1 for line in lines[:-1])
                 return records
-        raise BadParameters(f"checkpoint {self.path} is not a snapshot of this run: {why}")
+        raise self.refusal(why)
 
-    def _write(self, mode, records):
-        with open(self.path, mode) as fh:
-            fh.writelines(json.dumps(r) + "\n" for r in records)
+    def refusal(self, why):
+        return BadParameters(f"checkpoint {self.path} is not a snapshot of this run: {why}")
 
-    def rewrite(self, records):
-        """The header followed by these records."""
+    def start(self):
+        """Write the header of a new log, or cut a torn last line off a
+        loaded one (a header without its newline is written again)."""
+        if self.end:
+            os.truncate(self.path, self.end)
+        else:
+            self.append(self.header, "w")
+
+    def append(self, record, mode="a"):
         if self.path is not None:
-            self._write("w", [self.header, *records])
-
-    def start_level(self, levels, dim, parents):
-        if self.path is not None:
-            parents = [s.encodings() for s in parents]
-            self.rewrite([{"levels": levels, "dim": dim, "parents": parents}])
-
-    def step(self, event, kept, scores):
-        if self.path is not None:
-            kept = [s.encodings() for s in kept]
-            self._write("a", [{**event, "kept": kept, "scores": scores}])
+            with open(self.path, mode) as fh:
+                fh.write(json.dumps(record) + "\n")
 
     def clear(self):
         if self.path is not None:
@@ -485,6 +481,11 @@ class _Checkpoint:
                 os.unlink(self.path)
             except OSError:
                 pass
+
+
+def _parent(spaces, rows, j, pts):
+    """Parent j of a raw level: spaces[j], or the child that rows[j] names."""
+    return spaces[j] if rows is None else spaces[rows[j][0]].extend(pts.flat[rows[j][1]])
 
 
 def _input_space(spread):
@@ -508,16 +509,19 @@ def disprove_rank(spread, R, aut=None, stop_at_witness=True, checkpoint=None, pr
     how many are spanned by rank ones; "exhausted" with zero witnesses proves
     tensor rank > R.
 
-    The other levels are scanned raw, _CHUNK parents at a time.  With a
+    The other levels are scanned raw, _CHUNK parents at a time, and their
+    children are rows [parent position, point index, score].  With a
     checkpoint path, the log's header is written before the first level (an
     unwritable path raises OSError at once), and each step appends one record
     (see _Checkpoint).  A run started again with the same spread set, R,
-    stop_at_witness and filter setting resumes from the log and reproduces
-    the levels, outcome and witness of an uninterrupted run; any other file
-    at that path raises BadParameters and is left as it is.  The file is
-    removed when the run finishes.  When R = n no level runs, and the outcome
-    says whether the input is spanned by rank ones.  An input whose dimension
-    is not n, or R > n^2, raises BadParameters.
+    stop_at_witness and filter setting recomputes the classified levels,
+    replays the logged steps and reproduces the levels, outcome and witness
+    of an uninterrupted run; any other file at that path, or a logged step
+    whose level has another number of parents, raises BadParameters and is
+    left as it is.  The file is removed when the run finishes.  When R = n
+    no level runs, and the outcome says whether the input is spanned by rank
+    ones.  An input whose dimension is not n, or R > n^2, raises
+    BadParameters.
     """
     t0 = time.perf_counter()
     space = _input_space(spread)
@@ -569,18 +573,15 @@ def disprove_rank(spread, R, aut=None, stop_at_witness=True, checkpoint=None, pr
             report.flags.append("diagonal-probe")
             report.wall_time = time.perf_counter() - t0
             return report
-    log.rewrite(records or [])  # on resume, without a torn last record
-
-    current = [space]
-    dim = n
+    log.start()
     if records:
-        dim = records[0]["dim"] - 1  # the loop re-enters the interrupted level
-        report.levels = records[0]["levels"]
         report.flags.append("resumed-from-checkpoint")
 
     def stabilizer(parent):
         return aut if parent is space else aut.stabilizer_of_space(parent)
 
+    current, kept = [space], None  # a level's parents: current, or kept rows over it
+    dim = n
     while dim < R:
         dim += 1
         final = dim == R
@@ -599,35 +600,34 @@ def disprove_rank(spread, R, aut=None, stop_at_witness=True, checkpoint=None, pr
         # first witness).  With stop_at_witness the level before the final
         # one is ordered richest first, so spanned spaces come early; at
         # R = 2n that level is the filter level, which keeps scan order.
+        # A non-final level scans all its parents, so it builds them first;
+        # the final level builds each parent when its scan reaches it.
         filtering = prune_ok and dim == 2 * n - 1 and not final
         least = R if final else n if filtering else 0
         ordered = stop_at_witness and dim == R - 1 and not filtering
-        counts, kept, scores, pos = {"spaces": 0, "good": 0}, [], [], 0
-        if records:
-            current = [MatSpace.from_encodings(q, n, e) for e in records[0]["parents"]]
-            for step in records[1:]:
-                kept.extend(MatSpace.from_encodings(q, n, e) for e in step["kept"])
-                scores.extend(step["scores"])
-                counts = {"spaces": step["spaces"], "good": step["good"]}
-                pos = step["parents_done"]
-            records = None
-        else:
-            log.start_level(report.levels, dim, current)
-        while pos < len(current) and not (final and stop_at_witness and kept):
-            chunk = current[pos : pos + _CHUNK]
-            kept_before, scores_before = len(kept), len(scores)
-            for parent in chunk:
-                spans, children, child_scores = _process_parent(parent, pts, least)
+        if kept is not None and not final:
+            current = [_parent(current, kept, j, pts) for j in range(len(kept))]
+            kept = None
+        rows, kept = kept, []
+        total = len(current if rows is None else rows)
+        counts, pos = {"spaces": 0, "good": 0}, 0
+        for step in (r for r in records or () if r["dim"] == dim):  # replay the log
+            if step["parents_total"] != total:
+                raise log.refusal(f"level {dim} has {total} parents, not {step['parents_total']}")
+            kept.extend(step["kept"])
+            counts, pos = {"spaces": step["spaces"], "good": step["good"]}, step["parents_done"]
+        while pos < total and not (final and stop_at_witness and kept):
+            chunk, kept_before = range(pos, min(pos + _CHUNK, total)), len(kept)
+            pos = chunk.stop
+            for j in chunk:
+                spans, points, scores = _process_parent(_parent(current, rows, j, pts), pts, least)
                 counts["spaces"] += spans
-                counts["good"] += len(children)
-                kept.extend(children)
-                if ordered:
-                    scores.extend(child_scores)
+                counts["good"] += len(points)
+                kept.extend([j, point, score] for point, score in zip(points, scores))
             if final:
                 del kept[1:]
-            pos += len(chunk)
-            event = {"dim": dim, "parents_done": pos, "parents_total": len(current), **counts}
-            log.step(event, kept[kept_before:], scores[scores_before:])
+            event = {"dim": dim, "parents_done": pos, "parents_total": total, **counts}
+            log.append({**event, "kept": kept[kept_before:]})
             if progress:
                 progress(event)
 
@@ -636,15 +636,14 @@ def disprove_rank(spread, R, aut=None, stop_at_witness=True, checkpoint=None, pr
         if final:
             entry["witnesses"] = counts["good"]
             if kept:
-                report.witness = _witness_rank_ones(kept[0], pts)
+                j, point, _ = kept[0]
+                hit = _parent(current, rows, j, pts).extend(pts.flat[point])
+                report.witness = _witness_rank_ones(hit, pts)
             break
         if filtering:
             entry["survivors"] = counts["good"]
         if ordered:
-            # stable: equal scores keep the scan order
-            order = np.argsort(-np.array(scores, dtype=np.int64), kind="stable")
-            kept = [kept[i] for i in order]
-        current = kept
+            kept.sort(key=lambda row: -row[2])  # stable: equal scores keep scan order
         if progress:
             progress(entry)
 
@@ -665,10 +664,8 @@ def tensor_rank(spread, max_R=None, progress=None):
 
     Runs the exhaustion search at increasing target dimensions starting from
     the code-theoretic lower bound; the first target admitting a rank-one
-    spanned superspace is the rank.
+    spanned superspace is the rank.  Progress events gain their target "R".
     """
-    from .codes import genbound
-
     space = _input_space(spread)
     q, n = space.q, space.n
     aut = automorphism_group(space)
@@ -676,7 +673,8 @@ def tensor_rank(spread, max_R=None, progress=None):
     cap = max_R if max_R is not None else 4 * n
     reports = []
     for target in range(lower, cap + 1):
-        rep = disprove_rank(spread, target, aut=aut, progress=progress)
+        forward = progress and (lambda event, R=target: progress({"R": R, **event}))
+        rep = disprove_rank(spread, target, aut=aut, progress=forward)
         reports.append(rep)
         if rep.outcome == "witness":
             return target, rep.witness, reports

@@ -257,3 +257,11 @@ def test_empty_decomposition(capsys, tmp_path):
     code, out, err = run(capsys, "codes", "--spreadset", str(spread), "--decomp", str(empty))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "not contained" in err
+
+
+def test_rank_verbose_events_name_their_target(capsys):
+    code, out, err = run(capsys, "rank", "--atlas", "F16", "--verbose")
+    events = [json.loads(line) for line in err.splitlines()]
+    assert (code, out.strip()) == (0, "9")
+    # R = 8 is exhausted level by level; R = 9 is settled by the diagonal probe
+    assert events and all(event["R"] == 8 for event in events)

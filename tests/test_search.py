@@ -299,6 +299,22 @@ def log_records(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
+def assert_step_records(records):
+    """Every record after the header is one raw-level step: its progress
+    event plus its kept rows [parent position, point index, score], in
+    (dim, parents_done) order, each level's steps _CHUNK parents apart."""
+    done = {}
+    for r in records:
+        assert set(r) == {"dim", "parents_done", "parents_total", "spaces", "good", "kept"}
+        assert all(len(row) == 3 and all(isinstance(v, int) for v in row) for row in r["kept"])
+        before = done.get(r["dim"], 0)
+        assert r["parents_done"] == min(before + search._CHUNK, r["parents_total"])
+        assert all(before <= row[0] < r["parents_done"] for row in r["kept"])
+        done[r["dim"]] = r["parents_done"]
+    dims = [r["dim"] for r in records]
+    assert dims == sorted(dims)
+
+
 class Stop(Exception):
     pass
 
@@ -352,11 +368,11 @@ def test_disprove_rank_checkpoint_resume(tmp_path, n, R, stop_at_witness, dim, e
             spread, R, stop_at_witness=stop_at_witness, checkpoint=str(ckpt),
             progress=interrupt_at(dim, event),
         )
-    # the header, the level record, then one record per step of the level
+    # the header, then one record per step of every raw level so far
     records = log_records(ckpt)
-    assert [r["dim"] for r in records[1:]] == [dim] * (1 + event)
-    last = records[-1]
-    assert last["parents_done"] == min(event * search._CHUNK, last["parents_total"])
+    assert_step_records(records[1:])
+    assert [r["dim"] for r in records[1:]].count(dim) == event
+    assert records[-1]["dim"] == dim
     resumed = search.disprove_rank(
         spread, R, stop_at_witness=stop_at_witness, checkpoint=str(ckpt)
     )
@@ -381,7 +397,9 @@ def test_disprove_rank_resumes_past_a_torn_last_record(tmp_path):
     # resumed from the second step, then interrupted again at the final level
     with pytest.raises(Stop):
         search.disprove_rank(f8, 8, checkpoint=str(ckpt), progress=interrupt_at(8, 1))
-    assert [r["dim"] for r in log_records(ckpt)[1:]] == [8, 8]
+    records = log_records(ckpt)[1:]
+    assert_step_records(records)  # the torn record is gone, not duplicated
+    assert [r["dim"] for r in records].count(8) == 1
     resumed = search.disprove_rank(f8, 8, checkpoint=str(ckpt))
     assert "resumed-from-checkpoint" in resumed.flags
     assert (resumed.outcome, resumed.levels, resumed.witness) == (
@@ -404,6 +422,92 @@ def test_disprove_rank_checkpoint_step_only_appends(tmp_path):
     for before, after in zip(logs, logs[1:]):
         assert after.startswith(before)
         assert after.count(b"\n") == before.count(b"\n") + 1
+
+
+def test_disprove_rank_refuses_a_log_of_another_level_size(tmp_path):
+    f16 = algebra.field_construct(2, 4)
+    ckpt = tmp_path / "state.json"
+    with pytest.raises(Stop):
+        search.disprove_rank(f16, 8, checkpoint=str(ckpt), progress=interrupt_at(7, 2))
+    header, *steps = log_records(ckpt)
+    steps[-1]["parents_total"] += 1
+    ckpt.write_text("".join(json.dumps(r) + "\n" for r in (header, *steps)))
+    before = ckpt.read_bytes()
+    total = steps[0]["parents_total"]
+    with pytest.raises(BadParameters) as err:
+        search.disprove_rank(f16, 8, checkpoint=str(ckpt))
+    assert str(err.value) == (
+        f"checkpoint {ckpt} is not a snapshot of this run: "
+        f"level 7 has {total} parents, not {total + 1}"
+    )
+    assert ckpt.read_bytes() == before
+
+
+def test_disprove_rank_builds_fewer_spaces_than_its_dim7_level(monkeypatch):
+    # the kept children are rows; a space is built only when a level scans
+    # it, and the final level stops at its first witness chunk
+    calls = []
+    extend = algebra.MatSpace.extend
+
+    def counting(self, *args):
+        calls.append(None)
+        return extend(self, *args)
+
+    monkeypatch.setattr(algebra.MatSpace, "extend", counting)
+    rep = search.disprove_rank(algebra.field_construct(2, 3), 8)
+    assert rep.level(7) == {"dim": 7, "spaces": 3150}
+    assert len(calls) < 3150
+
+
+def test_disprove_rank_filter_level_at_2n_keeps_scan_order(monkeypatch):
+    # F16 R=8: dim 7 is both the filter level and level R - 1, so it is not
+    # ordered; the final level scans the dim-7 survivors as they were found
+    pts = search.points_for(2, 4)
+    seen = []
+    process = search._process_parent
+
+    def recording(parent, pts, least):
+        result = process(parent, pts, least)
+        seen.append((parent, result[1]))
+        return result
+
+    monkeypatch.setattr(search, "_diag_probe", lambda space, R, pts: None)
+    monkeypatch.setattr(search, "_process_parent", recording)
+    rep = search.disprove_rank(algebra.field_construct(2, 4), 8)
+    assert rep.level(7)["survivors"] == 102
+    survivors = [
+        parent.extend(pts.flat[point]).key
+        for parent, points in seen if parent.dim == 6 for point in points
+    ]
+    assert [parent.key for parent, _ in seen if parent.dim == 7] == survivors
+
+
+def test_code_exists_is_computed_once_per_argument(monkeypatch):
+    calls = []
+    min_distance = codes.min_distance
+
+    def counting(*args):
+        calls.append(None)
+        return min_distance(*args)
+
+    monkeypatch.setattr(codes, "min_distance", counting)
+    codes.code_exists.cache_clear()
+    f8 = algebra.field_construct(2, 3)
+    search.disprove_rank(f8, 8)
+    first = len(calls)
+    search.disprove_rank(f8, 8)
+    assert first > 0
+    assert len(calls) == first
+
+
+def test_tensor_rank_events_carry_their_target():
+    events = []
+    _, _, reports = search.tensor_rank(atlas.atlas_get("S1").spread_set(), progress=events.append)
+    targets = [event["R"] for event in events]
+    assert targets == sorted(targets)
+    assert targets[0] == 8  # R = 9 is settled by the diagonal probe, with no events
+    assert {"R": 8, "dim": 7, "spaces": 48636, "survivors": 816} in events
+    assert all("R" not in entry for rep in reports for entry in rep.levels)
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +651,10 @@ def test_process_parent_matches_level_kind_oracle(name):
         pts = search.points_for(parent.q, parent.n)
         n, R = parent.n, parent.dim + 1  # R: the children's dimension
         for mode, least in (("plain", 0), ("plain-ordered", 0), ("filter", n), ("final", R)):
-            spans, children, scores = search._process_parent(parent, pts, least)
+            spans, points, scores = search._process_parent(parent, pts, least)
             want_spans, want_children, want_scores = oracle_process_parent(parent, pts, mode, n, R)
             assert spans == want_spans
+            children = [parent.extend(pts.flat[point]) for point in points]
             assert [c.key for c in children] == [c.key for c in want_children]
             if mode != "plain":  # the plain kind did not score
                 assert scores == want_scores
@@ -603,18 +708,17 @@ def test_disprove_rank_checkpoint_records_the_filter_flag(tmp_path):
     ckpt = tmp_path / "state.json"
     with pytest.raises(Stop):
         search.disprove_rank(f16, 8, checkpoint=str(ckpt), progress=interrupt_at(7, 1))
-    header, level, step = log_records(ckpt)
+    header, step = log_records(ckpt)
     assert header["params"]["filter"] is True  # no [8, 4, 5]_2 code exists
-    # dim 7 is both the filter level and level R - 1, and keeps scan order
-    assert (level["dim"], step["scores"]) == (7, [])
+    assert step["dim"] == 7  # the raw filter level
     header["params"]["filter"] = False
-    ckpt.write_text("".join(json.dumps(r) + "\n" for r in (header, level, step)))
+    ckpt.write_text("".join(json.dumps(r) + "\n" for r in (header, step)))
     before = ckpt.read_bytes()
     with pytest.raises(BadParameters, match="parameters differ"):
         search.disprove_rank(f16, 8, checkpoint=str(ckpt))
     assert ckpt.read_bytes() == before
     header["params"]["filter"] = True
-    ckpt.write_text("".join(json.dumps(r) + "\n" for r in (header, level, step)))
+    ckpt.write_text("".join(json.dumps(r) + "\n" for r in (header, step)))
     rep = search.disprove_rank(f16, 8, checkpoint=str(ckpt))
     assert "resumed-from-checkpoint" in rep.flags
     assert rep.levels == baseline.levels
