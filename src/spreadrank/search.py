@@ -86,7 +86,7 @@ def extension_groups(parent, pts):
     return _Extension(inside_idx, out_idx, child, out_idx[first], lead)
 
 
-def _rank_one_profile(parent, ext, pts):
+def _rank_one_profile(parent, ext, pts, least=0):
     """Rank-one span data per child: child span dim = base_rank + extras[i].
 
     The work is done in quotient coordinates.  With the parent's RREF basis
@@ -96,31 +96,48 @@ def _rank_one_profile(parent, ext, pts):
     The inside points span the base; each outside point is reduced modulo the
     base, which leaves its dim - base_rank free coordinates and λ, and
     extras[i] is the rank of those short rows over the members of child i.
+
+    A rank is at most the number of rows, so extras[i] is at most child i's
+    member count, and base_rank at most min(#inside points, dim).  Only the
+    children with at least least - base_rank members are ranked; the others
+    get their member count, which keeps their score below least.  When even
+    min(#inside points, dim) plus the largest child is below least, the base
+    is not reduced either, and that bound stands for base_rank.  So a score
+    is exact wherever it reaches least, and with least = 0 every one is.
     """
     q = parent.q
+    nchild = len(ext.group_reps)
+    sizes = np.bincount(ext.child, minlength=nchild)
+    bound = min(ext.inside_idx.size, parent.dim)
+    if bound + sizes.max(initial=0) < least:
+        return bound, sizes
     coords = pts.flat[:, list(parent.pivots)]
     if ext.inside_idx.size:
         base_rows, base_piv = gf.rref(coords[ext.inside_idx], q)
     else:
         base_rows, base_piv = np.zeros((0, parent.dim), dtype=np.uint8), ()
     base_rank = base_rows.shape[0]
-    nchild = len(ext.group_reps)
-    if not nchild:
-        return base_rank, np.zeros(0, dtype=np.int64)
-    rows = coords[ext.out_idx]
+    ranked = sizes >= least - base_rank
+    extras = sizes.copy()
+    if not ranked.any():
+        return base_rank, extras
+    members = ranked[ext.child]
+    rows = coords[ext.out_idx[members]]
     if base_rank:
         rows = (rows - rows[:, list(base_piv)] @ base_rows.astype(np.int64)) % q
     free = np.ones(parent.dim, dtype=bool)
     free[list(base_piv)] = False
-    rows = np.concatenate([rows[:, free], ext.lead[:, None]], axis=1)
-    # one gather into a zero-padded (children, largest child, width) batch
-    order = np.argsort(ext.child, kind="stable")
-    sizes = np.bincount(ext.child, minlength=nchild)
+    rows = np.concatenate([rows[:, free], ext.lead[members, None]], axis=1)
+    # one gather into a zero-padded (ranked children, largest, width) batch
+    child = (np.cumsum(ranked) - 1)[ext.child[members]]  # position in the batch
+    sizes = sizes[ranked]
+    order = np.argsort(child, kind="stable")
     starts = np.cumsum(sizes) - sizes
-    by_child = ext.child[order]
-    batch = np.zeros((nchild, sizes.max(), rows.shape[1]), dtype=np.int64)
+    by_child = child[order]
+    batch = np.zeros((sizes.size, sizes.max(), rows.shape[1]), dtype=np.int64)
     batch[by_child, np.arange(order.size) - starts[by_child]] = rows[order]
-    return base_rank, gf.rank_batch(batch, q)
+    extras[ranked] = gf.rank_batch(batch, q)
+    return base_rank, extras
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +379,14 @@ def _process_parent(parent, pts, least):
 
     A child's score is the dimension of the span of its rank-one points, at
     most the child's dimension, so least = dim keeps the children spanned by
-    rank ones and least = 0 keeps every child.  Returns (child spans, the
-    point indices that define the kept children, in child order, and their
-    scores); nothing is built.
+    rank ones and least = 0 keeps every child.  A score is also at most the
+    parent's base rank plus the child's member count, so only the children
+    with enough members are ranked (see _rank_one_profile).  Returns (child
+    spans, the point indices that define the kept children, in child order,
+    and their scores); nothing is built.
     """
     ext = extension_groups(parent, pts)
-    base_rank, extras = _rank_one_profile(parent, ext, pts)
+    base_rank, extras = _rank_one_profile(parent, ext, pts, least)
     scores = base_rank + extras
     keep = np.nonzero(scores >= least)[0]
     return len(ext.group_reps), ext.group_reps[keep].tolist(), scores[keep].tolist()

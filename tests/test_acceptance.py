@@ -1,7 +1,7 @@
 """Acceptance suite: one test per published-result criterion.
 
 Each test prints a PASS/FAIL line (visible with -s or -rA).  Slow searches
-carry the slow marker; the GTF81 exhaustion (about 6 minutes) and the
+carry the slow marker; the GTF81 exhaustion (about 4 minutes) and the
 published order-81 counts additionally require --run-extended.
 
 Where a published intermediate count is representative-dependent (see the

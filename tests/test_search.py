@@ -660,6 +660,91 @@ def test_process_parent_matches_level_kind_oracle(name):
                 assert scores == want_scores
 
 
+def oracle_kept(parent, pts, least):
+    """Oracle: every child ranked by the per-child loops, then filtered at
+    least; (spans, kept points, their scores) as _process_parent gives them."""
+    inside_idx, reps, members = oracle_extension_groups(parent, pts)
+    base_rank, extras = oracle_rank_one_profile(parent, inside_idx, members, pts)
+    scores = base_rank + extras
+    keep = np.nonzero(scores >= least)[0]
+    return len(reps), [reps[i] for i in keep], scores[keep].tolist()
+
+
+@pytest.mark.parametrize("name", ["full-M2(F2)", "F16", "S1", "F81", "V", "F27"])
+def test_process_parent_matches_full_profile_at_every_threshold(name):
+    # the kernel ranks only the children with enough members to reach least
+    for parent in kernel_parents(name):
+        pts = search.points_for(parent.q, parent.n)
+        for least in range(parent.dim + 3):
+            assert search._process_parent(parent, pts, least) == oracle_kept(parent, pts, least)
+
+
+@functools.lru_cache(maxsize=None)
+def gl3(q):
+    """GL_3(q) as a (|GL_3(q)|, 3, 3) stack."""
+    mats = gf.coefficient_grid(q, 9).reshape(-1, 3, 3)
+    return mats[gf.rank_batch(mats, q) == 3]
+
+
+def descendants_of_spread_sets(q):
+    """(q, a spread set of order q^3, isotopism matrices A and B, picks,
+    least): the parent is A S B extended by one picked child per pick, so
+    its dimension is 3 + len(picks), and least runs up to that plus 2."""
+    spreads = {
+        2: [algebra.field_construct(2, 3)],
+        3: [algebra.field_construct(3, 3), algebra.gtf_construct(3, 3, 1, 2, (0, 1, 0))],
+    }[q]
+    gl = st.integers(0, len(gl3(q)) - 1).map(lambda i: gl3(q)[i])
+    picks = st.lists(st.integers(0, 10**6), max_size=5)
+    return st.tuples(st.just(q), st.sampled_from(spreads), gl, gl, picks).flatmap(
+        lambda case: st.tuples(*map(st.just, case), st.integers(0, len(case[4]) + 5))
+    )
+
+
+@given(st.sampled_from([2, 3]).flatmap(descendants_of_spread_sets))
+def test_process_parent_keeps_the_full_profile_filter_on_random_descendants(case):
+    q, spread, A, B, picks, least = case
+    pts = search.points_for(q, 3)
+    parent = algebra.MatSpace.from_matrices(q, 3, [A @ M @ B % q for M in spread.matrices])
+    for pick in picks:
+        reps = search.extension_groups(parent, pts).group_reps
+        parent = parent.extend(pts.flat[reps[pick % reps.size]])
+    assert search._process_parent(parent, pts, least) == oracle_kept(parent, pts, least)
+
+
+def test_disprove_rank_ranks_only_children_that_can_reach_the_threshold(monkeypatch):
+    # S1 R=8: a score is at most the parent's base rank plus the child's
+    # member count, so the filter level (least n = 4) ranks only the
+    # children with at least 2 members, and no final child has the 4
+    # members a witness needs
+    items, enough, level = {}, {}, []
+    profile, rank_batch = search._rank_one_profile, gf.rank_batch
+
+    def profiling(parent, ext, pts, least=0):
+        dim = parent.dim + 1
+        enough[dim] = enough.get(dim, 0) + int((np.bincount(ext.child) >= 2).sum())
+        level.append(dim)
+        try:
+            return profile(parent, ext, pts, least)
+        finally:
+            level.pop()
+
+    def counting(mats, q):
+        if level:
+            items[level[-1]] = items.get(level[-1], 0) + len(mats)
+        return rank_batch(mats, q)
+
+    monkeypatch.setattr(search, "_diag_probe", lambda space, R, pts: None)
+    monkeypatch.setattr(search, "_rank_one_profile", profiling)
+    monkeypatch.setattr(gf, "rank_batch", counting)
+    rep = search.disprove_rank(atlas.atlas_get("S1").spread_set(), 8)
+    assert rep.outcome == "exhausted"
+    assert rep.level(7) == {"dim": 7, "spaces": 48636, "survivors": 816}
+    assert rep.level(8) == {"dim": 8, "spaces": 130162, "witnesses": 0}
+    assert items == {7: 7368}
+    assert enough[7] == 7368
+
+
 def oracle_diag_probe(space, R, pts):
     """Oracle: the diagonal probe with its own scan of the last level, before
     it scored through _process_parent."""
