@@ -14,10 +14,14 @@ Anchor candidates are pre-filtered by division signatures: the multiset, over
 invertible Y, of characteristic-polynomial multisets of S Y^-1 is a full
 G-invariant of S and is compared before any backtracking.
 
-automorphism_group is the same anchored search with S1 = S2 and every
-conjugator kept.  Both anchor on the element of S1 whose cpm class (charpoly
-multiset of S1 X1^-1) is rarest in S2, least index first, which leaves the
-fewest Y to try.
+automorphism_group runs the same anchored search with S1 = S2, taking the
+first conjugator for each Y, and one more search that keeps every
+conjugator of U = S X1^-1 onto itself.  The automorphisms sending X1 to Y
+are the first hit for Y times that conjugation stabilizer of U, so the
+group's elements, and its point tables, are composed from the two factors.
+Both anchor on the element of S1 whose cpm class (charpoly multiset of
+S1 X1^-1) is rarest in S2, least index first, which leaves the fewest Y to
+try.
 
 Stabilizer groups act on the projective rank-one points by permutations:
 (A, B) sends u w^T to (A u)(B^T w)^T, so two int16 tables over the
@@ -315,37 +319,43 @@ def _right_translate(space, m_inv):
     return MatSpace.from_rows(space.q, n, rows.reshape(-1, n * n))
 
 
-def _anchored_isotopisms(d1, d2, find_all):
-    """Isotopisms from S1 to S2 that send the anchor x of S1 into S2, one
-    (A, B) pair of (k, n, n) uint8 stacks per image y.
+def _anchor(d1, d2):
+    """(cpm key, matrix, data of S1 x^-1) of the anchor x of S1 against S2.
 
     The anchor is the projective invertible element of S1 whose cpm key is
-    rarest among those of S2, the least index on ties.  The images y are the
-    projective invertible elements of S2 with x's cpm key, in division_data
-    order.  For each, A runs over the conjugators of S1 x^-1 onto S2 y^-1
-    (all of them with find_all, else the first) and B = (A x)^-1 y, from
-    one batched inverse.
+    rarest among those of S2, the least index on ties.
     """
-    q, n = d1.q, d1.n
     _, per_y1 = d1.division_data()
-    _, per_y2 = d2.division_data()
-    count2 = Counter(k for k, _, _ in per_y2)
+    count2 = Counter(k for k, _, _ in d2.division_data()[1])
     cpm_x, x_idx, x_inv = min(per_y1, key=lambda item: (count2[item[0]], item[1]))
-    x = d1.elems[x_idx].reshape(n, n).astype(np.int64)
-    dataU = space_data(_right_translate(d1.space, x_inv.astype(np.int64)))
-    mats2 = d2.elems.reshape(-1, n, n)
+    x = d1.elems[x_idx].reshape(d1.n, d1.n).astype(np.int64)
+    return cpm_x, x, space_data(_right_translate(d1.space, x_inv.astype(np.int64)))
+
+
+def _anchored_isotopisms(d1, d2):
+    """Isotopisms from S1 to S2 that send the anchor x of S1 into S2, one
+    (A, B) pair of (n, n) uint8 matrices per image y that has one.
+
+    The images y are the projective invertible elements of S2 with x's cpm
+    key, in division_data order.  A is the first conjugator of S1 x^-1 onto
+    S2 y^-1 that the search finds and B = (A x)^-1 y.
+    """
+    q = d1.q
+    cpm_x, x, dataU = _anchor(d1, d2)
+    _, per_y2 = d2.division_data()
+    mats2 = d2.elems.reshape(-1, d2.n, d2.n)
     for cpm, y_idx, y_inv in per_y2:
         if cpm != cpm_x:
             continue
-        y = mats2[y_idx].astype(np.int64)
         V = _right_translate(d2.space, y_inv.astype(np.int64))
-        As = _conjugators(dataU, space_data(V), find_all)
+        As = _conjugators(dataU, space_data(V), find_all=False)
         if not len(As):
             continue
-        inverses, invertible = gf.inverse_batch((As.astype(np.int64) @ x) % q, q)
+        inverse, invertible = gf.inverse_batch((As.astype(np.int64) @ x) % q, q)
         if not invertible.all():
             raise NotInvertible("a conjugator times the anchor is singular")
-        yield As, ((inverses.astype(np.int64) @ y) % q).astype(np.uint8)
+        B = (inverse[0].astype(np.int64) @ mats2[y_idx].astype(np.int64)) % q
+        yield As[0], B.astype(np.uint8)
 
 
 def are_equivalent(s1, s2):
@@ -378,8 +388,8 @@ def are_equivalent(s1, s2):
     if d1.division_data()[0] != d2.division_data()[0]:
         return None
 
-    for As, Bs in _anchored_isotopisms(d1, d2, find_all=False):
-        witness = Isotopism(As[0], Bs[0], q)
+    for A, B in _anchored_isotopisms(d1, d2):
+        witness = Isotopism(A, B, q)
         if act(witness, s1) != s2:
             raise NotContained("equivalence witness does not map s1 onto s2")
         return witness
@@ -557,21 +567,41 @@ class StabilizerGroup:
 
 
 def automorphism_group(space):
-    """Exact setwise stabilizer of a space containing an invertible element:
-    the anchored search from the space to itself, every conjugator kept,
-    each B times every unit, A-major."""
+    """Exact setwise stabilizer of a space containing an invertible element,
+    with its point tables.
+
+    An automorphism sends the anchor x to some y with x's cpm key, and those
+    sending x to y are (A0 C, (A0 C x)^-1 y) = (A0 C, D B0): (A0, B0) is the
+    first hit of the anchored search for y, C runs over the conjugation
+    stabilizer of U = S x^-1 and D = x^-1 C^-1 x.  So one search for C and
+    one first hit per y give the group, a block per y in division_data
+    order, each B times every unit, A-major; the point tables of a block are
+    those of C and D^T composed with those of A0 and B0^T.
+    """
     if isinstance(space, SpreadSet):
         space = space.space
     q, n = space.q, space.n
     data = space_data(space)
     if data.invertible_projective().size == 0:
         return _brute_force_stabilizer(space)
+    _, x, dataU = _anchor(data, data)
+    pts = points_for(q, n)
+    C = _conjugators(dataU, dataU, find_all=True).astype(np.int64)
+    inverses, _ = gf.inverse_batch((C @ x) % q, q)
+    D = (inverses.astype(np.int64) @ x) % q
+    TC = np.repeat(pts.vector_images(C), q - 1, axis=0)
+    TD = np.repeat(pts.vector_images(D.transpose(0, 2, 1)), q - 1, axis=0)
     units = np.arange(1, q, dtype=np.int64)[None, :, None, None]
-    pairs_A, pairs_B = [], []
-    for As, Bs in _anchored_isotopisms(data, data, find_all=True):
-        pairs_A.append(np.repeat(As, q - 1, axis=0))
-        pairs_B.append((Bs[:, None] * units % q).reshape(-1, n, n).astype(np.uint8))
-    return StabilizerGroup(q, n, np.concatenate(pairs_A), np.concatenate(pairs_B), space)
+    As, Bs, TAs, TBs = [], [], [], []
+    for A0, B0 in _anchored_isotopisms(data, data):
+        As.append(np.repeat((A0.astype(np.int64) @ C % q).astype(np.uint8), q - 1, axis=0))
+        B = (D @ B0.astype(np.int64)) % q
+        Bs.append((B[:, None] * units % q).reshape(-1, n, n).astype(np.uint8))
+        TAs.append(pts.vector_images(A0[None])[0][TC])
+        TBs.append(pts.vector_images(B0.T[None])[0][TD])
+    group = StabilizerGroup(q, n, np.concatenate(As), np.concatenate(Bs), space)
+    group._tables = (np.concatenate(TAs), np.concatenate(TBs))
+    return group
 
 
 def _brute_force_stabilizer(space):

@@ -431,9 +431,10 @@ def oracle_conjugating(cands, u_mats, V_space, q):
 
 
 def oracle_automorphism_group(space, x_idx):
-    """Oracle: automorphism_group anchored on element x_idx, with one
-    mat_inverse per anchor, y and conjugator and one B per (conjugator,
-    unit)."""
+    """Oracle: automorphism_group anchored on element x_idx, with every
+    conjugator found by its own search per y, one mat_inverse per anchor, y
+    and conjugator and one B per (conjugator, unit).  Returns one (A, B)
+    block per y that has a conjugator, in division_data order."""
     q, n = space.q, space.n
     data = equivalence.space_data(space)
     mats = data.elems.reshape(-1, n, n)
@@ -442,19 +443,26 @@ def oracle_automorphism_group(space, x_idx):
     x1 = mats[x_idx].astype(np.int64)
     U = equivalence._right_translate(space, gf.mat_inverse(x1, q).astype(np.int64))
     dataU = equivalence.space_data(U)
-    pairs_A, pairs_B = [], []
+    blocks = []
     for cpm2, y_idx, _ in per_y:
         if cpm2 != cpm_x:
             continue
         y = mats[y_idx].astype(np.int64)
         V = equivalence._right_translate(space, gf.mat_inverse(y, q).astype(np.int64))
         dataV = equivalence.space_data(V)
+        pairs_A, pairs_B = [], []
         for A in equivalence._conjugators(dataU, dataV, find_all=True):
             base = gf.mat_inverse((A.astype(np.int64) @ x1) % q, q).astype(np.int64)
             for lam in range(1, q):
                 pairs_A.append(A)
                 pairs_B.append(((base * lam % q) @ y % q).astype(np.uint8))
-    return np.stack(pairs_A), np.stack(pairs_B)
+        if pairs_A:
+            blocks.append((np.stack(pairs_A), np.stack(pairs_B)))
+    return blocks
+
+
+def pair_set(gA, gB):
+    return {a.tobytes() + b.tobytes() for a, b in zip(gA, gB)}
 
 
 @pytest.mark.parametrize(
@@ -468,15 +476,68 @@ def test_automorphism_group_matches_per_candidate_oracle(name, monkeypatch):
     _, per_y = data.division_data()
     count = Counter(k for k, _, _ in per_y)
     rarest = min(per_y, key=lambda item: (count[item[0]], item[1]))[1]
-    A, B = oracle_automorphism_group(space, rarest)
-    for got, want in ((fast.A, A), (fast.B, B)):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    # block by block: the same y order and sizes, and the same pairs in
+    # each block (inside a block the order is that of the stabilizer of U)
+    start = 0
+    for A, B in oracle_automorphism_group(space, rarest):
+        stop = start + len(A)
+        assert fast.A.dtype == A.dtype and fast.B.dtype == B.dtype
+        assert pair_set(fast.A[start:stop], fast.B[start:stop]) == pair_set(A, B)
+        start = stop
+    assert start == fast.order
     # the group the first anchor gives, in another order
-    A, B = oracle_automorphism_group(space, int(data.invertible_projective()[0]))
-    as_set = lambda gA, gB: {a.tobytes() + b.tobytes() for a, b in zip(gA, gB)}
+    blocks = oracle_automorphism_group(space, int(data.invertible_projective()[0]))
+    A, B = (np.concatenate(parts) for parts in zip(*blocks))
     assert len(A) == fast.order
-    assert as_set(A, B) == as_set(fast.A, fast.B)
+    assert pair_set(A, B) == pair_set(fast.A, fast.B)
+
+
+def isotopic_field_images():
+    """Seeded isotopic images of the field spread sets, n in {3, 4}."""
+    rng = np.random.default_rng(14)
+    for q, n in product((2, 3), (3, 4)):
+        space = algebra.field_construct(q, n).space
+        yield pytest.param(equivalence.act(random_isotopism(rng, q, n), space), id=f"field-{q}-{n}")
+
+
+GROUP_SPACES = [
+    *(pytest.param(atlas.atlas_get(name).space(), id=name)
+      for name in ("F16", "S1", "S2", "F81", "GTF81", "I")),
+    *isotopic_field_images(),
+    *(pytest.param(algebra.field_construct(q, 1).space, id=f"field-{q}-1") for q in (2, 3)),
+]
+
+
+@pytest.mark.parametrize("space", GROUP_SPACES)
+def test_automorphism_group_tables_and_elements(space):
+    aut = equivalence.automorphism_group(space)
+    pts = algebra.points_for(space.q, space.n)
+    TA, TB = aut.point_tables()
+    assert np.array_equal(TA, pts.vector_images(aut.A))
+    assert np.array_equal(TB, pts.vector_images(aut.B.transpose(0, 2, 1)))
+    assert TA.dtype == TB.dtype == np.int16
+    moved = equivalence._act_arrays(aut.A, aut.B, space.basis, space.q)
+    assert space.contains_batch(moved.reshape(-1, space.n**2)).all()
+    assert len(pair_set(aut.A, aut.B)) == aut.order
+
+
+def test_automorphism_group_f81_runs_one_find_all_search(monkeypatch):
+    space = atlas.atlas_get("F81").space()
+    data = equivalence.space_data(space)
+    cpm_x = equivalence._anchor(data, data)[0]
+    images = sum(k == cpm_x for k, _, _ in data.division_data()[1])
+    calls = []
+    conjugators = equivalence._conjugators
+
+    def counted(dataU, dataV, find_all):
+        calls.append(find_all)
+        return conjugators(dataU, dataV, find_all)
+
+    monkeypatch.setattr(equivalence, "_conjugators", counted)
+    aut = equivalence.automorphism_group(space)
+    assert aut.order == 25600
+    assert calls.count(True) == 1 and calls[0] is True
+    assert calls.count(False) == images == 40
 
 
 @pytest.mark.parametrize("name", ["F16", "S1", "F81", "I"])
