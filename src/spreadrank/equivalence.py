@@ -26,6 +26,9 @@ try.
 Stabilizer groups act on the projective rank-one points by permutations:
 (A, B) sends u w^T to (A u)(B^T w)^T, so two int16 tables over the
 projective vectors of F_q^n give every element's action by index gathers.
+Every group is built with its tables: automorphism_group composes them,
+stabilizer_of_space slices its group's, and StabilizerGroup.of_elements
+maps a given element stack (scanned stabilizers, the trivial group).
 Orbit keys, stabilizers of spaces and orbits of points all use those
 tables; a space counts through its rank-one points, which determine it when
 it is the group's space plus their span.
@@ -45,7 +48,6 @@ from .codec import encode_rows
 from .errors import BadParameters, NotContained, NotInvertible, TooLarge
 
 _ENUMERATE_CAP = 1 << 13  # max q^dim scanned when a solution space is left
-_TABLE_CHUNK = 4096  # group elements per pass when building point tables
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +102,10 @@ def _charpoly_ids(mats, q):
 @lru_cache(maxsize=4)
 def _charpoly_code_table(q, n):
     """_charpoly_ids of every n x n matrix, indexed by its encoding; only
-    built for q = 2."""
+    built for q = 2, one block per last matrix row to bound the temporaries."""
     # row c of the reversed grid holds the base-q digits of c, least first
     digits = gf.coefficient_grid(q, n * n)[:, ::-1]
-    return _charpoly_ids(digits.reshape(-1, n, n), q)
+    return np.concatenate([_charpoly_ids(b, q) for b in digits.reshape(q**n, -1, n, n)])
 
 
 class SpaceData:
@@ -398,24 +400,25 @@ def are_equivalent(s1, s2):
 
 def _brute_force_equivalent(s1, s2):
     """Last resort for spaces with no invertible element: scan GL x GL."""
-    why = "no invertible anchor and ambient too large to scan"
-    return next(_isotopisms_between(s1, s2, why), None)
+    A, B = _isotopisms_between(s1, s2, "no invertible anchor and ambient too large to scan")
+    return Isotopism(A[0], B[0], s1.q) if len(A) else None
 
 
 def _isotopisms_between(s1, s2, why):
-    """Every (A, B) in GL_n(q)^2 with act((A, B), s1) = s2, A-major, each
-    factor in lexicographic order of its entries.  Raises TooLarge(why)
-    when M_n(q) has more than 4096 elements."""
+    """(A, B) stacks of every pair in GL_n(q)^2 with A s1 B = s2, A-major,
+    each factor in lexicographic order of its entries.  Raises TooLarge(why)
+    when M_n(q) has more than 4096 elements.  One batched action per A
+    covers every B."""
     q, n = s1.q, s1.n
     if q ** (n * n) > 4096:
         raise TooLarge(why)
     mats = gf.coefficient_grid(q, n * n).astype(np.uint8).reshape(-1, n, n)
     gl = mats[gf.det_batch(mats, q) != 0]
-    for A in gl:
-        for B in gl:
-            g = Isotopism(A, B, q)
-            if act(g, s1) == s2:
-                yield g
+    if s1.dim != s2.dim:
+        return gl[:0], gl[:0]
+    hits = [s2.contains_batch(_act_arrays(A[None], gl, s1.basis, q)[0]) for A in gl]
+    a, b = np.nonzero(np.reshape(hits, (len(gl), len(gl), s1.dim)).all(axis=2))
+    return gl[a], gl[b]
 
 
 # ---------------------------------------------------------------------------
@@ -504,26 +507,35 @@ def equivalence_classes(spaces, group=None):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
 class StabilizerGroup:
     """Setwise stabilizer {(A, B) : A S B = S}, fully enumerated.
 
     Carries the complete element arrays (order is the pair count).  Each
     element also permutes the projective rank-one points, u w^T ->
-    (A u)(B^T w)^T; point_tables holds that action as two index tables.
+    (A u)(B^T w)^T; tables, built with the group, holds that action as two
+    int16 (order, m) tables: the projective index of A v and of B^T v for
+    every projective vector v.
     """
 
-    def __init__(self, q, n, A, B, space=None):
-        self.q = q
-        self.n = n
-        self.A = A
-        self.B = B
-        self.space = space
-        self._tables = None
+    q: int
+    n: int
+    A: np.ndarray
+    B: np.ndarray
+    tables: tuple
+    space: MatSpace = None
+
+    @classmethod
+    def of_elements(cls, q, n, A, B, space=None):
+        """The group of the given element stacks, with their point tables."""
+        pts = points_for(q, n)
+        tables = (pts.vector_images(A), pts.vector_images(B.transpose(0, 2, 1)))
+        return cls(q, n, A, B, tables, space)
 
     @classmethod
     def trivial(cls, q, n):
         ident = np.eye(n, dtype=np.uint8)[None]
-        return cls(q, n, ident.copy(), ident.copy())
+        return cls.of_elements(q, n, ident, ident.copy())
 
     @property
     def order(self):
@@ -532,24 +544,10 @@ class StabilizerGroup:
     def isotopisms(self):
         return [Isotopism(a, b, self.q) for a, b in zip(self.A, self.B)]
 
-    def point_tables(self):
-        """int16 (order, m) tables: the projective index of A v and of B^T v
-        for every projective vector v, built in chunks of elements."""
-        if self._tables is None:
-            pts = points_for(self.q, self.n)
-            self._tables = tuple(
-                np.concatenate([
-                    pts.vector_images(M[i : i + _TABLE_CHUNK])
-                    for i in range(0, self.order, _TABLE_CHUNK)
-                ])
-                for M in (self.A, self.B.transpose(0, 2, 1))
-            )
-        return self._tables
-
     def point_images(self, idx):
         """(order, len(idx)) indices of the images of the given points."""
         pts = points_for(self.q, self.n)
-        TA, TB = self.point_tables()
+        TA, TB = self.tables
         return pts.of_uw[TA[:, pts.u[idx]], TB[:, pts.w[idx]]]
 
     def stabilizer_of_space(self, space):
@@ -561,9 +559,8 @@ class StabilizerGroup:
         """
         inside = _rank_one_points_inside(space, self)
         ok = (np.sort(self.point_images(inside), axis=1) == inside).all(axis=1)
-        sub = StabilizerGroup(self.q, self.n, self.A[ok], self.B[ok], space)
-        sub._tables = tuple(T[ok] for T in self.point_tables())
-        return sub
+        tables = tuple(T[ok] for T in self.tables)
+        return StabilizerGroup(self.q, self.n, self.A[ok], self.B[ok], tables, space)
 
 
 def automorphism_group(space):
@@ -599,18 +596,13 @@ def automorphism_group(space):
         Bs.append((B[:, None] * units % q).reshape(-1, n, n).astype(np.uint8))
         TAs.append(pts.vector_images(A0[None])[0][TC])
         TBs.append(pts.vector_images(B0.T[None])[0][TD])
-    group = StabilizerGroup(q, n, np.concatenate(As), np.concatenate(Bs), space)
-    group._tables = (np.concatenate(TAs), np.concatenate(TBs))
-    return group
+    tables = (np.concatenate(TAs), np.concatenate(TBs))
+    return StabilizerGroup(q, n, np.concatenate(As), np.concatenate(Bs), tables, space)
 
 
 def _brute_force_stabilizer(space):
-    found = list(
-        _isotopisms_between(space, space, "stabilizer of anchor-free space too large to scan")
-    )
-    A = np.stack([g.A for g in found])
-    B = np.stack([g.B for g in found])
-    return StabilizerGroup(space.q, space.n, A, B, space)
+    A, B = _isotopisms_between(space, space, "stabilizer of anchor-free space too large to scan")
+    return StabilizerGroup.of_elements(space.q, space.n, A, B, space)
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +610,7 @@ def _brute_force_stabilizer(space):
 # ---------------------------------------------------------------------------
 
 
-def rank_one_orbits(group, q, n):
+def rank_one_orbits(group):
     """Partition of all rank-one matrices into orbits of the group.
 
     Sweeps the matrices in encoding order: the least unlabelled one
@@ -626,6 +618,7 @@ def rank_one_orbits(group, q, n):
     Returns a list of (representative matrix, orbit size), sorted by the
     representative's encoding.
     """
+    q, n = group.q, group.n
     mats = rank_one_elements(q, n)
     flat = np.stack(mats).reshape(len(mats), n * n)
     codes = encode_rows(flat, q)  # ascending: mats are sorted by encoding

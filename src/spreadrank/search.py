@@ -325,14 +325,14 @@ def spread_sets_by_rank(q, n, R, prune=None, progress=None):
     Grows rank-one spanned spaces from the diagonal space one projective
     rank-one point at a time; each level is classified up to equivalence and
     filtered by the prune schedule, and spread sets are extracted at
-    dimension R.  n must be at least 1 and R at most n^2 (BadParameters
-    otherwise).
+    dimension R.  n must be at least 1 and n <= R <= n^2 (BadParameters
+    otherwise): every spread set has rank at least n.
     """
     t0 = time.perf_counter()
     if n < 1:
         raise BadParameters(f"spread-set dimension must be at least 1, got {n}")
-    if R > n * n:
-        raise BadParameters(f"target dimension {R} exceeds n^2 = {n * n}")
+    if not n <= R <= n * n:
+        raise BadParameters(f"target dimension {R} must lie between n = {n} and n^2 = {n * n}")
     if prune is None:
         prune = default_prune_schedule(n)
     prune = {d: k for d, k in prune.items() if d <= R}

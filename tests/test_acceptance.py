@@ -362,7 +362,7 @@ def test_criterion_9_properties():
     # automorphism group of C_F4 and rank-one orbit struct
     f4 = algebra.field_construct(2, 2, (1, 1, 1))
     aut = equivalence.automorphism_group(f4.space)
-    orbits = equivalence.rank_one_orbits(aut, 2, 2)
+    orbits = equivalence.rank_one_orbits(aut)
     ok &= aut.order == 18 and [s for _, s in orbits] == [9]
 
     # rank-one counts

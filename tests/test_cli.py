@@ -184,6 +184,8 @@ def test_unknown_atlas_entry_usage_error(capsys):
                      id="search-n-zero"),
         pytest.param(["search", "--q", "2", "--n", "2", "--max", "5"], "n^2",
                      id="search-max-above-n-squared"),
+        pytest.param(["search", "--q", "2", "--n", "1", "--max", "0"], "between n",
+                     id="search-max-below-n"),
     ],
 )
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, monkeypatch, argv, message):

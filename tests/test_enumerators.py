@@ -2,6 +2,7 @@
 subspaces and independent rows, each compared byte for byte with the
 straightforward loop it replaced, which is kept here as the oracle."""
 
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -272,10 +273,24 @@ def test_charpoly_digits_match_digit_loop(q, n):
     assert np.ascontiguousarray(reversed_grid).tobytes() == oracle_charpoly_digits(q, n).tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_charpoly_code_table_matches_digit_loop(n):
+    # the table is built in blocks; the oracle runs the kernel on all at once
     digits = oracle_charpoly_digits(2, n)
     cps = gf.charpoly_batch(digits.reshape(-1, n, n), 2)
     ids = codec.encode_rows(cps[:, 1:], 2)
     got = equivalence._charpoly_code_table(2, n)
     assert got.tobytes() == ids.tobytes()
+
+
+def test_charpoly_code_table_build_peak_memory():
+    # one charpoly_batch over all 65,536 matrices peaked at about 27 MB; the
+    # digit grid alone is 8.4 MB
+    equivalence._charpoly_code_table.cache_clear()
+    tracemalloc.start()
+    try:
+        equivalence._charpoly_code_table(2, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6

@@ -7,7 +7,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from spreadrank import algebra, atlas, equivalence, gf, search
-from spreadrank.errors import BadParameters, NotContained, NotInvertible
+from spreadrank.errors import BadParameters, NotContained, NotInvertible, TooLarge
 
 
 def random_invertible(rng, q, n):
@@ -178,7 +178,7 @@ def test_automorphism_group_f8_order():
     aut = equivalence.automorphism_group(f8.space)
     # n (q^n - 1)^2 = 3 * 49^2 / 7^0 ... the field group is {(a x^{2^i}, b x^{2^{3-i}})}
     assert aut.order == 3 * 49
-    orbits = equivalence.rank_one_orbits(aut, 2, 3)
+    orbits = equivalence.rank_one_orbits(aut)
     assert [size for _, size in orbits] == [49]
 
 
@@ -192,18 +192,18 @@ def test_automorphism_group_f16_order_900():
 def test_rank_one_orbits_transitive_for_field():
     f16 = algebra.field_construct(2, 4)
     aut = equivalence.automorphism_group(f16.space)
-    orbits = equivalence.rank_one_orbits(aut, 2, 4)
+    orbits = equivalence.rank_one_orbits(aut)
     assert [size for _, size in orbits] == [225]
 
 
 def test_rank_one_orbits_trivial_group():
     trivial = equivalence.StabilizerGroup.trivial(2, 2)
-    orbits = equivalence.rank_one_orbits(trivial, 2, 2)
+    orbits = equivalence.rank_one_orbits(trivial)
     assert len(orbits) == 9
     assert all(size == 1 for _, size in orbits)
     # without the scalar pairs (I, lambda I), the scalar multiples of a
     # rank-one matrix lie in different orbits
-    orbits = equivalence.rank_one_orbits(equivalence.StabilizerGroup.trivial(3, 2), 3, 2)
+    orbits = equivalence.rank_one_orbits(equivalence.StabilizerGroup.trivial(3, 2))
     assert len(orbits) == 32
     assert all(size == 1 for _, size in orbits)
 
@@ -325,8 +325,8 @@ def test_stabilizer_of_space_matches_brute_scan():
             keep = [equivalence.act(g, child) == child for g in group.isotopisms()]
             assert np.array_equal(stab.A, group.A[keep])
             assert np.array_equal(stab.B, group.B[keep])
-            fresh = equivalence.StabilizerGroup(stab.q, stab.n, stab.A, stab.B)
-            for sliced, built in zip(stab.point_tables(), fresh.point_tables()):
+            fresh = equivalence.StabilizerGroup.of_elements(stab.q, stab.n, stab.A, stab.B)
+            for sliced, built in zip(stab.tables, fresh.tables):
                 assert np.array_equal(sliced, built)
 
 
@@ -505,6 +505,7 @@ GROUP_SPACES = [
       for name in ("F16", "S1", "S2", "F81", "GTF81", "I")),
     *isotopic_field_images(),
     *(pytest.param(algebra.field_construct(q, 1).space, id=f"field-{q}-1") for q in (2, 3)),
+    pytest.param(algebra.MatSpace.from_rows(2, 2, np.zeros((0, 4))), id="zero-2-2"),
 ]
 
 
@@ -512,7 +513,7 @@ GROUP_SPACES = [
 def test_automorphism_group_tables_and_elements(space):
     aut = equivalence.automorphism_group(space)
     pts = algebra.points_for(space.q, space.n)
-    TA, TB = aut.point_tables()
+    TA, TB = aut.tables
     assert np.array_equal(TA, pts.vector_images(aut.A))
     assert np.array_equal(TB, pts.vector_images(aut.B.transpose(0, 2, 1)))
     assert TA.dtype == TB.dtype == np.int16
@@ -680,3 +681,73 @@ def test_are_equivalent_agrees_with_brute_force_on_isotopic_pairs(case):
     witness = equivalence.are_equivalent(space, moved)
     assert witness is not None and equivalence.act(witness, space) == moved
     assert equivalence._brute_force_equivalent(space, moved) is not None
+
+
+def oracle_isotopisms_between(s1, s2):
+    """Oracle: the per-pair double loop over GL_n(q)^2, one Isotopism and
+    one act per pair, as (A, B) stacks in loop order."""
+    q, n = s1.q, s1.n
+    mats = gf.coefficient_grid(q, n * n).astype(np.uint8).reshape(-1, n, n)
+    gl = mats[gf.det_batch(mats, q) != 0]
+    found = [
+        (A, B) for A in gl for B in gl
+        if equivalence.act(equivalence.Isotopism(A, B, q), s1) == s2
+    ]
+    A = np.array([a for a, _ in found], dtype=np.uint8).reshape(-1, n, n)
+    B = np.array([b for _, b in found], dtype=np.uint8).reshape(-1, n, n)
+    return A, B
+
+
+def random_2x2_space(rng, q, dim):
+    while True:
+        space = algebra.MatSpace.from_rows(q, 2, rng.integers(0, q, (dim, 4)))
+        if space.dim == dim:
+            return space
+
+
+def seeded_2x2_pairs():
+    """Seeded pairs of 2 x 2 spaces at q in {2, 3}, dims 0-3: each space
+    with itself, with an isotopic image and with a random space whose
+    dimension may differ."""
+    rng = np.random.default_rng(15)
+    for q in (2, 3):
+        for dim in range(4):
+            space = random_2x2_space(rng, q, dim)
+            targets = {
+                "self": space,
+                "moved": equivalence.act(random_isotopism(rng, q, 2), space),
+                "other": random_2x2_space(rng, q, int(rng.integers(0, 4))),
+            }
+            for name, target in targets.items():
+                yield pytest.param(space, target, id=f"q{q}-dim{dim}-{name}-dim{target.dim}")
+
+
+@pytest.mark.parametrize("s1, s2", seeded_2x2_pairs())
+def test_isotopisms_between_matches_pair_loop_oracle(s1, s2):
+    A, B = equivalence._isotopisms_between(s1, s2, "unused")
+    want_A, want_B = oracle_isotopisms_between(s1, s2)
+    for got, want in ((A, want_A), (B, want_B)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    witness = equivalence._brute_force_equivalent(s1, s2)
+    if len(want_A):
+        assert witness.A.tobytes() == want_A[0].tobytes()
+        assert witness.B.tobytes() == want_B[0].tobytes()
+    else:
+        assert witness is None
+    if s1 == s2:
+        stab = equivalence._brute_force_stabilizer(s1)
+        assert stab.A.tobytes() == want_A.tobytes() and stab.B.tobytes() == want_B.tobytes()
+
+
+def test_zero_space_is_fixed_by_all_of_gl_squared():
+    zero = algebra.MatSpace.from_rows(2, 2, np.zeros((0, 4)))
+    assert equivalence.automorphism_group(zero).order == 36
+
+
+def test_brute_force_scans_refuse_large_ambients():
+    zero = algebra.MatSpace.from_rows(3, 3, np.zeros((0, 9), dtype=np.uint8))
+    with pytest.raises(TooLarge, match="stabilizer of anchor-free space"):
+        equivalence.automorphism_group(zero)
+    with pytest.raises(TooLarge, match="no invertible anchor"):
+        equivalence._brute_force_equivalent(zero, zero)

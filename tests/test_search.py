@@ -191,6 +191,14 @@ def test_disprove_rank_rejects_targets_above_n_squared(monkeypatch):
         search.disprove_rank(algebra.field_construct(2, 2), 5, stop_at_witness=False)
 
 
+@pytest.mark.parametrize("q, n, R", [(2, 1, 0), (2, 3, 2), (3, 2, 1)])
+def test_spread_sets_by_rank_rejects_targets_below_n(q, n, R):
+    # a spread set has rank at least n: R = 0 at n = 1 returned one class
+    # although the field F_2 has tensor rank 1
+    with pytest.raises(BadParameters, match="between n"):
+        search.spread_sets_by_rank(q, n, R)
+
+
 @given(
     st.sampled_from([2, 3]).flatmap(
         lambda q: st.tuples(
