@@ -121,6 +121,8 @@ def cmd_search(args):
     else:
         for entry in report.levels:
             print(entry)
+        for flag in report.flags:
+            print("flag:", flag)
         print("spread-set classes:", report.extra["spread_set_classes"])
     return 0
 

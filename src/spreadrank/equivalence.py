@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -109,30 +109,20 @@ def _charpoly_code_table(q, n):
 
 
 class SpaceData:
-    """Lazy caches of element-level invariants for one MatSpace."""
+    """Element-level invariants of one MatSpace, each computed on first use."""
 
     def __init__(self, space):
         self.space = space
         self.q = space.q
         self.n = space.n
-        self._elems = None
-        self._ranks = None
-        self._cp_ids = None
-        self._div_sig = None
-        self._fingerprint = None
 
-    @property
+    @cached_property
     def elems(self):
-        if self._elems is None:
-            self._elems = self.space.nonzero_elements()
-        return self._elems
+        return self.space.nonzero_elements()
 
-    @property
+    @cached_property
     def ranks(self):
-        if self._ranks is None:
-            mats = self.elems.reshape(-1, self.n, self.n)
-            self._ranks = gf.rank_batch(mats, self.q)
-        return self._ranks
+        return gf.rank_batch(self.elems.reshape(-1, self.n, self.n), self.q)
 
     def _cp_of_mats(self, mats):
         if self.q == 2 and self.n <= 4:
@@ -140,34 +130,29 @@ class SpaceData:
             return table[encode_rows(mats.reshape(mats.shape[0], -1) % self.q, self.q)]
         return _charpoly_ids(mats, self.q)
 
-    @property
+    @cached_property
     def cp_ids(self):
         """Stable per-element characteristic polynomial ids."""
-        if self._cp_ids is None:
-            self._cp_ids = self._cp_of_mats(self.elems.reshape(-1, self.n, self.n))
-        return self._cp_ids
+        return self._cp_of_mats(self.elems.reshape(-1, self.n, self.n))
 
-    @property
+    @cached_property
     def fingerprint(self):
-        if self._fingerprint is None:
-            ranks = self.ranks
-            multiset = tuple(sorted(zip(*np.unique(ranks, return_counts=True))))
-            r1 = np.nonzero(ranks == 1)[0]
-            span_dim = 0
-            if r1.size:
-                span_dim = gf.rank(self.elems[r1], self.q)
-            self._fingerprint = (self.space.dim, multiset, int(span_dim))
-        return self._fingerprint
+        ranks = self.ranks
+        multiset = tuple(sorted(zip(*np.unique(ranks, return_counts=True))))
+        r1 = np.nonzero(ranks == 1)[0]
+        span_dim = gf.rank(self.elems[r1], self.q) if r1.size else 0
+        return (self.space.dim, multiset, int(span_dim))
 
+    @cached_property
     def invertible_projective(self):
         """Indices of invertible elements normalised projectively."""
-        mask = self.ranks == self.n
-        idx = np.nonzero(mask)[0]
+        idx = np.nonzero(self.ranks == self.n)[0]
         if self.q == 2:
             return idx
         lead = gf.leading_coeff(self.elems[idx], self.q)
         return idx[lead == 1]
 
+    @cached_property
     def division_data(self):
         """(signature, list of (cpm_key, element, Y^-1)) over projective
         invertible Y, with Y^-1 an (n, n) uint8 matrix.
@@ -176,20 +161,17 @@ class SpaceData:
         the sorted multiset of cpm_keys, a full equivalence invariant.  One
         batched inverse covers every Y.
         """
-        if self._div_sig is None:
-            mats = self.elems.reshape(-1, self.n, self.n).astype(np.int64)
-            idx = self.invertible_projective()
-            inverses = gf.inverse_batch(mats[idx], self.q)[0].astype(np.uint8)
-            per_y = []
-            for yi, y_inv in zip(idx.tolist(), inverses):
-                prods = (mats @ y_inv.astype(np.int64)) % self.q
-                ids = self._cp_of_mats(prods)
-                vals, counts = np.unique(ids, return_counts=True)
-                key = tuple(zip(vals.tolist(), counts.tolist()))
-                per_y.append((key, yi, y_inv))
-            sig = tuple(sorted(k for k, _, _ in per_y))
-            self._div_sig = (sig, per_y)
-        return self._div_sig
+        mats = self.elems.reshape(-1, self.n, self.n).astype(np.int64)
+        idx = self.invertible_projective
+        inverses = gf.inverse_batch(mats[idx], self.q)[0].astype(np.uint8)
+        per_y = []
+        for yi, y_inv in zip(idx.tolist(), inverses):
+            prods = (mats @ y_inv.astype(np.int64)) % self.q
+            ids = self._cp_of_mats(prods)
+            vals, counts = np.unique(ids, return_counts=True)
+            key = tuple(zip(vals.tolist(), counts.tolist()))
+            per_y.append((key, yi, y_inv))
+        return tuple(sorted(k for k, _, _ in per_y)), per_y
 
 
 _DATA_CACHE = {}
@@ -327,8 +309,8 @@ def _anchor(d1, d2):
     The anchor is the projective invertible element of S1 whose cpm key is
     rarest among those of S2, the least index on ties.
     """
-    _, per_y1 = d1.division_data()
-    count2 = Counter(k for k, _, _ in d2.division_data()[1])
+    _, per_y1 = d1.division_data
+    count2 = Counter(k for k, _, _ in d2.division_data[1])
     cpm_x, x_idx, x_inv = min(per_y1, key=lambda item: (count2[item[0]], item[1]))
     x = d1.elems[x_idx].reshape(d1.n, d1.n).astype(np.int64)
     return cpm_x, x, space_data(_right_translate(d1.space, x_inv.astype(np.int64)))
@@ -344,7 +326,7 @@ def _anchored_isotopisms(d1, d2):
     """
     q = d1.q
     cpm_x, x, dataU = _anchor(d1, d2)
-    _, per_y2 = d2.division_data()
+    _, per_y2 = d2.division_data
     mats2 = d2.elems.reshape(-1, d2.n, d2.n)
     for cpm, y_idx, y_inv in per_y2:
         if cpm != cpm_x:
@@ -380,14 +362,14 @@ def are_equivalent(s1, s2):
     if d1.fingerprint != d2.fingerprint:
         return None
 
-    inv1 = d1.invertible_projective()
-    inv2 = d2.invertible_projective()
+    inv1 = d1.invertible_projective
+    inv2 = d2.invertible_projective
     if inv1.size == 0 or inv2.size == 0:
         if inv1.size != inv2.size:
             return None
         return _brute_force_equivalent(s1, s2)
 
-    if d1.division_data()[0] != d2.division_data()[0]:
+    if d1.division_data[0] != d2.division_data[0]:
         return None
 
     for A, B in _anchored_isotopisms(d1, d2):
@@ -466,8 +448,9 @@ def equivalence_classes(spaces, group=None):
     Each space must then contain group.space and equal group.space plus the
     span of its rank-one points (BadParameters otherwise), so that the
     orbit of its rank-one point set is a complete key.
-    The output is a deterministic function of the input set: representatives
-    are the members with least sorted-encoding multiset, sorted.
+    The output is a deterministic function of the input set: each
+    representative is the member of its class with the least (dim, RREF
+    basis bytes), and the output is sorted by that key.
     """
     spaces = list(spaces)
     if not spaces:
@@ -579,7 +562,7 @@ def automorphism_group(space):
         space = space.space
     q, n = space.q, space.n
     data = space_data(space)
-    if data.invertible_projective().size == 0:
+    if data.invertible_projective.size == 0:
         return _brute_force_stabilizer(space)
     _, x, dataU = _anchor(data, data)
     pts = points_for(q, n)

@@ -315,8 +315,17 @@ def _diag_space(q, n):
 
 
 def default_prune_schedule(n):
-    """Partial-spread dimension demanded per level in the published runs."""
+    """Partial-spread dimension demanded per level in the published runs.
+
+    A level-d space inside a rank-one spanned R-space meets the spread set
+    in dimension d + n - R or more, so this schedule is licensed for R <= 2n.
+    """
     return {n + 2: 2, n + 3: 3}
+
+
+def _check_target(n, R):
+    if not n <= R <= n * n:  # every spread set has tensor rank n..n^2
+        raise BadParameters(f"target dimension R = {R} must lie between n = {n} and n^2 = {n * n}")
 
 
 def spread_sets_by_rank(q, n, R, prune=None, progress=None):
@@ -327,18 +336,23 @@ def spread_sets_by_rank(q, n, R, prune=None, progress=None):
     filtered by the prune schedule, and spread sets are extracted at
     dimension R.  n must be at least 1 and n <= R <= n^2 (BadParameters
     otherwise): every spread set has rank at least n.
+
+    prune maps a level d to the partial-spread dimension k its survivors must
+    contain; a complete run needs k <= d + n - R, which the default meets
+    only for R <= 2n (the report flags "prune-unlicensed" otherwise).
     """
     t0 = time.perf_counter()
     if n < 1:
         raise BadParameters(f"spread-set dimension must be at least 1, got {n}")
-    if not n <= R <= n * n:
-        raise BadParameters(f"target dimension {R} must lie between n = {n} and n^2 = {n * n}")
-    if prune is None:
-        prune = default_prune_schedule(n)
-    prune = {d: k for d, k in prune.items() if d <= R}
-    pts = points_for(q, n)
+    _check_target(n, R)
     report = SearchReport("spread-sets-by-rank", q, n)
     report.extra["R"] = R
+    if prune is None:
+        prune = default_prune_schedule(n)
+        if R > 2 * n:
+            report.flags.append(f"prune-unlicensed: default schedule {prune} at R = {R} > 2n")
+    prune = {d: k for d, k in prune.items() if d <= R}
+    pts = points_for(q, n)
 
     current = [_diag_space(q, n)]
     dim = n
@@ -516,7 +530,7 @@ def _input_space(spread):
     return space
 
 
-def disprove_rank(spread, R, aut=None, stop_at_witness=True, checkpoint=None, progress=None):
+def disprove_rank(spread, R, aut=None, checkpoint=None, progress=None):
     """Exhaustive search for an R-dimensional rank-one spanned space containing
     the spread set.
 
@@ -524,31 +538,28 @@ def disprove_rank(spread, R, aut=None, stop_at_witness=True, checkpoint=None, pr
     automorphism group (orbit representatives of the added point, then orbit
     deduplication of the spans).  When no [R, n, n+1]_q code exists, the
     (2n-1)-dimensional level keeps only spaces containing n linearly
-    independent rank ones.  The final level counts R-dimensional children and
-    how many are spanned by rank ones; "exhausted" with zero witnesses proves
-    tensor rank > R.
+    independent rank ones.  The final level scans R-dimensional children up
+    to the first one spanned by rank ones, the witness; "exhausted" (no
+    witness) proves tensor rank > R.  A fresh run first tries _diag_probe.
 
     The other levels are scanned raw, _CHUNK parents at a time, and their
     children are rows [parent position, point index, score].  With a
     checkpoint path, the log's header is written before the first level (an
     unwritable path raises OSError at once), and each step appends one record
-    (see _Checkpoint).  A run started again with the same spread set, R,
-    stop_at_witness and filter setting recomputes the classified levels,
-    replays the logged steps and reproduces the levels, outcome and witness
-    of an uninterrupted run; any other file at that path, or a logged step
+    (see _Checkpoint).  A run started again with the same spread set, R and
+    filter setting recomputes the classified levels, replays the logged
+    steps and reproduces the levels, outcome and witness of an
+    uninterrupted run; any other file at that path, or a logged step
     whose level has another number of parents, raises BadParameters and is
     left as it is.  The file is removed when the run finishes.  When R = n
     no level runs, and the outcome says whether the input is spanned by rank
-    ones.  An input whose dimension is not n, or R > n^2, raises
+    ones.  An input whose dimension is not n, or R outside n..n^2, raises
     BadParameters.
     """
     t0 = time.perf_counter()
     space = _input_space(spread)
     q, n = space.q, space.n
-    if R < n:
-        raise RankExceedsCap("target dimension below the spread-set dimension")
-    if R > n * n:
-        raise BadParameters(f"target dimension {R} exceeds n^2 = {n * n}")
+    _check_target(n, R)
     pts = points_for(q, n)
     report = SearchReport("disprove-rank", q, n)
     report.extra["R"] = R
@@ -577,14 +588,13 @@ def disprove_rank(spread, R, aut=None, stop_at_witness=True, checkpoint=None, pr
         "n": n,
         "R": R,
         "spread": space.encodings(),
-        "stop_at_witness": stop_at_witness,
         "filter": prune_ok,
     }
     log = _Checkpoint(checkpoint, params)
     records = log.load()
 
     # any log, even a header alone, was written after the probe missed
-    if stop_at_witness and records is None:
+    if records is None:
         hit = _diag_probe(space, R, pts)
         if hit is not None:
             report.outcome = "witness"
@@ -615,15 +625,15 @@ def disprove_rank(spread, R, aut=None, stop_at_witness=True, checkpoint=None, pr
             continue
 
         # raw level: keep the children whose rank-one score reaches least
-        # (n at the filter level, R at the final one, which keeps only its
-        # first witness).  With stop_at_witness the level before the final
-        # one is ordered richest first, so spanned spaces come early; at
-        # R = 2n that level is the filter level, which keeps scan order.
+        # (n at the filter level, R at the final one, which stops at its
+        # first witness).  The level before the final one is ordered
+        # richest first, so spanned spaces come early; at R = 2n that level
+        # is the filter level, which keeps scan order.
         # A non-final level scans all its parents, so it builds them first;
         # the final level builds each parent when its scan reaches it.
         filtering = prune_ok and dim == 2 * n - 1 and not final
         least = R if final else n if filtering else 0
-        ordered = stop_at_witness and dim == R - 1 and not filtering
+        ordered = dim == R - 1 and not filtering
         if kept is not None and not final:
             current = [_parent(current, kept, j, pts) for j in range(len(kept))]
             kept = None
@@ -635,7 +645,7 @@ def disprove_rank(spread, R, aut=None, stop_at_witness=True, checkpoint=None, pr
                 raise log.refusal(f"level {dim} has {total} parents, not {step['parents_total']}")
             kept.extend(step["kept"])
             counts, pos = {"spaces": step["spaces"], "good": step["good"]}, step["parents_done"]
-        while pos < total and not (final and stop_at_witness and kept):
+        while pos < total and not (final and kept):
             chunk, kept_before = range(pos, min(pos + _CHUNK, total)), len(kept)
             pos = chunk.stop
             for j in chunk:

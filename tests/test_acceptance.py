@@ -113,7 +113,7 @@ def test_criterion_4_bounds():
     # with an excluded code the filter stays on ([4,2,3]_2 for F4), otherwise
     # it is flagged off ([7,3,4]_2, the simplex code, for F8)
     f4 = algebra.field_construct(2, 2, (1, 1, 1))
-    on = search.disprove_rank(f4, 4, stop_at_witness=False)
+    on = search.disprove_rank(f4, 4)
     off = search.disprove_rank(algebra.field_construct(2, 3), 7)
     ok &= not any(f.startswith("filter-disabled") for f in on.flags)
     ok &= any(f.startswith("filter-disabled") for f in off.flags)

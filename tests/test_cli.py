@@ -146,6 +146,13 @@ def test_search_small(capsys):
     assert data["spread_set_classes"] == 1
 
 
+def test_search_text_prints_flags(capsys):
+    # the default prune schedule is not licensed above R = 2n
+    code, out, _ = run(capsys, "search", "--q", "2", "--n", "3", "--max", "7")
+    assert code == 0
+    assert "flag: prune-unlicensed" in out
+
+
 def test_knuth_cli(capsys, tmp_path):
     spread = tmp_path / "f4.txt"
     spread.write_text("2 2\n9\n14\n")
@@ -180,6 +187,8 @@ def test_unknown_atlas_entry_usage_error(capsys):
         pytest.param(["equiv", "n0.txt", "n0.txt"], "n >= 1", id="equiv-header-n-zero"),
         pytest.param(["disprove", "--atlas", "F16", "--rank", "17"], "n^2",
                      id="disprove-rank-above-n-squared"),
+        pytest.param(["disprove", "--atlas", "F16", "--rank", "3"], "between n",
+                     id="disprove-rank-below-n"),
         pytest.param(["search", "--q", "2", "--n", "0", "--max", "3"], "at least 1",
                      id="search-n-zero"),
         pytest.param(["search", "--q", "2", "--n", "2", "--max", "5"], "n^2",

@@ -438,7 +438,7 @@ def oracle_automorphism_group(space, x_idx):
     q, n = space.q, space.n
     data = equivalence.space_data(space)
     mats = data.elems.reshape(-1, n, n)
-    _, per_y = data.division_data()
+    _, per_y = data.division_data
     cpm_x = {yi: k for k, yi, _ in per_y}[x_idx]
     x1 = mats[x_idx].astype(np.int64)
     U = equivalence._right_translate(space, gf.mat_inverse(x1, q).astype(np.int64))
@@ -473,7 +473,7 @@ def test_automorphism_group_matches_per_candidate_oracle(name, monkeypatch):
     fast = equivalence.automorphism_group(space)
     monkeypatch.setattr(equivalence, "_conjugating", oracle_conjugating)
     data = equivalence.space_data(space)
-    _, per_y = data.division_data()
+    _, per_y = data.division_data
     count = Counter(k for k, _, _ in per_y)
     rarest = min(per_y, key=lambda item: (count[item[0]], item[1]))[1]
     # block by block: the same y order and sizes, and the same pairs in
@@ -486,7 +486,7 @@ def test_automorphism_group_matches_per_candidate_oracle(name, monkeypatch):
         start = stop
     assert start == fast.order
     # the group the first anchor gives, in another order
-    blocks = oracle_automorphism_group(space, int(data.invertible_projective()[0]))
+    blocks = oracle_automorphism_group(space, int(data.invertible_projective[0]))
     A, B = (np.concatenate(parts) for parts in zip(*blocks))
     assert len(A) == fast.order
     assert pair_set(A, B) == pair_set(fast.A, fast.B)
@@ -526,7 +526,7 @@ def test_automorphism_group_f81_runs_one_find_all_search(monkeypatch):
     space = atlas.atlas_get("F81").space()
     data = equivalence.space_data(space)
     cpm_x = equivalence._anchor(data, data)[0]
-    images = sum(k == cpm_x for k, _, _ in data.division_data()[1])
+    images = sum(k == cpm_x for k, _, _ in data.division_data[1])
     calls = []
     conjugators = equivalence._conjugators
 
@@ -545,8 +545,8 @@ def test_automorphism_group_f81_runs_one_find_all_search(monkeypatch):
 def test_division_data_keeps_the_inverse_of_each_element(name):
     data = equivalence.space_data(atlas.atlas_get(name).space())
     n, q = data.n, data.q
-    _, per_y = data.division_data()
-    assert [yi for _, yi, _ in per_y] == data.invertible_projective().tolist()
+    _, per_y = data.division_data
+    assert [yi for _, yi, _ in per_y] == data.invertible_projective.tolist()
     for _, yi, y_inv in per_y:
         want = gf.mat_inverse(data.elems[yi].reshape(n, n), q)
         assert y_inv.dtype == want.dtype and y_inv.tobytes() == want.tobytes()
@@ -573,8 +573,8 @@ def oracle_are_equivalent(s1, s2):
     witness.  The pre-filters are assumed passed."""
     q, n = s1.q, s1.n
     d1, d2 = equivalence.space_data(s1), equivalence.space_data(s2)
-    _, per_y1 = d1.division_data()
-    _, per_y2 = d2.division_data()
+    _, per_y1 = d1.division_data
+    _, per_y2 = d2.division_data
     count2 = Counter(k for k, _, _ in per_y2)
     cpm1, x_idx, _ = min(per_y1, key=lambda item: (count2[item[0]], item[1]))
     mats1 = d1.elems.reshape(-1, n, n)
@@ -643,7 +643,7 @@ fields = st.sampled_from([2, 3])
 @given(fields.flatmap(lambda q: st.integers(1, 4).flatmap(lambda k: spaces_2x2(q, k))))
 def test_automorphism_group_equals_brute_force_stabilizer(space):
     assume(space.dim >= 1)
-    assume(equivalence.space_data(space).invertible_projective().size > 0)
+    assume(equivalence.space_data(space).invertible_projective.size > 0)
     aut = equivalence.automorphism_group(space)
     brute = equivalence._brute_force_stabilizer(space)
     as_set = lambda g: {a.tobytes() + b.tobytes() for a, b in zip(g.A, g.B)}

@@ -163,7 +163,7 @@ def test_disprove_rank_at_the_input_dimension():
 @pytest.mark.parametrize(
     "call",
     [
-        pytest.param(lambda sp: search.disprove_rank(sp, 4, stop_at_witness=False), id="disprove"),
+        pytest.param(lambda sp: search.disprove_rank(sp, 4), id="disprove"),
         pytest.param(search.tensor_rank, id="tensor-rank"),
     ],
 )
@@ -188,7 +188,7 @@ def test_disprove_rank_rejects_targets_above_n_squared(monkeypatch):
 
     monkeypatch.setattr(search, "automorphism_group", never)
     with pytest.raises(BadParameters, match="n\\^2"):
-        search.disprove_rank(algebra.field_construct(2, 2), 5, stop_at_witness=False)
+        search.disprove_rank(algebra.field_construct(2, 2), 5)
 
 
 @pytest.mark.parametrize("q, n, R", [(2, 1, 0), (2, 3, 2), (3, 2, 1)])
@@ -197,6 +197,23 @@ def test_spread_sets_by_rank_rejects_targets_below_n(q, n, R):
     # although the field F_2 has tensor rank 1
     with pytest.raises(BadParameters, match="between n"):
         search.spread_sets_by_rank(q, n, R)
+
+
+def test_disprove_rank_rejects_targets_below_n():
+    # the same range error as spread_sets_by_rank, not the "cap exceeded" one
+    with pytest.raises(BadParameters, match="between n"):
+        search.disprove_rank(algebra.field_construct(2, 4), 3)
+
+
+def test_spread_sets_by_rank_flags_an_unlicensed_default_prune():
+    # a level space of dim d in a rank-one spanned R-space meets the spread
+    # set in dimension d + n - R or more; the default schedule equals that
+    # only at R = 2n
+    report, _ = search.spread_sets_by_rank(2, 3, 7)
+    assert [f.split(":")[0] for f in report.flags] == ["prune-unlicensed"]
+    assert search.spread_sets_by_rank(2, 3, 6)[0].flags == []
+    report, _ = search.spread_sets_by_rank(2, 3, 7, prune={5: 1, 6: 2, 7: 3})
+    assert report.flags == []
 
 
 @given(
@@ -238,67 +255,50 @@ def test_disprove_rank_finds_rank8_witnesses():
         assert ok and len(rep.witness) == 8
 
 
-# (field, R, stop_at_witness, diagonal probe on, outcome, levels, witness),
-# frozen from the runs before every raw level kept the children whose
-# rank-one score reaches a threshold.  Between them they cover reduce,
-# filter, plain, ordered and final levels; with the probe off, F8 R=6 runs
+# (field, R, diagonal probe on, outcome, levels, witness), frozen from the
+# runs before every raw level kept the children whose rank-one score
+# reaches a threshold.  Between them they cover reduce, filter, ordered and
+# final levels; with the probe off, F4 R=4 runs its filter level, F8 R=6
 # its filter level as level R - 1 and R=7 its ordered level up to a witness.
 FROZEN_RUNS = [
-    ("F4", 3, True, True, "witness", [], [8, 1, 15]),
-    ("F4", 3, False, True, "witness", [{"dim": 3, "spaces": 3, "witnesses": 3}], [8, 1, 15]),
-    ("F4", 4, True, True, "witness", [], [8, 4, 2, 1]),
-    ("F4", 4, False, True, "witness",
+    ("F4", 3, True, "witness", [], [8, 1, 15]),
+    ("F4", 3, False, "witness", [{"dim": 3, "spaces": 3, "witnesses": 3}], [8, 1, 15]),
+    ("F4", 4, True, "witness", [], [8, 4, 2, 1]),
+    ("F4", 4, False, "witness",
      [{"dim": 3, "spaces": 3, "survivors": 3}, {"dim": 4, "spaces": 3, "witnesses": 3}],
      [8, 4, 2, 1]),
-    ("F8", 5, True, True, "exhausted",
+    ("F8", 5, True, "exhausted",
      [{"dim": 4, "classes": 1}, {"dim": 5, "spaces": 30, "witnesses": 0}], None),
-    ("F8", 5, False, True, "exhausted",
-     [{"dim": 4, "classes": 1}, {"dim": 5, "spaces": 30, "witnesses": 0}], None),
-    ("F8", 6, True, True, "witness", [], [256, 16, 432, 1, 195, 63]),
-    ("F8", 6, False, True, "witness",
-     [{"dim": 4, "classes": 1}, {"dim": 5, "spaces": 30, "survivors": 12},
-      {"dim": 6, "spaces": 180, "witnesses": 27}],
-     [256, 432, 2, 45, 195, 511]),
-    ("F8", 6, True, False, "witness",
+    ("F8", 6, True, "witness", [], [256, 16, 432, 1, 195, 63]),
+    ("F8", 6, False, "witness",
      [{"dim": 4, "classes": 1}, {"dim": 5, "spaces": 30, "survivors": 12},
       {"dim": 6, "spaces": 60, "witnesses": 9}],
      [256, 432, 2, 45, 195, 511]),
-    ("F8", 7, True, True, "witness", [], [256, 128, 32, 16, 1, 365, 195]),
-    ("F8", 7, False, True, "witness",
-     [{"dim": 4, "classes": 1}, {"dim": 5, "spaces": 30}, {"dim": 6, "spaces": 450},
-      {"dim": 7, "spaces": 3150, "witnesses": 2610}],
-     [256, 128, 32, 16, 1, 365, 195]),
-    ("F8", 7, True, False, "witness",
+    ("F8", 7, True, "witness", [], [256, 128, 32, 16, 1, 365, 195]),
+    ("F8", 7, False, "witness",
      [{"dim": 4, "classes": 1}, {"dim": 5, "spaces": 30}, {"dim": 6, "spaces": 450},
       {"dim": 7, "spaces": 28, "witnesses": 28}],
      [256, 128, 32, 16, 1, 365, 195]),
-    ("F8", 8, True, True, "witness",
+    ("F8", 8, True, "witness",
      [{"dim": 4, "classes": 1}, {"dim": 5, "spaces": 30}, {"dim": 6, "spaces": 450},
       {"dim": 7, "spaces": 3150}, {"dim": 8, "spaces": 12, "witnesses": 12}],
-     [256, 128, 64, 32, 16, 2, 1, 45]),
-    ("F8", 8, False, True, "witness",
-     [{"dim": 4, "classes": 1}, {"dim": 5, "spaces": 30}, {"dim": 6, "spaces": 450},
-      {"dim": 7, "spaces": 3150}, {"dim": 8, "spaces": 9450, "witnesses": 9450}],
      [256, 128, 64, 32, 16, 2, 1, 45]),
 ]
 
 
 @pytest.mark.parametrize(
-    "field, R, stop_at_witness, probe, outcome, levels, witness",
+    "field, R, probe, outcome, levels, witness",
     FROZEN_RUNS,
-    ids=[f"{r[0]}-R{r[1]}-{'stop' if r[2] else 'all'}{'' if r[3] else '-noprobe'}"
-         for r in FROZEN_RUNS],
+    ids=[f"{r[0]}-R{r[1]}-stop{'' if r[2] else '-noprobe'}" for r in FROZEN_RUNS],
 )
-def test_disprove_rank_matches_frozen_runs(
-    monkeypatch, field, R, stop_at_witness, probe, outcome, levels, witness
-):
+def test_disprove_rank_matches_frozen_runs(monkeypatch, field, R, probe, outcome, levels, witness):
     spread = {
         "F4": algebra.field_construct(2, 2, (1, 1, 1)),
         "F8": algebra.field_construct(2, 3),
     }[field]
     if not probe:
         monkeypatch.setattr(search, "_diag_probe", lambda space, R, pts: None)
-    rep = search.disprove_rank(spread, R, stop_at_witness=stop_at_witness)
+    rep = search.disprove_rank(spread, R)
     assert (rep.outcome, rep.levels, rep.witness) == (outcome, levels, witness)
 
 
@@ -341,49 +341,41 @@ def interrupt_at(dim, event):
 
 
 @functools.lru_cache(maxsize=None)
-def uninterrupted(n, R, stop_at_witness):
-    return search.disprove_rank(
-        algebra.field_construct(2, n), R, stop_at_witness=stop_at_witness
-    )
+def uninterrupted(n, R):
+    return search.disprove_rank(algebra.field_construct(2, n), R)
 
 
 @pytest.mark.parametrize(
-    "n, R, stop_at_witness, dim, event",
+    "n, R, dim, event",
     [
         # F8 R=5: the only chunk of the final level
-        pytest.param(3, 5, True, 5, 1, id="f8-final-only"),
+        pytest.param(3, 5, 5, 1, id="f8-final-only"),
         # F16 R=8: the raw filter level has 8 chunks, the final level 26
-        pytest.param(4, 8, True, 7, 1, id="f16-raw-first"),
-        pytest.param(4, 8, True, 7, 4, id="f16-raw-middle"),
-        pytest.param(4, 8, True, 8, 13, id="f16-final-middle"),
+        pytest.param(4, 8, 7, 1, id="f16-raw-first"),
+        pytest.param(4, 8, 7, 4, id="f16-raw-middle"),
+        pytest.param(4, 8, 8, 13, id="f16-final-middle"),
+        # F16 R=8: the last final chunk, after every other one found nothing
+        pytest.param(4, 8, 8, 26, id="f16-final-last"),
         # F8 R=8: dim 7 is ordered by rank-one content for the witness level
-        pytest.param(3, 8, True, 7, 1, id="f8-ordered-first"),
-        pytest.param(3, 8, True, 7, 3, id="f8-ordered-third"),
+        pytest.param(3, 8, 7, 1, id="f8-ordered-first"),
+        pytest.param(3, 8, 7, 3, id="f8-ordered-third"),
         # F8 R=8: the first final chunk holds the witness that stops the run
-        pytest.param(3, 8, True, 8, 1, id="f8-final-witness-chunk"),
-        # F8 R=7 without stopping: the last of 113 final chunks, after all
-        # 2610 witnesses have been counted
-        pytest.param(3, 7, False, 7, 113, id="f8-final-last-all-witnesses"),
+        pytest.param(3, 8, 8, 1, id="f8-final-witness-chunk"),
     ],
 )
-def test_disprove_rank_checkpoint_resume(tmp_path, n, R, stop_at_witness, dim, event):
+def test_disprove_rank_checkpoint_resume(tmp_path, n, R, dim, event):
     spread = algebra.field_construct(2, n)
-    baseline = uninterrupted(n, R, stop_at_witness)
+    baseline = uninterrupted(n, R)
 
     ckpt = tmp_path / "state.json"
     with pytest.raises(Stop):
-        search.disprove_rank(
-            spread, R, stop_at_witness=stop_at_witness, checkpoint=str(ckpt),
-            progress=interrupt_at(dim, event),
-        )
+        search.disprove_rank(spread, R, checkpoint=str(ckpt), progress=interrupt_at(dim, event))
     # the header, then one record per step of every raw level so far
     records = log_records(ckpt)
     assert_step_records(records[1:])
     assert [r["dim"] for r in records[1:]].count(dim) == event
     assert records[-1]["dim"] == dim
-    resumed = search.disprove_rank(
-        spread, R, stop_at_witness=stop_at_witness, checkpoint=str(ckpt)
-    )
+    resumed = search.disprove_rank(spread, R, checkpoint=str(ckpt))
     assert "resumed-from-checkpoint" in resumed.flags
     assert resumed.outcome == baseline.outcome
     assert resumed.levels == baseline.levels
@@ -393,7 +385,7 @@ def test_disprove_rank_checkpoint_resume(tmp_path, n, R, stop_at_witness, dim, e
 
 def test_disprove_rank_resumes_past_a_torn_last_record(tmp_path):
     f8 = algebra.field_construct(2, 3)
-    baseline = uninterrupted(3, 8, True)
+    baseline = uninterrupted(3, 8)
     ckpt = tmp_path / "state.json"
     # interrupted at the third step of the ordered level, with the third
     # step's record cut in half
@@ -797,7 +789,7 @@ def test_diag_probe_matches_scan_oracle(name):
 
 def test_disprove_rank_checkpoint_records_the_filter_flag(tmp_path):
     f16 = algebra.field_construct(2, 4)
-    baseline = uninterrupted(4, 8, True)
+    baseline = uninterrupted(4, 8)
     ckpt = tmp_path / "state.json"
     with pytest.raises(Stop):
         search.disprove_rank(f16, 8, checkpoint=str(ckpt), progress=interrupt_at(7, 1))
@@ -834,13 +826,13 @@ def test_disprove_rank_flags_ignored_checkpoint(tmp_path, content, reason):
     f8 = algebra.field_construct(2, 3)
     ckpt = tmp_path / "state.json"
     if content is None:
-        # a log of the same search with stop_at_witness on
+        # a log of the same spread set at another R
         with pytest.raises(Stop):
             search.disprove_rank(f8, 5, checkpoint=str(ckpt), progress=interrupt_at(5, 1))
     else:
         ckpt.write_text(content)
     before = ckpt.read_bytes()
     with pytest.raises(BadParameters) as err:
-        search.disprove_rank(f8, 5, stop_at_witness=False, checkpoint=str(ckpt))
+        search.disprove_rank(f8, 6, checkpoint=str(ckpt))
     assert str(err.value) == f"checkpoint {ckpt} is not a snapshot of this run: {reason}"
     assert ckpt.read_bytes() == before
