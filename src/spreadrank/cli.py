@@ -215,6 +215,8 @@ def cmd_atlas(args):
         print(f"{len(results) - bad}/{len(results)} checks passed")
         return 0 if bad == 0 else 1
     if args.action == "export":
+        if not args.name:
+            raise SystemExit2("atlas export needs an entry NAME")
         if not args.output:
             raise SystemExit2("atlas export needs --output PATH")
         entry = atlas.atlas_get(args.name)

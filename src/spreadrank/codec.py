@@ -10,10 +10,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadParameters, EncodingOverflow, ParseError
+from .gf import SUPPORTED_Q
 
 
 def _check_dims(q, n):
-    if q < 2 or n < 1:
+    if q not in SUPPORTED_Q:
+        raise BadParameters(f"unsupported field size q={q}; q must be one of {SUPPORTED_Q}")
+    if n < 1:
         raise BadParameters(f"bad dimensions q={q}, n={n}")
     if q ** (n * n) > 2**63:
         raise EncodingOverflow(f"q^(n^2) exceeds 64-bit range for q={q}, n={n}")

@@ -14,14 +14,18 @@ Anchor candidates are pre-filtered by division signatures: the multiset, over
 invertible Y, of characteristic-polynomial multisets of S Y^-1 is a full
 G-invariant of S and is compared before any backtracking.
 
-automorphism_group runs the same anchored search with S1 = S2, taking the
-first conjugator for each Y, and one more search that keeps every
-conjugator of U = S X1^-1 onto itself.  The automorphisms sending X1 to Y
-are the first hit for Y times that conjugation stabilizer of U, so the
-group's elements, and its point tables, are composed from the two factors.
-Both anchor on the element of S1 whose cpm class (charpoly multiset of
-S1 X1^-1) is rarest in S2, least index first, which leaves the fewest Y to
-try.
+Both are_equivalent and automorphism_group anchor on the element of S1
+whose cpm class (charpoly multiset of S1 X1^-1) is rarest in S2, least
+index first, which leaves the fewest images Y to try, and both run one
+first-hit search per Y they try.  are_equivalent tries the Y in order and
+stops at the first hit.  automorphism_group (S1 = S2) runs one more search
+that keeps every conjugator of U = S X1^-1 onto itself, and closes the
+orbit of X1 over its images: each hit is a generator that permutes the
+images, so the automorphisms found so far reach some Y (with a composite
+representative) and refute others (images of a Y without a hit), and only
+the Y left undecided are searched.  The automorphisms sending X1 to Y are
+Y's representative times the conjugation stabilizer of U, so the group's
+elements, and its point tables, are composed from the two factors.
 
 Stabilizer groups act on the projective rank-one points by permutations:
 (A, B) sends u w^T to (A u)(B^T w)^T, so two int16 tables over the
@@ -304,42 +308,41 @@ def _right_translate(space, m_inv):
 
 
 def _anchor(d1, d2):
-    """(cpm key, matrix, data of S1 x^-1) of the anchor x of S1 against S2.
+    """(x, data of S1 x^-1, images) for the anchor x of S1 against S2.
 
     The anchor is the projective invertible element of S1 whose cpm key is
-    rarest among those of S2, the least index on ties.
+    rarest among those of S2, the least index on ties.  An isotopism sends x
+    to a unit multiple of one of its images: the (index, inverse) pairs of
+    the projective invertible elements of S2 with x's cpm key, in
+    division_data order.
     """
     _, per_y1 = d1.division_data
-    count2 = Counter(k for k, _, _ in d2.division_data[1])
+    _, per_y2 = d2.division_data
+    count2 = Counter(k for k, _, _ in per_y2)
     cpm_x, x_idx, x_inv = min(per_y1, key=lambda item: (count2[item[0]], item[1]))
     x = d1.elems[x_idx].reshape(d1.n, d1.n).astype(np.int64)
-    return cpm_x, x, space_data(_right_translate(d1.space, x_inv.astype(np.int64)))
+    images = [(y_idx, y_inv) for cpm, y_idx, y_inv in per_y2 if cpm == cpm_x]
+    return x, space_data(_right_translate(d1.space, x_inv.astype(np.int64))), images
 
 
-def _anchored_isotopisms(d1, d2):
-    """Isotopisms from S1 to S2 that send the anchor x of S1 into S2, one
-    (A, B) pair of (n, n) uint8 matrices per image y that has one.
+def _anchored_isotopism(x, dataU, d2, y_idx, y_inv):
+    """An isotopism (A, B) from S1 to S2 with A x B = y, as (n, n) uint8
+    matrices, or None when there is none.
 
-    The images y are the projective invertible elements of S2 with x's cpm
-    key, in division_data order.  A is the first conjugator of S1 x^-1 onto
-    S2 y^-1 that the search finds and B = (A x)^-1 y.
+    dataU wraps S1 x^-1, and y is element y_idx of S2, with inverse y_inv.
+    A is the first conjugator of S1 x^-1 onto S2 y^-1 that the search finds
+    and B = (A x)^-1 y.
     """
-    q = d1.q
-    cpm_x, x, dataU = _anchor(d1, d2)
-    _, per_y2 = d2.division_data
-    mats2 = d2.elems.reshape(-1, d2.n, d2.n)
-    for cpm, y_idx, y_inv in per_y2:
-        if cpm != cpm_x:
-            continue
-        V = _right_translate(d2.space, y_inv.astype(np.int64))
-        As = _conjugators(dataU, space_data(V), find_all=False)
-        if not len(As):
-            continue
-        inverse, invertible = gf.inverse_batch((As.astype(np.int64) @ x) % q, q)
-        if not invertible.all():
-            raise NotInvertible("a conjugator times the anchor is singular")
-        B = (inverse[0].astype(np.int64) @ mats2[y_idx].astype(np.int64)) % q
-        yield As[0], B.astype(np.uint8)
+    q, n = d2.q, d2.n
+    V = _right_translate(d2.space, y_inv.astype(np.int64))
+    As = _conjugators(dataU, space_data(V), find_all=False)
+    if not len(As):
+        return None
+    inverse, invertible = gf.inverse_batch((As.astype(np.int64) @ x) % q, q)
+    if not invertible.all():
+        raise NotInvertible("a conjugator times the anchor is singular")
+    y = d2.elems[y_idx].reshape(n, n).astype(np.int64)
+    return As[0], ((inverse[0].astype(np.int64) @ y) % q).astype(np.uint8)
 
 
 def are_equivalent(s1, s2):
@@ -372,8 +375,12 @@ def are_equivalent(s1, s2):
     if d1.division_data[0] != d2.division_data[0]:
         return None
 
-    for A, B in _anchored_isotopisms(d1, d2):
-        witness = Isotopism(A, B, q)
+    x, dataU, images = _anchor(d1, d2)
+    for y_idx, y_inv in images:
+        hit = _anchored_isotopism(x, dataU, d2, y_idx, y_inv)
+        if hit is None:
+            continue
+        witness = Isotopism(*hit, q)
         if act(witness, s1) != s2:
             raise NotContained("equivalence witness does not map s1 onto s2")
         return witness
@@ -546,17 +553,87 @@ class StabilizerGroup:
         return StabilizerGroup(self.q, self.n, self.A[ok], self.B[ok], tables, space)
 
 
+def _anchor_orbit(data, x, dataU, images):
+    """Orbit closure of the anchor x over its images under Aut(S).
+
+    Returns (reached, refuted, RA, RB): boolean masks over the images, and
+    (m, n, n) int16 stacks with RA[i] x RB[i] = y_i for every reached i.
+    An image is searched only when it is neither reached nor refuted, in
+    image order; each hit g = (A_g, B_g) is a generator and permutes the
+    images by y -> A_g y B_g, projectively normalised.  If A_g y_i B_g =
+    c y_j, then (A_g RA[i], RB[i] B_g / c) sends x to y_j, so the reached
+    set is closed under the generators with composite representatives.
+    The refuted set is closed too: an automorphism maps an image that no
+    automorphism reaches to another such image.
+    """
+    q, n = data.q, data.n
+    m = len(images)
+    Y = data.elems[[y_idx for y_idx, _ in images]].reshape(m, n, n).astype(np.int16)
+    codes = encode_rows(Y.reshape(m, -1), q)
+    by_code = np.argsort(codes)
+    basis = data.space.basis.reshape(-1, n, n).astype(np.int16)
+    inv = gf.inv_table(q).astype(np.int16)
+    reached = codes == encode_rows(x.reshape(-1), q)
+    refuted = np.zeros(m, dtype=bool)
+    RA = np.zeros((m, n, n), dtype=np.int16)
+    RB = np.zeros((m, n, n), dtype=np.int16)
+    RA[reached] = RB[reached] = np.eye(n, dtype=np.int16)
+    gens = []
+
+    def close(mark, reps):
+        """Mark every image a word in the generators sends a marked one to."""
+        frontier = np.nonzero(mark)[0]
+        while gens and frontier.size:
+            grown = []
+            for A, B, perm, c_inv in gens:
+                src = frontier[~mark[perm[frontier]]]
+                dst = perm[src]
+                mark[dst] = True
+                if reps:
+                    RA[dst] = (A @ RA[src]) % q
+                    RB[dst] = (RB[src] @ B) * c_inv[src, None, None] % q
+                grown.append(dst)
+            frontier = np.concatenate(grown)
+
+    for i, (y_idx, y_inv) in enumerate(images):
+        if reached[i] or refuted[i]:
+            continue
+        hit = _anchored_isotopism(x, dataU, data, y_idx, y_inv)
+        if hit is None:
+            refuted[i] = True
+            close(refuted, False)
+            continue
+        A, B = (M.astype(np.int16) for M in hit)
+        moved = (A @ Y @ B) % q
+        lead = gf.leading_coeff(moved.reshape(m, -1), q)
+        moved_codes = encode_rows((moved * inv[lead][:, None, None] % q).reshape(m, -1), q)
+        perm = by_code[np.minimum(np.searchsorted(codes, moved_codes, sorter=by_code), m - 1)]
+        fixes = data.space.contains_batch(((A @ basis @ B) % q).reshape(-1, n * n)).all()
+        if not fixes or not np.array_equal(codes[perm], moved_codes):
+            raise NotContained("a generator maps an anchor image outside its class")
+        gens.append((A, B, perm, inv[lead]))
+        close(reached, True)
+        close(refuted, False)
+    if not np.array_equal((RA[reached] @ x.astype(np.int16) @ RB[reached]) % q, Y[reached]):
+        raise NotContained("a composite representative does not send the anchor to its image")
+    return reached, refuted, RA, RB
+
+
 def automorphism_group(space):
     """Exact setwise stabilizer of a space containing an invertible element,
     with its point tables.
 
-    An automorphism sends the anchor x to some y with x's cpm key, and those
-    sending x to y are (A0 C, (A0 C x)^-1 y) = (A0 C, D B0): (A0, B0) is the
-    first hit of the anchored search for y, C runs over the conjugation
-    stabilizer of U = S x^-1 and D = x^-1 C^-1 x.  So one search for C and
-    one first hit per y give the group, a block per y in division_data
-    order, each B times every unit, A-major; the point tables of a block are
-    those of C and D^T composed with those of A0 and B0^T.
+    An automorphism sends the anchor x to a unit multiple of one of its
+    images y, and those sending x to y are (A_y C, D B_y) times every unit:
+    (A_y, B_y) is any automorphism with A_y x B_y = y, C runs over the
+    conjugation stabilizer of U = S x^-1 (one find-all search) and
+    D = x^-1 C^-1 x.  The images some automorphism reaches, and a
+    representative of each, come from the orbit closure of x
+    (_anchor_orbit), which searches only the images that the generators
+    found so far leave undecided.  The group is a block per reached y in
+    division_data order, each B times every unit, A-major; the point
+    tables of a block are those of C and D^T composed with those of A_y
+    and B_y^T.  All blocks are built in one batch.
     """
     if isinstance(space, SpreadSet):
         space = space.space
@@ -564,23 +641,25 @@ def automorphism_group(space):
     data = space_data(space)
     if data.invertible_projective.size == 0:
         return _brute_force_stabilizer(space)
-    _, x, dataU = _anchor(data, data)
-    pts = points_for(q, n)
-    C = _conjugators(dataU, dataU, find_all=True).astype(np.int64)
+    x, dataU, images = _anchor(data, data)
+    C = _conjugators(dataU, dataU, find_all=True).astype(np.int16)
+    reached, _, RA, RB = _anchor_orbit(data, x, dataU, images)
+    RA, RB = RA[reached], RB[reached]
+    x = x.astype(np.int16)
     inverses, _ = gf.inverse_batch((C @ x) % q, q)
-    D = (inverses.astype(np.int64) @ x) % q
+    D = (inverses.astype(np.int16) @ x) % q
+    units = np.arange(1, q, dtype=np.int16)[:, None, None]
+    A = np.repeat((RA[:, None] @ C) % q, q - 1, axis=1)
+    B = ((D @ RB[:, None]) % q)[:, :, None] * units % q
+    pts = points_for(q, n)
     TC = np.repeat(pts.vector_images(C), q - 1, axis=0)
     TD = np.repeat(pts.vector_images(D.transpose(0, 2, 1)), q - 1, axis=0)
-    units = np.arange(1, q, dtype=np.int64)[None, :, None, None]
-    As, Bs, TAs, TBs = [], [], [], []
-    for A0, B0 in _anchored_isotopisms(data, data):
-        As.append(np.repeat((A0.astype(np.int64) @ C % q).astype(np.uint8), q - 1, axis=0))
-        B = (D @ B0.astype(np.int64)) % q
-        Bs.append((B[:, None] * units % q).reshape(-1, n, n).astype(np.uint8))
-        TAs.append(pts.vector_images(A0[None])[0][TC])
-        TBs.append(pts.vector_images(B0.T[None])[0][TD])
-    tables = (np.concatenate(TAs), np.concatenate(TBs))
-    return StabilizerGroup(q, n, np.concatenate(As), np.concatenate(Bs), tables, space)
+    tables = (
+        pts.vector_images(RA)[:, TC].reshape(-1, TC.shape[1]),
+        pts.vector_images(RB.transpose(0, 2, 1))[:, TD].reshape(-1, TD.shape[1]),
+    )
+    A, B = (M.reshape(-1, n, n).astype(np.uint8) for M in (A, B))
+    return StabilizerGroup(q, n, A, B, tables, space)
 
 
 def _brute_force_stabilizer(space):

@@ -175,6 +175,9 @@ def test_unknown_atlas_entry_usage_error(capsys):
         pytest.param(["search", "--q", "2", "--n", "3", "--max", "5", "--prune", "5:x"],
                      "--prune", id="prune-not-an-integer"),
         pytest.param(["atlas", "export", "F16"], "--output", id="export-without-output"),
+        pytest.param(["atlas", "export", "--output", "out.txt"], "NAME", id="export-without-name"),
+        pytest.param(["decode", "5", "--q", "4", "--n", "2"], "q=4", id="decode-unsupported-q"),
+        pytest.param(["encode", "10", "01", "--q", "9"], "q=9", id="encode-unsupported-q"),
         pytest.param(["encode", "012", "--q", "2"], "rows of", id="encode-not-square"),
         pytest.param(["encode", "01", "1x", "--q", "2"], "rows of", id="encode-not-a-digit"),
         pytest.param(["encode", "01", "12", "--q", "2"], "below q", id="encode-digit-not-below-q"),

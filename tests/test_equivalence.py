@@ -7,7 +7,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from spreadrank import algebra, atlas, equivalence, gf, search
-from spreadrank.errors import BadParameters, NotContained, NotInvertible, TooLarge
+from spreadrank.errors import (
+    BadParameters,
+    NotContained,
+    NotInvertible,
+    SpreadRankError,
+    TooLarge,
+)
 
 
 def random_invertible(rng, q, n):
@@ -433,8 +439,9 @@ def oracle_conjugating(cands, u_mats, V_space, q):
 def oracle_automorphism_group(space, x_idx):
     """Oracle: automorphism_group anchored on element x_idx, with every
     conjugator found by its own search per y, one mat_inverse per anchor, y
-    and conjugator and one B per (conjugator, unit).  Returns one (A, B)
-    block per y that has a conjugator, in division_data order."""
+    and conjugator and one B per (conjugator, unit).  Returns one
+    (y index, A, B) block per y that has a conjugator, in division_data
+    order."""
     q, n = space.q, space.n
     data = equivalence.space_data(space)
     mats = data.elems.reshape(-1, n, n)
@@ -457,7 +464,7 @@ def oracle_automorphism_group(space, x_idx):
                 pairs_A.append(A)
                 pairs_B.append(((base * lam % q) @ y % q).astype(np.uint8))
         if pairs_A:
-            blocks.append((np.stack(pairs_A), np.stack(pairs_B)))
+            blocks.append((y_idx, np.stack(pairs_A), np.stack(pairs_B)))
     return blocks
 
 
@@ -465,29 +472,47 @@ def pair_set(gA, gB):
     return {a.tobytes() + b.tobytes() for a, b in zip(gA, gB)}
 
 
+def seeded_s2_image():
+    space = atlas.atlas_get("S2").space()
+    return equivalence.act(random_isotopism(np.random.default_rng(17), 2, 4), space)
+
+
 @pytest.mark.parametrize(
-    "name", ["F16", "S1", "S2", pytest.param("F81", marks=pytest.mark.slow)]
+    "space",
+    [
+        *(pytest.param(atlas.atlas_get(name).space(), id=name) for name in ("F16", "S1", "S2")),
+        pytest.param(seeded_s2_image(), id="S2-image"),
+        *(pytest.param(atlas.atlas_get(name).space(), id=name, marks=pytest.mark.slow)
+          for name in ("F81", "GTF81")),
+    ],
 )
-def test_automorphism_group_matches_per_candidate_oracle(name, monkeypatch):
-    space = atlas.atlas_get(name).space()
+def test_automorphism_group_matches_per_candidate_oracle(space, monkeypatch):
     fast = equivalence.automorphism_group(space)
-    monkeypatch.setattr(equivalence, "_conjugating", oracle_conjugating)
     data = equivalence.space_data(space)
+    x, dataU, images = equivalence._anchor(data, data)
+    reached, refuted, _, _ = equivalence._anchor_orbit(data, x, dataU, images)
+    monkeypatch.setattr(equivalence, "_conjugating", oracle_conjugating)
     _, per_y = data.division_data
     count = Counter(k for k, _, _ in per_y)
     rarest = min(per_y, key=lambda item: (count[item[0]], item[1]))[1]
     # block by block: the same y order and sizes, and the same pairs in
     # each block (inside a block the order is that of the stabilizer of U)
     start = 0
-    for A, B in oracle_automorphism_group(space, rarest):
+    blocks = oracle_automorphism_group(space, rarest)
+    for _, A, B in blocks:
         stop = start + len(A)
         assert fast.A.dtype == A.dtype and fast.B.dtype == B.dtype
         assert pair_set(fast.A[start:stop], fast.B[start:stop]) == pair_set(A, B)
         start = stop
     assert start == fast.order
+    # the closure decides every image: it refutes exactly those with no block
+    with_block = {y_idx for y_idx, _, _ in blocks}
+    image_idx = [y_idx for y_idx, _ in images]
+    assert not (reached & refuted).any() and (reached | refuted).all()
+    assert {y for y, r in zip(image_idx, refuted) if r} == set(image_idx) - with_block
     # the group the first anchor gives, in another order
     blocks = oracle_automorphism_group(space, int(data.invertible_projective[0]))
-    A, B = (np.concatenate(parts) for parts in zip(*blocks))
+    A, B = (np.concatenate(parts) for parts in list(zip(*blocks))[1:])
     assert len(A) == fast.order
     assert pair_set(A, B) == pair_set(fast.A, fast.B)
 
@@ -522,11 +547,11 @@ def test_automorphism_group_tables_and_elements(space):
     assert len(pair_set(aut.A, aut.B)) == aut.order
 
 
-def test_automorphism_group_f81_runs_one_find_all_search(monkeypatch):
-    space = atlas.atlas_get("F81").space()
+@pytest.mark.parametrize("name, order, searches", [("F81", 25600, 2), ("GTF81", 640, 5)])
+def test_automorphism_group_searches_only_undecided_images(monkeypatch, name, order, searches):
+    space = atlas.atlas_get(name).space()
     data = equivalence.space_data(space)
-    cpm_x = equivalence._anchor(data, data)[0]
-    images = sum(k == cpm_x for k, _, _ in data.division_data[1])
+    images = equivalence._anchor(data, data)[2]
     calls = []
     conjugators = equivalence._conjugators
 
@@ -536,9 +561,26 @@ def test_automorphism_group_f81_runs_one_find_all_search(monkeypatch):
 
     monkeypatch.setattr(equivalence, "_conjugators", counted)
     aut = equivalence.automorphism_group(space)
-    assert aut.order == 25600
+    assert aut.order == order
     assert calls.count(True) == 1 and calls[0] is True
-    assert calls.count(False) == images == 40
+    assert calls.count(False) == searches < len(images) == 40
+
+
+def test_automorphism_group_refuses_a_first_hit_that_is_not_an_automorphism(monkeypatch):
+    space = atlas.atlas_get("S1").space()
+    q, n = space.q, space.n
+    A = random_invertible(np.random.default_rng(17), q, n)
+    hits = []
+
+    def false_hit(x, dataU, d2, y_idx, y_inv):
+        y = d2.elems[y_idx].reshape(n, n)
+        hits.append(equivalence.Isotopism(A, gf.mat_mul(gf.mat_inverse(gf.mat_mul(A, x, q), q), y, q), q))
+        return hits[-1].A, hits[-1].B
+
+    monkeypatch.setattr(equivalence, "_anchored_isotopism", false_hit)
+    with pytest.raises(SpreadRankError, match="generator"):
+        equivalence.automorphism_group(space)
+    assert len(hits) == 1 and equivalence.act(hits[0], space) != space
 
 
 @pytest.mark.parametrize("name", ["F16", "S1", "F81", "I"])
