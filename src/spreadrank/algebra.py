@@ -453,18 +453,18 @@ def knuth_act(H, sigma):
 def knuth_orbit(spread):
     """Distinct isotopism classes among the six slot permutations of a spread set.
 
-    Each image is Kaplansky-normalised; deduplication uses full equivalence
-    testing, so the result length is the number of isotopism classes in the
-    Knuth orbit.
+    Each image is Kaplansky-normalised; the images are classified by
+    equivalence.isotopism_classes (isotopism keys, pairwise tests for the
+    spaces without one), and the first image of each class in S3 order
+    represents it, so the result length is the number of isotopism classes
+    in the Knuth orbit.
     """
-    from .equivalence import are_equivalent
+    from .equivalence import isotopism_classes
 
     H = hypercube_from_spreadset(spread)
     q = spread.q
-    reps = []
-    for sigma in S3:
-        image = spreadset_from_hypercube(knuth_act(H, sigma), q, check=False)
-        normalised = kaplansky_normalize(image)
-        if not any(are_equivalent(normalised.space, r.space) is not None for r in reps):
-            reps.append(normalised)
-    return reps
+    images = [
+        kaplansky_normalize(spreadset_from_hypercube(knuth_act(H, sigma), q, check=False))
+        for sigma in S3
+    ]
+    return [images[members[0]] for members in isotopism_classes([im.space for im in images])]

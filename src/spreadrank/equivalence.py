@@ -27,6 +27,16 @@ the Y left undecided are searched.  The automorphisms sending X1 to Y are
 Y's representative times the conjugation stabilizer of U, so the group's
 elements, and its point tables, are composed from the two factors.
 
+Classification (equivalence_classes without a group) keys each space once
+instead of testing pairs.  The canonical isotopism key normalises twice:
+an anchor y from the rarest cpm class makes U = S y^-1 unital, and a cyclic
+member g of U with a Krylov basis K = [v, g v, ..] conjugates U to
+K^-1 U K, whose least RREF over every such (y, g, v) is the key.  Equal keys
+give an isotopism composed from the two normalisers, which is checked with
+act before a merge.  The spaces without a key (no invertible element, or no
+cyclic member in the anchor class) are compared pairwise with
+are_equivalent, as are all spaces by callers that test one pair.
+
 Stabilizer groups act on the projective rank-one points by permutations:
 (A, B) sends u w^T to (A u)(B^T w)^T, so two int16 tables over the
 projective vectors of F_q^n give every element's action by index gathers.
@@ -163,19 +173,111 @@ class SpaceData:
 
         cpm_key is the sorted charpoly multiset of S Y^-1; the signature is
         the sorted multiset of cpm_keys, a full equivalence invariant.  One
-        batched inverse covers every Y.
+        batched inverse covers every Y, and the charpoly ids of S Y^-1 are
+        taken for blocks of Y at a time.
         """
-        mats = self.elems.reshape(-1, self.n, self.n).astype(np.int64)
         idx = self.invertible_projective
-        inverses = gf.inverse_batch(mats[idx], self.q)[0].astype(np.uint8)
-        per_y = []
-        for yi, y_inv in zip(idx.tolist(), inverses):
-            prods = (mats @ y_inv.astype(np.int64)) % self.q
-            ids = self._cp_of_mats(prods)
-            vals, counts = np.unique(ids, return_counts=True)
-            key = tuple(zip(vals.tolist(), counts.tolist()))
-            per_y.append((key, yi, y_inv))
+        if not idx.size:
+            return (), []
+        inverses = gf.inverse_batch(self.elems[idx].reshape(-1, self.n, self.n), self.q)[0]
+        ids = self._unital_ids(inverses)
+        ids.sort(axis=1)
+        # runs of equal ids in each sorted row: their values and lengths
+        starts = np.ones(ids.shape, dtype=bool)
+        starts[:, 1:] = ids[:, 1:] != ids[:, :-1]
+        row, col = np.nonzero(starts)
+        ends = np.append(col[1:], 0)
+        ends[np.append(row[1:] != row[:-1], True)] = ids.shape[1]
+        vals, counts = ids[row, col].tolist(), (ends - col).tolist()
+        bounds = np.searchsorted(row, np.arange(len(idx) + 1)).tolist()
+        per_y = [
+            (tuple(zip(vals[a:b], counts[a:b])), yi, y_inv)
+            for a, b, yi, y_inv in zip(bounds, bounds[1:], idx.tolist(), inverses)
+        ]
         return tuple(sorted(k for k, _, _ in per_y)), per_y
+
+    def _unital_ids(self, inverses):
+        """Charpoly ids of the elements of S Y^-1 for each Y^-1 of a
+        (m, n, n) stack, as an (m, elements) array, _DIVISION_BLOCK
+        products at a time."""
+        n, q = self.n, self.q
+        mats = self.elems.reshape(-1, n, n).astype(np.int16)
+        step = max(1, _DIVISION_BLOCK // len(mats))
+        return np.concatenate([
+            self._cp_of_mats((mats[None] @ block[:, None].astype(np.int16) % q).reshape(-1, n, n))
+            for block in np.split(inverses, range(step, len(inverses), step))
+        ]).reshape(len(inverses), len(mats))
+
+    @cached_property
+    def isotopism_key(self):
+        """(key, normaliser) of a canonical isotopism key, or None when
+        the space has no invertible element or its anchor class no cyclic
+        member.
+
+        The anchor class is the cpm class of least (count, cpm key), and
+        its charpoly ids are ranked in (count, id) order.  For each anchor
+        y, U = S y^-1 holds I; the first rank with a cyclic member g in
+        some U (K = [v, g v, .., g^(n-1) v] invertible for a projective v)
+        fixes the id, and the key is (q, n, dim, cpm key, id, least RREF
+        bytes of K^-1 U K) over the anchors, members and v of that rank.
+        An isotopism maps anchors to anchors (y -> A y B), U onto A U A^-1
+        and K onto A K, so equal keys mean isotopic spaces.  The
+        normaliser (y, y^-1, K, K^-1) is one that reaches the key.
+        """
+        q, n = self.q, self.n
+        _, per_y = self.division_data
+        if not per_y:
+            return None
+        counts = Counter(cpm for cpm, _, _ in per_y)
+        cpm = min(counts, key=lambda c: (counts[c], c))
+        ids = [cid for cid, _ in sorted(cpm, key=lambda item: (item[1], item[0]))]
+        y_idx = np.array([yi for c, yi, _ in per_y if c == cpm])
+        y_inv = np.stack([inv for c, _, inv in per_y if c == cpm]).astype(np.int64)
+        mats = self.elems.reshape(-1, n, n).astype(np.int64)
+        u_ids = self._unital_ids(y_inv)
+        for cid in ids:
+            anchor, member = np.nonzero(u_ids == cid)
+            K, K_inv, which = _krylov_bases((mats[member] @ y_inv[anchor]) % q, q)
+            if len(K):
+                break
+        else:
+            return None
+        anchor = anchor[which]
+        basis = self.space.basis.reshape(-1, n, n).astype(np.int64)
+        best = None
+        for i in range(0, len(K), _KEY_CANDIDATES):
+            part = slice(i, i + _KEY_CANDIDATES)
+            U = basis[None] @ y_inv[anchor[part], None] % q
+            forms = (K_inv[part, None] @ U @ K[part, None]) % q
+            reduced = gf.rref_batch(forms.reshape(len(forms), -1, n * n), q)[0]
+            flat = reduced.reshape(len(forms), -1)
+            j = int(np.lexsort(flat.T[::-1])[0])
+            if best is None or flat[j].tobytes() < best[0]:
+                best = flat[j].tobytes(), i + j
+        form, j = best
+        y = self.elems[y_idx[anchor[j]]].reshape(n, n).astype(np.int64)
+        key = (q, n, self.space.dim, cpm, cid, form)
+        return key, (y, y_inv[anchor[j]], K[j].copy(), K_inv[j].copy())
+
+
+_DIVISION_BLOCK = 1024  # products S Y^-1 whose charpoly ids are taken at once
+_KEY_CANDIDATES = 256  # normalisations reduced per rref_batch
+
+
+def _krylov_bases(G, q):
+    """(K, K^-1, member) over the invertible Krylov matrices
+    K = [v, g v, .., g^(n-1) v] of a (k, n, n) stack, for every g and
+    projective v, g-major: member[i] is the index of K[i]'s g.  A g
+    appears iff it is cyclic."""
+    k, n = G.shape[0], G.shape[-1]
+    vecs = points_for(q, n).vectors
+    cols = [np.broadcast_to(vecs, (k,) + vecs.shape)]
+    for _ in range(n - 1):
+        cols.append(cols[-1] @ G.transpose(0, 2, 1) % q)  # row v -> (g v)^T
+    K = np.stack(cols, axis=-1).reshape(-1, n, n)
+    K_inv, invertible = gf.inverse_batch(K, q)
+    member = np.repeat(np.arange(k), len(vecs))[invertible]
+    return K[invertible], K_inv[invertible].astype(np.int64), member
 
 
 _DATA_CACHE = {}
@@ -450,8 +552,11 @@ def _orbit_canonical_key(space, group):
 def equivalence_classes(spaces, group=None):
     """Representatives of the distinct equivalence classes of the input.
 
-    Under the full group the test is are_equivalent; when an explicit
-    subgroup is supplied, classes are orbits under exactly that subgroup.
+    Under the full group the classes are those of isotopism_classes:
+    spaces are looked up by their canonical isotopism key, and only the
+    spaces without a key are tested pairwise with are_equivalent.  When an
+    explicit subgroup is supplied, classes are orbits under exactly that
+    subgroup.
     Each space must then contain group.space and equal group.space plus the
     span of its rank-one points (BadParameters otherwise), so that the
     orbit of its rank-one point set is a complete key.
@@ -474,22 +579,64 @@ def equivalence_classes(spaces, group=None):
         reps = [min(members, key=_sort_key) for members in classes.values()]
         return sorted(reps, key=_sort_key)
 
+    reps = [min((items[i] for i in members), key=_sort_key) for members in isotopism_classes(items)]
+    return sorted(reps, key=_sort_key)
+
+
+def isotopism_classes(spaces):
+    """The isotopism classes of a list of spaces, as lists of positions,
+    each increasing, in order of their first position.
+
+    Spaces are bucketed by fingerprint; in a bucket of two or more, each
+    space with an isotopism key joins the class of its key, and the spaces
+    without one are tested pairwise with are_equivalent against the first
+    member of each class found so far.  Every key merge is checked: the
+    isotopism composed from the two normalisers must map the space onto
+    its class's first member (NotContained otherwise).
+    """
     buckets = {}
-    for s in items:
-        buckets.setdefault(space_data(s).fingerprint, []).append(s)
-    classes = []  # list of member lists
-    for fp in sorted(buckets, key=repr):
-        reps_here = []
-        for s in buckets[fp]:
-            for members in reps_here:
-                if are_equivalent(members[0], s) is not None:
-                    members.append(s)
+    for i, s in enumerate(spaces):
+        buckets.setdefault(space_data(s).fingerprint, []).append(i)
+    classes = []
+    for bucket in buckets.values():
+        if len(bucket) == 1:
+            classes.append(bucket)
+            continue
+        keyed, unkeyed = {}, []
+        for i in bucket:
+            found = space_data(spaces[i]).isotopism_key
+            if found is None:
+                unkeyed.append(i)
+                continue
+            key, norm = found
+            first, first_norm, members = keyed.setdefault(key, (i, norm, []))
+            if members:
+                witness = _key_isotopism(norm, first_norm, spaces[i].q)
+                if act(witness, spaces[i]) != spaces[first]:
+                    raise NotContained("equal isotopism keys, but the composed isotopism fails")
+            members.append(i)
+        classes.extend(members for _, _, members in keyed.values())
+        pairwise = []
+        for i in unkeyed:
+            for members in pairwise:
+                if are_equivalent(spaces[members[0]], spaces[i]) is not None:
+                    members.append(i)
                     break
             else:
-                reps_here.append([s])
-        classes.extend(reps_here)
-    reps = [min(members, key=_sort_key) for members in classes]
-    return sorted(reps, key=_sort_key)
+                pairwise.append([i])
+        classes.extend(pairwise)
+    return sorted(classes)
+
+
+def _key_isotopism(norm_v, norm_w, q):
+    """The isotopism (K_W K_V^-1, y_V^-1 K_V K_W^-1 y_W) from V to W, for
+    normalisers (y, y^-1, K, K^-1) of V and W that reach equal keys:
+    K_V^-1 V y_V^-1 K_V = K_W^-1 W y_W^-1 K_W."""
+    y_v, y_v_inv, K_v, K_v_inv = norm_v
+    y_w, _, K_w, K_w_inv = norm_w
+    A = K_w @ K_v_inv % q
+    B = y_v_inv @ K_v % q @ K_w_inv % q @ y_w % q
+    return Isotopism(A.astype(np.uint8), B.astype(np.uint8), q)
 
 
 # ---------------------------------------------------------------------------

@@ -205,16 +205,20 @@ def iter_spread_sets(space, k):
     by_first = {}
     for row in inv_rows:
         by_first.setdefault(row[:n].tobytes(), []).append(row)
+    by_first = {w: np.stack(rows) for w, rows in by_first.items()}
 
     def candidates(chosen, w):
-        for cand in by_first[w.tobytes()]:
-            if chosen:
-                grid = gf.coefficient_grid(q, len(chosen))
-                combos = (grid @ np.stack(chosen) + cand) % q
-                # unit multiples of cand are covered by scaling whole combos
-                if not bool((gf.rank_batch(combos.reshape(-1, n, n), q) == n).all()):
-                    continue
-            yield cand
+        """The invertible elements with first row w whose sums with every
+        combination of the chosen ones are invertible, in element order:
+        one rank_batch over the (candidates x q^len(chosen)) stack."""
+        cands = by_first[w.tobytes()]
+        if not chosen:
+            return cands
+        combos = gf.coefficient_grid(q, len(chosen)) @ np.stack(chosen)
+        # unit multiples of a candidate are covered by scaling whole combos
+        stack = (combos[None] + cands[:, None]) % q
+        ranks = gf.rank_batch(stack.reshape(-1, n, n), q).reshape(len(cands), -1)
+        return cands[(ranks == n).all(axis=1)]
 
     def dfs(chosen, w_rows):
         if len(chosen) == len(w_rows):

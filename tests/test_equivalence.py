@@ -793,3 +793,156 @@ def test_brute_force_scans_refuse_large_ambients():
         equivalence.automorphism_group(zero)
     with pytest.raises(TooLarge, match="no invertible anchor"):
         equivalence._brute_force_equivalent(zero, zero)
+
+
+# ---------------------------------------------------------------------------
+# Canonical isotopism keys against the pairwise classification they replace
+# ---------------------------------------------------------------------------
+
+
+def oracle_equivalence_classes(spaces):
+    """Oracle: the pairwise classification loop.  In each fingerprint
+    bucket, every space is tested with are_equivalent against the first
+    member of each class found so far; representatives are the least
+    (dim, RREF bytes) members, sorted by that key."""
+    unique = {}
+    for s in spaces:
+        unique.setdefault(s.key, s)
+    items = sorted(unique.values(), key=lambda s: s.key)
+    buckets = {}
+    for s in items:
+        buckets.setdefault(equivalence.space_data(s).fingerprint, []).append(s)
+    classes = []
+    for fp in sorted(buckets, key=repr):
+        reps_here = []
+        for s in buckets[fp]:
+            for members in reps_here:
+                if equivalence.are_equivalent(members[0], s) is not None:
+                    members.append(s)
+                    break
+            else:
+                reps_here.append([s])
+        classes.extend(reps_here)
+    reps = [min(members, key=equivalence._sort_key) for members in classes]
+    return sorted(reps, key=equivalence._sort_key), classes
+
+
+def key_partition(spaces):
+    """The keyed classes of the distinct spaces, as a set of key sets."""
+    unique = list({s.key: s for s in spaces}.values())
+    classes = equivalence.isotopism_classes(unique)
+    return {frozenset(unique[i].key for i in members) for members in classes}
+
+
+def assert_keyed_like_pairwise(spaces):
+    want_reps, want_classes = oracle_equivalence_classes(spaces)
+    assert key_partition(spaces) == {frozenset(s.key for s in c) for c in want_classes}
+    assert [s.key for s in equivalence.equivalence_classes(spaces)] == [s.key for s in want_reps]
+
+
+def test_keyed_classes_equal_pairwise_classes_at_every_order8_level(order8_levels):
+    for _, candidates, _ in order8_levels:
+        assert_keyed_like_pairwise(candidates)
+
+
+@pytest.mark.slow
+def test_keyed_classes_equal_pairwise_classes_order16():
+    from conftest import search_levels
+
+    levels = {dim: candidates for dim, candidates, _ in search_levels(2, 4, 7)}
+    assert_keyed_like_pairwise(levels[5])
+    assert_keyed_like_pairwise(levels[6])
+    rng = np.random.default_rng(18)
+    dim7 = levels[7]
+    assert_keyed_like_pairwise([dim7[i] for i in rng.choice(len(dim7), 300, replace=False)])
+
+
+def lu_invertible(q, n):
+    """Invertible n x n matrices P L U over F_q: a permutation P, L unit
+    lower triangular, U upper triangular with a nonzero diagonal."""
+    below = st.lists(st.integers(0, q - 1), min_size=n * n, max_size=n * n)
+    diag = st.lists(st.integers(1, q - 1), min_size=n, max_size=n)
+
+    def build(args):
+        perm, lower, upper, d = args
+        L = np.tril(np.reshape(lower, (n, n)), -1) + np.eye(n, dtype=np.int64)
+        U = np.triu(np.reshape(upper, (n, n)), 1) + np.diag(d)
+        return (np.eye(n, dtype=np.int64)[perm] @ L @ U % q).astype(np.uint8)
+
+    return st.tuples(st.permutations(range(n)), below, below, diag).map(build)
+
+
+@st.composite
+def spaces_and_isotopisms(draw):
+    """A space holding I, with a random isotopism: I plus random matrices,
+    or the diagonal space plus random rank-one matrices, whose symmetry
+    gives anchor classes of more than one element."""
+    q = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2, 4))
+    extra = draw(st.integers(1, 3 if q ** n <= 16 else 2))
+    entries = st.lists(st.integers(0, q - 1), min_size=extra * n * n, max_size=extra * n * n)
+    if draw(st.booleans()):
+        rows = np.concatenate([np.eye(n, dtype=np.int64).reshape(1, -1),
+                               np.reshape(draw(entries), (extra, n * n))])
+    else:
+        u, w = np.reshape(draw(entries)[: 2 * extra * n], (2, extra, n))
+        rank_one = (u[:, :, None] * w[:, None, :]).reshape(extra, n * n)
+        rows = np.concatenate([np.diag(e).reshape(1, -1) for e in np.eye(n, dtype=np.int64)]
+                              + [rank_one])
+    space = algebra.MatSpace.from_rows(q, n, rows)
+    return space, equivalence.Isotopism(draw(lu_invertible(q, n)), draw(lu_invertible(q, n)), q)
+
+
+@given(spaces_and_isotopisms())
+def test_isotopism_key_is_invariant(case):
+    space, g = case
+    moved = equivalence.act(g, space)
+    found = equivalence.space_data(space).isotopism_key
+    moved_found = equivalence.space_data(moved).isotopism_key
+    if found is None:
+        assert moved_found is None
+        return
+    assert found[0] == moved_found[0]
+    witness = equivalence._key_isotopism(found[1], moved_found[1], space.q)
+    assert equivalence.act(witness, space) == moved
+
+
+def diag_plus_rank_one():
+    """diag(4) plus E_12 in M_4(F_2): its invertible elements I and I + E_12
+    are unipotent with minimal polynomial (x - 1)^2, and no element of S y^-1
+    is cyclic, so it has no isotopism key."""
+    rows = [np.diag(e).reshape(-1) for e in np.eye(4, dtype=np.uint8)]
+    point = np.zeros((4, 4), dtype=np.uint8)
+    point[0, 1] = 1
+    return algebra.MatSpace.from_rows(2, 4, np.stack(rows + [point.reshape(-1)]))
+
+
+def test_space_without_key_is_classified_pairwise(monkeypatch):
+    rng = np.random.default_rng(21)
+    space = diag_plus_rank_one()
+    moved = equivalence.act(random_isotopism(rng, 2, 4), space)
+    assert equivalence.space_data(space).isotopism_key is None
+    assert equivalence.space_data(moved).isotopism_key is None
+    calls = []
+    pairwise = equivalence.are_equivalent
+    counted = lambda a, b: calls.append((a, b)) or pairwise(a, b)
+    monkeypatch.setattr(equivalence, "are_equivalent", counted)
+    assert equivalence.isotopism_classes([space, moved]) == [[0, 1]]
+    assert calls == [(space, moved)]
+    reps = equivalence.equivalence_classes([moved, space])
+    assert [s.key for s in reps] == [min(space.key, moved.key)]
+
+
+def test_mutated_normaliser_raises_not_contained():
+    rng = np.random.default_rng(22)
+    space = algebra.field_construct(2, 4).space.extend(np.diag([1, 0, 0, 0]))
+    moved = equivalence.act(random_isotopism(rng, 2, 4), space)
+    want = [min(space, moved, key=equivalence._sort_key)]
+    assert equivalence.equivalence_classes([space, moved]) == want
+    data = equivalence.space_data(moved)
+    key, (y, y_inv, K, K_inv) = data.isotopism_key
+    M = np.eye(4, dtype=np.int64)
+    M[0, 3] = 1  # a transvection that moves the normal form
+    data.isotopism_key = (key, (y, y_inv, K @ M % 2, M @ K_inv % 2))
+    with pytest.raises(NotContained):
+        equivalence.equivalence_classes([space, moved])

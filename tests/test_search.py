@@ -65,6 +65,57 @@ def test_first_row_normalisation_completeness():
     assert search.contains_partial_spread(space, 1)
 
 
+def oracle_iter_spread_sets(space, k):
+    """Oracle: iter_spread_sets with one rank_batch per candidate, tested
+    when the search reaches it."""
+    q, n = space.q, space.n
+    elems = space.nonzero_elements()
+    inv_rows = elems[gf.rank_batch(elems.reshape(-1, n, n), q) == n]
+    by_first = {}
+    for row in inv_rows:
+        by_first.setdefault(row[:n].tobytes(), []).append(row)
+
+    def candidates(chosen, w):
+        for cand in by_first[w.tobytes()]:
+            if chosen:
+                combos = (gf.coefficient_grid(q, len(chosen)) @ np.stack(chosen) + cand) % q
+                if not bool((gf.rank_batch(combos.reshape(-1, n, n), q) == n).all()):
+                    continue
+            yield cand
+
+    def dfs(chosen, w_rows):
+        if len(chosen) == len(w_rows):
+            yield algebra.MatSpace.from_rows(q, n, np.stack(chosen))
+            return
+        for cand in candidates(chosen, w_rows[len(chosen)]):
+            chosen.append(cand)
+            yield from dfs(chosen, w_rows)
+            chosen.pop()
+
+    for G in gf.rref_subspaces(n, k, q):
+        if all(w.tobytes() in by_first for w in G):
+            yield from dfs([], G)
+
+
+def assert_spread_sets_like_oracle(space, k):
+    got = [s.basis.tobytes() for s in search.iter_spread_sets(space, k)]
+    assert got == [s.basis.tobytes() for s in oracle_iter_spread_sets(space, k)]
+
+
+def test_iter_spread_sets_matches_per_candidate_oracle_on_order8_levels(order8_levels):
+    spaces = [s for dim, _, classes in order8_levels if dim != "spread sets" for s in classes]
+    assert len(spaces) == 52
+    for space in spaces:
+        for k in (2, 3):
+            assert_spread_sets_like_oracle(space, k)
+
+
+@pytest.mark.parametrize("name", ["F16", "S1", "S2"])
+def test_iter_spread_sets_matches_per_candidate_oracle_on_order16(name):
+    for k in (2, 3):
+        assert_spread_sets_like_oracle(atlas.atlas_get(name).space(), k)
+
+
 # ---------------------------------------------------------------------------
 # Decomposition verification
 # ---------------------------------------------------------------------------
