@@ -143,6 +143,35 @@ class MatSpace:
         pivots = self.pivots[:pos] + (lead,) + self.pivots[pos:]
         return MatSpace(self.q, self.n, stacked, pivots)
 
+    @staticmethod
+    def extend_batch(spaces, mats):
+        """[spaces[i].extend(mats[i])] for spaces of one q, n and dimension,
+        none of which contains its matrix (BadParameters otherwise): the
+        same residue, column elimination and sorted insert, batched."""
+        first = spaces[0]
+        q, count = first.q, len(spaces)
+        basis = np.stack([space.basis for space in spaces]).astype(np.int64)
+        piv = np.array([space.pivots for space in spaces], dtype=np.int64).reshape(count, -1)
+        V = np.asarray(mats, dtype=np.int64).reshape(count, -1) % q
+        red = (V - np.einsum("pd,pdw->pw", np.take_along_axis(V, piv, 1), basis)) % q
+        if not red.any(axis=1).all():
+            raise BadParameters("a matrix lies in the space it should extend")
+        at = np.arange(count)
+        lead = np.argmax(red != 0, axis=1)
+        row = red * gf.inv_table(q)[red[at, lead]][:, None] % q
+        basis = (basis - basis[at, :, lead][:, :, None] * row[:, None, :]) % q
+        # row k of an extended basis: old row k before the new pivot, the
+        # new row at it, old row k - 1 after it
+        dim = piv.shape[1]
+        k = np.arange(dim + 1)
+        pos = (piv < lead[:, None]).sum(axis=1)[:, None]
+        order = np.where(k < pos, k, np.where(k == pos, dim, k - 1))
+        stacked = np.take_along_axis(np.concatenate([basis, row[:, None]], 1), order[:, :, None], 1)
+        stacked = stacked.astype(np.uint8)
+        stacked.flags.writeable = False
+        pivots = np.take_along_axis(np.concatenate([piv, lead[:, None]], 1), order, 1).tolist()
+        return [MatSpace(q, first.n, stacked[i], tuple(pivots[i])) for i in range(count)]
+
     def nonzero_elements(self):
         """All q^dim - 1 nonzero elements, flattened, in coefficient order."""
         if self.q**self.dim > _ENUM_CAP:

@@ -59,9 +59,11 @@ def coefficient_grid(q, k):
 def leading_coeff(rows, q):
     """First nonzero entry of each row of a 2-D residue array (1 for a zero
     row); dividing a row by it gives the row's projective normal form."""
-    padded = np.concatenate([rows % q, np.ones((rows.shape[0], 1), dtype=rows.dtype)], axis=1)
-    first = np.argmax(padded != 0, axis=1)
-    return padded[np.arange(rows.shape[0]), first]
+    rows = rows % q
+    if not rows.shape[1]:
+        return np.ones(rows.shape[0], dtype=rows.dtype)
+    lead = rows[np.arange(rows.shape[0]), np.argmax(rows != 0, axis=1)]
+    return np.where(lead == 0, 1, lead).astype(rows.dtype)
 
 
 def rref_subspaces(length, k, q):

@@ -18,6 +18,13 @@ plus one point, so the point's images name the children in its orbit, and
 a classified level's spaces are keyed by the least image of their point
 sets.
 
+Children are grouped and scored by one block kernel, _process_parents, over
+up to _BLOCK parents of one dimension at a time: one product gives every
+point's residue modulo every parent, one sort of packed (parent, signature,
+point) keys numbers the children, and the rank-one profile takes one padded
+base RREF and one rank_batch per block.  Raw levels, the orbit levels and
+the diagonal probe all group children through it.
+
 Counting conventions (they pin the published intermediate numbers): children
 of one parent are deduplicated as spans; once equivalence reduction stops,
 levels count distinct children summed over parents, without cross-parent
@@ -44,58 +51,97 @@ from .algebra import (
 from .codec import encode_rows
 from .codes import code_exists, genbound
 from .equivalence import automorphism_group, equivalence_classes
-from .errors import BadParameters, RankExceedsCap
+from .errors import BadParameters, EncodingOverflow, RankExceedsCap
+
+
+_CHUNK = 4  # parents per raw-level step: the unit of log records and progress
+_BLOCK = 16 * _CHUNK  # parents per call of the block kernel, a whole number of steps
 
 
 @dataclass
 class _Extension:
-    """Children of one parent space under rank-one point extension.
+    """Children of a block of parents under rank-one point extension.
 
-    Children are numbered in the order of their normalised residues; the
-    point out_idx[i] lies in child[i], and its residue is lead[i] times the
-    normalised residue of that child.
+    Children are numbered parent by parent, and within one parent in the
+    order of their normalised residues: parent p has the children first[p]
+    up to first[p + 1] - 1.  Point j lies inside parent p when child[p, j]
+    is -1; otherwise it lies in child child[p, j], and its residue modulo
+    parent p is lead[p, j] times the normalised residue of that child.
     """
 
-    inside_idx: np.ndarray  # point indices lying inside the parent
-    out_idx: np.ndarray     # point indices outside the parent, increasing
-    child: np.ndarray       # child number of each outside point
+    child: np.ndarray       # (parents, points) child number of each point
+    lead: np.ndarray        # (parents, points) leading residue entry
+    first: np.ndarray       # (parents + 1,) first child number of each parent
     group_reps: np.ndarray  # least point index of each child
-    lead: np.ndarray        # leading residue entry of each outside point
+    sizes: np.ndarray       # member count of each child
+
+    @property
+    def parent(self):
+        """The parent of each child."""
+        return np.repeat(np.arange(self.first.size - 1), np.diff(self.first))
 
 
-def extension_groups(parent, pts):
-    """Group the points outside the parent by the child space they generate.
+def extension_groups(parents, pts):
+    """Group the points outside each parent by the child space they generate.
 
-    Two points span the same child iff their residues modulo the parent are
+    The parents are a block of spaces of one dimension d.  Two points span
+    the same child of a parent iff their residues modulo it are
     proportional, so the normalised residue is a complete child signature.
-    Each signature is packed into one int64 with the first column most
-    significant, so sorting the packed values orders the children by their
-    normalised residue rows; np.unique then numbers the children in that
-    order and finds each child's least point index in one pass.
+    A residue x - x[piv]·B is zero on the parent's pivot columns, so it is
+    taken on the other width - d columns only, by one float32 product of the
+    points with a (width, width - d) map per parent; an entry of that
+    product sums at most d + 1 terms of at most (q - 1)^2, so it is exact.
+    Each outside point gets one int64 key that packs (parent, normalised
+    residue with its first column most significant, point index); one sort
+    of the keys numbers the children parent by parent in the order of their
+    normalised residue rows, and puts the least point of each child first.
     """
-    q = parent.q
-    red = parent.reduce(pts.flat)
-    nz = red.any(axis=1)
-    inside_idx = np.nonzero(~nz)[0]
-    out_idx = np.nonzero(nz)[0]
-    rows = red[out_idx]
-    lead = gf.leading_coeff(rows, q)
-    normed = (rows * gf.inv_table(q)[lead][:, None]) % q
-    sig = encode_rows(normed[:, ::-1], q)
-    _, first, child = np.unique(sig, return_index=True, return_inverse=True)
-    return _Extension(inside_idx, out_idx, child, out_idx[first], lead)
+    q = parents[0].q
+    npar, (npts, width) = len(parents), pts.flat.shape
+    piv = np.array([parent.pivots for parent in parents], dtype=np.int64).reshape(npar, -1)
+    basis = np.stack([parent.basis for parent in parents]).astype(np.int64)
+    nfree = width - piv.shape[1]
+    span = q**nfree  # signatures of one parent
+    if npar * span * npts > 2**63:
+        raise EncodingOverflow(f"keys of {npar} parents of codimension {nfree} over F_{q} overflow")
+    on_free = np.ones((npar, width), dtype=bool)
+    on_free[np.arange(npar)[:, None], piv] = False
+    free = np.nonzero(on_free)[1].reshape(npar, nfree)
+    # column k of parent p's map sends x to x[free_k] - x[piv] · B[:, free_k]
+    block, cols = np.arange(npar)[:, None], np.arange(nfree)
+    resmap = np.zeros((npar, width, nfree), dtype=np.float32)
+    resmap[block, free, cols] = 1
+    resmap[block[:, :, None], piv[:, :, None], cols] = -np.take_along_axis(basis, free[:, None], 2) % q
+    res = np.matmul(pts.flat.astype(np.float32), resmap).astype(np.uint8) % q
+    outside = res.any(axis=2)
+    rows = res[outside]
+    lead = np.zeros((npar, npts), dtype=np.uint8)
+    lead[outside] = row_lead = gf.leading_coeff(rows, q)
+    normed = rows * gf.inv_table(q).astype(np.uint8)[row_lead][:, None] % q
+    par, point = np.nonzero(outside)
+    keys = np.sort((par * span + encode_rows(normed[:, ::-1], q)) * npts + point)
+    pair, point = np.divmod(keys, npts)  # pair = parent * span + signature
+    new = np.ones(keys.size, dtype=bool)
+    new[1:] = pair[1:] != pair[:-1]
+    starts = np.nonzero(new)[0]
+    child = np.full((npar, npts), -1, dtype=np.int64)
+    child[pair // span, point] = np.cumsum(new) - 1
+    first = np.searchsorted(pair[starts] // span, np.arange(npar + 1))
+    sizes = np.diff(np.append(starts, keys.size))
+    return _Extension(child, lead, first, point[starts], sizes)
 
 
-def _rank_one_profile(parent, ext, pts, least=0):
-    """Rank-one span data per child: child span dim = base_rank + extras[i].
+def _rank_one_profile(parents, ext, pts, least=0):
+    """Rank-one span data per child: child i of parent p spans
+    base_rank[p] + extras[i] dimensions with its rank-one points.
 
     The work is done in quotient coordinates.  With the parent's RREF basis
     B and pivot columns piv, a point x outside the parent is x[piv]·B + λ·r,
     where r is the normalised residue of its child and λ its lead, so inside
     the child it has coordinates (x[piv], λ); inside points have (x[piv], 0).
     The inside points span the base; each outside point is reduced modulo the
-    base, which leaves its dim - base_rank free coordinates and λ, and
-    extras[i] is the rank of those short rows over the members of child i.
+    base, which zeroes the base's pivot coordinates, and extras[i] is the
+    rank of those rows, with λ appended, over the members of child i.
 
     A rank is at most the number of rows, so extras[i] is at most child i's
     member count, and base_rank at most min(#inside points, dim).  Only the
@@ -104,40 +150,76 @@ def _rank_one_profile(parent, ext, pts, least=0):
     min(#inside points, dim) plus the largest child is below least, the base
     is not reduced either, and that bound stands for base_rank.  So a score
     is exact wherever it reaches least, and with least = 0 every one is.
+
+    The block shares one padded base RREF over the parents that can reach
+    least and one rank_batch over the children that are ranked.
     """
-    q = parent.q
-    nchild = len(ext.group_reps)
-    sizes = np.bincount(ext.child, minlength=nchild)
-    bound = min(ext.inside_idx.size, parent.dim)
-    if bound + sizes.max(initial=0) < least:
-        return bound, sizes
-    coords = pts.flat[:, list(parent.pivots)]
-    if ext.inside_idx.size:
-        base_rows, base_piv = gf.rref(coords[ext.inside_idx], q)
-    else:
-        base_rows, base_piv = np.zeros((0, parent.dim), dtype=np.uint8), ()
-    base_rank = base_rows.shape[0]
-    ranked = sizes >= least - base_rank
-    extras = sizes.copy()
+    q, dim = parents[0].q, parents[0].dim
+    parent = ext.parent
+    inside = ext.child < 0
+    base_rank = np.minimum(inside.sum(axis=1), dim)
+    largest = np.zeros(len(parents), dtype=np.int64)
+    np.maximum.at(largest, parent, ext.sizes)
+    extras = ext.sizes.copy()
+    reach = np.nonzero(base_rank + largest >= least)[0]
+    if not reach.size:
+        return base_rank, extras
+    piv = np.array([parents[p].pivots for p in reach], dtype=np.int64).reshape(reach.size, dim)
+    coords = pts.flat[:, piv].transpose(1, 0, 2)  # (reach, points, dim): x[piv]
+    # one padded RREF of the inside points of every parent that can reach least
+    at, point = np.nonzero(inside[reach])
+    count = np.bincount(at, minlength=reach.size)
+    stack = np.zeros((reach.size, max(count.max(), 1), dim), dtype=np.int16)
+    stack[at, np.arange(at.size) - (np.cumsum(count) - count)[at]] = coords[at, point]
+    base, base_rank[reach] = gf.rref_batch(stack, q)
+    # x -> x - x[base piv]·base, as one (dim, dim) map per parent
+    basemap = np.broadcast_to(np.eye(dim, dtype=np.int64), (reach.size, dim, dim)).copy()
+    at, row = np.nonzero(base.any(axis=2))
+    basemap[at, np.argmax(base[at, row] != 0, axis=1)] -= base[at, row]
+    slot = np.full(len(parents), -1, dtype=np.int64)
+    slot[reach] = np.arange(reach.size)
+    ranked = (slot[parent] >= 0) & (ext.sizes >= least - base_rank[parent])
     if not ranked.any():
         return base_rank, extras
-    members = ranked[ext.child]
-    rows = coords[ext.out_idx[members]]
-    if base_rank:
-        rows = (rows - rows[:, list(base_piv)] @ base_rows.astype(np.int64)) % q
-    free = np.ones(parent.dim, dtype=bool)
-    free[list(base_piv)] = False
-    rows = np.concatenate([rows[:, free], ext.lead[members, None]], axis=1)
-    # one gather into a zero-padded (ranked children, largest, width) batch
-    child = (np.cumsum(ranked) - 1)[ext.child[members]]  # position in the batch
-    sizes = sizes[ranked]
+    par, point = np.nonzero(np.append(ranked, False)[ext.child])  # members, -1 -> False
+    at = slot[par]
+    rows = np.einsum("kd,kde->ke", coords[at, point].astype(np.int64), basemap[at]) % q
+    rows = np.concatenate([rows, ext.lead[par, point, None]], axis=1)
+    # one gather into a zero-padded (ranked children, largest, dim + 1) batch
+    child = (np.cumsum(ranked) - 1)[ext.child[par, point]]  # position in the batch
+    sizes = ext.sizes[ranked]
     order = np.argsort(child, kind="stable")
     starts = np.cumsum(sizes) - sizes
     by_child = child[order]
-    batch = np.zeros((sizes.size, sizes.max(), rows.shape[1]), dtype=np.int64)
+    batch = np.zeros((sizes.size, sizes.max(), dim + 1), dtype=np.int64)
     batch[by_child, np.arange(order.size) - starts[by_child]] = rows[order]
     extras[ranked] = gf.rank_batch(batch, q)
     return base_rank, extras
+
+
+def _process_parents(parents, pts, least):
+    """Each parent's children at a raw level whose rank-one score reaches least.
+
+    The parents are a block of spaces of one dimension.  A child's score is
+    the dimension of the span of its rank-one points, at most the child's
+    dimension, so least = dim keeps the children spanned by rank ones and
+    least = 0 keeps every child.  A score is also at most the parent's base
+    rank plus the child's member count, so only the children with enough
+    members are ranked (see _rank_one_profile).  Returns, per parent,
+    (child spans, the point indices that define the kept children, in child
+    order, and their scores); nothing is built.
+    """
+    ext = extension_groups(parents, pts)
+    base_rank, extras = _rank_one_profile(parents, ext, pts, least)
+    scores = base_rank[ext.parent] + extras
+    keep = np.nonzero(scores >= least)[0]
+    cuts = np.searchsorted(keep, ext.first[1:-1])
+    return [
+        (int(spans), points.tolist(), kept.tolist())
+        for spans, points, kept in zip(
+            np.diff(ext.first), np.split(ext.group_reps[keep], cuts), np.split(scores[keep], cuts)
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +229,18 @@ def _rank_one_profile(parent, ext, pts, least=0):
 
 @dataclass
 class SearchReport:
-    """Per-level counts plus the outcome of one search run."""
+    """Per-level counts plus the outcome of one search run.
+
+    timings runs parallel to levels: one {dim, wall_s} per level, the wall
+    seconds from the level's start to its entry.  The times stay out of
+    levels, which runs of one search reproduce exactly.
+    """
 
     algorithm: str
     q: int
     n: int
     levels: list = field(default_factory=list)
+    timings: list = field(default_factory=list)
     outcome: str = ""
     witness: list = None
     flags: list = field(default_factory=list)
@@ -165,6 +253,7 @@ class SearchReport:
             "q": self.q,
             "n": self.n,
             "levels": self.levels,
+            "timings": [{**t, "wall_s": round(t["wall_s"], 3)} for t in self.timings],
             "outcome": self.outcome,
             "witness": self.witness,
             "flags": self.flags,
@@ -172,6 +261,12 @@ class SearchReport:
         }
         payload.update(self.extra)
         return json.dumps(payload, indent=2, sort_keys=True)
+
+    def add_level(self, entry, started):
+        """Append a level entry, and its wall seconds since started
+        (a time.perf_counter reading) to timings."""
+        self.levels.append(entry)
+        self.timings.append({"dim": entry["dim"], "wall_s": time.perf_counter() - started})
 
     def level(self, dim):
         for entry in self.levels:
@@ -271,19 +366,20 @@ def verify_decomposition(spread, mats):
 # ---------------------------------------------------------------------------
 
 
-def _point_orbit_reps(group, ext, pts):
-    """One child-defining point per orbit of the group on the children.
+def _point_orbit_reps(group, ext, p):
+    """One child-defining point per orbit of the group on the children of
+    parent p of the block.
 
     The group must stabilise the parent, so it permutes the children: the
     orbit of a child is the set of children holding the images of its
     point.  Sweeping in child order, the least unlabelled child is the least
     member of its orbit and represents it.
     """
-    child_of_point = np.full(len(pts), -1, dtype=np.int64)
-    child_of_point[ext.out_idx] = ext.child
-    labelled = np.zeros(len(ext.group_reps), dtype=bool)
+    lo, hi = ext.first[p], ext.first[p + 1]
+    child_of_point = ext.child[p] - lo  # negative inside the parent
+    labelled = np.zeros(hi - lo, dtype=bool)
     reps = []
-    for child_no, point in enumerate(ext.group_reps):
+    for child_no, point in enumerate(ext.group_reps[lo:hi]):
         if labelled[child_no]:
             continue
         hit = child_of_point[group.point_images([point])[:, 0]]
@@ -297,14 +393,16 @@ def _point_orbit_reps(group, ext, pts):
 def _orbit_children(parents, pts, stabilizer):
     """Children of the parents, one per orbit of stabilizer(parent) on each
     parent's children, with the number of child spans before the orbit
-    reduction.  Equal spans from two parents are left to the callers'
-    equivalence_classes."""
+    reduction.  The children are grouped _BLOCK parents at a time.  Equal
+    spans from two parents are left to the callers' equivalence_classes."""
     children, spans = [], 0
-    for parent in parents:
-        ext = extension_groups(parent, pts)
+    for start in range(0, len(parents), _BLOCK):
+        block = parents[start:start + _BLOCK]
+        ext = extension_groups(block, pts)
         spans += len(ext.group_reps)
-        reps = _point_orbit_reps(stabilizer(parent), ext, pts)
-        children.extend(parent.extend(pts.flat[idx]) for idx in reps)
+        for p, parent in enumerate(block):
+            reps = _point_orbit_reps(stabilizer(parent), ext, p)
+            children.extend(parent.extend(pts.flat[idx]) for idx in reps)
     return children, spans
 
 
@@ -362,6 +460,7 @@ def spread_sets_by_rank(q, n, R, prune=None, progress=None):
     dim = n
     while dim < R:
         dim += 1
+        started = time.perf_counter()
         candidates, raw_count = _orbit_children(current, pts, automorphism_group)
         classes = equivalence_classes(candidates)
         entry = {"dim": dim, "spaces": raw_count, "classes": len(classes)}
@@ -373,7 +472,7 @@ def spread_sets_by_rank(q, n, R, prune=None, progress=None):
             current = survivors
         else:
             current = classes
-        report.levels.append(entry)
+        report.add_level(entry, started)
         if progress:
             progress(entry)
 
@@ -390,24 +489,6 @@ def spread_sets_by_rank(q, n, R, prune=None, progress=None):
 # ---------------------------------------------------------------------------
 # Lower-bound exhaustion / rank certification for one spread set
 # ---------------------------------------------------------------------------
-
-
-def _process_parent(parent, pts, least):
-    """One parent's children at a raw level whose rank-one score reaches least.
-
-    A child's score is the dimension of the span of its rank-one points, at
-    most the child's dimension, so least = dim keeps the children spanned by
-    rank ones and least = 0 keeps every child.  A score is also at most the
-    parent's base rank plus the child's member count, so only the children
-    with enough members are ranked (see _rank_one_profile).  Returns (child
-    spans, the point indices that define the kept children, in child order,
-    and their scores); nothing is built.
-    """
-    ext = extension_groups(parent, pts)
-    base_rank, extras = _rank_one_profile(parent, ext, pts, least)
-    scores = base_rank + extras
-    keep = np.nonzero(scores >= least)[0]
-    return len(ext.group_reps), ext.group_reps[keep].tolist(), scores[keep].tolist()
 
 
 def _rank_one_basis(space, pts):
@@ -441,18 +522,17 @@ def _diag_probe(space, R, pts):
     candidates = [probe]
     if probe.dim == R - 2:
         # the most rank-one-rich children first (a stable sort), capped
-        _, points, scores = _process_parent(probe, pts, 0)
+        [(_, points, scores)] = _process_parents([probe], pts, 0)
         richest = sorted(zip(scores, points), key=lambda sp: -sp[0])[:64]
         candidates = (probe.extend(pts.flat[point]) for _, point in richest)
-    for cand in candidates:
-        _, points, _ = _process_parent(cand, pts, R)
+    for cand in candidates:  # one a call: the probe stops at its first hit
+        [(_, points, _)] = _process_parents([cand], pts, R)
         if points:
             return cand.extend(pts.flat[points[0]])
     return None
 
 
 CHECKPOINT_VERSION = 4  # log layout; files of any other version are refused
-_CHUNK = 4  # parents per raw-level step: the unit of log records and progress
 
 
 class _Checkpoint:
@@ -520,9 +600,13 @@ class _Checkpoint:
                 pass
 
 
-def _parent(spaces, rows, j, pts):
-    """Parent j of a raw level: spaces[j], or the child that rows[j] names."""
-    return spaces[j] if rows is None else spaces[rows[j][0]].extend(pts.flat[rows[j][1]])
+def _parents(spaces, rows, block, pts):
+    """The parents at the positions of a block of a raw level: spaces[j], or
+    the children that rows[j] names, built in one batch."""
+    if rows is None:
+        return [spaces[j] for j in block]
+    named = [rows[j] for j in block]
+    return MatSpace.extend_batch([spaces[row[0]] for row in named], pts.flat[[row[1] for row in named]])
 
 
 def _input_space(spread):
@@ -546,8 +630,12 @@ def disprove_rank(spread, R, aut=None, checkpoint=None, progress=None):
     to the first one spanned by rank ones, the witness; "exhausted" (no
     witness) proves tensor rank > R.  A fresh run first tries _diag_probe.
 
-    The other levels are scanned raw, _CHUNK parents at a time, and their
-    children are rows [parent position, point index, score].  With a
+    The other levels are scanned raw, and their children are rows [parent
+    position, point index, score].  The scan evaluates _BLOCK parents at a
+    time in one call of the block kernel and accounts for them in steps of
+    _CHUNK parents: one log record and one progress event per step, and the
+    final level stops after the first step with a witness, so levels,
+    witnesses and logs do not depend on _BLOCK.  With a
     checkpoint path, the log's header is written before the first level (an
     unwritable path raises OSError at once), and each step appends one record
     (see _Checkpoint).  A run started again with the same spread set, R and
@@ -617,13 +705,14 @@ def disprove_rank(spread, R, aut=None, checkpoint=None, progress=None):
     dim = n
     while dim < R:
         dim += 1
+        started = time.perf_counter()
         final = dim == R
         if dim <= 2 * n - 2 and not final:
             # per-parent stabilizer orbits pre-reduce the children, then
             # one global reduction under the full automorphism group
             children, _ = _orbit_children(current, pts, stabilizer)
             current = equivalence_classes(children, group=aut)
-            report.levels.append({"dim": dim, "classes": len(current)})
+            report.add_level({"dim": dim, "classes": len(current)}, started)
             if progress:
                 progress(report.levels[-1])
             continue
@@ -639,7 +728,11 @@ def disprove_rank(spread, R, aut=None, checkpoint=None, progress=None):
         least = R if final else n if filtering else 0
         ordered = dim == R - 1 and not filtering
         if kept is not None and not final:
-            current = [_parent(current, kept, j, pts) for j in range(len(kept))]
+            current = [
+                parent
+                for start in range(0, len(kept), _BLOCK)
+                for parent in _parents(current, kept, range(start, min(start + _BLOCK, len(kept))), pts)
+            ]
             kept = None
         rows, kept = kept, []
         total = len(current if rows is None else rows)
@@ -650,27 +743,31 @@ def disprove_rank(spread, R, aut=None, checkpoint=None, progress=None):
             kept.extend(step["kept"])
             counts, pos = {"spaces": step["spaces"], "good": step["good"]}, step["parents_done"]
         while pos < total and not (final and kept):
-            chunk, kept_before = range(pos, min(pos + _CHUNK, total)), len(kept)
-            pos = chunk.stop
-            for j in chunk:
-                spans, points, scores = _process_parent(_parent(current, rows, j, pts), pts, least)
-                counts["spaces"] += spans
-                counts["good"] += len(points)
-                kept.extend([j, point, score] for point, score in zip(points, scores))
-            if final:
-                del kept[1:]
-            event = {"dim": dim, "parents_done": pos, "parents_total": total, **counts}
-            log.append({**event, "kept": kept[kept_before:]})
-            if progress:
-                progress(event)
+            block = range(pos, min(pos + _BLOCK, total))
+            results = _process_parents(_parents(current, rows, block, pts), pts, least)
+            for start in range(0, len(block), _CHUNK):
+                chunk, kept_before = block[start:start + _CHUNK], len(kept)
+                pos = chunk.stop
+                for j, (spans, points, scores) in zip(chunk, results[start:start + _CHUNK]):
+                    counts["spaces"] += spans
+                    counts["good"] += len(points)
+                    kept.extend([j, point, score] for point, score in zip(points, scores))
+                if final:
+                    del kept[1:]
+                event = {"dim": dim, "parents_done": pos, "parents_total": total, **counts}
+                log.append({**event, "kept": kept[kept_before:]})
+                if progress:
+                    progress(event)
+                if final and kept:
+                    break
 
         entry = {"dim": dim, "spaces": counts["spaces"]}
-        report.levels.append(entry)
+        report.add_level(entry, started)
         if final:
             entry["witnesses"] = counts["good"]
             if kept:
                 j, point, _ = kept[0]
-                hit = _parent(current, rows, j, pts).extend(pts.flat[point])
+                hit = _parents(current, rows, [j], pts)[0].extend(pts.flat[point])
                 report.witness = _witness_rank_ones(hit, pts)
             break
         if filtering:

@@ -43,6 +43,28 @@ def test_matspace_membership_and_extend():
     assert bigger.dim == 5 and bigger.contains(e12)
 
 
+@pytest.mark.parametrize("q, basis", [(2, F16_BASIS), (3, F81_BASIS)])
+def test_extend_batch_matches_extend(q, basis):
+    # per parent dimension 4..8: every rank-one point outside one of three seeded
+    # spaces of that dimension, all in one batch, against extend byte for byte
+    rng = np.random.default_rng(q)
+    pts = algebra.points_for(q, 4)
+    level = [algebra.MatSpace.from_encodings(q, 4, basis)]
+    for _ in range(5):
+        pairs = [(s, i) for s in level for i in np.nonzero(~s.contains_batch(pts.flat))[0]]
+        spaces, mats = [s for s, _ in pairs], pts.flat[[i for _, i in pairs]]
+        built = algebra.MatSpace.extend_batch(spaces, mats)
+        for space, mat, got in zip(spaces, mats, built):
+            want = space.extend(mat)
+            assert got.basis.tobytes() == want.basis.tobytes()
+            assert got.basis.shape == want.basis.shape and got.basis.dtype == want.basis.dtype
+            assert got.pivots == want.pivots and all(type(p) is int for p in got.pivots)
+            assert not got.basis.flags.writeable
+        level = [built[i] for i in rng.choice(len(built), 3, replace=False)]
+    with pytest.raises(BadParameters, match="lies in the space"):
+        algebra.MatSpace.extend_batch(level[:1], level[0].basis[:1])
+
+
 def test_matspace_elements_count():
     space = algebra.MatSpace.from_encodings(2, 4, F16_BASIS)
     assert space.nonzero_elements().shape == (15, 16)

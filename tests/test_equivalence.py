@@ -255,7 +255,7 @@ def partition(spaces, key):
 
 def children(parent):
     pts = search.points_for(parent.q, parent.n)
-    ext = search.extension_groups(parent, pts)
+    ext = search.extension_groups([parent], pts)
     return [parent.extend(pts.flat[i]) for i in ext.group_reps]
 
 
@@ -300,10 +300,11 @@ def field_cases():
 
 def brute_point_orbit_reps(group, ext, pts):
     """Orbit representatives from the matrix images of every child's point
-    under every group element."""
+    under every group element; ext groups the children of one parent."""
     child_of = {}
-    for p, child_no in zip(ext.out_idx, ext.child):
-        child_of[pts.flat[p].astype(np.uint8).tobytes()] = child_no
+    for p, child_no in enumerate(ext.child[0]):
+        if child_no >= 0:
+            child_of[pts.flat[p].astype(np.uint8).tobytes()] = child_no
     reps = set()
     for point in ext.group_reps:
         moved = equivalence._act_arrays(group.A, group.B, pts.flat[point], pts.q)
@@ -318,8 +319,8 @@ def brute_point_orbit_reps(group, ext, pts):
 def test_point_orbit_reps_match_brute_scan():
     for group, parent in field_cases():
         pts = search.points_for(parent.q, parent.n)
-        ext = search.extension_groups(parent, pts)
-        reps = search._point_orbit_reps(group, ext, pts)
+        ext = search.extension_groups([parent], pts)
+        reps = search._point_orbit_reps(group, ext, 0)
         assert reps == brute_point_orbit_reps(group, ext, pts)
         assert len(reps) < len(ext.group_reps)
 

@@ -1,5 +1,6 @@
 import functools
 import json
+import types
 
 import numpy as np
 import pytest
@@ -405,6 +406,11 @@ def uninterrupted(n, R):
         pytest.param(4, 8, 7, 1, id="f16-raw-first"),
         pytest.param(4, 8, 7, 4, id="f16-raw-middle"),
         pytest.param(4, 8, 8, 13, id="f16-final-middle"),
+        # inside a kernel block, not at its edge: the filter level is one
+        # block of 8 chunks, and the final level's second block holds
+        # chunks 17-26, so the resumed run's blocks start at chunk 21
+        pytest.param(4, 8, 7, 6, id="f16-raw-inside-block"),
+        pytest.param(4, 8, 8, 20, id="f16-final-inside-second-block"),
         # F16 R=8: the last final chunk, after every other one found nothing
         pytest.param(4, 8, 8, 26, id="f16-final-last"),
         # F8 R=8: dim 7 is ordered by rank-one content for the witness level
@@ -496,18 +502,24 @@ def test_disprove_rank_refuses_a_log_of_another_level_size(tmp_path):
 
 def test_disprove_rank_builds_fewer_spaces_than_its_dim7_level(monkeypatch):
     # the kept children are rows; a space is built only when a level scans
-    # it, and the final level stops at its first witness chunk
-    calls = []
-    extend = algebra.MatSpace.extend
+    # it, and the final level builds its parents one block at a time and
+    # stops at its first witness step
+    built = []
+    extend, extend_batch = algebra.MatSpace.extend, algebra.MatSpace.extend_batch
 
     def counting(self, *args):
-        calls.append(None)
+        built.append(1)
         return extend(self, *args)
 
+    def counting_batch(spaces, mats):
+        built.append(len(spaces))
+        return extend_batch(spaces, mats)
+
     monkeypatch.setattr(algebra.MatSpace, "extend", counting)
+    monkeypatch.setattr(algebra.MatSpace, "extend_batch", staticmethod(counting_batch))
     rep = search.disprove_rank(algebra.field_construct(2, 3), 8)
     assert rep.level(7) == {"dim": 7, "spaces": 3150}
-    assert len(calls) < 3150
+    assert sum(built) < 3150
 
 
 def test_disprove_rank_filter_level_at_2n_keeps_scan_order(monkeypatch):
@@ -515,15 +527,15 @@ def test_disprove_rank_filter_level_at_2n_keeps_scan_order(monkeypatch):
     # ordered; the final level scans the dim-7 survivors as they were found
     pts = search.points_for(2, 4)
     seen = []
-    process = search._process_parent
+    process = search._process_parents
 
-    def recording(parent, pts, least):
-        result = process(parent, pts, least)
-        seen.append((parent, result[1]))
-        return result
+    def recording(parents, pts, least):
+        results = process(parents, pts, least)
+        seen.extend((parent, points) for parent, (_, points, _) in zip(parents, results))
+        return results
 
     monkeypatch.setattr(search, "_diag_probe", lambda space, R, pts: None)
-    monkeypatch.setattr(search, "_process_parent", recording)
+    monkeypatch.setattr(search, "_process_parents", recording)
     rep = search.disprove_rank(algebra.field_construct(2, 4), 8)
     assert rep.level(7)["survivors"] == 102
     survivors = [
@@ -549,6 +561,22 @@ def test_code_exists_is_computed_once_per_argument(monkeypatch):
     search.disprove_rank(f8, 8)
     assert first > 0
     assert len(calls) == first
+
+
+def test_reports_time_every_level():
+    # one {dim, wall_s} per level, beside the levels and in the JSON report;
+    # F8 R=8 ends at a final level with a witness
+    reports = [
+        search.disprove_rank(algebra.field_construct(2, 4), 8),
+        search.disprove_rank(algebra.field_construct(2, 3), 8),
+        search.spread_sets_by_rank(2, 3, 6)[0],
+    ]
+    for rep in reports:
+        assert rep.levels
+        assert [t["dim"] for t in rep.timings] == [entry["dim"] for entry in rep.levels]
+        assert all(t["wall_s"] >= 0 for t in rep.timings)
+        rounded = [{**t, "wall_s": round(t["wall_s"], 3)} for t in rep.timings]
+        assert json.loads(rep.to_json())["timings"] == rounded
 
 
 def test_tensor_rank_events_carry_their_target():
@@ -582,20 +610,87 @@ def test_spread_sets_by_rank_order8_rank5_empty():
 def test_extension_groups_partition():
     f16 = atlas.atlas_get("F16").space()
     pts = search.points_for(2, 4)
-    ext = search.extension_groups(f16, pts)
-    covered = np.concatenate([ext.inside_idx, ext.out_idx])
-    assert sorted(covered.tolist()) == list(range(len(pts)))
+    ext = search.extension_groups([f16], pts)
+    # a spread set holds no rank-one point, so every point lies in a child
+    assert ext.child.shape == (1, len(pts)) and (ext.child >= 0).all()
+    assert ext.sizes.sum() == len(pts)
     # every point spans the child it is assigned to, and every child
     # signature corresponds to a distinct span
     keys = [f16.extend(pts.flat[i]).key for i in ext.group_reps]
-    for point, child_no in zip(ext.out_idx, ext.child):
+    for point, child_no in enumerate(ext.child[0]):
         assert f16.extend(pts.flat[point]).key == keys[child_no]
     assert len(set(keys)) == len(ext.group_reps)
 
 
 # ---------------------------------------------------------------------------
-# Raw-level kernels against the per-child loops they replace
+# Raw-level kernels against the per-parent and per-child loops they replace
 # ---------------------------------------------------------------------------
+
+
+def oracle_parent_groups(parent, pts):
+    """Oracle: one parent's grouping as the per-parent kernel did it, before
+    the block kernel: the points' residues modulo the parent, normalised and
+    packed, and one np.unique per parent."""
+    q = parent.q
+    red = parent.reduce(pts.flat)
+    nz = red.any(axis=1)
+    inside_idx, out_idx = np.nonzero(~nz)[0], np.nonzero(nz)[0]
+    rows = red[out_idx]
+    lead = gf.leading_coeff(rows, q)
+    normed = (rows * gf.inv_table(q)[lead][:, None]) % q
+    sig = codec.encode_rows(normed[:, ::-1], q)
+    _, first, child = np.unique(sig, return_index=True, return_inverse=True)
+    return types.SimpleNamespace(
+        inside_idx=inside_idx, out_idx=out_idx, child=child, group_reps=out_idx[first], lead=lead
+    )
+
+
+def oracle_parent_profile(parent, ext, pts, least=0):
+    """Oracle: one parent's rank-one profile as the per-parent kernel did it,
+    (base rank, extras per child), ranking only the children that can reach
+    least (see search._rank_one_profile)."""
+    q = parent.q
+    nchild = len(ext.group_reps)
+    sizes = np.bincount(ext.child, minlength=nchild)
+    bound = min(ext.inside_idx.size, parent.dim)
+    if bound + sizes.max(initial=0) < least:
+        return bound, sizes
+    coords = pts.flat[:, list(parent.pivots)]
+    if ext.inside_idx.size:
+        base_rows, base_piv = gf.rref(coords[ext.inside_idx], q)
+    else:
+        base_rows, base_piv = np.zeros((0, parent.dim), dtype=np.uint8), ()
+    base_rank = base_rows.shape[0]
+    ranked = sizes >= least - base_rank
+    extras = sizes.copy()
+    if not ranked.any():
+        return base_rank, extras
+    members = ranked[ext.child]
+    rows = coords[ext.out_idx[members]]
+    if base_rank:
+        rows = (rows - rows[:, list(base_piv)] @ base_rows.astype(np.int64)) % q
+    free = np.ones(parent.dim, dtype=bool)
+    free[list(base_piv)] = False
+    rows = np.concatenate([rows[:, free], ext.lead[members, None]], axis=1)
+    child = (np.cumsum(ranked) - 1)[ext.child[members]]  # position in the batch
+    sizes = sizes[ranked]
+    order = np.argsort(child, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    by_child = child[order]
+    batch = np.zeros((sizes.size, sizes.max(), rows.shape[1]), dtype=np.int64)
+    batch[by_child, np.arange(order.size) - starts[by_child]] = rows[order]
+    extras[ranked] = gf.rank_batch(batch, q)
+    return base_rank, extras
+
+
+def oracle_process_parent(parent, pts, least):
+    """Oracle: the per-parent raw-level kernel that _process_parents replaced;
+    (spans, kept points, their scores) for one parent."""
+    ext = oracle_parent_groups(parent, pts)
+    base_rank, extras = oracle_parent_profile(parent, ext, pts, least)
+    scores = base_rank + extras
+    keep = np.nonzero(scores >= least)[0]
+    return len(ext.group_reps), ext.group_reps[keep].tolist(), scores[keep].tolist()
 
 
 def oracle_extension_groups(parent, pts):
@@ -635,6 +730,33 @@ def oracle_rank_one_profile(parent, inside_idx, members, pts):
     return base_rank, gf.rank_batch(batch, q)
 
 
+def oracle_kept(parent, pts, least):
+    """Oracle: every child ranked by the per-child loops, then filtered at
+    least; (spans, kept points, their scores) as _process_parents gives them
+    for one parent."""
+    inside_idx, reps, members = oracle_extension_groups(parent, pts)
+    base_rank, extras = oracle_rank_one_profile(parent, inside_idx, members, pts)
+    scores = base_rank + extras
+    keep = np.nonzero(scores >= least)[0]
+    return len(reps), [reps[i] for i in keep], scores[keep].tolist()
+
+
+def assert_block_matches_oracles(block, pts, least):
+    """_process_parents on the block equals the per-parent kernel and the
+    per-child loops on every parent."""
+    got = search._process_parents(block, pts, least)
+    assert got == [oracle_process_parent(parent, pts, least) for parent in block]
+    assert got == [oracle_kept(parent, pts, least) for parent in block]
+
+
+def same_dim_blocks(parents):
+    """The parents in blocks of one dimension each, in order."""
+    blocks = {}
+    for parent in parents:
+        blocks.setdefault(parent.dim, []).append(parent)
+    return list(blocks.values())
+
+
 def seeded_parents(space, seed, depth, per_level=3):
     """The space and random descendants of it, up to depth points added."""
     rng = np.random.default_rng(seed)
@@ -643,7 +765,7 @@ def seeded_parents(space, seed, depth, per_level=3):
     for _ in range(depth):
         nxt = []
         for parent in level:
-            reps = search.extension_groups(parent, pts).group_reps
+            reps = oracle_parent_groups(parent, pts).group_reps
             for i in rng.choice(len(reps), min(per_level, len(reps)), replace=False):
                 nxt.append(parent.extend(pts.flat[reps[i]]))
         level = nxt[:per_level]
@@ -661,30 +783,39 @@ def kernel_parents(name):
     return seeded_parents(atlas.atlas_get(name).space(), seed, depth)
 
 
-@pytest.mark.parametrize("name", ["full-M2(F2)", "F16", "S1", "F81", "V", "F27"])
+KERNEL_CASES = ["full-M2(F2)", "F16", "S1", "F81", "V", "F27"]
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
 def test_raw_level_kernels_match_per_child_oracles(name):
-    for parent in kernel_parents(name):
-        pts = search.points_for(parent.q, parent.n)
-        ext = search.extension_groups(parent, pts)
-        inside_idx, reps, members = oracle_extension_groups(parent, pts)
-        assert np.array_equal(ext.inside_idx, inside_idx)
-        assert ext.group_reps.tolist() == reps
-        got = [ext.out_idx[ext.child == c] for c in range(len(ext.group_reps))]
-        assert [m.tolist() for m in got] == [m.tolist() for m in members]
-        base_rank, extras = search._rank_one_profile(parent, ext, pts)
-        want_rank, want_extras = oracle_rank_one_profile(parent, inside_idx, members, pts)
-        assert base_rank == want_rank
-        assert np.array_equal(extras, want_extras)
+    for block in same_dim_blocks(kernel_parents(name)):
+        pts = search.points_for(block[0].q, block[0].n)
+        ext = search.extension_groups(block, pts)
+        base_rank, extras = search._rank_one_profile(block, ext, pts)
+        for p, parent in enumerate(block):
+            lo, hi = ext.first[p], ext.first[p + 1]
+            inside_idx, reps, members = oracle_extension_groups(parent, pts)
+            assert np.nonzero(ext.child[p] < 0)[0].tolist() == inside_idx.tolist()
+            assert ext.group_reps[lo:hi].tolist() == reps
+            got = [np.nonzero(ext.child[p] == c)[0] for c in range(lo, hi)]
+            assert [m.tolist() for m in got] == [m.tolist() for m in members]
+            assert ext.sizes[lo:hi].tolist() == [len(m) for m in members]
+            # the lead of each outside point, as the per-parent kernel had it
+            want = oracle_parent_groups(parent, pts)
+            assert ext.lead[p, want.out_idx].tolist() == want.lead.tolist()
+            want_rank, want_extras = oracle_rank_one_profile(parent, inside_idx, members, pts)
+            assert base_rank[p] == want_rank
+            assert extras[lo:hi].tolist() == want_extras.tolist()
 
 
-def oracle_process_parent(parent, pts, mode, n, R):
+def oracle_level_kind(parent, pts, mode, n, R):
     """Oracle: the raw-level kernel that branched on a level kind, before
     every level kept the children whose score reaches a threshold."""
-    ext = search.extension_groups(parent, pts)
+    ext = oracle_parent_groups(parent, pts)
     spans = len(ext.group_reps)
     if mode == "plain":
         return spans, [parent.extend(pts.flat[i]) for i in ext.group_reps], []
-    base_rank, extras = search._rank_one_profile(parent, ext, pts)
+    base_rank, extras = oracle_parent_profile(parent, ext, pts)
     scores = base_rank + extras
     if mode == "filter":
         keep = np.nonzero(scores >= n)[0]
@@ -696,38 +827,101 @@ def oracle_process_parent(parent, pts, mode, n, R):
     return spans, children, scores[keep].tolist()
 
 
-@pytest.mark.parametrize("name", ["full-M2(F2)", "F16", "S1", "F81", "V", "F27"])
+@pytest.mark.parametrize("name", KERNEL_CASES)
 def test_process_parent_matches_level_kind_oracle(name):
-    for parent in kernel_parents(name):
-        pts = search.points_for(parent.q, parent.n)
-        n, R = parent.n, parent.dim + 1  # R: the children's dimension
+    for block in same_dim_blocks(kernel_parents(name)):
+        pts = search.points_for(block[0].q, block[0].n)
+        n, R = block[0].n, block[0].dim + 1  # R: the children's dimension
         for mode, least in (("plain", 0), ("plain-ordered", 0), ("filter", n), ("final", R)):
-            spans, points, scores = search._process_parent(parent, pts, least)
-            want_spans, want_children, want_scores = oracle_process_parent(parent, pts, mode, n, R)
-            assert spans == want_spans
-            children = [parent.extend(pts.flat[point]) for point in points]
-            assert [c.key for c in children] == [c.key for c in want_children]
-            if mode != "plain":  # the plain kind did not score
-                assert scores == want_scores
+            got = search._process_parents(block, pts, least)
+            for parent, (spans, points, scores) in zip(block, got):
+                want_spans, want_children, want_scores = oracle_level_kind(parent, pts, mode, n, R)
+                assert spans == want_spans
+                children = [parent.extend(pts.flat[point]) for point in points]
+                assert [c.key for c in children] == [c.key for c in want_children]
+                if mode != "plain":  # the plain kind did not score
+                    assert scores == want_scores
 
 
-def oracle_kept(parent, pts, least):
-    """Oracle: every child ranked by the per-child loops, then filtered at
-    least; (spans, kept points, their scores) as _process_parent gives them."""
-    inside_idx, reps, members = oracle_extension_groups(parent, pts)
-    base_rank, extras = oracle_rank_one_profile(parent, inside_idx, members, pts)
-    scores = base_rank + extras
-    keep = np.nonzero(scores >= least)[0]
-    return len(reps), [reps[i] for i in keep], scores[keep].tolist()
-
-
-@pytest.mark.parametrize("name", ["full-M2(F2)", "F16", "S1", "F81", "V", "F27"])
+@pytest.mark.parametrize("name", KERNEL_CASES)
 def test_process_parent_matches_full_profile_at_every_threshold(name):
     # the kernel ranks only the children with enough members to reach least
-    for parent in kernel_parents(name):
-        pts = search.points_for(parent.q, parent.n)
-        for least in range(parent.dim + 3):
-            assert search._process_parent(parent, pts, least) == oracle_kept(parent, pts, least)
+    for block in same_dim_blocks(kernel_parents(name)):
+        pts = search.points_for(block[0].q, block[0].n)
+        for least in range(block[0].dim + 3):
+            assert_block_matches_oracles(block, pts, least)
+
+
+def recorded_raw_parents(monkeypatch, name, R):
+    """{level dim: its parents} of disprove_rank(name, R) with the probe off,
+    recorded from the blocks of its raw levels; the test's monkeypatches are
+    undone afterwards."""
+    levels = {}
+    process = search._process_parents
+
+    def recording(parents, pts, least):
+        levels.setdefault(parents[0].dim + 1, []).extend(parents)
+        return process(parents, pts, least)
+
+    monkeypatch.setattr(search, "_diag_probe", lambda space, R, pts: None)
+    monkeypatch.setattr(search, "_process_parents", recording)
+    search.disprove_rank(atlas.atlas_get(name).spread_set(), R)
+    monkeypatch.undo()
+    return levels
+
+
+@pytest.mark.parametrize("name", ["F16", "S1"])
+def test_process_parents_matches_oracles_on_every_raw_parent_at_rank_8(monkeypatch, name):
+    # the filter level (dim 7, least n) and the final level (dim 8, least R)
+    levels = recorded_raw_parents(monkeypatch, name, 8)
+    assert sorted(levels) == [7, 8]
+    pts = search.points_for(2, 4)
+    for dim, parents in levels.items():
+        for start in range(0, len(parents), search._BLOCK):
+            block = parents[start:start + search._BLOCK]
+            for least in (0, 4):
+                got = search._process_parents(block, pts, least)
+                assert got == [oracle_process_parent(parent, pts, least) for parent in block]
+            assert_block_matches_oracles(block, pts, 8)
+
+
+@pytest.mark.slow
+def test_process_parents_matches_oracles_on_f81_dim7_parents(monkeypatch):
+    # a seeded sample of the 2,688 parents of the F81 final level (q = 3)
+    parents = recorded_raw_parents(monkeypatch, "F81", 8)[8]
+    assert len(parents) == 2688
+    rng = np.random.default_rng(81)
+    sample = [parents[i] for i in rng.choice(len(parents), 2 * search._BLOCK, replace=False)]
+    pts = search.points_for(3, 4)
+    for block in (sample[: search._BLOCK], sample[search._BLOCK:]):
+        for least in (0, 4, 8):
+            assert_block_matches_oracles(block, pts, least)
+
+
+def test_process_parents_mixes_skipped_and_ranked_parents_in_one_block(monkeypatch):
+    # at least R = 8, every parent of S1's final level skips its base RREF,
+    # while the span of 7 rank ones of a published decomposition reduces
+    # its base (rank 7) and ranks every child
+    final = recorded_raw_parents(monkeypatch, "S1", 8)[8]
+    rich = [
+        algebra.MatSpace.from_encodings(2, 4, atlas.atlas_get(name).decomposition[:7])
+        for name in ("F16", "S1", "S2")
+    ]
+    block = final[:20] + rich[:1] + final[20:40] + rich[1:] + final[40:60]
+    pts = search.points_for(2, 4)
+
+    def kind(parent):
+        ext = oracle_parent_groups(parent, pts)
+        sizes = np.bincount(ext.child)
+        if min(ext.inside_idx.size, parent.dim) + sizes.max() < 8:
+            return "skipped"
+        base_rank, _ = oracle_parent_profile(parent, ext, pts, 8)
+        return "ranked" if (sizes >= 8 - base_rank).any() else "based"
+
+    assert {parent.dim for parent in block} == {7} and len(block) <= search._BLOCK
+    assert {"skipped", "ranked"} <= {kind(parent) for parent in block}
+    for least in (0, 4, 8):
+        assert_block_matches_oracles(block, pts, least)
 
 
 @functools.lru_cache(maxsize=None)
@@ -737,17 +931,29 @@ def gl3(q):
     return mats[gf.rank_batch(mats, q) == 3]
 
 
+SPREADS_OF_ORDER_Q3 = {
+    2: [algebra.field_construct(2, 3)],
+    3: [algebra.field_construct(3, 3), algebra.gtf_construct(3, 3, 1, 2, (0, 1, 0))],
+}
+
+
+def descendant(q, spread, A, B, picks):
+    """A S B extended by one picked child per pick."""
+    pts = search.points_for(q, 3)
+    parent = algebra.MatSpace.from_matrices(q, 3, [A @ M @ B % q for M in spread.matrices])
+    for pick in picks:
+        reps = oracle_parent_groups(parent, pts).group_reps
+        parent = parent.extend(pts.flat[reps[pick % reps.size]])
+    return parent
+
+
 def descendants_of_spread_sets(q):
     """(q, a spread set of order q^3, isotopism matrices A and B, picks,
     least): the parent is A S B extended by one picked child per pick, so
     its dimension is 3 + len(picks), and least runs up to that plus 2."""
-    spreads = {
-        2: [algebra.field_construct(2, 3)],
-        3: [algebra.field_construct(3, 3), algebra.gtf_construct(3, 3, 1, 2, (0, 1, 0))],
-    }[q]
     gl = st.integers(0, len(gl3(q)) - 1).map(lambda i: gl3(q)[i])
     picks = st.lists(st.integers(0, 10**6), max_size=5)
-    return st.tuples(st.just(q), st.sampled_from(spreads), gl, gl, picks).flatmap(
+    return st.tuples(st.just(q), st.sampled_from(SPREADS_OF_ORDER_Q3[q]), gl, gl, picks).flatmap(
         lambda case: st.tuples(*map(st.just, case), st.integers(0, len(case[4]) + 5))
     )
 
@@ -756,11 +962,33 @@ def descendants_of_spread_sets(q):
 def test_process_parent_keeps_the_full_profile_filter_on_random_descendants(case):
     q, spread, A, B, picks, least = case
     pts = search.points_for(q, 3)
-    parent = algebra.MatSpace.from_matrices(q, 3, [A @ M @ B % q for M in spread.matrices])
-    for pick in picks:
-        reps = search.extension_groups(parent, pts).group_reps
-        parent = parent.extend(pts.flat[reps[pick % reps.size]])
-    assert search._process_parent(parent, pts, least) == oracle_kept(parent, pts, least)
+    parent = descendant(q, spread, A, B, picks)
+    assert search._process_parents([parent], pts, least) == [oracle_kept(parent, pts, least)]
+
+
+def blocks_of_descendants(q):
+    """(q, a block of 1 to 8 descendants of one dimension, least): each is
+    A S B, for its own spread set S and isotopism (A, B), extended by depth
+    picked children."""
+    gl = st.integers(0, len(gl3(q)) - 1).map(lambda i: gl3(q)[i])
+
+    def block(depth):
+        picks = st.lists(st.integers(0, 10**6), min_size=depth, max_size=depth)
+        member = st.tuples(st.sampled_from(SPREADS_OF_ORDER_Q3[q]), gl, gl, picks)
+        return st.tuples(st.just(q), st.lists(member, min_size=1, max_size=8),
+                         st.integers(0, depth + 5))
+
+    return st.integers(0, 5).flatmap(block)
+
+
+@given(st.sampled_from([2, 3]).flatmap(blocks_of_descendants))
+def test_process_parents_on_random_blocks_of_descendants(case):
+    q, members, least = case
+    pts = search.points_for(q, 3)
+    block = [descendant(q, *member) for member in members]
+    assert search._process_parents(block, pts, least) == [
+        oracle_kept(parent, pts, least) for parent in block
+    ]
 
 
 def test_disprove_rank_ranks_only_children_that_can_reach_the_threshold(monkeypatch):
@@ -771,12 +999,12 @@ def test_disprove_rank_ranks_only_children_that_can_reach_the_threshold(monkeypa
     items, enough, level = {}, {}, []
     profile, rank_batch = search._rank_one_profile, gf.rank_batch
 
-    def profiling(parent, ext, pts, least=0):
-        dim = parent.dim + 1
-        enough[dim] = enough.get(dim, 0) + int((np.bincount(ext.child) >= 2).sum())
+    def profiling(parents, ext, pts, least=0):
+        dim = parents[0].dim + 1
+        enough[dim] = enough.get(dim, 0) + int((ext.sizes >= 2).sum())
         level.append(dim)
         try:
-            return profile(parent, ext, pts, least)
+            return profile(parents, ext, pts, least)
         finally:
             level.pop()
 
@@ -798,7 +1026,7 @@ def test_disprove_rank_ranks_only_children_that_can_reach_the_threshold(monkeypa
 
 def oracle_diag_probe(space, R, pts):
     """Oracle: the diagonal probe with its own scan of the last level, before
-    it scored through _process_parent."""
+    it scored through the raw-level kernel."""
     n = space.n
     probe = space
     for e in np.eye(n, dtype=np.uint8):
@@ -807,8 +1035,8 @@ def oracle_diag_probe(space, R, pts):
         return None
 
     def scan_last(cand):
-        ext = search.extension_groups(cand, pts)
-        base_rank, extras = search._rank_one_profile(cand, ext, pts)
+        ext = oracle_parent_groups(cand, pts)
+        base_rank, extras = oracle_parent_profile(cand, ext, pts)
         hits = np.nonzero(base_rank + extras == R)[0]
         if hits.size:
             return cand.extend(pts.flat[ext.group_reps[int(hits[0])]])
@@ -818,8 +1046,8 @@ def oracle_diag_probe(space, R, pts):
         return probe if search._rank_one_spanned(probe, pts) else None
     if probe.dim == R - 1:
         return scan_last(probe)
-    ext = search.extension_groups(probe, pts)
-    base_rank, extras = search._rank_one_profile(probe, ext, pts)
+    ext = oracle_parent_groups(probe, pts)
+    base_rank, extras = oracle_parent_profile(probe, ext, pts)
     for i in np.argsort(-extras, kind="stable")[:64]:
         witness = scan_last(probe.extend(pts.flat[ext.group_reps[int(i)]]))
         if witness is not None:
