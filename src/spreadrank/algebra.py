@@ -121,37 +121,27 @@ class MatSpace:
         return bool(self.contains_batch(other.basis).all())
 
     def extend(self, mat):
-        """Space spanned by this space and one further matrix.
-
-        Incremental: the stored basis is already reduced, so one residue,
-        one column elimination and a sorted insert reproduce the RREF.
-        """
-        v = np.asarray(mat).reshape(-1)
-        red = self.reduce(v).astype(np.int64)
-        nz = np.nonzero(red)[0]
-        if nz.size == 0:
+        """Space spanned by this space and one further matrix: this space
+        itself when it contains the matrix, else extend_batch of one."""
+        if self.contains(mat):
             return self
-        lead = int(nz[0])
-        inv = gf.inv_table(self.q)
-        row = (red * int(inv[red[lead]])) % self.q
-        B = self.basis.astype(np.int64)
-        if self.dim:
-            B = (B - np.outer(B[:, lead], row)) % self.q
-        pos = int(np.searchsorted(np.array(self.pivots, dtype=np.int64), lead))
-        stacked = np.insert(B, pos, row, axis=0).astype(np.uint8)
-        stacked.flags.writeable = False
-        pivots = self.pivots[:pos] + (lead,) + self.pivots[pos:]
-        return MatSpace(self.q, self.n, stacked, pivots)
+        return MatSpace.extend_batch([self], [mat])[0]
 
     @staticmethod
     def extend_batch(spaces, mats):
-        """[spaces[i].extend(mats[i])] for spaces of one q, n and dimension,
-        none of which contains its matrix (BadParameters otherwise): the
-        same residue, column elimination and sorted insert, batched."""
+        """The spaces spanned by spaces[i] and mats[i], for spaces of one q,
+        n and dimension, none of which contains its matrix (BadParameters
+        otherwise).
+
+        Incremental: a stored basis is already reduced, so one residue, one
+        column elimination and a sorted insert reproduce the RREF.
+        """
+        if not len(spaces):
+            return []
         first = spaces[0]
-        q, count = first.q, len(spaces)
+        q, count, dim = first.q, len(spaces), first.dim
         basis = np.stack([space.basis for space in spaces]).astype(np.int64)
-        piv = np.array([space.pivots for space in spaces], dtype=np.int64).reshape(count, -1)
+        piv = np.array([space.pivots for space in spaces], dtype=np.int64).reshape(count, dim)
         V = np.asarray(mats, dtype=np.int64).reshape(count, -1) % q
         red = (V - np.einsum("pd,pdw->pw", np.take_along_axis(V, piv, 1), basis)) % q
         if not red.any(axis=1).all():
@@ -162,7 +152,6 @@ class MatSpace:
         basis = (basis - basis[at, :, lead][:, :, None] * row[:, None, :]) % q
         # row k of an extended basis: old row k before the new pivot, the
         # new row at it, old row k - 1 after it
-        dim = piv.shape[1]
         k = np.arange(dim + 1)
         pos = (piv < lead[:, None]).sum(axis=1)[:, None]
         order = np.where(k < pos, k, np.where(k == pos, dim, k - 1))

@@ -20,8 +20,8 @@ sets.
 
 Children are grouped and scored by one block kernel, _process_parents, over
 up to _BLOCK parents of one dimension at a time: one product gives every
-point's residue modulo every parent, one sort of packed (parent, signature,
-point) keys numbers the children, and the rank-one profile takes one padded
+point's residue modulo every parent, one stable sort by (parent, signature)
+numbers the children, and the rank-one profile takes one padded
 base RREF and one rank_batch per block.  Raw levels, the orbit levels and
 the diagonal probe all group children through it.
 
@@ -51,7 +51,7 @@ from .algebra import (
 from .codec import encode_rows
 from .codes import code_exists, genbound
 from .equivalence import automorphism_group, equivalence_classes
-from .errors import BadParameters, EncodingOverflow, RankExceedsCap
+from .errors import BadParameters, RankExceedsCap
 
 
 _CHUNK = 4  # parents per raw-level step: the unit of log records and progress
@@ -90,20 +90,20 @@ def extension_groups(parents, pts):
     A residue x - x[piv]·B is zero on the parent's pivot columns, so it is
     taken on the other width - d columns only, by one float32 product of the
     points with a (width, width - d) map per parent; an entry of that
-    product sums at most d + 1 terms of at most (q - 1)^2, so it is exact.
-    Each outside point gets one int64 key that packs (parent, normalised
-    residue with its first column most significant, point index); one sort
-    of the keys numbers the children parent by parent in the order of their
-    normalised residue rows, and puts the least point of each child first.
+    product sums at most d + 1 terms of at most (q - 1)^2, at most 576 for
+    the sizes the codec accepts, so it is exact, and it is reduced mod q in
+    uint16 before it is narrowed to uint8.  Each outside point's normalised
+    residue is encoded with its first column most significant (it fits in
+    int64 wherever the codec accepts q and n); a stable sort by signature
+    and then by parent numbers the children parent by parent in the order of
+    their normalised residue rows, and puts the least point of each child
+    first, with no packed key to overflow.
     """
-    q = parents[0].q
+    q, dim = parents[0].q, parents[0].dim
     npar, (npts, width) = len(parents), pts.flat.shape
-    piv = np.array([parent.pivots for parent in parents], dtype=np.int64).reshape(npar, -1)
+    piv = np.array([parent.pivots for parent in parents], dtype=np.int64).reshape(npar, dim)
     basis = np.stack([parent.basis for parent in parents]).astype(np.int64)
-    nfree = width - piv.shape[1]
-    span = q**nfree  # signatures of one parent
-    if npar * span * npts > 2**63:
-        raise EncodingOverflow(f"keys of {npar} parents of codimension {nfree} over F_{q} overflow")
+    nfree = width - dim
     on_free = np.ones((npar, width), dtype=bool)
     on_free[np.arange(npar)[:, None], piv] = False
     free = np.nonzero(on_free)[1].reshape(npar, nfree)
@@ -112,22 +112,26 @@ def extension_groups(parents, pts):
     resmap = np.zeros((npar, width, nfree), dtype=np.float32)
     resmap[block, free, cols] = 1
     resmap[block[:, :, None], piv[:, :, None], cols] = -np.take_along_axis(basis, free[:, None], 2) % q
-    res = np.matmul(pts.flat.astype(np.float32), resmap).astype(np.uint8) % q
+    res = (np.matmul(pts.flat.astype(np.float32), resmap).astype(np.uint16) % q).astype(np.uint8)
     outside = res.any(axis=2)
     rows = res[outside]
     lead = np.zeros((npar, npts), dtype=np.uint8)
     lead[outside] = row_lead = gf.leading_coeff(rows, q)
     normed = rows * gf.inv_table(q).astype(np.uint8)[row_lead][:, None] % q
-    par, point = np.nonzero(outside)
-    keys = np.sort((par * span + encode_rows(normed[:, ::-1], q)) * npts + point)
-    pair, point = np.divmod(keys, npts)  # pair = parent * span + signature
-    new = np.ones(keys.size, dtype=bool)
-    new[1:] = pair[1:] != pair[:-1]
+    par, point = np.nonzero(outside)  # by parent, then by point
+    sig = encode_rows(normed[:, ::-1], q)
+    # stable sorts by signature, then by parent, each in its narrowest type
+    # (a radix sort up to 16 bits), keep each child's points in order
+    by_sig = np.argsort(sig.astype(np.min_scalar_type(q**nfree - 1)), kind="stable")
+    order = by_sig[np.argsort(par[by_sig].astype(np.min_scalar_type(npar - 1)), kind="stable")]
+    par, sig, point = par[order], sig[order], point[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (par[1:] != par[:-1]) | (sig[1:] != sig[:-1])
     starts = np.nonzero(new)[0]
     child = np.full((npar, npts), -1, dtype=np.int64)
-    child[pair // span, point] = np.cumsum(new) - 1
-    first = np.searchsorted(pair[starts] // span, np.arange(npar + 1))
-    sizes = np.diff(np.append(starts, keys.size))
+    child[par, point] = np.cumsum(new) - 1
+    first = np.searchsorted(par[starts], np.arange(npar + 1))
+    sizes = np.diff(np.append(starts, order.size))
     return _Extension(child, lead, first, point[starts], sizes)
 
 
@@ -393,16 +397,19 @@ def _point_orbit_reps(group, ext, p):
 def _orbit_children(parents, pts, stabilizer):
     """Children of the parents, one per orbit of stabilizer(parent) on each
     parent's children, with the number of child spans before the orbit
-    reduction.  The children are grouped _BLOCK parents at a time.  Equal
-    spans from two parents are left to the callers' equivalence_classes."""
+    reduction.  The children are grouped and built _BLOCK parents at a time.
+    Equal spans from two parents are left to the callers' equivalence_classes."""
     children, spans = [], 0
     for start in range(0, len(parents), _BLOCK):
         block = parents[start:start + _BLOCK]
         ext = extension_groups(block, pts)
         spans += len(ext.group_reps)
-        for p, parent in enumerate(block):
-            reps = _point_orbit_reps(stabilizer(parent), ext, p)
-            children.extend(parent.extend(pts.flat[idx]) for idx in reps)
+        named = [
+            (parent, point)
+            for p, parent in enumerate(block)
+            for point in _point_orbit_reps(stabilizer(parent), ext, p)
+        ]
+        children += MatSpace.extend_batch([row[0] for row in named], pts.flat[[row[1] for row in named]])
     return children, spans
 
 
@@ -728,12 +735,7 @@ def disprove_rank(spread, R, aut=None, checkpoint=None, progress=None):
         least = R if final else n if filtering else 0
         ordered = dim == R - 1 and not filtering
         if kept is not None and not final:
-            current = [
-                parent
-                for start in range(0, len(kept), _BLOCK)
-                for parent in _parents(current, kept, range(start, min(start + _BLOCK, len(kept))), pts)
-            ]
-            kept = None
+            current, kept = _parents(current, kept, range(len(kept)), pts), None
         rows, kept = kept, []
         total = len(current if rows is None else rows)
         counts, pos = {"spaces": 0, "good": 0}, 0

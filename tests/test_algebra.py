@@ -41,12 +41,17 @@ def test_matspace_membership_and_extend():
     assert not space.contains(e12)
     bigger = space.extend(e12)
     assert bigger.dim == 5 and bigger.contains(e12)
+    assert space.extend(np.eye(4, dtype=np.uint8)) is space  # already inside
+    zero = algebra.MatSpace.from_matrices(2, 4, [])
+    line = zero.extend(3 * e12)  # residues mod q
+    assert line == algebra.MatSpace.from_matrices(2, 4, [e12]) and line.pivots == (1,)
 
 
 @pytest.mark.parametrize("q, basis", [(2, F16_BASIS), (3, F81_BASIS)])
-def test_extend_batch_matches_extend(q, basis):
+def test_extend_batch_matches_rref_of_the_stacked_rows(q, basis):
     # per parent dimension 4..8: every rank-one point outside one of three seeded
-    # spaces of that dimension, all in one batch, against extend byte for byte
+    # spaces of that dimension, all in one batch, against the RREF of the
+    # space's basis and the point computed from scratch, and against extend
     rng = np.random.default_rng(q)
     pts = algebra.points_for(q, 4)
     level = [algebra.MatSpace.from_encodings(q, 4, basis)]
@@ -55,14 +60,16 @@ def test_extend_batch_matches_extend(q, basis):
         spaces, mats = [s for s, _ in pairs], pts.flat[[i for _, i in pairs]]
         built = algebra.MatSpace.extend_batch(spaces, mats)
         for space, mat, got in zip(spaces, mats, built):
-            want = space.extend(mat)
-            assert got.basis.tobytes() == want.basis.tobytes()
-            assert got.basis.shape == want.basis.shape and got.basis.dtype == want.basis.dtype
-            assert got.pivots == want.pivots and all(type(p) is int for p in got.pivots)
-            assert not got.basis.flags.writeable
+            want, want_piv = gf.rref(np.vstack([space.basis, mat]), q)
+            assert got.basis.dtype == np.uint8 and not got.basis.flags.writeable
+            assert np.array_equal(got.basis, want)
+            assert got.pivots == tuple(want_piv) and all(type(p) is int for p in got.pivots)
+            one = space.extend(mat)
+            assert one.basis.tobytes() == got.basis.tobytes() and one.pivots == got.pivots
         level = [built[i] for i in rng.choice(len(built), 3, replace=False)]
     with pytest.raises(BadParameters, match="lies in the space"):
         algebra.MatSpace.extend_batch(level[:1], level[0].basis[:1])
+    assert algebra.MatSpace.extend_batch([], pts.flat[[]]) == []
 
 
 def test_matspace_elements_count():

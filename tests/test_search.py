@@ -545,6 +545,22 @@ def test_disprove_rank_filter_level_at_2n_keeps_scan_order(monkeypatch):
     assert [parent.key for parent, _ in seen if parent.dim == 7] == survivors
 
 
+def test_disprove_rank_runs_on_after_a_filter_level_without_survivors(monkeypatch):
+    # F16 R=10 (no [10,4,5]_2 code, so dim 7 filters): with no survivors
+    # kept there, the levels above it have no parents and nothing to build
+    process = search._process_parents
+
+    def none_kept(parents, pts, least):
+        results = process(parents, pts, least)
+        return [(spans, [], []) for spans, _, _ in results] if least == 4 else results
+
+    monkeypatch.setattr(search, "_diag_probe", lambda space, R, pts: None)
+    monkeypatch.setattr(search, "_process_parents", none_kept)
+    rep = search.disprove_rank(algebra.field_construct(2, 4), 10)
+    assert rep.outcome == "exhausted" and rep.level(7)["survivors"] == 0
+    assert [rep.level(dim)["spaces"] for dim in (8, 9, 10)] == [0, 0, 0]
+
+
 def test_code_exists_is_computed_once_per_argument(monkeypatch):
     calls = []
     min_distance = codes.min_distance
@@ -988,6 +1004,55 @@ def test_process_parents_on_random_blocks_of_descendants(case):
     block = [descendant(q, *member) for member in members]
     assert search._process_parents(block, pts, least) == [
         oracle_kept(parent, pts, least) for parent in block
+    ]
+
+
+def assert_groups_match_oracle(block, pts):
+    """extension_groups on the block numbers, sizes and leads every parent's
+    children as the per-parent np.unique kernel did."""
+    ext = search.extension_groups(block, pts)
+    for p, parent in enumerate(block):
+        want = oracle_parent_groups(parent, pts)
+        lo, hi = ext.first[p], ext.first[p + 1]
+        assert np.nonzero(ext.child[p] < 0)[0].tolist() == want.inside_idx.tolist()
+        assert (ext.child[p, want.out_idx] - lo).tolist() == want.child.tolist()
+        assert ext.group_reps[lo:hi].tolist() == want.group_reps.tolist()
+        assert ext.sizes[lo:hi].tolist() == np.bincount(want.child).tolist()
+        assert ext.lead[p, want.out_idx].tolist() == want.lead.tolist()
+
+
+def test_extension_groups_reduces_residues_beyond_a_byte():
+    # q = 7: the point u w^T, u = (1,5,5,5), w = (1,4,4,4), is 6 on eight
+    # pivot columns of the parent spanned by e_c + e_15 over those columns,
+    # so its product entry on column 15 is 6 + 8 * 6 * 6 = 294 > 255
+    q, n = 7, 4
+    pts = search.points_for(q, n)
+    x = np.outer([1, 5, 5, 5], [1, 4, 4, 4]) % q
+    sixes = [c for c in range(15) if x.flat[c] == 6][:8]
+    rows = np.zeros((8, 16), dtype=np.int64)
+    rows[np.arange(8), sixes] = rows[:, 15] = 1
+    parent = algebra.MatSpace.from_rows(q, n, rows)
+    assert parent.dim == 8 and 6 + 8 * 36 > 255
+    point = np.nonzero((pts.flat == x.reshape(-1)).all(axis=1))[0]
+    assert point.size == 1  # the point is listed as it is
+    assert search.extension_groups([parent], pts).child[0, point[0]] >= 0  # outside
+    # the parent and seeded descendants, in blocks of one dimension
+    for block in same_dim_blocks(seeded_parents(parent, 7, 2, per_level=2)):
+        assert_groups_match_oracle(block, pts)
+
+
+def test_extension_groups_numbers_children_of_wide_signatures():
+    # q = 3, n = 6, dimension 6: q^30 signatures times 132,496 points is past
+    # 2^63, which one key packing signature and point together cannot hold
+    q, n = 3, 6
+    pts = search.points_for(q, n)
+    rng = np.random.default_rng(36)
+    block = [algebra.MatSpace.from_rows(q, n, rng.integers(0, q, (6, 36))) for _ in range(2)]
+    assert {parent.dim for parent in block} == {6}
+    assert q ** 30 * len(pts) > 2**63
+    assert_groups_match_oracle(block, pts)
+    assert search._process_parents(block, pts, 7) == [
+        oracle_process_parent(parent, pts, 7) for parent in block
     ]
 
 
