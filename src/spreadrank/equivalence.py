@@ -37,6 +37,13 @@ act before a merge.  The spaces without a key (no invertible element, or no
 cyclic member in the anchor class) are compared pairwise with
 are_equivalent, as are all spaces by callers that test one pair.
 
+The invariants of a classification are computed for blocks of spaces of one
+(q, n, dim), at most _DIVISION_BLOCK elements a block: one rank pass for the
+fingerprints, one inverse pass and a charpoly pass per _DIVISION_BLOCK
+products for the division data, one Krylov pass per charpoly-id rank and one
+RREF pass per _KEY_CANDIDATES normal forms for the keys.  A SpaceData
+property is the same stage run on a block of one.
+
 Stabilizer groups act on the projective rank-one points by permutations:
 (A, B) sends u w^T to (A u)(B^T w)^T, so two int16 tables over the
 projective vectors of F_q^n give every element's action by index gathers.
@@ -122,8 +129,23 @@ def _charpoly_code_table(q, n):
     return np.concatenate([_charpoly_ids(b, q) for b in digits.reshape(q**n, -1, n, n)])
 
 
+def _cp_of_mats(mats, q):
+    """Charpoly ids of a (B, n, n) stack: a table lookup for q = 2, n <= 4,
+    else the kernel."""
+    n = mats.shape[-1]
+    if q == 2 and n <= 4:
+        return _charpoly_code_table(q, n)[encode_rows(mats.reshape(mats.shape[0], -1) % q, q)]
+    return _charpoly_ids(mats, q)
+
+
 class SpaceData:
-    """Element-level invariants of one MatSpace, each computed on first use."""
+    """Element-level invariants of one MatSpace, each computed on first use.
+
+    fingerprint, division_data and isotopism_key are computed by block
+    stages over a list of spaces of one (q, n, dim) (_fingerprint_stage,
+    _division_stage, _key_stage); the properties run a block of one, and
+    isotopism_classes fills the slots of a whole list with _block_pass.
+    """
 
     def __init__(self, space):
         self.space = space
@@ -138,24 +160,16 @@ class SpaceData:
     def ranks(self):
         return gf.rank_batch(self.elems.reshape(-1, self.n, self.n), self.q)
 
-    def _cp_of_mats(self, mats):
-        if self.q == 2 and self.n <= 4:
-            table = _charpoly_code_table(self.q, self.n)
-            return table[encode_rows(mats.reshape(mats.shape[0], -1) % self.q, self.q)]
-        return _charpoly_ids(mats, self.q)
-
     @cached_property
     def cp_ids(self):
         """Stable per-element characteristic polynomial ids."""
-        return self._cp_of_mats(self.elems.reshape(-1, self.n, self.n))
+        return _cp_of_mats(self.elems.reshape(-1, self.n, self.n), self.q)
 
     @cached_property
     def fingerprint(self):
-        ranks = self.ranks
-        multiset = tuple(sorted(zip(*np.unique(ranks, return_counts=True))))
-        r1 = np.nonzero(ranks == 1)[0]
-        span_dim = gf.rank(self.elems[r1], self.q) if r1.size else 0
-        return (self.space.dim, multiset, int(span_dim))
+        """(dim, multiset of element ranks, dimension of the span of the
+        rank-one elements)."""
+        return _fingerprint_stage([self])[0]
 
     @cached_property
     def invertible_projective(self):
@@ -172,41 +186,9 @@ class SpaceData:
         invertible Y, with Y^-1 an (n, n) uint8 matrix.
 
         cpm_key is the sorted charpoly multiset of S Y^-1; the signature is
-        the sorted multiset of cpm_keys, a full equivalence invariant.  One
-        batched inverse covers every Y, and the charpoly ids of S Y^-1 are
-        taken for blocks of Y at a time.
+        the sorted multiset of cpm_keys, a full equivalence invariant.
         """
-        idx = self.invertible_projective
-        if not idx.size:
-            return (), []
-        inverses = gf.inverse_batch(self.elems[idx].reshape(-1, self.n, self.n), self.q)[0]
-        ids = self._unital_ids(inverses)
-        ids.sort(axis=1)
-        # runs of equal ids in each sorted row: their values and lengths
-        starts = np.ones(ids.shape, dtype=bool)
-        starts[:, 1:] = ids[:, 1:] != ids[:, :-1]
-        row, col = np.nonzero(starts)
-        ends = np.append(col[1:], 0)
-        ends[np.append(row[1:] != row[:-1], True)] = ids.shape[1]
-        vals, counts = ids[row, col].tolist(), (ends - col).tolist()
-        bounds = np.searchsorted(row, np.arange(len(idx) + 1)).tolist()
-        per_y = [
-            (tuple(zip(vals[a:b], counts[a:b])), yi, y_inv)
-            for a, b, yi, y_inv in zip(bounds, bounds[1:], idx.tolist(), inverses)
-        ]
-        return tuple(sorted(k for k, _, _ in per_y)), per_y
-
-    def _unital_ids(self, inverses):
-        """Charpoly ids of the elements of S Y^-1 for each Y^-1 of a
-        (m, n, n) stack, as an (m, elements) array, _DIVISION_BLOCK
-        products at a time."""
-        n, q = self.n, self.q
-        mats = self.elems.reshape(-1, n, n).astype(np.int16)
-        step = max(1, _DIVISION_BLOCK // len(mats))
-        return np.concatenate([
-            self._cp_of_mats((mats[None] @ block[:, None].astype(np.int16) % q).reshape(-1, n, n))
-            for block in np.split(inverses, range(step, len(inverses), step))
-        ]).reshape(len(inverses), len(mats))
+        return _division_stage([self])[0][0]
 
     @cached_property
     def isotopism_key(self):
@@ -219,65 +201,221 @@ class SpaceData:
         y, U = S y^-1 holds I; the first rank with a cyclic member g in
         some U (K = [v, g v, .., g^(n-1) v] invertible for a projective v)
         fixes the id, and the key is (q, n, dim, cpm key, id, least RREF
-        bytes of K^-1 U K) over the anchors, members and v of that rank.
-        An isotopism maps anchors to anchors (y -> A y B), U onto A U A^-1
-        and K onto A K, so equal keys mean isotopic spaces.  The
-        normaliser (y, y^-1, K, K^-1) is one that reaches the key.
+        bytes of K^-1 U K) over the anchors, members and v of that rank,
+        the first such (y, g, v) on ties.  An isotopism maps anchors to
+        anchors (y -> A y B), U onto A U A^-1 and K onto A K, so equal keys
+        mean isotopic spaces.  The normaliser (y, y^-1, K, K^-1), int64
+        (n, n) matrices, is one that reaches the key.
         """
-        q, n = self.q, self.n
-        _, per_y = self.division_data
+        return _key_stage([self])[0]
+
+
+_DIVISION_BLOCK = 1024  # elements per block of spaces, products S Y^-1 per charpoly
+                        # pass, Krylov matrices per inverse_batch
+_KEY_CANDIDATES = 256  # normalisations reduced per rref_batch
+
+
+def _block_pass(datas, slot, stage):
+    """Fill the cached slot of every SpaceData of the list that lacks it,
+    with one stage call per block: spaces of one (q, n, dim) with at most
+    _DIVISION_BLOCK elements in all (at least one space).  A value already
+    in a slot is kept."""
+    groups = {}
+    for data in datas:
+        if slot not in data.__dict__:
+            groups.setdefault((data.q, data.n, data.space.dim), []).append(data)
+    for (q, _, dim), group in groups.items():
+        step = max(1, _DIVISION_BLOCK // max(1, q**dim - 1))
+        for lo in range(0, len(group), step):
+            block = group[lo:lo + step]
+            for data, value in zip(block, stage(block)):
+                data.__dict__.setdefault(slot, value)
+
+
+def _block_elements(block):
+    """(q, n, dim, the (spaces, elements, n, n) element stack) of a block."""
+    q, n, dim = block[0].q, block[0].n, block[0].space.dim
+    mats = np.stack([data.elems for data in block]).reshape(len(block), -1, n, n)
+    return q, n, dim, mats
+
+
+def _fingerprint_stage(block):
+    """Fingerprints of a block of spaces of one (q, n, dim): one rank_batch
+    over every element of the block, which also fills each ranks slot, and
+    one rank_batch over the rank-one elements of each space, zero-padded to
+    the block's largest count, for the span dimensions."""
+    q, n, dim, mats = _block_elements(block)
+    nb, m = mats.shape[:2]
+    ranks = gf.rank_batch(mats.reshape(-1, n, n), q).reshape(nb, m)
+    multisets = np.bincount((ranks + (n + 1) * np.arange(nb)[:, None]).reshape(-1),
+                            minlength=nb * (n + 1)).reshape(nb, n + 1)
+    at, elem = np.nonzero(ranks == 1)
+    count = np.bincount(at, minlength=nb)
+    ones = np.zeros((nb, max(count.max(), 1), n * n), dtype=np.int16)
+    place = np.arange(at.size) - (np.cumsum(count) - count)[at]
+    ones[at, place] = mats[at, elem].reshape(-1, n * n)
+    spans = gf.rank_batch(ones, q).tolist()
+    for data, row in zip(block, ranks):
+        data.__dict__.setdefault("ranks", row.copy())
+    return [
+        (dim, tuple((r, c) for r, c in enumerate(counts) if c), span)
+        for counts, span in zip(multisets.tolist(), spans)
+    ]
+
+
+def _division_stage(block):
+    """(division_data, the unsorted charpoly id rows of S Y^-1, one per
+    projective invertible Y in division_data order) of each space of a
+    block of one (q, n, dim).  One batched inverse covers every Y of the
+    block, and the charpoly ids of S Y^-1 are taken for _DIVISION_BLOCK
+    products at a time; each space gets its own copy of its inverses."""
+    q, n, _, mats = _block_elements(block)
+    idx = [data.invertible_projective for data in block]
+    owner = np.repeat(np.arange(len(block)), [len(i) for i in idx])
+    if not owner.size:
+        return [(((), []), None) for _ in block]
+    inverses = gf.inverse_batch(mats[owner, np.concatenate(idx)], q)[0]
+    ids = _unital_ids(mats, owner, inverses, q)
+    ordered = np.sort(ids, axis=1)
+    # runs of equal ids in each sorted row: their values and lengths
+    starts = np.ones(ordered.shape, dtype=bool)
+    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    row, col = np.nonzero(starts)
+    ends = np.append(col[1:], 0)
+    ends[np.append(row[1:] != row[:-1], True)] = ordered.shape[1]
+    vals, counts = ordered[row, col].tolist(), (ends - col).tolist()
+    bounds = np.searchsorted(row, np.arange(len(owner) + 1)).tolist()
+    cpms = [tuple(zip(vals[a:b], counts[a:b])) for a, b in zip(bounds, bounds[1:])]
+    out, lo = [], 0
+    for y_idx in idx:
+        hi = lo + len(y_idx)
+        per_y = list(zip(cpms[lo:hi], y_idx.tolist(), inverses[lo:hi].copy()))
+        out.append(((tuple(sorted(cpms[lo:hi])), per_y), ids[lo:hi]))
+        lo = hi
+    return out
+
+
+def _unital_ids(mats, owner, inverses, q):
+    """Charpoly ids of the elements of S Y^-1 for each Y^-1 of a (k, n, n)
+    stack, S the space owner[i] of a (spaces, elements, n, n) element
+    stack, as a (k, elements) array of the narrowest type that holds an
+    id, _DIVISION_BLOCK products at a time."""
+    m, n = mats.shape[1], mats.shape[-1]
+    mats = mats.astype(np.int16)
+    ids = np.empty((len(inverses), m), dtype=np.min_scalar_type(q**n - 1))
+    step = max(1, _DIVISION_BLOCK // max(1, m))
+    for lo in range(0, len(inverses), step):
+        prods = mats[owner[lo:lo + step]] @ inverses[lo:lo + step, None].astype(np.int16) % q
+        ids[lo:lo + step] = _cp_of_mats(prods.reshape(-1, n, n), q).reshape(-1, m)
+    return ids
+
+
+def _key_stage(block):
+    """isotopism_key of each space of a block of one (q, n, dim).
+
+    The division stage runs over the block (filling division_data where it
+    is empty) and its unsorted id rows give the anchors' members.  Each
+    charpoly-id rank round takes one _krylov_bases call over every space
+    still unresolved, and the normal forms of the resolved spaces are
+    reduced _KEY_CANDIDATES at a time, each folded into a running least
+    form per space.
+    """
+    q, n, dim, mats = _block_elements(block)
+    divisions = _division_stage(block)
+    for data, (division, _) in zip(block, divisions):
+        data.__dict__.setdefault("division_data", division)
+    # per space: the anchor class, its ranked ids, and its anchors' rows
+    anchors, y_inv, elem, ranked, rows = [], [], [], [], []
+    for s, ((_, per_y), ids) in enumerate(divisions):
         if not per_y:
-            return None
+            ranked.append([])
+            continue
         counts = Counter(cpm for cpm, _, _ in per_y)
         cpm = min(counts, key=lambda c: (counts[c], c))
-        ids = [cid for cid, _ in sorted(cpm, key=lambda item: (item[1], item[0]))]
-        y_idx = np.array([yi for c, yi, _ in per_y if c == cpm])
-        y_inv = np.stack([inv for c, _, inv in per_y if c == cpm]).astype(np.int64)
-        mats = self.elems.reshape(-1, n, n).astype(np.int64)
-        u_ids = self._unital_ids(y_inv)
-        for cid in ids:
-            anchor, member = np.nonzero(u_ids == cid)
-            K, K_inv, which = _krylov_bases((mats[member] @ y_inv[anchor]) % q, q)
-            if len(K):
-                break
-        else:
-            return None
-        anchor = anchor[which]
-        basis = self.space.basis.reshape(-1, n, n).astype(np.int64)
-        best = None
-        for i in range(0, len(K), _KEY_CANDIDATES):
-            part = slice(i, i + _KEY_CANDIDATES)
-            U = basis[None] @ y_inv[anchor[part], None] % q
-            forms = (K_inv[part, None] @ U @ K[part, None]) % q
-            reduced = gf.rref_batch(forms.reshape(len(forms), -1, n * n), q)[0]
-            flat = reduced.reshape(len(forms), -1)
-            j = int(np.lexsort(flat.T[::-1])[0])
-            if best is None or flat[j].tobytes() < best[0]:
-                best = flat[j].tobytes(), i + j
-        form, j = best
-        y = self.elems[y_idx[anchor[j]]].reshape(n, n).astype(np.int64)
-        key = (q, n, self.space.dim, cpm, cid, form)
-        return key, (y, y_inv[anchor[j]], K[j].copy(), K_inv[j].copy())
+        ranked.append([(cpm, cid) for cid, _ in sorted(cpm, key=lambda item: (item[1], item[0]))])
+        mine = [i for i, (c, _, _) in enumerate(per_y) if c == cpm]
+        rows.append(ids[mine])
+        anchors.append(np.full(len(mine), s))
+        y_inv += [per_y[i][2] for i in mine]
+        elem += [per_y[i][1] for i in mine]
+    if not rows:
+        return [None] * len(block)
+    rows, anchors = np.concatenate(rows), np.concatenate(anchors)
+    y_inv = np.stack(y_inv).astype(np.int16)
+    # Krylov rounds: space s takes rank r of its ids until one has a cyclic member
+    found = [None] * len(block)
+    cands = []  # per round: (space, anchor row, K, K^-1) of each candidate
+    for r in range(max(map(len, ranked))):
+        live = [s for s, ids in enumerate(ranked) if found[s] is None and r < len(ids)]
+        if not live:
+            break
+        target = np.full(len(block), -1, dtype=np.int64)
+        target[live] = [ranked[s][r][1] for s in live]
+        anchor, member = np.nonzero(rows == target[anchors, None])
+        G = mats[anchors[anchor], member].astype(np.int16) @ y_inv[anchor] % q
+        K, K_inv, which = _krylov_bases(G, q)
+        space = anchors[anchor[which]]
+        for s in set(space.tolist()):
+            found[s] = ranked[s][r]
+        cands.append((space, anchor[which], K, K_inv))
+    space, anchor, K, K_inv = (np.concatenate(part) for part in zip(*cands))
+    order = np.argsort(space, kind="stable")  # space-major; each space's candidates in order
+    space, anchor, K, K_inv = space[order], anchor[order], K[order], K_inv[order]
+    keys = [None] * len(block)
+    for s, form, at in zip(*_least_forms(block, space, anchor, y_inv, K, K_inv, q)):
+        a = anchor[at]
+        norm = (mats[s, elem[a]].astype(np.int64), y_inv[a].astype(np.int64),
+                K[at].astype(np.int64), K_inv[at].astype(np.int64))
+        keys[s] = (q, n, dim, *found[s], form.tobytes()), norm
+    return keys
 
 
-_DIVISION_BLOCK = 1024  # products S Y^-1 whose charpoly ids are taken at once
-_KEY_CANDIDATES = 256  # normalisations reduced per rref_batch
+def _least_forms(block, space, anchor, y_inv, K, K_inv, q):
+    """(spaces, least RREF rows, first candidate reaching each) of the
+    normal forms K^-1 (S y^-1) K of the candidates, which are space-major
+    and in each space's candidate order: one rref_batch per
+    _KEY_CANDIDATES forms, each chunk folded into the running least rows
+    by one lexsort with the space as its primary key (stable, so the
+    earlier candidate wins a tie)."""
+    n = K.shape[-1]
+    bases = np.stack([data.space.basis for data in block]).reshape(len(block), -1, n, n)
+    bases = bases.astype(np.int16)
+    best_space = best_at = np.zeros(0, dtype=np.int64)
+    best = np.zeros((0, bases.shape[1] * n * n), dtype=np.uint8)
+    for lo in range(0, len(K), _KEY_CANDIDATES):
+        part = slice(lo, lo + _KEY_CANDIDATES)
+        U = bases[space[part]] @ y_inv[anchor[part], None] % q
+        forms = K_inv[part, None].astype(np.int16) @ U % q @ K[part, None].astype(np.int16) % q
+        reduced = gf.rref_batch(forms.reshape(len(forms), -1, n * n), q)[0]
+        rows = np.concatenate([best, reduced.reshape(len(forms), -1)])
+        spaces = np.concatenate([best_space, space[part]])
+        at = np.concatenate([best_at, np.arange(lo, lo + len(forms))])
+        order = np.lexsort((*rows.T[::-1], spaces))
+        first = order[np.append(True, spaces[order][1:] != spaces[order][:-1])]
+        best, best_space, best_at = rows[first], spaces[first], at[first]
+    return best_space, best, best_at
 
 
 def _krylov_bases(G, q):
     """(K, K^-1, member) over the invertible Krylov matrices
     K = [v, g v, .., g^(n-1) v] of a (k, n, n) stack, for every g and
-    projective v, g-major: member[i] is the index of K[i]'s g.  A g
-    appears iff it is cyclic."""
-    k, n = G.shape[0], G.shape[-1]
-    vecs = points_for(q, n).vectors
-    cols = [np.broadcast_to(vecs, (k,) + vecs.shape)]
-    for _ in range(n - 1):
-        cols.append(cols[-1] @ G.transpose(0, 2, 1) % q)  # row v -> (g v)^T
-    K = np.stack(cols, axis=-1).reshape(-1, n, n)
-    K_inv, invertible = gf.inverse_batch(K, q)
-    member = np.repeat(np.arange(k), len(vecs))[invertible]
-    return K[invertible], K_inv[invertible].astype(np.int64), member
+    projective v, g-major, as uint8 stacks: member[i] is the index of
+    K[i]'s g.  A g appears iff it is cyclic.  One inverse_batch covers
+    the Krylov matrices of _DIVISION_BLOCK // (projective v) g at a time."""
+    n = G.shape[-1]
+    vecs = points_for(q, n).vectors.astype(np.int16)
+    step = max(1, _DIVISION_BLOCK // len(vecs))
+    found = []
+    for lo in range(0, len(G), step):
+        Gt = G[lo:lo + step].transpose(0, 2, 1).astype(np.int16)
+        cols = [np.broadcast_to(vecs, (len(Gt),) + vecs.shape)]
+        for _ in range(n - 1):
+            cols.append(cols[-1] @ Gt % q)  # row v -> (g v)^T
+        K = np.stack(cols, axis=-1).astype(np.uint8).reshape(-1, n, n)
+        K_inv, invertible = gf.inverse_batch(K, q)
+        member = lo + np.repeat(np.arange(len(Gt)), len(vecs))[invertible]
+        found.append((K[invertible], K_inv[invertible], member))
+    return tuple(np.concatenate(part) for part in zip(*found))
 
 
 _DATA_CACHE = {}
@@ -365,7 +503,7 @@ def _conjugators(dataU, dataV, find_all):
     v_mats = dataV.elems.reshape(-1, n, n).astype(np.int64)
     v_ids = dataV.cp_ids
     if gens:
-        gen_ids = dataU._cp_of_mats(np.stack(gens))
+        gen_ids = _cp_of_mats(np.stack(gens), q)
         by_count = sorted(
             range(len(gens)), key=lambda i: int((v_ids == gen_ids[i]).sum())
         )
@@ -593,10 +731,20 @@ def isotopism_classes(spaces):
     member of each class found so far.  Every key merge is checked: the
     isotopism composed from the two normalisers must map the space onto
     its class's first member (NotContained otherwise).
+
+    The invariants are computed in blocks (_block_pass): the fingerprints
+    of every space, then the keys of the spaces in buckets of two or more,
+    each stage one pass per block of spaces of one (q, n, dim).  A slot
+    already filled, such as a key set by hand, is kept.
     """
+    # held here: space_data clears its cache past 4,000 entries
+    datas = [space_data(s) for s in spaces]
+    _block_pass(datas, "fingerprint", _fingerprint_stage)
     buckets = {}
-    for i, s in enumerate(spaces):
-        buckets.setdefault(space_data(s).fingerprint, []).append(i)
+    for i, data in enumerate(datas):
+        buckets.setdefault(data.fingerprint, []).append(i)
+    shared = [datas[i] for bucket in buckets.values() if len(bucket) > 1 for i in bucket]
+    _block_pass(shared, "isotopism_key", _key_stage)
     classes = []
     for bucket in buckets.values():
         if len(bucket) == 1:
@@ -604,7 +752,7 @@ def isotopism_classes(spaces):
             continue
         keyed, unkeyed = {}, []
         for i in bucket:
-            found = space_data(spaces[i]).isotopism_key
+            found = datas[i].isotopism_key
             if found is None:
                 unkeyed.append(i)
                 continue

@@ -156,7 +156,9 @@ def _rank_one_profile(parents, ext, pts, least=0):
     is exact wherever it reaches least, and with least = 0 every one is.
 
     The block shares one padded base RREF over the parents that can reach
-    least and one rank_batch over the children that are ranked.
+    least, and the children that are ranked share one rank_batch per
+    member-count class (2^(c-1), 2^c], each zero-padded to its largest
+    child, so a large child never pads the small ones.
     """
     q, dim = parents[0].q, parents[0].dim
     parent = ext.parent
@@ -177,7 +179,7 @@ def _rank_one_profile(parents, ext, pts, least=0):
     stack[at, np.arange(at.size) - (np.cumsum(count) - count)[at]] = coords[at, point]
     base, base_rank[reach] = gf.rref_batch(stack, q)
     # x -> x - x[base piv]·base, as one (dim, dim) map per parent
-    basemap = np.broadcast_to(np.eye(dim, dtype=np.int64), (reach.size, dim, dim)).copy()
+    basemap = np.broadcast_to(np.eye(dim, dtype=np.int16), (reach.size, dim, dim)).copy()
     at, row = np.nonzero(base.any(axis=2))
     basemap[at, np.argmax(base[at, row] != 0, axis=1)] -= base[at, row]
     slot = np.full(len(parents), -1, dtype=np.int64)
@@ -187,17 +189,33 @@ def _rank_one_profile(parents, ext, pts, least=0):
         return base_rank, extras
     par, point = np.nonzero(np.append(ranked, False)[ext.child])  # members, -1 -> False
     at = slot[par]
-    rows = np.einsum("kd,kde->ke", coords[at, point].astype(np.int64), basemap[at]) % q
-    rows = np.concatenate([rows, ext.lead[par, point, None]], axis=1)
-    # one gather into a zero-padded (ranked children, largest, dim + 1) batch
-    child = (np.cumsum(ranked) - 1)[ext.child[par, point]]  # position in the batch
+    # x[piv]·basemap, one coordinate at a time: no (rows, dim, dim) gather;
+    # a sum is at most dim·(q - 1)^2, so int16 holds it
+    x = coords[at, point].astype(np.int16)
+    reduced = np.zeros((par.size, dim), dtype=np.int16)
+    for d in range(dim):
+        reduced += x[:, d, None] * basemap[at, d]
+    rows = np.empty((par.size, dim + 1), dtype=np.int16)
+    rows[:, :dim] = reduced % q
+    rows[:, dim] = ext.lead[par, point]
+    child = (np.cumsum(ranked) - 1)[ext.child[par, point]]  # position among the ranked
     sizes = ext.sizes[ranked]
     order = np.argsort(child, kind="stable")
-    starts = np.cumsum(sizes) - sizes
-    by_child = child[order]
-    batch = np.zeros((sizes.size, sizes.max(), dim + 1), dtype=np.int64)
-    batch[by_child, np.arange(order.size) - starts[by_child]] = rows[order]
-    extras[ranked] = gf.rank_batch(batch, q)
+    child, rows = child[order], rows[order]
+    place = np.arange(child.size) - (np.cumsum(sizes) - sizes)[child]  # row within its child
+    # member-count classes (2^(c-1), 2^c], each one zero-padded batch, so
+    # the padding stays within twice the real rows
+    cls = np.frexp(sizes - 1)[1]
+    ranks = np.zeros(sizes.size, dtype=np.int64)
+    for c in np.nonzero(np.bincount(cls))[0]:
+        members = np.nonzero(cls == c)[0]
+        pos = np.zeros(sizes.size, dtype=np.int64)
+        pos[members] = np.arange(members.size)
+        pick = cls[child] == c
+        batch = np.zeros((members.size, sizes[members].max(), dim + 1), dtype=np.int16)
+        batch[pos[child[pick]], place[pick]] = rows[pick]
+        ranks[members] = gf.rank_batch(batch, q)
+    extras[ranked] = ranks
     return base_rank, extras
 
 
@@ -236,8 +254,10 @@ class SearchReport:
     """Per-level counts plus the outcome of one search run.
 
     timings runs parallel to levels: one {dim, wall_s} per level, the wall
-    seconds from the level's start to its entry.  The times stay out of
-    levels, which runs of one search reproduce exactly.
+    seconds from the level's start to its entry, plus the seconds of each
+    phase where the search times them (spread_sets_by_rank: children_s,
+    classify_s, filter_s).  The times stay out of levels, which runs of one
+    search reproduce exactly.
     """
 
     algorithm: str
@@ -257,7 +277,10 @@ class SearchReport:
             "q": self.q,
             "n": self.n,
             "levels": self.levels,
-            "timings": [{**t, "wall_s": round(t["wall_s"], 3)} for t in self.timings],
+            "timings": [
+                {k: round(v, 3) if k.endswith("_s") else v for k, v in t.items()}
+                for t in self.timings
+            ],
             "outcome": self.outcome,
             "witness": self.witness,
             "flags": self.flags,
@@ -266,11 +289,13 @@ class SearchReport:
         payload.update(self.extra)
         return json.dumps(payload, indent=2, sort_keys=True)
 
-    def add_level(self, entry, started):
+    def add_level(self, entry, started, **phases):
         """Append a level entry, and its wall seconds since started
-        (a time.perf_counter reading) to timings."""
+        (a time.perf_counter reading) and the given phase seconds to
+        timings."""
         self.levels.append(entry)
-        self.timings.append({"dim": entry["dim"], "wall_s": time.perf_counter() - started})
+        wall = time.perf_counter() - started
+        self.timings.append({"dim": entry["dim"], "wall_s": wall, **phases})
 
     def level(self, dim):
         for entry in self.levels:
@@ -469,7 +494,9 @@ def spread_sets_by_rank(q, n, R, prune=None, progress=None):
         dim += 1
         started = time.perf_counter()
         candidates, raw_count = _orbit_children(current, pts, automorphism_group)
+        grown = time.perf_counter()
         classes = equivalence_classes(candidates)
+        classified = time.perf_counter()
         entry = {"dim": dim, "spaces": raw_count, "classes": len(classes)}
         if dim in prune:
             kneed = prune[dim]
@@ -479,7 +506,8 @@ def spread_sets_by_rank(q, n, R, prune=None, progress=None):
             current = survivors
         else:
             current = classes
-        report.add_level(entry, started)
+        report.add_level(entry, started, children_s=grown - started,
+                         classify_s=classified - grown, filter_s=time.perf_counter() - classified)
         if progress:
             progress(entry)
 

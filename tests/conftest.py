@@ -52,3 +52,9 @@ def search_levels(q, n, R):
 @pytest.fixture(scope="session")
 def order8_levels():
     return search_levels(2, 3, 8)
+
+
+@pytest.fixture(scope="session")
+def order16_levels():
+    """Candidates of the order-16 levels up to dimension 7, by dimension."""
+    return {dim: candidates for dim, candidates, _ in search_levels(2, 4, 7)}

@@ -408,14 +408,13 @@ def test_charpoly_table_ids_equal_kernel_ids(monkeypatch, n, sample):
     if sample:
         mats = mats[np.random.default_rng(n).choice(len(mats), sample, replace=False)]
     kernel_ids = equivalence._charpoly_ids(mats, 2)
-    data = equivalence.SpaceData(algebra.MatSpace.from_matrices(2, n, [np.eye(n, dtype=np.uint8)]))
     equivalence._charpoly_code_table(2, n)
 
     def no_kernel(mats, q):
         raise AssertionError("the q = 2 path ran the kernel")
 
     monkeypatch.setattr(gf, "charpoly_batch", no_kernel)
-    table_ids = data._cp_of_mats(mats)
+    table_ids = equivalence._cp_of_mats(mats, 2)
     assert table_ids.tobytes() == kernel_ids.tobytes()
     assert len(np.unique(kernel_ids)) == 2**n  # every monic charpoly of degree n occurs
 
@@ -846,16 +845,17 @@ def test_keyed_classes_equal_pairwise_classes_at_every_order8_level(order8_level
         assert_keyed_like_pairwise(candidates)
 
 
-@pytest.mark.slow
-def test_keyed_classes_equal_pairwise_classes_order16():
-    from conftest import search_levels
-
-    levels = {dim: candidates for dim, candidates, _ in search_levels(2, 4, 7)}
-    assert_keyed_like_pairwise(levels[5])
-    assert_keyed_like_pairwise(levels[6])
+def order16_sample(levels):
+    """Order-16 dims 5 and 6, and a seeded 300-space sample of dim 7."""
     rng = np.random.default_rng(18)
     dim7 = levels[7]
-    assert_keyed_like_pairwise([dim7[i] for i in rng.choice(len(dim7), 300, replace=False)])
+    return [levels[5], levels[6], [dim7[i] for i in rng.choice(len(dim7), 300, replace=False)]]
+
+
+@pytest.mark.slow
+def test_keyed_classes_equal_pairwise_classes_order16(order16_levels):
+    for spaces in order16_sample(order16_levels):
+        assert_keyed_like_pairwise(spaces)
 
 
 def lu_invertible(q, n):
@@ -947,3 +947,178 @@ def test_mutated_normaliser_raises_not_contained():
     data.isotopism_key = (key, (y, y_inv, K @ M % 2, M @ K_inv % 2))
     with pytest.raises(NotContained):
         equivalence.equivalence_classes([space, moved])
+
+
+# ---------------------------------------------------------------------------
+# Block invariants against the per-space computation they replace
+# ---------------------------------------------------------------------------
+
+
+def oracle_fingerprint(data):
+    """Oracle: the per-space fingerprint, one rank_batch over the space's
+    elements and one gf.rank of its rank-one elements."""
+    n, q = data.n, data.q
+    ranks = gf.rank_batch(data.elems.reshape(-1, n, n), q)
+    multiset = tuple(sorted(zip(*np.unique(ranks, return_counts=True))))
+    r1 = np.nonzero(ranks == 1)[0]
+    span_dim = gf.rank(data.elems[r1], q) if r1.size else 0
+    return (data.space.dim, multiset, int(span_dim))
+
+
+def oracle_unital_ids(data, inverses):
+    """Oracle: charpoly ids of S Y^-1 for one space's (m, n, n) inverses,
+    _DIVISION_BLOCK products at a time."""
+    n, q = data.n, data.q
+    mats = data.elems.reshape(-1, n, n).astype(np.int16)
+    step = max(1, equivalence._DIVISION_BLOCK // len(mats))
+    return np.concatenate([
+        equivalence._cp_of_mats(
+            (mats[None] @ block[:, None].astype(np.int16) % q).reshape(-1, n, n), q)
+        for block in np.split(inverses, range(step, len(inverses), step))
+    ]).reshape(len(inverses), len(mats))
+
+
+def oracle_division_data(data):
+    """Oracle: the per-space division data, from its own ranks, one
+    inverse_batch and one np.unique per Y."""
+    n, q = data.n, data.q
+    idx = np.nonzero(gf.rank_batch(data.elems.reshape(-1, n, n), q) == n)[0]
+    if q > 2:
+        idx = idx[gf.leading_coeff(data.elems[idx], q) == 1]
+    if not idx.size:
+        return (), []
+    inverses = gf.inverse_batch(data.elems[idx].reshape(-1, n, n), q)[0]
+    ids = oracle_unital_ids(data, inverses)
+    per_y = []
+    for row, yi, y_inv in zip(ids, idx.tolist(), inverses):
+        vals, counts = np.unique(row, return_counts=True)
+        per_y.append((tuple(zip(vals.tolist(), counts.tolist())), yi, y_inv))
+    return tuple(sorted(k for k, _, _ in per_y)), per_y
+
+
+def oracle_krylov_bases(G, q):
+    """Oracle: the int64 Krylov bases of a (k, n, n) stack, g-major."""
+    k, n = G.shape[0], G.shape[-1]
+    vecs = algebra.points_for(q, n).vectors
+    cols = [np.broadcast_to(vecs, (k,) + vecs.shape)]
+    for _ in range(n - 1):
+        cols.append(cols[-1] @ G.transpose(0, 2, 1) % q)
+    K = np.stack(cols, axis=-1).reshape(-1, n, n)
+    K_inv, invertible = gf.inverse_batch(K, q)
+    member = np.repeat(np.arange(k), len(vecs))[invertible]
+    return K[invertible], K_inv[invertible].astype(np.int64), member
+
+
+def oracle_isotopism_key(data):
+    """Oracle: the per-space isotopism key, with its own _unital_ids call
+    for the anchor class, one Krylov call per id rank and one running
+    least form over its own candidate chunks."""
+    q, n = data.q, data.n
+    _, per_y = oracle_division_data(data)
+    if not per_y:
+        return None
+    counts = Counter(cpm for cpm, _, _ in per_y)
+    cpm = min(counts, key=lambda c: (counts[c], c))
+    ids = [cid for cid, _ in sorted(cpm, key=lambda item: (item[1], item[0]))]
+    y_idx = np.array([yi for c, yi, _ in per_y if c == cpm])
+    y_inv = np.stack([inv for c, _, inv in per_y if c == cpm]).astype(np.int64)
+    mats = data.elems.reshape(-1, n, n).astype(np.int64)
+    u_ids = oracle_unital_ids(data, y_inv)
+    for cid in ids:
+        anchor, member = np.nonzero(u_ids == cid)
+        K, K_inv, which = oracle_krylov_bases((mats[member] @ y_inv[anchor]) % q, q)
+        if len(K):
+            break
+    else:
+        return None
+    anchor = anchor[which]
+    basis = data.space.basis.reshape(-1, n, n).astype(np.int64)
+    best = None
+    for i in range(0, len(K), equivalence._KEY_CANDIDATES):
+        part = slice(i, i + equivalence._KEY_CANDIDATES)
+        U = basis[None] @ y_inv[anchor[part], None] % q
+        forms = (K_inv[part, None] @ U @ K[part, None]) % q
+        reduced = gf.rref_batch(forms.reshape(len(forms), -1, n * n), q)[0]
+        flat = reduced.reshape(len(forms), -1)
+        j = int(np.lexsort(flat.T[::-1])[0])
+        if best is None or flat[j].tobytes() < best[0]:
+            best = flat[j].tobytes(), i + j
+    form, j = best
+    y = data.elems[y_idx[anchor[j]]].reshape(n, n).astype(np.int64)
+    key = (q, n, data.space.dim, cpm, cid, form)
+    return key, (y, y_inv[anchor[j]], K[j].copy(), K_inv[j].copy())
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def block_pass(datas):
+    """Fill the fingerprint and key slots as isotopism_classes does, but
+    over every space."""
+    equivalence._block_pass(datas, "fingerprint", equivalence._fingerprint_stage)
+    equivalence._block_pass(datas, "isotopism_key", equivalence._key_stage)
+
+
+def assert_block_invariants_match_oracles(spaces):
+    """Block fingerprints, division data and keys of fresh SpaceData
+    objects equal the per-space oracles."""
+    datas = [equivalence.SpaceData(s) for s in spaces]
+    block_pass(datas)
+    assert_slots_match_oracles(datas)
+
+
+def assert_slots_match_oracles(datas):
+    for data in datas:
+        assert data.fingerprint == oracle_fingerprint(data)
+        signature, per_y = data.division_data
+        want_signature, want_per_y = oracle_division_data(data)
+        assert signature == want_signature
+        assert [(c, yi) for c, yi, _ in per_y] == [(c, yi) for c, yi, _ in want_per_y]
+        for (_, _, got), (_, _, want) in zip(per_y, want_per_y):
+            assert_same_array(got, want)
+        found, want = data.isotopism_key, oracle_isotopism_key(data)
+        assert (found is None) == (want is None)
+        if want is not None:
+            assert found[0] == want[0]
+            for got_m, want_m in zip(found[1], want[1]):
+                assert_same_array(got_m, want_m)
+
+
+def test_block_invariants_match_oracles_at_every_order8_level(order8_levels):
+    for _, candidates, _ in order8_levels:
+        assert_block_invariants_match_oracles(candidates)
+
+
+@pytest.mark.slow
+def test_block_invariants_match_oracles_order16(order16_levels):
+    for spaces in order16_sample(order16_levels):
+        assert_block_invariants_match_oracles(spaces)
+
+
+@given(st.lists(spaces_and_isotopisms(), min_size=1, max_size=3), st.integers(0, 6))
+def test_block_pass_over_mixed_spaces_keeps_a_preset_key(cases, preset):
+    # spaces of several (q, n, dim), their isotopic images, and two keyless
+    # spaces; one slot is set by hand first and must survive the pass
+    spaces = [s for space, g in cases for s in (space, equivalence.act(g, space))]
+    keyless = diag_plus_rank_one()
+    moved = equivalence.act(random_isotopism(np.random.default_rng(preset), 2, 4), keyless)
+    spaces += [keyless, moved]
+    datas = [equivalence.SpaceData(s) for s in spaces]
+    held = datas[preset % len(datas)]
+    sentinel = ("set by hand", None)
+    held.isotopism_key = sentinel
+    block_pass(datas)
+    assert held.isotopism_key is sentinel
+    assert all(data.isotopism_key is None for data in datas[-2:] if data is not held)
+    assert_slots_match_oracles([data for data in datas if data is not held])
+    assert held.fingerprint == oracle_fingerprint(held)
+
+
+def test_order81_atlas_entries_get_twelve_distinct_block_keys():
+    datas = [equivalence.SpaceData(atlas.atlas_get(name).space()) for name in atlas.ORDER81_NAMES]
+    block_pass(datas)
+    keys = [data.isotopism_key[0] for data in datas]
+    assert len(keys) == len(set(keys)) == 12
+    assert_slots_match_oracles(datas)

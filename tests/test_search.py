@@ -580,8 +580,9 @@ def test_code_exists_is_computed_once_per_argument(monkeypatch):
 
 
 def test_reports_time_every_level():
-    # one {dim, wall_s} per level, beside the levels and in the JSON report;
-    # F8 R=8 ends at a final level with a witness
+    # one {dim, wall_s} per level, beside the levels and in the JSON report,
+    # with every time rounded there; F8 R=8 ends at a final level with a
+    # witness; spread_sets_by_rank also times its three phases
     reports = [
         search.disprove_rank(algebra.field_construct(2, 4), 8),
         search.disprove_rank(algebra.field_construct(2, 3), 8),
@@ -591,8 +592,14 @@ def test_reports_time_every_level():
         assert rep.levels
         assert [t["dim"] for t in rep.timings] == [entry["dim"] for entry in rep.levels]
         assert all(t["wall_s"] >= 0 for t in rep.timings)
-        rounded = [{**t, "wall_s": round(t["wall_s"], 3)} for t in rep.timings]
+        rounded = [{k: round(v, 3) if k != "dim" else v for k, v in t.items()}
+                   for t in rep.timings]
         assert json.loads(rep.to_json())["timings"] == rounded
+    phases = ("children_s", "classify_s", "filter_s")
+    for t in reports[2].timings:
+        assert set(t) == {"dim", "wall_s", *phases}
+        assert all(t[k] >= 0 for k in phases)
+        assert sum(t[k] for k in phases) <= t["wall_s"]
 
 
 def test_tensor_rank_events_carry_their_target():
@@ -728,22 +735,24 @@ def oracle_extension_groups(parent, pts):
 
 def oracle_rank_one_profile(parent, inside_idx, members, pts):
     """Base rank and per-child extras by row-reducing each child's members,
-    over all n^2 columns, modulo the RREF of the inside points."""
+    over all n^2 columns, modulo the RREF of the inside points; the
+    children of one member count share one unpadded rank_batch."""
     q, width = parent.q, pts.flat.shape[1]
     if inside_idx.size:
         base_rows, base_piv = gf.rref(pts.flat[inside_idx], q)
     else:
         base_rows, base_piv = np.zeros((0, width), dtype=np.uint8), ()
     base_rank = base_rows.shape[0]
-    if not members:
-        return base_rank, np.zeros(0, dtype=np.int64)
-    batch = np.zeros((len(members), max(map(len, members)), width), dtype=np.int64)
+    extras = np.zeros(len(members), dtype=np.int64)
+    by_size = {}
     for i, memb in enumerate(members):
-        rows = pts.flat[memb]
+        by_size.setdefault(len(memb), []).append(i)
+    for size, idx in by_size.items():
+        rows = pts.flat[np.concatenate([members[i] for i in idx])]
         if base_rank:
             rows = (rows - rows[:, list(base_piv)] @ base_rows.astype(np.int64)) % q
-        batch[i, : len(memb)] = rows
-    return base_rank, gf.rank_batch(batch, q)
+        extras[idx] = gf.rank_batch(rows.reshape(len(idx), size, width), q)
+    return base_rank, extras
 
 
 def oracle_kept(parent, pts, least):
@@ -1039,6 +1048,13 @@ def test_extension_groups_reduces_residues_beyond_a_byte():
     # the parent and seeded descendants, in blocks of one dimension
     for block in same_dim_blocks(seeded_parents(parent, 7, 2, per_level=2)):
         assert_groups_match_oracle(block, pts)
+    # a block of the parent twice at least 9 ranks its 236,872 children, one
+    # of them with 2,744 members: padded to that count, the batch would take
+    # 43.6 GiB; ranked in member-count classes it matches a per-child rank
+    ext = search.extension_groups([parent], pts)
+    assert len(ext.sizes) == 118436 and ext.sizes.max() == 2744
+    want = oracle_kept(parent, pts, 9)
+    assert search._process_parents([parent, parent], pts, 9) == [want, want]
 
 
 def test_extension_groups_numbers_children_of_wide_signatures():
