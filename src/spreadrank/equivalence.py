@@ -16,16 +16,12 @@ G-invariant of S and is compared before any backtracking.
 
 Both are_equivalent and automorphism_group anchor on the element of S1
 whose cpm class (charpoly multiset of S1 X1^-1) is rarest in S2, least
-index first, which leaves the fewest images Y to try, and both run one
-first-hit search per Y they try.  are_equivalent tries the Y in order and
-stops at the first hit.  automorphism_group (S1 = S2) runs one more search
-that keeps every conjugator of U = S X1^-1 onto itself, and closes the
-orbit of X1 over its images: each hit is a generator that permutes the
-images, so the automorphisms found so far reach some Y (with a composite
-representative) and refute others (images of a Y without a hit), and only
-the Y left undecided are searched.  The automorphisms sending X1 to Y are
-Y's representative times the conjugation stabilizer of U, so the group's
-elements, and its point tables, are composed from the two factors.
+index first, which leaves the fewest images Y to try.  are_equivalent runs
+one first-hit search per Y, in order, and stops at the first hit.
+automorphism_group (S1 = S2) runs no search: of the normal forms of
+U = S X1^-1 and each S Y^-1 under spin frames [v1, g v1, .., v2, g v2, ..]
+of their members g, those at X1 that tie give the conjugation stabilizer of
+U, and one of S Y^-1 among them gives Y's representative.
 
 Classification (equivalence_classes without a group) keys each space once
 instead of testing pairs.  The canonical isotopism key normalises twice:
@@ -40,9 +36,9 @@ are_equivalent, as are all spaces by callers that test one pair.
 The invariants of a classification are computed for blocks of spaces of one
 (q, n, dim), at most _DIVISION_BLOCK elements a block: one rank pass for the
 fingerprints, one inverse pass and a charpoly pass per _DIVISION_BLOCK
-products for the division data, one Krylov pass per charpoly-id rank and one
-RREF pass per _KEY_CANDIDATES normal forms for the keys.  A SpaceData
-property is the same stage run on a block of one.
+products for the division data, one Krylov frame pass per charpoly-id rank
+and one RREF pass per _KEY_CANDIDATES normal forms for the keys.  A
+SpaceData property is the same stage run on a block of one.
 
 Stabilizer groups act on the projective rank-one points by permutations:
 (A, B) sends u w^T to (A u)(B^T w)^T, so two int16 tables over the
@@ -68,7 +64,7 @@ from .algebra import MatSpace, SpreadSet, points_for, rank_one_elements
 from .codec import encode_rows
 from .errors import BadParameters, NotContained, NotInvertible, TooLarge
 
-_ENUMERATE_CAP = 1 << 13  # max q^dim scanned when a solution space is left
+_ENUMERATE_CAP = 1 << 13  # max q^dim scanned when a solution space is left, max spin frames
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +206,7 @@ class SpaceData:
         return _key_stage([self])[0]
 
 
-_DIVISION_BLOCK = 1024  # elements per block of spaces, products S Y^-1 per charpoly
-                        # pass, Krylov matrices per inverse_batch
+_DIVISION_BLOCK = 1024  # elements per space block, products S Y^-1 per charpoly pass, frames per pass
 _KEY_CANDIDATES = 256  # normalisations reduced per rref_batch
 
 
@@ -315,10 +310,10 @@ def _key_stage(block):
 
     The division stage runs over the block (filling division_data where it
     is empty) and its unsorted id rows give the anchors' members.  Each
-    charpoly-id rank round takes one _krylov_bases call over every space
-    still unresolved, and the normal forms of the resolved spaces are
-    reduced _KEY_CANDIDATES at a time, each folded into a running least
-    form per space.
+    charpoly-id rank round takes one _spin_frames call over the cyclic
+    members (Krylov bases) of every space still unresolved, and the normal
+    forms of the resolved spaces are reduced _KEY_CANDIDATES at a time,
+    each folded into a running least form per space.
     """
     q, n, dim, mats = _block_elements(block)
     divisions = _division_stage(block)
@@ -342,6 +337,7 @@ def _key_stage(block):
         return [None] * len(block)
     rows, anchors = np.concatenate(rows), np.concatenate(anchors)
     y_inv = np.stack(y_inv).astype(np.int16)
+    bases = np.stack([data.space.basis for data in block]).reshape(len(block), -1, n, n).astype(np.int16)
     # Krylov rounds: space s takes rank r of its ids until one has a cyclic member
     found = [None] * len(block)
     cands = []  # per round: (space, anchor row, K, K^-1) of each candidate
@@ -353,16 +349,18 @@ def _key_stage(block):
         target[live] = [ranked[s][r][1] for s in live]
         anchor, member = np.nonzero(rows == target[anchors, None])
         G = mats[anchors[anchor], member].astype(np.int16) @ y_inv[anchor] % q
-        K, K_inv, which = _krylov_bases(G, q)
-        space = anchors[anchor[which]]
+        cyclic = _min_degrees(G, q) == n
+        anchor, G = anchor[cyclic], G[cyclic]
+        K, K_inv, member = _spin_frames(G, bases[anchors[anchor]] @ y_inv[anchor, None] % q, q)
+        space = anchors[anchor[member]]
         for s in set(space.tolist()):
             found[s] = ranked[s][r]
-        cands.append((space, anchor[which], K, K_inv))
+        cands.append((space, anchor[member], K, K_inv))
     space, anchor, K, K_inv = (np.concatenate(part) for part in zip(*cands))
     order = np.argsort(space, kind="stable")  # space-major; each space's candidates in order
     space, anchor, K, K_inv = space[order], anchor[order], K[order], K_inv[order]
     keys = [None] * len(block)
-    for s, form, at in zip(*_least_forms(block, space, anchor, y_inv, K, K_inv, q)):
+    for s, form, at in zip(*_least_forms(bases, space, anchor, y_inv, K, K_inv, q)):
         a = anchor[at]
         norm = (mats[s, elem[a]].astype(np.int64), y_inv[a].astype(np.int64),
                 K[at].astype(np.int64), K_inv[at].astype(np.int64))
@@ -370,52 +368,87 @@ def _key_stage(block):
     return keys
 
 
-def _least_forms(block, space, anchor, y_inv, K, K_inv, q):
+def _least_forms(bases, space, anchor, y_inv, K, K_inv, q):
     """(spaces, least RREF rows, first candidate reaching each) of the
     normal forms K^-1 (S y^-1) K of the candidates, which are space-major
-    and in each space's candidate order: one rref_batch per
+    and in each space's candidate order, S from its bases: one rref_batch per
     _KEY_CANDIDATES forms, each chunk folded into the running least rows
     by one lexsort with the space as its primary key (stable, so the
     earlier candidate wins a tie)."""
     n = K.shape[-1]
-    bases = np.stack([data.space.basis for data in block]).reshape(len(block), -1, n, n)
-    bases = bases.astype(np.int16)
     best_space = best_at = np.zeros(0, dtype=np.int64)
     best = np.zeros((0, bases.shape[1] * n * n), dtype=np.uint8)
     for lo in range(0, len(K), _KEY_CANDIDATES):
         part = slice(lo, lo + _KEY_CANDIDATES)
         U = bases[space[part]] @ y_inv[anchor[part], None] % q
-        forms = K_inv[part, None].astype(np.int16) @ U % q @ K[part, None].astype(np.int16) % q
-        reduced = gf.rref_batch(forms.reshape(len(forms), -1, n * n), q)[0]
-        rows = np.concatenate([best, reduced.reshape(len(forms), -1)])
+        rows = np.concatenate([best, _normal_forms(K[part], K_inv[part], U, q)])
         spaces = np.concatenate([best_space, space[part]])
-        at = np.concatenate([best_at, np.arange(lo, lo + len(forms))])
+        at = np.concatenate([best_at, np.arange(lo, lo + len(U))])
         order = np.lexsort((*rows.T[::-1], spaces))
         first = order[np.append(True, spaces[order][1:] != spaces[order][:-1])]
         best, best_space, best_at = rows[first], spaces[first], at[first]
     return best_space, best, best_at
 
 
-def _krylov_bases(G, q):
-    """(K, K^-1, member) over the invertible Krylov matrices
-    K = [v, g v, .., g^(n-1) v] of a (k, n, n) stack, for every g and
-    projective v, g-major, as uint8 stacks: member[i] is the index of
-    K[i]'s g.  A g appears iff it is cyclic.  One inverse_batch covers
-    the Krylov matrices of _DIVISION_BLOCK // (projective v) g at a time."""
+def _min_degrees(G, q):
+    """Degree of the minimal polynomial of each matrix of a (k, n, n) stack:
+    the rank of its powers I, g, .., g^(n-1), one rank_batch."""
+    powers = [np.broadcast_to(np.eye(G.shape[-1], dtype=np.int16), G.shape)]
+    for _ in range(G.shape[-1] - 1):
+        powers.append(powers[-1] @ G.astype(np.int16) % q)
+    return gf.rank_batch(np.stack(powers, axis=-1).reshape(len(G), -1, G.shape[-1]), q)
+
+
+def _spin_frames(G, spaces, q):
+    """(K, K^-1, member) over the spin frames of a (k, n, n) stack, g-major,
+    as uint8 stacks: member[i] is the index of K[i]'s g, a member of the
+    space U with basis matrices spaces[i].
+
+    A spin frame is [v1, g v1, .., v2, g v2, ..], in (v1, v2, ..) order: v1
+    is projective, and each vj has the longest spin under g modulo the
+    earlier blocks, then (past a Krylov basis) the least dim U vj.  So a
+    conjugator A of U onto V maps the frames of g onto those of A g A^-1,
+    scaled to a projective v1.  A pass extends each partial frame P by every
+    candidate v, _DIVISION_BLOCK // (candidates) frames at a time: an
+    invertible [P | v, g v, ..] (one inverse_batch) is complete, as is each
+    Krylov basis of a cyclic g in the first pass; a P with none keeps the v
+    of highest rank (one rank_batch), as P spans a g-invariant space.  Past
+    the first pass, more than _ENUMERATE_CAP frames raise TooLarge."""
     n = G.shape[-1]
-    vecs = points_for(q, n).vectors.astype(np.int16)
-    step = max(1, _DIVISION_BLOCK // len(vecs))
-    found = []
-    for lo in range(0, len(G), step):
-        Gt = G[lo:lo + step].transpose(0, 2, 1).astype(np.int16)
-        cols = [np.broadcast_to(vecs, (len(Gt),) + vecs.shape)]
-        for _ in range(n - 1):
-            cols.append(cols[-1] @ Gt % q)  # row v -> (g v)^T
-        K = np.stack(cols, axis=-1).astype(np.uint8).reshape(-1, n, n)
-        K_inv, invertible = gf.inverse_batch(K, q)
-        member = lo + np.repeat(np.arange(len(Gt)), len(vecs))[invertible]
-        found.append((K[invertible], K_inv[invertible], member))
-    return tuple(np.concatenate(part) for part in zip(*found))
+    P, filled, member = np.zeros((len(G), n, n), np.uint8), np.zeros(len(G), int), np.arange(len(G))
+    done, cands = [(P[:0], P[:0], member[:0])], points_for(q, n).vectors
+    while len(member):
+        m, parts, step = len(cands), [], max(1, _DIVISION_BLOCK // len(cands))
+        for lo in range(0, len(member), step):
+            c, g = filled[lo:lo + step], member[lo:lo + step]
+            cols = [np.broadcast_to(cands.astype(np.int16), (len(g), m, n))]
+            for _ in range(n - 1):
+                cols.append(cols[-1] @ G[g].transpose(0, 2, 1).astype(np.int16) % q)  # v -> (g v)^T
+            src = np.arange(n) - np.repeat(c, m)[:, None, None]  # column j is spin column j - c
+            spins = np.stack(cols, axis=-1).reshape(-1, n, n)
+            M = np.where(src >= 0, np.take_along_axis(spins, src.clip(0).repeat(n, axis=1), axis=2),
+                         np.repeat(P[lo:lo + step], m, axis=0)).astype(np.uint8)
+            M_inv, invertible = gf.inverse_batch(M, q)
+            rank = np.where(invertible, n, 0).reshape(-1, m)
+            shut = ~rank.any(axis=1)
+            rank[shut] = gf.rank_batch(M.reshape(-1, m, n, n)[shut].reshape(-1, n, n), q).reshape(-1, m)
+            # past the Krylov bases of the first pass, least dim U v among the longest spins
+            refine, span = shut | (c > 0), np.zeros_like(rank)
+            Uv = spaces[g[refine], None].astype(np.int16) @ cands[:, None, :, None].astype(np.int16) % q
+            span[refine] = gf.rank_batch(Uv.reshape(-1, Uv.shape[2], n), q).reshape(-1, m)
+            score = rank * (n + 1) - span
+            parent, v = np.nonzero(score == score.max(axis=1, keepdims=True))
+            at, c, g = parent * m + v, rank[parent, v], g[parent]
+            K, full = np.where(np.arange(n) < c[:, None, None], M[at], 0).astype(np.uint8), c == n
+            parts.append((K[full], M_inv[at[full]], g[full], K[~full], c[~full], g[~full]))
+        *found, P, filled, member = (np.concatenate(part) for part in zip(*parts))
+        done.append(found)
+        if len(done) > 2 and sum(len(g) for _, _, g in done) + len(member) > _ENUMERATE_CAP:
+            raise TooLarge(f"more than {_ENUMERATE_CAP} spin frames")
+        cands = gf.coefficient_grid(q, n)[1:]
+    K, K_inv, member = (np.concatenate(part) for part in zip(*done))
+    order = np.argsort(member, kind="stable")
+    return K[order], K_inv[order], member[order]
 
 
 _DATA_CACHE = {}
@@ -489,7 +522,7 @@ def _conjugating(cands, u_mats, V_space, q):
 
 def _conjugators(dataU, dataV, find_all):
     """Invertible A with A U A^-1 = V, as a (k, n, n) uint8 stack: all of
-    them with find_all, else at most the first.
+    them with find_all (the tests' oracle), else at most the first.
 
     dataU/dataV wrap unital spaces of equal dimension whose charpoly
     multisets already match.
@@ -759,7 +792,7 @@ def isotopism_classes(spaces):
             key, norm = found
             first, first_norm, members = keyed.setdefault(key, (i, norm, []))
             if members:
-                witness = _key_isotopism(norm, first_norm, spaces[i].q)
+                witness = Isotopism(*_key_isotopism(norm, first_norm, spaces[i].q), spaces[i].q)
                 if act(witness, spaces[i]) != spaces[first]:
                     raise NotContained("equal isotopism keys, but the composed isotopism fails")
             members.append(i)
@@ -777,14 +810,13 @@ def isotopism_classes(spaces):
 
 
 def _key_isotopism(norm_v, norm_w, q):
-    """The isotopism (K_W K_V^-1, y_V^-1 K_V K_W^-1 y_W) from V to W, for
-    normalisers (y, y^-1, K, K^-1) of V and W that reach equal keys:
+    """The isotopism (K_W K_V^-1, y_V^-1 K_V K_W^-1 y_W) from V to W, as an
+    (A, B) pair of arrays, for normalisers (y, y^-1, K, K^-1) of V and W, or
+    stacks of them, that reach equal normal forms:
     K_V^-1 V y_V^-1 K_V = K_W^-1 W y_W^-1 K_W."""
-    y_v, y_v_inv, K_v, K_v_inv = norm_v
+    _, y_v_inv, K_v, K_v_inv = norm_v
     y_w, _, K_w, K_w_inv = norm_w
-    A = K_w @ K_v_inv % q
-    B = y_v_inv @ K_v % q @ K_w_inv % q @ y_w % q
-    return Isotopism(A.astype(np.uint8), B.astype(np.uint8), q)
+    return K_w @ K_v_inv % q, y_v_inv @ K_v % q @ K_w_inv % q @ y_w % q
 
 
 # ---------------------------------------------------------------------------
@@ -848,87 +880,29 @@ class StabilizerGroup:
         return StabilizerGroup(self.q, self.n, self.A[ok], self.B[ok], tables, space)
 
 
-def _anchor_orbit(data, x, dataU, images):
-    """Orbit closure of the anchor x over its images under Aut(S).
-
-    Returns (reached, refuted, RA, RB): boolean masks over the images, and
-    (m, n, n) int16 stacks with RA[i] x RB[i] = y_i for every reached i.
-    An image is searched only when it is neither reached nor refuted, in
-    image order; each hit g = (A_g, B_g) is a generator and permutes the
-    images by y -> A_g y B_g, projectively normalised.  If A_g y_i B_g =
-    c y_j, then (A_g RA[i], RB[i] B_g / c) sends x to y_j, so the reached
-    set is closed under the generators with composite representatives.
-    The refuted set is closed too: an automorphism maps an image that no
-    automorphism reaches to another such image.
-    """
-    q, n = data.q, data.n
-    m = len(images)
-    Y = data.elems[[y_idx for y_idx, _ in images]].reshape(m, n, n).astype(np.int16)
-    codes = encode_rows(Y.reshape(m, -1), q)
-    by_code = np.argsort(codes)
-    basis = data.space.basis.reshape(-1, n, n).astype(np.int16)
-    inv = gf.inv_table(q).astype(np.int16)
-    reached = codes == encode_rows(x.reshape(-1), q)
-    refuted = np.zeros(m, dtype=bool)
-    RA = np.zeros((m, n, n), dtype=np.int16)
-    RB = np.zeros((m, n, n), dtype=np.int16)
-    RA[reached] = RB[reached] = np.eye(n, dtype=np.int16)
-    gens = []
-
-    def close(mark, reps):
-        """Mark every image a word in the generators sends a marked one to."""
-        frontier = np.nonzero(mark)[0]
-        while gens and frontier.size:
-            grown = []
-            for A, B, perm, c_inv in gens:
-                src = frontier[~mark[perm[frontier]]]
-                dst = perm[src]
-                mark[dst] = True
-                if reps:
-                    RA[dst] = (A @ RA[src]) % q
-                    RB[dst] = (RB[src] @ B) * c_inv[src, None, None] % q
-                grown.append(dst)
-            frontier = np.concatenate(grown)
-
-    for i, (y_idx, y_inv) in enumerate(images):
-        if reached[i] or refuted[i]:
-            continue
-        hit = _anchored_isotopism(x, dataU, data, y_idx, y_inv)
-        if hit is None:
-            refuted[i] = True
-            close(refuted, False)
-            continue
-        A, B = (M.astype(np.int16) for M in hit)
-        moved = (A @ Y @ B) % q
-        lead = gf.leading_coeff(moved.reshape(m, -1), q)
-        moved_codes = encode_rows((moved * inv[lead][:, None, None] % q).reshape(m, -1), q)
-        perm = by_code[np.minimum(np.searchsorted(codes, moved_codes, sorter=by_code), m - 1)]
-        fixes = data.space.contains_batch(((A @ basis @ B) % q).reshape(-1, n * n)).all()
-        if not fixes or not np.array_equal(codes[perm], moved_codes):
-            raise NotContained("a generator maps an anchor image outside its class")
-        gens.append((A, B, perm, inv[lead]))
-        close(reached, True)
-        close(refuted, False)
-    if not np.array_equal((RA[reached] @ x.astype(np.int16) @ RB[reached]) % q, Y[reached]):
-        raise NotContained("a composite representative does not send the anchor to its image")
-    return reached, refuted, RA, RB
+def _normal_forms(K, K_inv, bases, q):
+    """RREF rows of K^-1 V K for (f, n, n) frames, their inverses and bases of V, one rref_batch."""
+    V = K_inv[:, None].astype(np.int16) @ bases.astype(np.int16) % q @ K[:, None].astype(np.int16) % q
+    return gf.rref_batch(V.reshape(len(K), -1, K.shape[-1] ** 2), q)[0].reshape(len(K), -1)
 
 
 def automorphism_group(space):
     """Exact setwise stabilizer of a space containing an invertible element,
     with its point tables.
 
-    An automorphism sends the anchor x to a unit multiple of one of its
-    images y, and those sending x to y are (A_y C, D B_y) times every unit:
-    (A_y, B_y) is any automorphism with A_y x B_y = y, C runs over the
-    conjugation stabilizer of U = S x^-1 (one find-all search) and
-    D = x^-1 C^-1 x.  The images some automorphism reaches, and a
-    representative of each, come from the orbit closure of x
-    (_anchor_orbit), which searches only the images that the generators
-    found so far leave undecided.  The group is a block per reached y in
-    division_data order, each B times every unit, A-major; the point
-    tables of a block are those of C and D^T composed with those of A_y
-    and B_y^T.  All blocks are built in one batch.
+    An automorphism sends the anchor x to a unit multiple of an image y, and
+    those sending x to y are (A_y C, D B_y) times units: A_y x B_y = y, C
+    runs over the conjugation stabilizer of U = S x^-1, D = x^-1 C^-1 x.
+    The members g of each S y^-1 of the (charpoly id, minimal-polynomial
+    degree) of most degree, then fewest members, then least id have normal
+    forms (K^-1 g K, RREF of K^-1 S y^-1 K) over spin frames K: all at x,
+    the first of the first member at each y, in one frame and one RREF pass.
+    The frames K_i at x that tie with the first, K_0, give C = K_i K_0^-1;
+    y is reached iff its form is that of a K_i, and then (A_y, B_y) =
+    (K_y K_i^-1, x^-1 K_i K_y^-1 y), both by _key_isotopism.  One batch
+    checks them all (NotContained otherwise).  The group is a block per
+    reached y in division_data order, A-major, times every pair of units,
+    with point tables composed from those of the factors.
     """
     if isinstance(space, SpreadSet):
         space = space.space
@@ -936,23 +910,45 @@ def automorphism_group(space):
     data = space_data(space)
     if data.invertible_projective.size == 0:
         return _brute_force_stabilizer(space)
-    x, dataU, images = _anchor(data, data)
-    C = _conjugators(dataU, dataU, find_all=True).astype(np.int16)
-    reached, _, RA, RB = _anchor_orbit(data, x, dataU, images)
-    RA, RB = RA[reached], RB[reached]
+    x, _, images = _anchor(data, data)
+    y_idx, Y_inv = (np.array(part) for part in zip(*images))
+    # S y^-1 of each image y, element by element, its charpoly ids and basis
+    V = data.elems.reshape(-1, n, n).astype(np.int16)[None] @ Y_inv[:, None] % q
+    ids = _cp_of_mats(V.reshape(-1, n, n), q).reshape(len(V), -1)
+    bases = space.basis.reshape(-1, n, n).astype(np.int16) @ Y_inv[:, None] % q
+    at_x = int(np.argmax((data.elems[y_idx] == x.reshape(-1)).all(axis=1)))
+    sizes = Counter(zip(ids[at_x].tolist(), _min_degrees(V[at_x], q).tolist()))
+    cid, deg = min(sizes, key=lambda key: (-key[1], sizes[key], key[0]))
+    at, elem = np.nonzero(ids == cid)
+    at, elem = np.stack([at, elem])[:, _min_degrees(V[at, elem], q) == deg]
+    # every member at x, then the first member at each image, and their frames
+    pick = np.concatenate([np.nonzero(at == at_x)[0], np.unique(at, return_index=True)[1]])
+    G, owner, k = V[at[pick], elem[pick]], at[pick], int((at == at_x).sum())
+    K, K_inv, member = _spin_frames(G, bases[owner], q)
+    keep = (member < k) | (np.searchsorted(member, member) == np.arange(len(member)))
+    K, K_inv, member = K[keep].astype(np.int16), K_inv[keep].astype(np.int16), member[keep]
+    forms = np.concatenate([(K_inv @ G[member] % q @ K % q).reshape(len(K), -1),
+                            _normal_forms(K, K_inv, bases[owner[member]], q)], axis=1)
+    f = int((member < k).sum())  # x's frames lead
+    index = dict(zip(map(bytes, forms[f - 1::-1]), range(f - 1, -1, -1)))
+    hit = np.array([index.get(bytes(row), -1) for row in forms[f:]])
+    reached = hit >= 0
     x = x.astype(np.int16)
-    inverses, _ = gf.inverse_batch((C @ x) % q, q)
-    D = (inverses.astype(np.int16) @ x) % q
+    Y = data.elems[y_idx[owner[member[f:][reached]]]].reshape(-1, n, n).astype(np.int16)
+    RA, RB = _key_isotopism((x, Y_inv[at_x], K[hit[reached]], K_inv[hit[reached]]),
+                            (Y, None, K[f:][reached], K_inv[f:][reached]), q)
+    ties = (forms[:f] == forms[0]).all(axis=1)  # C is the stabilizer up to units
+    C, D = _key_isotopism((x, Y_inv[at_x], K[0], K_inv[0]), (x, None, K[:f][ties], K_inv[:f][ties]), q)
+    moved = _act_arrays(np.concatenate([RA, C]), np.concatenate([RB, D]), space.basis, q)
+    if not space.contains_batch(moved.reshape(-1, n * n)).all():
+        raise NotContained("a normal-form automorphism does not fix the space")
     units = np.arange(1, q, dtype=np.int16)[:, None, None]
-    A = np.repeat((RA[:, None] @ C) % q, q - 1, axis=1)
-    B = ((D @ RB[:, None]) % q)[:, :, None] * units % q
+    A = np.repeat((RA[:, None] @ C % q)[:, :, None] * units % q, q - 1, axis=2)
+    B = np.tile((D @ RB[:, None] % q)[:, :, None] * units % q, (1, 1, q - 1, 1, 1))
     pts = points_for(q, n)
-    TC = np.repeat(pts.vector_images(C), q - 1, axis=0)
-    TD = np.repeat(pts.vector_images(D.transpose(0, 2, 1)), q - 1, axis=0)
-    tables = (
-        pts.vector_images(RA)[:, TC].reshape(-1, TC.shape[1]),
-        pts.vector_images(RB.transpose(0, 2, 1))[:, TD].reshape(-1, TD.shape[1]),
-    )
+    tables = tuple(np.repeat(T[:, U], (q - 1) ** 2, axis=1).reshape(-1, U.shape[1]) for T, U in (
+        (pts.vector_images(RA), pts.vector_images(C)),
+        (pts.vector_images(RB.transpose(0, 2, 1)), pts.vector_images(D.transpose(0, 2, 1)))))
     A, B = (M.reshape(-1, n, n).astype(np.uint8) for M in (A, B))
     return StabilizerGroup(q, n, A, B, tables, space)
 

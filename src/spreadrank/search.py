@@ -255,9 +255,9 @@ class SearchReport:
 
     timings runs parallel to levels: one {dim, wall_s} per level, the wall
     seconds from the level's start to its entry, plus the seconds of each
-    phase where the search times them (spread_sets_by_rank: children_s,
-    classify_s, filter_s).  The times stay out of levels, which runs of one
-    search reproduce exactly.
+    phase where the search times them (the classified levels: children_s,
+    classify_s, and filter_s in spread_sets_by_rank).  The times stay out of
+    levels, which runs of one search reproduce exactly.
     """
 
     algorithm: str
@@ -746,8 +746,10 @@ def disprove_rank(spread, R, aut=None, checkpoint=None, progress=None):
             # per-parent stabilizer orbits pre-reduce the children, then
             # one global reduction under the full automorphism group
             children, _ = _orbit_children(current, pts, stabilizer)
+            grown = time.perf_counter()
             current = equivalence_classes(children, group=aut)
-            report.add_level({"dim": dim, "classes": len(current)}, started)
+            report.add_level({"dim": dim, "classes": len(current)}, started,
+                             children_s=grown - started, classify_s=time.perf_counter() - grown)
             if progress:
                 progress(report.levels[-1])
             continue

@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from spreadrank import cli
+from spreadrank import atlas, cli, equivalence
 
 
 def run(capsys, *argv):
@@ -86,7 +87,12 @@ def test_equiv_atlas_pair(capsys):
     assert json.loads(out) == {"equivalent": False}
     code, out, _ = run(capsys, "equiv", "--atlas", "GTF81", "IX")
     assert code == 0
-    assert json.loads(out)["equivalent"] is True
+    found = json.loads(out)
+    assert found["equivalent"] is True
+    # the printed witness maps GTF81 onto IX
+    gtf81, ix = (atlas.atlas_get(name).spread_set().space for name in ("GTF81", "IX"))
+    witness = equivalence.Isotopism(np.array(found["A"]), np.array(found["B"]), gtf81.q)
+    assert equivalence.act(witness, gtf81) == ix
 
 
 def test_disprove_small(capsys, tmp_path):

@@ -11,7 +11,6 @@ from spreadrank.errors import (
     BadParameters,
     NotContained,
     NotInvertible,
-    SpreadRankError,
     TooLarge,
 )
 
@@ -437,11 +436,10 @@ def oracle_conjugating(cands, u_mats, V_space, q):
 
 
 def oracle_automorphism_group(space, x_idx):
-    """Oracle: automorphism_group anchored on element x_idx, with every
-    conjugator found by its own search per y, one mat_inverse per anchor, y
-    and conjugator and one B per (conjugator, unit).  Returns one
-    (y index, A, B) block per y that has a conjugator, in division_data
-    order."""
+    """Oracle: the automorphism group anchored on element x_idx, with every
+    conjugator found by its own find-all search per image y, one
+    mat_inverse per anchor, y and conjugator and one B per (conjugator,
+    unit), as uint8 (A, B) stacks."""
     q, n = space.q, space.n
     data = equivalence.space_data(space)
     mats = data.elems.reshape(-1, n, n)
@@ -450,26 +448,55 @@ def oracle_automorphism_group(space, x_idx):
     x1 = mats[x_idx].astype(np.int64)
     U = equivalence._right_translate(space, gf.mat_inverse(x1, q).astype(np.int64))
     dataU = equivalence.space_data(U)
-    blocks = []
+    pairs_A, pairs_B = [], []
     for cpm2, y_idx, _ in per_y:
         if cpm2 != cpm_x:
             continue
         y = mats[y_idx].astype(np.int64)
         V = equivalence._right_translate(space, gf.mat_inverse(y, q).astype(np.int64))
         dataV = equivalence.space_data(V)
-        pairs_A, pairs_B = [], []
         for A in equivalence._conjugators(dataU, dataV, find_all=True):
             base = gf.mat_inverse((A.astype(np.int64) @ x1) % q, q).astype(np.int64)
             for lam in range(1, q):
                 pairs_A.append(A)
                 pairs_B.append(((base * lam % q) @ y % q).astype(np.uint8))
-        if pairs_A:
-            blocks.append((y_idx, np.stack(pairs_A), np.stack(pairs_B)))
-    return blocks
+    return tuple(np.array(pairs, dtype=np.uint8).reshape(-1, n, n) for pairs in (pairs_A, pairs_B))
 
 
 def pair_set(gA, gB):
     return {a.tobytes() + b.tobytes() for a, b in zip(gA, gB)}
+
+
+def rarest_anchor(space):
+    """The anchor automorphism_group takes: the projective invertible
+    element whose cpm key is rarest, least index on ties."""
+    _, per_y = equivalence.space_data(space).division_data
+    count = Counter(k for k, _, _ in per_y)
+    return min(per_y, key=lambda item: (count[item[0]], item[1]))[1]
+
+
+def assert_group_matches_oracle(space, x_idx):
+    """automorphism_group equals the oracle anchored at x_idx as a set of
+    (A, B) pairs, without repeats, and its tables are the vector images of
+    its elements."""
+    fast = equivalence.automorphism_group(space)
+    A, B = oracle_automorphism_group(space, x_idx)
+    assert fast.A.dtype == fast.B.dtype == np.uint8
+    assert fast.order == len(A) == len(pair_set(A, B)) == len(pair_set(fast.A, fast.B))
+    assert pair_set(fast.A, fast.B) == pair_set(A, B)
+    pts = algebra.points_for(space.q, space.n)
+    TA, TB = fast.tables
+    assert TA.dtype == TB.dtype == np.int16
+    assert np.array_equal(TA, pts.vector_images(fast.A))
+    assert np.array_equal(TB, pts.vector_images(fast.B.transpose(0, 2, 1)))
+
+
+def no_cyclic_member_at_the_anchor(space):
+    """Whether U = S x^-1, x the anchor of automorphism_group, has no
+    cyclic member, so that its frames are spin frames of several blocks."""
+    data = equivalence.space_data(space)
+    _, dataU, _ = equivalence._anchor(data, data)
+    return equivalence._min_degrees(dataU.elems.reshape(-1, space.n, space.n), space.q).max() < space.n
 
 
 def seeded_s2_image():
@@ -477,44 +504,65 @@ def seeded_s2_image():
     return equivalence.act(random_isotopism(np.random.default_rng(17), 2, 4), space)
 
 
-@pytest.mark.parametrize(
-    "space",
-    [
-        *(pytest.param(atlas.atlas_get(name).space(), id=name) for name in ("F16", "S1", "S2")),
-        pytest.param(seeded_s2_image(), id="S2-image"),
-        *(pytest.param(atlas.atlas_get(name).space(), id=name, marks=pytest.mark.slow)
-          for name in ("F81", "GTF81")),
-    ],
-)
-def test_automorphism_group_matches_per_candidate_oracle(space, monkeypatch):
-    fast = equivalence.automorphism_group(space)
-    data = equivalence.space_data(space)
-    x, dataU, images = equivalence._anchor(data, data)
-    reached, refuted, _, _ = equivalence._anchor_orbit(data, x, dataU, images)
+ATLAS_CASES = [pytest.param(name, marks=pytest.mark.slow) if name in ("F81", "GTF81") else name
+               for name in atlas.atlas_list()]
+
+
+# no cyclic member at the anchor; the diagonal spaces start spread_sets_by_rank
+# at q = 3, n = 4 and q = 2, n = 5, and their frames need the least dim U v
+# to stay under the cap
+SPUN_CASES = {
+    "diag+E12": lambda: diag_plus_rank_one(),
+    "diag-3-4": lambda: search._diag_space(3, 4),
+    "diag-2-5": lambda: search._diag_space(2, 5),
+}
+
+
+@pytest.mark.parametrize("name", [*SPUN_CASES, "S2-image", *ATLAS_CASES])
+def test_automorphism_group_matches_per_candidate_oracle(name, monkeypatch):
+    if name in SPUN_CASES:
+        space = SPUN_CASES[name]()
+        assert no_cyclic_member_at_the_anchor(space)
+    else:
+        space = seeded_s2_image() if name == "S2-image" else atlas.atlas_get(name).space()
     monkeypatch.setattr(equivalence, "_conjugating", oracle_conjugating)
-    _, per_y = data.division_data
-    count = Counter(k for k, _, _ in per_y)
-    rarest = min(per_y, key=lambda item: (count[item[0]], item[1]))[1]
-    # block by block: the same y order and sizes, and the same pairs in
-    # each block (inside a block the order is that of the stabilizer of U)
-    start = 0
-    blocks = oracle_automorphism_group(space, rarest)
-    for _, A, B in blocks:
-        stop = start + len(A)
-        assert fast.A.dtype == A.dtype and fast.B.dtype == B.dtype
-        assert pair_set(fast.A[start:stop], fast.B[start:stop]) == pair_set(A, B)
-        start = stop
-    assert start == fast.order
-    # the closure decides every image: it refutes exactly those with no block
-    with_block = {y_idx for y_idx, _, _ in blocks}
-    image_idx = [y_idx for y_idx, _ in images]
-    assert not (reached & refuted).any() and (reached | refuted).all()
-    assert {y for y, r in zip(image_idx, refuted) if r} == set(image_idx) - with_block
-    # the group the first anchor gives, in another order
-    blocks = oracle_automorphism_group(space, int(data.invertible_projective[0]))
-    A, B = (np.concatenate(parts) for parts in list(zip(*blocks))[1:])
-    assert len(A) == fast.order
-    assert pair_set(A, B) == pair_set(fast.A, fast.B)
+    # the oracle at the same anchor, and at the first one
+    assert_group_matches_oracle(space, rarest_anchor(space))
+    assert_group_matches_oracle(space, int(equivalence.space_data(space).invertible_projective[0]))
+
+
+def automorphism_inputs(levels, q, n):
+    """The spaces whose automorphism group search_levels took: the diagonal
+    space, then the classes of every level but the last that pass the
+    level's prune."""
+    prune = search.default_prune_schedule(n)
+    inputs = [search._diag_space(q, n)]
+    for dim, _, classes in levels[:-2]:  # the last level, then the spread sets
+        k = prune.get(dim)  # the partial-spread dimension the level's survivors contain
+        inputs += [s for s in classes if k is None or search.contains_partial_spread(s, k)]
+    return inputs
+
+
+def test_automorphism_group_matches_oracle_on_every_order8_input(order8_levels):
+    inputs = automorphism_inputs(order8_levels, 2, 3)
+    assert len(inputs) == 22
+    assert [no_cyclic_member_at_the_anchor(s) for s in inputs].count(True) == 1  # the diagonal space
+    for space in inputs:
+        assert_group_matches_oracle(space, rarest_anchor(space))
+
+
+@pytest.mark.slow
+def test_automorphism_group_matches_oracle_on_every_order16_input(monkeypatch):
+    inputs = []
+    group = search.automorphism_group
+    monkeypatch.setattr(search, "automorphism_group", lambda s: inputs.append(s) or group(s))
+    search.spread_sets_by_rank(2, 4, 8)
+    assert len(inputs) == 55
+    # the diagonal space and 12 dim-5 classes need frames of several blocks
+    spun = [s.dim for s in inputs if no_cyclic_member_at_the_anchor(s)]
+    assert spun == [4] + [5] * 12
+    for space in inputs:
+        assert_group_matches_oracle(space, rarest_anchor(space))
 
 
 def isotopic_field_images():
@@ -547,40 +595,33 @@ def test_automorphism_group_tables_and_elements(space):
     assert len(pair_set(aut.A, aut.B)) == aut.order
 
 
-@pytest.mark.parametrize("name, order, searches", [("F81", 25600, 2), ("GTF81", 640, 5)])
-def test_automorphism_group_searches_only_undecided_images(monkeypatch, name, order, searches):
-    space = atlas.atlas_get(name).space()
-    data = equivalence.space_data(space)
-    images = equivalence._anchor(data, data)[2]
-    calls = []
-    conjugators = equivalence._conjugators
+@pytest.mark.parametrize("name, order", [("F81", 25600), ("GTF81", 640)])
+def test_automorphism_group_makes_no_conjugacy_search(monkeypatch, name, order):
+    def never(*args, **kwargs):
+        raise AssertionError("automorphism_group ran a conjugacy search")
 
-    def counted(dataU, dataV, find_all):
-        calls.append(find_all)
-        return conjugators(dataU, dataV, find_all)
-
-    monkeypatch.setattr(equivalence, "_conjugators", counted)
-    aut = equivalence.automorphism_group(space)
-    assert aut.order == order
-    assert calls.count(True) == 1 and calls[0] is True
-    assert calls.count(False) == searches < len(images) == 40
+    monkeypatch.setattr(equivalence, "_conjugators", never)
+    monkeypatch.setattr(equivalence, "_anchored_isotopism", never)
+    assert equivalence.automorphism_group(atlas.atlas_get(name).space()).order == order
 
 
-def test_automorphism_group_refuses_a_first_hit_that_is_not_an_automorphism(monkeypatch):
+def test_automorphism_group_refuses_a_corrupted_image_frame(monkeypatch):
+    # the frame of the last image is moved by a transvection after its form
+    # was taken, so the representative composed from it fixes no space
     space = atlas.atlas_get("S1").space()
-    q, n = space.q, space.n
-    A = random_invertible(np.random.default_rng(17), q, n)
-    hits = []
+    n = space.n
+    forms = equivalence._normal_forms
+    T = np.eye(n, dtype=np.int64)
+    T[0, n - 1] = 1
 
-    def false_hit(x, dataU, d2, y_idx, y_inv):
-        y = d2.elems[y_idx].reshape(n, n)
-        hits.append(equivalence.Isotopism(A, gf.mat_mul(gf.mat_inverse(gf.mat_mul(A, x, q), q), y, q), q))
-        return hits[-1].A, hits[-1].B
+    def corrupting(K, K_inv, bases, q):
+        found = forms(K, K_inv, bases, q)
+        K[-1] = K[-1] @ T % q
+        return found
 
-    monkeypatch.setattr(equivalence, "_anchored_isotopism", false_hit)
-    with pytest.raises(SpreadRankError, match="generator"):
+    monkeypatch.setattr(equivalence, "_normal_forms", corrupting)
+    with pytest.raises(NotContained, match="does not fix the space"):
         equivalence.automorphism_group(space)
-    assert len(hits) == 1 and equivalence.act(hits[0], space) != space
 
 
 @pytest.mark.parametrize("name", ["F16", "S1", "F81", "I"])
@@ -904,7 +945,8 @@ def test_isotopism_key_is_invariant(case):
         assert moved_found is None
         return
     assert found[0] == moved_found[0]
-    witness = equivalence._key_isotopism(found[1], moved_found[1], space.q)
+    A, B = equivalence._key_isotopism(found[1], moved_found[1], space.q)
+    witness = equivalence.Isotopism(A, B, space.q)
     assert equivalence.act(witness, space) == moved
 
 
@@ -1122,3 +1164,77 @@ def test_order81_atlas_entries_get_twelve_distinct_block_keys():
     keys = [data.isotopism_key[0] for data in datas]
     assert len(keys) == len(set(keys)) == 12
     assert_slots_match_oracles(datas)
+
+
+@pytest.mark.parametrize("q, n", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)])
+def test_spin_frames_of_cyclic_members_are_their_krylov_bases(q, n):
+    G = np.random.default_rng(10 * q + n).integers(0, q, (48, n, n)).astype(np.uint8)
+    G[::12] = np.eye(n, dtype=np.uint8)
+    cyclic = np.nonzero(equivalence._min_degrees(G, q) == n)[0]
+    want_K, want_K_inv, want_member = oracle_krylov_bases(G.astype(np.int64), q)
+    # a member has a Krylov basis iff it is cyclic, and both kinds occur
+    assert set(want_member.tolist()) == set(cyclic.tolist())
+    assert 0 < len(cyclic) < len(G)
+    K, K_inv, member = equivalence._spin_frames(G[cyclic], G[cyclic, None], q)
+    assert_same_array(K, want_K.astype(np.uint8))
+    assert_same_array(K_inv, want_K_inv.astype(np.uint8))
+    assert_same_array(cyclic[member], want_member)
+
+
+@st.composite
+def members_and_conjugators(draw):
+    """A scalar, diagonal, unipotent or random n x n matrix g over F_q, a
+    diagonal or random h, and an invertible A."""
+    q = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2, 4))
+    entries = st.lists(st.integers(0, q - 1), min_size=n * n, max_size=n * n)
+    g, h = (np.reshape(draw(entries), (n, n)) for _ in range(2))
+    g = {
+        "scalar": g[0, 0] * np.eye(n, dtype=np.int64),
+        "diagonal": np.diag(np.diag(g)),
+        "unipotent": np.eye(n, dtype=np.int64) + np.triu(g, 1),
+        "random": g,
+    }[draw(st.sampled_from(["scalar", "diagonal", "unipotent", "random"]))]
+    h = np.diag(np.diag(h)) if draw(st.booleans()) else h
+    return q, (g % q).astype(np.uint8), h.astype(np.uint8), draw(lu_invertible(q, n))
+
+
+def projective_frames(K, q):
+    """The frames of a stack, each scaled so that its first column is
+    projective, as a set of bytes."""
+    lead = gf.leading_coeff(K[:, :, 0].astype(np.int64), q)
+    return {k.tobytes() for k in gf.as_residues(K * gf.inv_table(q)[lead][:, None, None], q)}
+
+
+@given(members_and_conjugators())
+def test_spin_frames_are_equivariant(case):
+    # frames(A g A^-1) in A U A^-1 = A frames(g) in U, U the span of g and
+    # h, up to the scalar that makes v1 projective
+    q, g, h, A = case
+    n = g.shape[0]
+    A_inv = gf.mat_inverse(A, q)
+    U = np.stack([g, h])[None]
+    moved = np.stack([gf.mat_mul(gf.mat_mul(A, M, q), A_inv, q) for M in (g, h)])[None]
+    try:
+        K, K_inv, member = equivalence._spin_frames(U[:, 0], U, q)
+    except TooLarge:
+        with pytest.raises(TooLarge):
+            equivalence._spin_frames(moved[:, 0], moved, q)
+        assert n == 4  # at n <= 3 even a scalar has at most 5,616 frames
+        return
+    got = equivalence._spin_frames(moved[:, 0], moved, q)[0]
+    assert (member == 0).all()
+    assert (K_inv.astype(np.int64) @ K % q == np.eye(n, dtype=np.int64)).all()
+    assert len(K) == len(got) == len(projective_frames(K, q))
+    assert projective_frames(A.astype(np.int64) @ K % q, q) == projective_frames(got, q)
+
+
+def test_automorphism_group_of_the_scalars():
+    # every frame of I ties, so the group is all (A, c A^-1); at n = 4 the
+    # 20,160 frames of I are past the cap
+    scalars = algebra.MatSpace.from_rows(2, 3, np.eye(3, dtype=np.uint8).reshape(1, -1))
+    aut = equivalence.automorphism_group(scalars)
+    assert aut.order == 168
+    assert pair_set(aut.A, aut.B) == pair_set(*equivalence._isotopisms_between(scalars, scalars, ""))
+    with pytest.raises(TooLarge, match="spin frames"):
+        equivalence.automorphism_group(algebra.MatSpace.from_rows(2, 4, np.eye(4).reshape(1, -1)))

@@ -582,7 +582,8 @@ def test_code_exists_is_computed_once_per_argument(monkeypatch):
 def test_reports_time_every_level():
     # one {dim, wall_s} per level, beside the levels and in the JSON report,
     # with every time rounded there; F8 R=8 ends at a final level with a
-    # witness; spread_sets_by_rank also times its three phases
+    # witness; spread_sets_by_rank also times its three phases, and the
+    # classified levels of disprove_rank their two
     reports = [
         search.disprove_rank(algebra.field_construct(2, 4), 8),
         search.disprove_rank(algebra.field_construct(2, 3), 8),
@@ -595,11 +596,18 @@ def test_reports_time_every_level():
         rounded = [{k: round(v, 3) if k != "dim" else v for k, v in t.items()}
                    for t in rep.timings]
         assert json.loads(rep.to_json())["timings"] == rounded
-    phases = ("children_s", "classify_s", "filter_s")
-    for t in reports[2].timings:
-        assert set(t) == {"dim", "wall_s", *phases}
-        assert all(t[k] >= 0 for k in phases)
-        assert sum(t[k] for k in phases) <= t["wall_s"]
+    for rep, phases in ((reports[0], ("children_s", "classify_s")),
+                        (reports[1], ("children_s", "classify_s")),
+                        (reports[2], ("children_s", "classify_s", "filter_s"))):
+        for entry, t in zip(rep.levels, rep.timings):
+            if "classes" not in entry:  # a raw level of disprove_rank
+                assert set(t) == {"dim", "wall_s"}
+                continue
+            assert set(t) == {"dim", "wall_s", *phases}
+            assert all(t[k] >= 0 for k in phases)
+            assert sum(t[k] for k in phases) <= t["wall_s"]
+    assert [e["dim"] for e in reports[0].levels if "classes" in e] == [5, 6]
+    assert [e["dim"] for e in reports[1].levels if "classes" in e] == [4]
 
 
 def test_tensor_rank_events_carry_their_target():
