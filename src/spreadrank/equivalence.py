@@ -48,7 +48,9 @@ stabilizer_of_space slices its group's, and StabilizerGroup.of_elements
 maps a given element stack (scanned stabilizers, the trivial group).
 Orbit keys, stabilizers of spaces and orbits of points all use those
 tables; a space counts through its rank-one points, which determine it when
-it is the group's space plus their span.
+it is the group's space plus their span.  orbit_keys keys a batch of spaces
+from those points, as search's block kernel knows them, scanning for each
+only the elements that send one of them to the least point of their orbits.
 """
 
 from __future__ import annotations
@@ -118,19 +120,32 @@ def _charpoly_ids(mats, q):
 
 @lru_cache(maxsize=4)
 def _charpoly_code_table(q, n):
-    """_charpoly_ids of every n x n matrix, indexed by its encoding; only
-    built for q = 2, one block per last matrix row to bound the temporaries."""
-    # row c of the reversed grid holds the base-q digits of c, least first
-    digits = gf.coefficient_grid(q, n * n)[:, ::-1]
-    return np.concatenate([_charpoly_ids(b, q) for b in digits.reshape(q**n, -1, n, n)])
+    """_charpoly_ids of the n x n matrices, indexed by their encoding
+    (entry j of a flattened matrix is digit j, least first), -1 where not
+    yet computed: a process-wide cache that _cp_of_mats fills as batches
+    ask, so it never runs the kernel on more than the full table."""
+    return np.full(q ** (n * n), -1, dtype=np.int64)
 
 
 def _cp_of_mats(mats, q):
-    """Charpoly ids of a (B, n, n) stack: a table lookup for q = 2, n <= 4,
-    else the kernel."""
+    """Charpoly ids of a (B, n, n) stack: for q = 2, n <= 4 a table
+    lookup, whose missing entries are computed for the distinct codes of
+    the batch in one kernel call, and all at once when half the table is
+    filled (a classification asks for nearly all of it, in thousands of
+    small calls); else the kernel."""
     n = mats.shape[-1]
     if q == 2 and n <= 4:
-        return _charpoly_code_table(q, n)[encode_rows(mats.reshape(mats.shape[0], -1) % q, q)]
+        table = _charpoly_code_table(q, n)
+        codes = encode_rows(mats.reshape(mats.shape[0], -1) % q, q)
+        missing = table[codes] < 0
+        if missing.any():
+            new, at = np.unique(codes[missing], return_index=True)
+            table[new] = _charpoly_ids(mats[missing][at], q)
+            rest = np.nonzero(table < 0)[0]
+            if 0 < 2 * rest.size <= table.size:  # half filled: the rest now, 4,096 a call
+                for part in (rest[lo:lo + 4096] for lo in range(0, rest.size, 4096)):
+                    table[part] = _charpoly_ids((part[:, None] // q ** np.arange(n * n) % q).reshape(-1, n, n), q)
+        return table[codes]
     return _charpoly_ids(mats, q)
 
 
@@ -693,44 +708,110 @@ def _sort_key(space):
     return (space.dim, space.key)
 
 
-def _rank_one_points_inside(space, group):
-    """Sorted indices (into points_for) of the rank-one points in the space.
+_ORBIT_KEY_ROWS = 1 << 16  # bounds the candidate images of one orbit_keys pass
 
-    They determine the space only when it is group.space plus their span,
-    so that is checked: for such spaces, g maps V onto V' iff it maps the
-    points of V onto those of V', since g fixes group.space.
-    """
-    pts = points_for(space.q, space.n)
-    inside = np.nonzero(space.contains_batch(pts.flat))[0]
-    rows = pts.flat[inside]
-    if group.space is not None:
-        if not space.contains_space(group.space):
-            raise BadParameters("space does not contain the group's space")
-        rows = np.concatenate([group.space.basis, rows])
-    if gf.rank(rows, space.q) != space.dim:
+
+def _points_inside(spaces, group):
+    """The rank-one points of each space, by containment, as rows of
+    orbit_keys; each space must contain group.space (BadParameters
+    otherwise)."""
+    flat = points_for(group.q, group.n).flat
+    if group.space is not None and not all(s.contains_space(group.space) for s in spaces):
+        raise BadParameters("space does not contain the group's space")
+    inside = np.array([s.contains_batch(flat) for s in spaces]).reshape(len(spaces), -1)
+    return np.sort(np.where(inside, np.arange(len(flat)), len(flat)), axis=1)
+
+
+def _check_span(members, group, dims):
+    """BadParameters unless each space, of dimension dims[i] and holding
+    group.space and the points of row i of members, is group.space plus
+    their span: one rank_batch over the points modulo group.space."""
+    flat, S = points_for(group.q, group.n).flat, group.space
+    rows = np.append(flat, flat[:1] * 0, axis=0)[members.reshape(-1)]  # the padding is 0
+    if S is not None:
+        rows = np.delete(S.reduce(rows), S.pivots, axis=1)
+    ranks = gf.rank_batch(rows.reshape(*members.shape, rows.shape[1]), group.q)
+    if (ranks + (0 if S is None else S.dim) != np.asarray(dims)).any():
         raise BadParameters("space is not the group's space plus its rank-one points")
-    return inside
+
+
+def orbit_keys(members, group, dims):
+    """Least sorted image over the group of each space's rank-one points,
+    as bytes: equal keys iff the spaces lie in one orbit, for spaces that
+    are group.space plus the span of their rank-one points (checked, see
+    _check_span).  Row i of members holds every rank-one point of space i,
+    in any order, padded with len(points); space i contains group.space
+    and has dimension dims[i].
+
+    The least image starts at L, the least point whose orbit holds a
+    member, so only the elements that send a member of L's orbit onto L
+    are scanned: with one point_images column per orbit, grouped by image,
+    the elements g with g(L) = x, whose inverses send x to L.  Their
+    inverse point actions invert only their rows of group.tables.
+    """
+    pts = points_for(group.q, group.n)
+    npts = len(pts)
+    M = np.sort(np.asarray(members), axis=1)  # the padding last
+    M = M[:, :np.count_nonzero(M < npts, axis=1).max(initial=0)]
+    keys = [b""] * len(M)
+    # the least point of each member's orbit, and where the elements that
+    # send that point onto the member start among the columns' elements
+    least, (start, size), columns = np.full(npts + 1, npts), np.zeros((2, npts + 1), np.int64), []
+    need = np.zeros(npts + 1, dtype=bool)
+    need[M] = True
+    while (need[:npts] & (least[:npts] == npts)).any():
+        low = int(np.argmax(least == npts))  # the least unlabelled point is the least of its orbit
+        col = group.point_images([low])[:, 0]
+        count = np.bincount(col, minlength=npts + 1)
+        orbit = np.nonzero(count)[0]
+        least[orbit], size[orbit] = low, count[orbit]
+        start[orbit] = group.order * len(columns) + (np.cumsum(count) - count)[orbit]
+        columns.append(np.argsort(col.astype(np.min_scalar_type(npts)), kind="stable"))  # radix
+    step = max(1, _ORBIT_KEY_ROWS // max(1, M.shape[1] * size.max()))  # spaces a pass
+    for lo in range(0, len(M), step):
+        part = M[lo:lo + step]
+        _check_span(part, group, np.asarray(dims)[lo:lo + step])
+        if not part.size:
+            continue
+        lows = least[part]
+        space, x = np.nonzero((lows == lows.min(axis=1, keepdims=True)) & (part < npts))
+        x = part[space, x]
+        space, reps = np.repeat(space, size[x]), size[x]
+        within = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        uniq, at = np.unique(np.concatenate(columns)[np.repeat(start[x], reps) + within], return_inverse=True)
+        TA, TB = (np.empty((uniq.size, T.shape[1]), dtype=T.dtype) for T in group.tables)
+        for inverse, T in zip((TA, TB), group.tables):  # the inverses of their permutation rows
+            inverse[np.arange(uniq.size)[:, None], T[uniq]] = np.arange(T.shape[1], dtype=T.dtype)
+        moved = part[space] % npts
+        img = pts.of_uw[TA[at[:, None], pts.u[moved]], TB[at[:, None], pts.w[moved]]]
+        img[part[space] == npts] = npts
+        img.sort(axis=1)
+        order = np.lexsort((*img.T[::-1], space))
+        first = order[np.diff(space[order], prepend=-1) != 0]  # each space's least row
+        for s, row in zip((space[first] + lo).tolist(), img[first]):
+            keys[s] = row[:np.count_nonzero(row < npts)].tobytes()
+    return keys
 
 
 def _orbit_canonical_key(space, group):
-    """Least sorted image, over the group, of the space's rank-one points."""
-    images = np.sort(group.point_images(_rank_one_points_inside(space, group)), axis=1)
-    for col in range(images.shape[1]):
-        images = images[images[:, col] == images[:, col].min()]
-    return images[0].tobytes()
+    """orbit_keys of one space, its rank-one points found by containment
+    (perfbench's tracer counts the calls of this name)."""
+    return orbit_keys(_points_inside([space], group), group, [space.dim])[0]
 
 
-def equivalence_classes(spaces, group=None):
+def equivalence_classes(spaces, group=None, members=None):
     """Representatives of the distinct equivalence classes of the input.
 
     Under the full group the classes are those of isotopism_classes:
     spaces are looked up by their canonical isotopism key, and only the
     spaces without a key are tested pairwise with are_equivalent.  When an
     explicit subgroup is supplied, classes are orbits under exactly that
-    subgroup.
-    Each space must then contain group.space and equal group.space plus the
-    span of its rank-one points (BadParameters otherwise), so that the
-    orbit of its rank-one point set is a complete key.
+    subgroup, keyed in one orbit_keys pass.  Each space must then contain
+    group.space and equal group.space plus the span of its rank-one points
+    (BadParameters otherwise), so that the orbit of its rank-one point set
+    is a complete key.  members, when given, holds those points as rows
+    (as search's block kernel knows them, see orbit_keys); otherwise they
+    are found by containment.
     The output is a deterministic function of the input set: each
     representative is the member of its class with the least (dim, RREF
     basis bytes), and the output is sorted by that key.
@@ -739,15 +820,17 @@ def equivalence_classes(spaces, group=None):
     if not spaces:
         return []
     unique = {}
-    for s in spaces:
-        unique.setdefault(s.key, s)
-    items = sorted(unique.values(), key=lambda s: s.key)
+    for i, s in enumerate(spaces):
+        unique.setdefault(s.key, i)
+    at = sorted(unique.values(), key=lambda i: spaces[i].key)
+    items = [spaces[i] for i in at]
 
     if group is not None:
+        inside = _points_inside(items, group) if members is None else members[at]
         classes = {}
-        for s in items:
-            classes.setdefault(_orbit_canonical_key(s, group), []).append(s)
-        reps = [min(members, key=_sort_key) for members in classes.values()]
+        for s, key in zip(items, orbit_keys(inside, group, [s.dim for s in items])):
+            classes.setdefault(key, []).append(s)
+        reps = [min(found, key=_sort_key) for found in classes.values()]
         return sorted(reps, key=_sort_key)
 
     reps = [min((items[i] for i in members), key=_sort_key) for members in isotopism_classes(items)]
@@ -867,14 +950,17 @@ class StabilizerGroup:
         TA, TB = self.tables
         return pts.of_uw[TA[:, pts.u[idx]], TB[:, pts.w[idx]]]
 
-    def stabilizer_of_space(self, space):
+    def stabilizer_of_space(self, space, members=None):
         """Subgroup of elements that also fix the given space setwise.
 
         The space must be self.space plus the span of its rank-one points
         (BadParameters otherwise); an element then fixes it iff it fixes
-        that point set.
+        that point set.  members, when given, holds those points as one
+        row of orbit_keys; otherwise they are found by containment.
         """
-        inside = _rank_one_points_inside(space, self)
+        inside = np.sort(_points_inside([space], self)[0] if members is None else members)
+        inside = inside[inside < len(points_for(self.q, self.n))]
+        _check_span(inside[None], self, [space.dim])
         ok = (np.sort(self.point_images(inside), axis=1) == inside).all(axis=1)
         tables = tuple(T[ok] for T in self.tables)
         return StabilizerGroup(self.q, self.n, self.A[ok], self.B[ok], tables, space)

@@ -14,9 +14,11 @@ Three entry points:
 
 Orbit reduction uses the stabilizer groups' permutation tables of the
 projective rank-one points (see spreadrank.equivalence): a child is a parent
-plus one point, so the point's images name the children in its orbit, and
-a classified level's spaces are keyed by the least image of their point
-sets.
+plus one point, so the point's images name the children in its orbit.  The
+block kernel knows each child's rank-one points, its parent's inside points
+and its residue class (_members).  Keyed by the least images of those point
+sets, a classified level of disprove_rank takes one space per orbit, and its
+final level evaluates one parent per orbit and charges the others its counts.
 
 Children are grouped and scored by one block kernel, _process_parents, over
 up to _BLOCK parents of one dimension at a time: one product gives every
@@ -50,7 +52,7 @@ from .algebra import (
 )
 from .codec import encode_rows
 from .codes import code_exists, genbound
-from .equivalence import automorphism_group, equivalence_classes
+from .equivalence import automorphism_group, equivalence_classes, orbit_keys
 from .errors import BadParameters, RankExceedsCap
 
 
@@ -74,6 +76,7 @@ class _Extension:
     first: np.ndarray       # (parents + 1,) first child number of each parent
     group_reps: np.ndarray  # least point index of each child
     sizes: np.ndarray       # member count of each child
+    points: np.ndarray      # the outside points, child by child, each child's increasing
 
     @property
     def parent(self):
@@ -132,7 +135,7 @@ def extension_groups(parents, pts):
     child[par, point] = np.cumsum(new) - 1
     first = np.searchsorted(par[starts], np.arange(npar + 1))
     sizes = np.diff(np.append(starts, order.size))
-    return _Extension(child, lead, first, point[starts], sizes)
+    return _Extension(child, lead, first, point[starts], sizes, point)
 
 
 def _rank_one_profile(parents, ext, pts, least=0):
@@ -219,7 +222,28 @@ def _rank_one_profile(parents, ext, pts, least=0):
     return base_rank, extras
 
 
-def _process_parents(parents, pts, least):
+def _members(ext, children):
+    """The rank-one points of each given child, one row each padded as in
+    orbit_keys: its parent's inside points, then its residue class."""
+    pad, inside = ext.child.shape[1], ext.child < 0
+    k, count = np.arange(ext.sizes[children].max(initial=0)), inside.sum(axis=1)
+    at = np.minimum((np.cumsum(ext.sizes) - ext.sizes)[children, None] + k, ext.points.size - 1)
+    own = np.where(k < ext.sizes[children, None], ext.points[at], pad)
+    first = np.argsort(~inside, axis=1, kind="stable")[:, :count.max(initial=0)]  # inside first
+    first = np.where(np.arange(first.shape[1]) < count[:, None], first, pad)
+    return np.concatenate([first[ext.parent[children]], own], axis=1).astype(np.min_scalar_type(pad))
+
+
+def _stacked(parts, pad):
+    """The rows of a list of padded arrays as one array, padded with pad."""
+    out = np.full((sum(map(len, parts)), max([0, *(part.shape[1] for part in parts)])), pad,
+                  dtype=np.min_scalar_type(pad))
+    for part, end in zip(parts, np.cumsum([len(part) for part in parts])):
+        out[end - len(part):end, :part.shape[1]] = part
+    return out
+
+
+def _process_parents(parents, pts, least, members=False):
     """Each parent's children at a raw level whose rank-one score reaches least.
 
     The parents are a block of spaces of one dimension.  A child's score is
@@ -229,19 +253,23 @@ def _process_parents(parents, pts, least):
     rank plus the child's member count, so only the children with enough
     members are ranked (see _rank_one_profile).  Returns, per parent,
     (child spans, the point indices that define the kept children, in child
-    order, and their scores); nothing is built.
+    order, and their scores), with members the kept children's rows of
+    _members as a fourth item; nothing is built.
     """
     ext = extension_groups(parents, pts)
     base_rank, extras = _rank_one_profile(parents, ext, pts, least)
     scores = base_rank[ext.parent] + extras
     keep = np.nonzero(scores >= least)[0]
     cuts = np.searchsorted(keep, ext.first[1:-1])
-    return [
+    out = [
         (int(spans), points.tolist(), kept.tolist())
         for spans, points, kept in zip(
             np.diff(ext.first), np.split(ext.group_reps[keep], cuts), np.split(scores[keep], cuts)
         )
     ]
+    if members:
+        out = [(*row, found) for row, found in zip(out, np.split(_members(ext, keep), cuts))]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +284,9 @@ class SearchReport:
     timings runs parallel to levels: one {dim, wall_s} per level, the wall
     seconds from the level's start to its entry, plus the seconds of each
     phase where the search times them (the classified levels: children_s,
-    classify_s, and filter_s in spread_sets_by_rank).  The times stay out of
-    levels, which runs of one search reproduce exactly.
+    classify_s, and filter_s in spread_sets_by_rank; the final level of
+    disprove_rank: key_s and the number of parents evaluated).  The times
+    stay out of levels, which runs of one search reproduce exactly.
     """
 
     algorithm: str
@@ -422,20 +451,23 @@ def _point_orbit_reps(group, ext, p):
 def _orbit_children(parents, pts, stabilizer):
     """Children of the parents, one per orbit of stabilizer(parent) on each
     parent's children, with the number of child spans before the orbit
-    reduction.  The children are grouped and built _BLOCK parents at a time.
-    Equal spans from two parents are left to the callers' equivalence_classes."""
-    children, spans = [], 0
+    reduction and the children's rows of _members.  The children
+    are grouped and built _BLOCK parents at a time.  Equal spans from two
+    parents are left to the callers' equivalence_classes."""
+    children, spans, members = [], 0, []
     for start in range(0, len(parents), _BLOCK):
         block = parents[start:start + _BLOCK]
         ext = extension_groups(block, pts)
         spans += len(ext.group_reps)
         named = [
-            (parent, point)
+            (p, point)
             for p, parent in enumerate(block)
             for point in _point_orbit_reps(stabilizer(parent), ext, p)
         ]
-        children += MatSpace.extend_batch([row[0] for row in named], pts.flat[[row[1] for row in named]])
-    return children, spans
+        at, points = (np.array([row[i] for row in named], dtype=np.int64) for i in (0, 1))
+        children += MatSpace.extend_batch([block[p] for p in at], pts.flat[points])
+        members.append(_members(ext, ext.child[at, points]))
+    return children, spans, _stacked(members, len(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +525,7 @@ def spread_sets_by_rank(q, n, R, prune=None, progress=None):
     while dim < R:
         dim += 1
         started = time.perf_counter()
-        candidates, raw_count = _orbit_children(current, pts, automorphism_group)
+        candidates, raw_count, _ = _orbit_children(current, pts, automorphism_group)
         grown = time.perf_counter()
         classes = equivalence_classes(candidates)
         classified = time.perf_counter()
@@ -659,28 +691,36 @@ def disprove_rank(spread, R, aut=None, checkpoint=None, progress=None):
 
     Levels up to dimension 2n-2 are reduced to equivalence classes under the
     automorphism group (orbit representatives of the added point, then orbit
-    deduplication of the spans).  When no [R, n, n+1]_q code exists, the
-    (2n-1)-dimensional level keeps only spaces containing n linearly
-    independent rank ones.  The final level scans R-dimensional children up
-    to the first one spanned by rank ones, the witness; "exhausted" (no
-    witness) proves tensor rank > R.  A fresh run first tries _diag_probe.
+    deduplication of the spans, keyed by the rank-one points that the block
+    kernel knows).  When no [R, n, n+1]_q code exists, the (2n-1)-dimensional
+    level keeps only spaces containing n linearly independent rank ones.  The
+    final level scans R-dimensional children up to the first one spanned by
+    rank ones, the witness; "exhausted" (no witness) proves tensor rank > R.
+    A fresh run first tries _diag_probe.
 
     The other levels are scanned raw, and their children are rows [parent
     position, point index, score].  The scan evaluates _BLOCK parents at a
     time in one call of the block kernel and accounts for them in steps of
     _CHUNK parents: one log record and one progress event per step, and the
     final level stops after the first step with a witness, so levels,
-    witnesses and logs do not depend on _BLOCK.  With a
-    checkpoint path, the log's header is written before the first level (an
-    unwritable path raises OSError at once), and each step appends one record
-    (see _Checkpoint).  A run started again with the same spread set, R and
+    witnesses and logs do not depend on _BLOCK.  At R = 2n the final level's
+    parents are the filter level's rows, whose rank-one points that level
+    keeps in memory; the final level keys them in one orbit_keys pass,
+    evaluates only the first parent of each orbit under the automorphism
+    group, charges each later one the first's spans and witness count (orbit
+    invariants, so a later one never holds the first witness), and records
+    key_s and the parents evaluated in its timings entry.  With a checkpoint
+    path, the log's header is written before the first level (an unwritable
+    path raises OSError at once), and each step appends one record (see
+    _Checkpoint).  A run started again with the same spread set, R and
     filter setting recomputes the classified levels, replays the logged
-    steps and reproduces the levels, outcome and witness of an
-    uninterrupted run; any other file at that path, or a logged step
-    whose level has another number of parents, raises BadParameters and is
-    left as it is.  The file is removed when the run finishes.  When R = n
-    no level runs, and the outcome says whether the input is spanned by rank
-    ones.  An input whose dimension is not n, or R outside n..n^2, raises
+    steps (their rows carry no rank-one points, so those parents are
+    evaluated) and reproduces the levels, outcome, witness and log of an
+    uninterrupted run; any other file at that path, or a logged step whose
+    level has another number of parents, raises BadParameters and is left as
+    it is.  The file is removed when the run finishes.  When R = n no level
+    runs, and the outcome says whether the input is spanned by rank ones.
+    An input whose dimension is not n, or R outside n..n^2, raises
     BadParameters.
     """
     t0 = time.perf_counter()
@@ -733,10 +773,12 @@ def disprove_rank(spread, R, aut=None, checkpoint=None, progress=None):
     if records:
         report.flags.append("resumed-from-checkpoint")
 
-    def stabilizer(parent):
-        return aut if parent is space else aut.stabilizer_of_space(parent)
+    known = {}  # the rank-one points of the classified levels' spaces, by key
 
-    current, kept = [space], None  # a level's parents: current, or kept rows over it
+    def stabilizer(parent):
+        return aut if parent is space else aut.stabilizer_of_space(parent, known[parent.key])
+
+    current, kept, members = [space], None, None  # a level's parents: current, or kept rows over it
     dim = n
     while dim < R:
         dim += 1
@@ -745,9 +787,10 @@ def disprove_rank(spread, R, aut=None, checkpoint=None, progress=None):
         if dim <= 2 * n - 2 and not final:
             # per-parent stabilizer orbits pre-reduce the children, then
             # one global reduction under the full automorphism group
-            children, _ = _orbit_children(current, pts, stabilizer)
+            children, _, found = _orbit_children(current, pts, stabilizer)
             grown = time.perf_counter()
-            current = equivalence_classes(children, group=aut)
+            current = equivalence_classes(children, group=aut, members=found)
+            known = dict(zip((child.key for child in children), found))
             report.add_level({"dim": dim, "classes": len(current)}, started,
                              children_s=grown - started, classify_s=time.perf_counter() - grown)
             if progress:
@@ -758,52 +801,74 @@ def disprove_rank(spread, R, aut=None, checkpoint=None, progress=None):
         # (n at the filter level, R at the final one, which stops at its
         # first witness).  The level before the final one is ordered
         # richest first, so spanned spaces come early; at R = 2n that level
-        # is the filter level, which keeps scan order.
+        # is the filter level, which keeps scan order and, in memory only,
+        # the rank-one points of its kept children.
         # A non-final level scans all its parents, so it builds them first;
         # the final level builds each parent when its scan reaches it.
         filtering = prune_ok and dim == 2 * n - 1 and not final
         least = R if final else n if filtering else 0
         ordered = dim == R - 1 and not filtering
+        carry = filtering and dim == R - 1
         if kept is not None and not final:
             current, kept = _parents(current, kept, range(len(kept)), pts), None
-        rows, kept = kept, []
+        (rows, kept), (held, members) = (kept, []), (members, [])
         total = len(current if rows is None else rows)
         counts, pos = {"spaces": 0, "good": 0}, 0
         for step in (r for r in records or () if r["dim"] == dim):  # replay the log
             if step["parents_total"] != total:
                 raise log.refusal(f"level {dim} has {total} parents, not {step['parents_total']}")
             kept.extend(step["kept"])
+            members.append(np.zeros((len(step["kept"]), 0), dtype=np.uint8))  # not carried
             counts, pos = {"spaces": step["spaces"], "good": step["good"]}, step["parents_done"]
-        while pos < total and not (final and kept):
-            block = range(pos, min(pos + _BLOCK, total))
-            results = _process_parents(_parents(current, rows, block, pts), pts, least)
-            for start in range(0, len(block), _CHUNK):
-                chunk, kept_before = block[start:start + _CHUNK], len(kept)
+        # after the filter level, the final level evaluates the first parent
+        # from pos on of each orbit and charges the later ones its counts
+        keying, keyed = time.perf_counter(), final and held is not None
+        first, scan = range(total), range(pos, total)
+        if keyed:
+            first, seen = list(first), {}
+            todo = np.arange(pos, total)[(held[pos:] < len(pts)).any(axis=1)]  # not replayed
+            for j, key in zip(todo.tolist(), orbit_keys(held[todo], aut, np.full(todo.size, dim - 1))):
+                first[j] = seen.setdefault(key, j)
+            scan = [j for j in scan if first[j] == j]
+        phase, results = {"key_s": time.perf_counter() - keying, "evaluated": 0}, {}
+        for at in range(0, len(scan), _BLOCK):
+            if final and kept:  # the first witness, found or replayed
+                break
+            block = scan[at:at + _BLOCK]
+            phase["evaluated"] += len(block)
+            parents = _parents(current, rows, block, pts)
+            results.update(zip(block, _process_parents(parents, pts, least, members=carry)))
+            ready = scan[at + _BLOCK] if at + _BLOCK < len(scan) else total  # the parents before are settled
+            while min(pos + _CHUNK, total) <= ready and pos < total and not (final and kept):
+                chunk, kept_before = range(pos, min(pos + _CHUNK, total)), len(kept)
                 pos = chunk.stop
-                for j, (spans, points, scores) in zip(chunk, results[start:start + _CHUNK]):
+                for j in chunk:
+                    spans, points, scores, *found = results[first[j]] if keyed else results.pop(j)
                     counts["spaces"] += spans
                     counts["good"] += len(points)
-                    kept.extend([j, point, score] for point, score in zip(points, scores))
+                    if first[j] == j:
+                        kept.extend([j, point, score] for point, score in zip(points, scores))
+                        members += found
                 if final:
                     del kept[1:]
                 event = {"dim": dim, "parents_done": pos, "parents_total": total, **counts}
                 log.append({**event, "kept": kept[kept_before:]})
                 if progress:
                     progress(event)
-                if final and kept:
-                    break
 
         entry = {"dim": dim, "spaces": counts["spaces"]}
-        report.add_level(entry, started)
         if final:
+            report.add_level(entry, started, **phase)
             entry["witnesses"] = counts["good"]
             if kept:
                 j, point, _ = kept[0]
                 hit = _parents(current, rows, [j], pts)[0].extend(pts.flat[point])
                 report.witness = _witness_rank_ones(hit, pts)
             break
+        report.add_level(entry, started)
         if filtering:
             entry["survivors"] = counts["good"]
+        members = _stacked(members, len(pts)) if carry else None
         if ordered:
             kept.sort(key=lambda row: -row[2])  # stable: equal scores keep scan order
         if progress:

@@ -273,24 +273,39 @@ def test_charpoly_digits_match_digit_loop(q, n):
     assert np.ascontiguousarray(reversed_grid).tobytes() == oracle_charpoly_digits(q, n).tobytes()
 
 
+def fill_code_table(n, step):
+    """The q = 2 charpoly table, empty at first, after _cp_of_mats has been
+    asked for every n x n matrix in batches of step, each batch half new
+    codes and half codes of the batch before, repeats included."""
+    equivalence._charpoly_code_table.cache_clear()
+    mats = oracle_charpoly_digits(2, n).reshape(-1, n, n)
+    for lo in range(0, len(mats), step):
+        batch = np.concatenate([mats[lo:lo + step], mats[max(0, lo - step // 2):lo + step // 2]])
+        equivalence._cp_of_mats(batch, 2)
+    return equivalence._charpoly_code_table(2, n)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_charpoly_code_table_matches_digit_loop(n):
-    # the table is built in blocks; the oracle runs the kernel on all at once
+    # the table is filled lazily, batch by batch; the oracle runs the kernel
+    # on all at once
     digits = oracle_charpoly_digits(2, n)
     cps = gf.charpoly_batch(digits.reshape(-1, n, n), 2)
     ids = codec.encode_rows(cps[:, 1:], 2)
-    got = equivalence._charpoly_code_table(2, n)
+    got = fill_code_table(n, max(1, 2 ** (n * n) // 16))
     assert got.tobytes() == ids.tobytes()
+    equivalence._charpoly_code_table.cache_clear()
 
 
 def test_charpoly_code_table_build_peak_memory():
     # one charpoly_batch over all 65,536 matrices peaked at about 27 MB; the
-    # digit grid alone is 8.4 MB
-    equivalence._charpoly_code_table.cache_clear()
+    # digit grid alone is 8.4 MB.  Filling the table in batches of 4,096
+    # stays below 16 MB
     tracemalloc.start()
     try:
-        equivalence._charpoly_code_table(2, 4)
+        fill_code_table(4, 4096)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+        equivalence._charpoly_code_table.cache_clear()
     assert peak < 16e6

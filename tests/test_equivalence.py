@@ -354,6 +354,109 @@ def test_point_action_requires_group_space_plus_rank_one_span():
             aut.stabilizer_of_space(bad)
         with pytest.raises(BadParameters):
             equivalence.equivalence_classes([bad], group=aut)
+    # given member lists are checked too: extra has no rank-one point, and
+    # the F16 plus one point of a dim-6 space span only dim 5
+    point = int(np.nonzero(~f16.contains_batch(pts.flat))[0][0])
+    wide = f16.extend(pts.flat[point]).extend(rng.integers(0, 2, 16))
+    for bad, members in ((extra, np.zeros((1, 0), dtype=np.int64)), (wide, np.array([[point]]))):
+        with pytest.raises(BadParameters):
+            equivalence.orbit_keys(members, aut, [bad.dim])
+        with pytest.raises(BadParameters):
+            aut.stabilizer_of_space(bad, members[0])
+        with pytest.raises(BadParameters):
+            equivalence.equivalence_classes([bad], group=aut, members=members)
+
+
+# ---------------------------------------------------------------------------
+# Orbit keys from member lists against the per-space key they replaced
+# ---------------------------------------------------------------------------
+
+
+def oracle_rank_one_points_inside(space, group):
+    """Sorted indices (into points_for) of the rank-one points in the space.
+
+    They determine the space only when it is group.space plus their span,
+    so that is checked: for such spaces, g maps V onto V' iff it maps the
+    points of V onto those of V', since g fixes group.space.
+    """
+    pts = search.points_for(space.q, space.n)
+    inside = np.nonzero(space.contains_batch(pts.flat))[0]
+    rows = pts.flat[inside]
+    if group.space is not None:
+        if not space.contains_space(group.space):
+            raise BadParameters("space does not contain the group's space")
+        rows = np.concatenate([group.space.basis, rows])
+    if gf.rank(rows, space.q) != space.dim:
+        raise BadParameters("space is not the group's space plus its rank-one points")
+    return inside
+
+
+def oracle_orbit_canonical_key(space, group):
+    """Least sorted image, over the group, of the space's rank-one points."""
+    images = np.sort(group.point_images(oracle_rank_one_points_inside(space, group)), axis=1)
+    for col in range(images.shape[1]):
+        images = images[images[:, col] == images[:, col].min()]
+    return images[0].tobytes()
+
+
+def member_lists(members, npts):
+    """The rows of a member array, each sorted and without its padding."""
+    return [np.sort(row[row < npts]).tolist() for row in members]
+
+
+def classified_inputs(monkeypatch, space, R):
+    """(spaces, group, members) of each equivalence_classes call of the
+    classified levels of disprove_rank(space, R), diagonal probe off."""
+    calls = []
+    classes = search.equivalence_classes
+
+    def recording(spaces, group=None, members=None):
+        calls.append((list(spaces), group, members))
+        return classes(spaces, group=group, members=members)
+
+    monkeypatch.setattr(search, "_diag_probe", lambda space, R, pts: None)
+    monkeypatch.setattr(search, "equivalence_classes", recording)
+    search.disprove_rank(space, R)
+    monkeypatch.undo()
+    return calls
+
+
+def test_orbit_keys_of_spaces_without_rank_one_points(monkeypatch):
+    # one space a pass, so that a pass holds only a space without members
+    monkeypatch.setattr(equivalence, "_ORBIT_KEY_ROWS", 1)
+    group = equivalence.StabilizerGroup.trivial(2, 2)
+    zero = algebra.MatSpace.from_rows(2, 2, np.zeros((0, 4), dtype=np.uint8))
+    one = algebra.MatSpace.from_rows(2, 2, search.points_for(2, 2).flat[:1])
+    members = equivalence._points_inside([zero, one, zero], group)
+    keys = equivalence.orbit_keys(members, group, [0, 1, 0])
+    assert keys == [b"", oracle_orbit_canonical_key(one, group), b""]
+
+
+@pytest.mark.parametrize("name, R, seed", [("F16", 8, None), ("S1", 8, None), ("S2", 8, None),
+                                           ("F81", 7, None), ("F81", 7, 1), ("F81", 7, 2)])
+def test_orbit_keys_match_per_space_oracle_on_classified_levels(monkeypatch, name, R, seed):
+    # every input of every classified level, on the atlas presentation and
+    # on two seeded isotopic images of F81
+    space = atlas.atlas_get(name).space()
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        moved = equivalence.Isotopism(random_invertible(rng, 3, 4), random_invertible(rng, 3, 4), 3)
+        space = equivalence.act(moved, space)
+    calls = classified_inputs(monkeypatch, space, R)
+    assert [len(spaces) > 0 for spaces, _, _ in calls] == [True, True]
+    for spaces, group, members in calls:
+        npts = len(search.points_for(group.q, group.n))
+        inside = [oracle_rank_one_points_inside(s, group).tolist() for s in spaces]
+        assert member_lists(members, npts) == inside  # the kernel's lists are the containment lists
+        keys = equivalence.orbit_keys(members, group, [s.dim for s in spaces])
+        assert keys == [oracle_orbit_canonical_key(s, group) for s in spaces]
+        with monkeypatch.context() as patch:  # a few spaces a pass
+            patch.setattr(equivalence, "_ORBIT_KEY_ROWS", 100)
+            assert equivalence.orbit_keys(members, group, [s.dim for s in spaces]) == keys
+        assert [equivalence._orbit_canonical_key(s, group) for s in spaces[:20]] == keys[:20]
+        for s, row in list(zip(spaces, members))[:5]:
+            with_members, found = group.stabilizer_of_space(s, row), group.stabilizer_of_space(s)
+            assert np.array_equal(with_members.A, found.A) and np.array_equal(with_members.B, found.B)
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +510,15 @@ def test_charpoly_table_ids_equal_kernel_ids(monkeypatch, n, sample):
     if sample:
         mats = mats[np.random.default_rng(n).choice(len(mats), sample, replace=False)]
     kernel_ids = equivalence._charpoly_ids(mats, 2)
-    equivalence._charpoly_code_table(2, n)
+    equivalence._charpoly_code_table.cache_clear()
+    filled = equivalence._cp_of_mats(mats, 2)  # fills the table's entries of these codes
 
     def no_kernel(mats, q):
         raise AssertionError("the q = 2 path ran the kernel")
 
     monkeypatch.setattr(gf, "charpoly_batch", no_kernel)
     table_ids = equivalence._cp_of_mats(mats, 2)
-    assert table_ids.tobytes() == kernel_ids.tobytes()
+    assert filled.tobytes() == table_ids.tobytes() == kernel_ids.tobytes()
     assert len(np.unique(kernel_ids)) == 2**n  # every monic charpoly of degree n occurs
 
 

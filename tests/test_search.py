@@ -1,5 +1,7 @@
 import functools
 import json
+import os
+import tempfile
 import types
 
 import numpy as np
@@ -392,37 +394,60 @@ def interrupt_at(dim, event):
     return progress
 
 
+def cleared_logs(monkeypatch):
+    """The bytes of each checkpoint log that a finished run removes, in
+    order; the logs are still removed."""
+    logs, clear = [], search._Checkpoint.clear
+
+    def keeping(log):
+        with open(log.path, "rb") as fh:
+            logs.append(fh.read())
+        clear(log)
+
+    monkeypatch.setattr(search._Checkpoint, "clear", keeping)
+    return logs
+
+
 @functools.lru_cache(maxsize=None)
 def uninterrupted(n, R):
-    return search.disprove_rank(algebra.field_construct(2, n), R)
+    """The report of disprove_rank(F_2^n, R) and the bytes of its log."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        logs = cleared_logs(patch)
+        report = search.disprove_rank(algebra.field_construct(2, n), R, checkpoint=os.path.join(tmp, "s.json"))
+    return report, logs[0]
 
 
 @pytest.mark.parametrize(
-    "n, R, dim, event",
+    "n, R, dim, event, then",
     [
         # F8 R=5: the only chunk of the final level
-        pytest.param(3, 5, 5, 1, id="f8-final-only"),
+        pytest.param(3, 5, 5, 1, None, id="f8-final-only"),
         # F16 R=8: the raw filter level has 8 chunks, the final level 26
-        pytest.param(4, 8, 7, 1, id="f16-raw-first"),
-        pytest.param(4, 8, 7, 4, id="f16-raw-middle"),
-        pytest.param(4, 8, 8, 13, id="f16-final-middle"),
+        pytest.param(4, 8, 7, 1, None, id="f16-raw-first"),
+        pytest.param(4, 8, 7, 4, None, id="f16-raw-middle"),
+        pytest.param(4, 8, 8, 13, None, id="f16-final-middle"),
         # inside a kernel block, not at its edge: the filter level is one
         # block of 8 chunks, and the final level's second block holds
         # chunks 17-26, so the resumed run's blocks start at chunk 21
-        pytest.param(4, 8, 7, 6, id="f16-raw-inside-block"),
-        pytest.param(4, 8, 8, 20, id="f16-final-inside-second-block"),
+        pytest.param(4, 8, 7, 6, None, id="f16-raw-inside-block"),
+        pytest.param(4, 8, 8, 20, None, id="f16-final-inside-second-block"),
         # F16 R=8: the last final chunk, after every other one found nothing
-        pytest.param(4, 8, 8, 26, id="f16-final-last"),
+        pytest.param(4, 8, 8, 26, None, id="f16-final-last"),
+        # F16 R=8: interrupted in the filter level, then, resumed with half
+        # of it replayed, in the final level; the last run replays the whole
+        # filter level, whose kept rows carry no rank-one points, so its
+        # final level keys none of its parents
+        pytest.param(4, 8, 7, 4, (8, 13), id="f16-final-after-replayed-filter"),
         # F8 R=8: dim 7 is ordered by rank-one content for the witness level
-        pytest.param(3, 8, 7, 1, id="f8-ordered-first"),
-        pytest.param(3, 8, 7, 3, id="f8-ordered-third"),
+        pytest.param(3, 8, 7, 1, None, id="f8-ordered-first"),
+        pytest.param(3, 8, 7, 3, None, id="f8-ordered-third"),
         # F8 R=8: the first final chunk holds the witness that stops the run
-        pytest.param(3, 8, 8, 1, id="f8-final-witness-chunk"),
+        pytest.param(3, 8, 8, 1, None, id="f8-final-witness-chunk"),
     ],
 )
-def test_disprove_rank_checkpoint_resume(tmp_path, n, R, dim, event):
+def test_disprove_rank_checkpoint_resume(monkeypatch, tmp_path, n, R, dim, event, then):
     spread = algebra.field_construct(2, n)
-    baseline = uninterrupted(n, R)
+    baseline, baseline_log = uninterrupted(n, R)
 
     ckpt = tmp_path / "state.json"
     with pytest.raises(Stop):
@@ -432,17 +457,28 @@ def test_disprove_rank_checkpoint_resume(tmp_path, n, R, dim, event):
     assert_step_records(records[1:])
     assert [r["dim"] for r in records[1:]].count(dim) == event
     assert records[-1]["dim"] == dim
+    if then:
+        with pytest.raises(Stop):
+            search.disprove_rank(spread, R, checkpoint=str(ckpt), progress=interrupt_at(*then))
+        records = log_records(ckpt)
+        assert_step_records(records[1:])
+        assert [r["dim"] for r in records[1:]].count(then[0]) == then[1]
+    logs = cleared_logs(monkeypatch)
     resumed = search.disprove_rank(spread, R, checkpoint=str(ckpt))
     assert "resumed-from-checkpoint" in resumed.flags
     assert resumed.outcome == baseline.outcome
     assert resumed.levels == baseline.levels
     assert resumed.witness == baseline.witness
+    assert logs == [baseline_log]  # the log ends byte for byte as an uninterrupted run's
     assert not ckpt.exists()  # cleared after a finished run
+    if then:  # no parent of the resumed final level was keyed: all of its rest was evaluated
+        total = baseline.level(7)["survivors"]
+        assert resumed.timings[-1]["evaluated"] == total - then[1] * search._CHUNK
 
 
 def test_disprove_rank_resumes_past_a_torn_last_record(tmp_path):
     f8 = algebra.field_construct(2, 3)
-    baseline = uninterrupted(3, 8)
+    baseline, _ = uninterrupted(3, 8)
     ckpt = tmp_path / "state.json"
     # interrupted at the third step of the ordered level, with the third
     # step's record cut in half
@@ -525,24 +561,27 @@ def test_disprove_rank_builds_fewer_spaces_than_its_dim7_level(monkeypatch):
 def test_disprove_rank_filter_level_at_2n_keeps_scan_order(monkeypatch):
     # F16 R=8: dim 7 is both the filter level and level R - 1, so it is not
     # ordered; the final level scans the dim-7 survivors as they were found
+    # (the first of each Aut(F16)-orbit of them, see the final-level tests)
     pts = search.points_for(2, 4)
     seen = []
     process = search._process_parents
 
-    def recording(parents, pts, least):
-        results = process(parents, pts, least)
-        seen.extend((parent, points) for parent, (_, points, _) in zip(parents, results))
+    def recording(parents, pts, least, **kw):
+        results = process(parents, pts, least, **kw)
+        seen.extend((parent, result[1]) for parent, result in zip(parents, results))
         return results
 
     monkeypatch.setattr(search, "_diag_probe", lambda space, R, pts: None)
     monkeypatch.setattr(search, "_process_parents", recording)
-    rep = search.disprove_rank(algebra.field_construct(2, 4), 8)
+    f16 = algebra.field_construct(2, 4)
+    rep = search.disprove_rank(f16, 8)
     assert rep.level(7)["survivors"] == 102
     survivors = [
-        parent.extend(pts.flat[point]).key
+        parent.extend(pts.flat[point])
         for parent, points in seen if parent.dim == 6 for point in points
     ]
-    assert [parent.key for parent, _ in seen if parent.dim == 7] == survivors
+    firsts = orbit_firsts(survivors, equivalence.automorphism_group(f16.space))
+    assert [parent.key for parent, _ in seen if parent.dim == 7] == [s.key for s in firsts]
 
 
 def test_disprove_rank_runs_on_after_a_filter_level_without_survivors(monkeypatch):
@@ -550,8 +589,8 @@ def test_disprove_rank_runs_on_after_a_filter_level_without_survivors(monkeypatc
     # kept there, the levels above it have no parents and nothing to build
     process = search._process_parents
 
-    def none_kept(parents, pts, least):
-        results = process(parents, pts, least)
+    def none_kept(parents, pts, least, **kw):
+        results = process(parents, pts, least, **kw)
         return [(spans, [], []) for spans, _, _ in results] if least == 4 else results
 
     monkeypatch.setattr(search, "_diag_probe", lambda space, R, pts: None)
@@ -600,7 +639,11 @@ def test_reports_time_every_level():
                         (reports[1], ("children_s", "classify_s")),
                         (reports[2], ("children_s", "classify_s", "filter_s"))):
         for entry, t in zip(rep.levels, rep.timings):
-            if "classes" not in entry:  # a raw level of disprove_rank
+            if "witnesses" in entry:  # the final level of disprove_rank
+                assert set(t) == {"dim", "wall_s", "key_s", "evaluated"}
+                assert 0 <= t["key_s"] <= t["wall_s"] and t["evaluated"] > 0
+                continue
+            if "classes" not in entry:  # another raw level of disprove_rank
                 assert set(t) == {"dim", "wall_s"}
                 continue
             assert set(t) == {"dim", "wall_s", *phases}
@@ -608,6 +651,8 @@ def test_reports_time_every_level():
             assert sum(t[k] for k in phases) <= t["wall_s"]
     assert [e["dim"] for e in reports[0].levels if "classes" in e] == [5, 6]
     assert [e["dim"] for e in reports[1].levels if "classes" in e] == [4]
+    # F16 R=8 evaluates one final parent per orbit; F8 R=8 one block, up to its witness
+    assert [rep.timings[-1]["evaluated"] for rep in reports[:2]] == [16, search._BLOCK]
 
 
 def test_tensor_rank_events_carry_their_target():
@@ -887,14 +932,21 @@ def test_process_parent_matches_full_profile_at_every_threshold(name):
 
 def recorded_raw_parents(monkeypatch, name, R):
     """{level dim: its parents} of disprove_rank(name, R) with the probe off,
-    recorded from the blocks of its raw levels; the test's monkeypatches are
-    undone afterwards."""
+    recorded from the blocks of its raw levels before the final one, which
+    keep the final level's parents (R = 2n: the level before it is not
+    ordered); the test's monkeypatches are undone afterwards."""
     levels = {}
     process = search._process_parents
 
-    def recording(parents, pts, least):
-        levels.setdefault(parents[0].dim + 1, []).extend(parents)
-        return process(parents, pts, least)
+    def recording(parents, pts, least, **kw):
+        # the final level evaluates one parent per orbit: its parents are
+        # recorded as the level before it keeps them
+        results = process(parents, pts, least, **kw)
+        if parents[0].dim + 1 < R:
+            levels.setdefault(parents[0].dim + 1, []).extend(parents)
+            levels.setdefault(parents[0].dim + 2, []).extend(
+                parent.extend(pts.flat[point]) for parent, result in zip(parents, results) for point in result[1])
+        return results
 
     monkeypatch.setattr(search, "_diag_probe", lambda space, R, pts: None)
     monkeypatch.setattr(search, "_process_parents", recording)
@@ -916,6 +968,15 @@ def test_process_parents_matches_oracles_on_every_raw_parent_at_rank_8(monkeypat
                 got = search._process_parents(block, pts, least)
                 assert got == [oracle_process_parent(parent, pts, least) for parent in block]
             assert_block_matches_oracles(block, pts, 8)
+            if dim == 8:
+                continue
+            # the rank-one points of the filter survivors, as containment finds them
+            with_members = search._process_parents(block, pts, 4, members=True)
+            assert [row[:3] for row in with_members] == search._process_parents(block, pts, 4)
+            for parent, (_, points, _, members) in zip(block, with_members):
+                for point, row in zip(points, members):
+                    inside = parent.extend(pts.flat[point]).contains_batch(pts.flat)
+                    assert sorted(row[row < len(pts)].tolist()) == np.nonzero(inside)[0].tolist()
 
 
 @pytest.mark.slow
@@ -929,6 +990,76 @@ def test_process_parents_matches_oracles_on_f81_dim7_parents(monkeypatch):
     for block in (sample[: search._BLOCK], sample[search._BLOCK:]):
         for least in (0, 4, 8):
             assert_block_matches_oracles(block, pts, least)
+
+
+def orbit_firsts(spaces, group):
+    """The first of the spaces in each orbit of the group, in order."""
+    seen = set()
+    keys = equivalence.orbit_keys(equivalence._points_inside(spaces, group), group, [s.dim for s in spaces])
+    return [s for s, key in zip(spaces, keys) if not (key in seen or seen.add(key))]
+
+
+# final-level parents of disprove_rank(name, 8) and their Aut(S)-orbits
+FINAL_ORBITS = {"F16": (102, 16), "S1": (816, 127), "F81": (2688, 414), "S2": (4422, 720)}
+
+
+@pytest.mark.parametrize("name", sorted(FINAL_ORBITS))
+def test_final_level_parents_share_their_orbit_firsts_counts(monkeypatch, name):
+    # every final-level parent, evaluated: its spans and witness count are
+    # those of the first parent of its orbit, which the final level charges
+    # it; only the first parents are evaluated, each once
+    parents = recorded_raw_parents(monkeypatch, name, 8)[8]
+    spread = atlas.atlas_get(name).spread_set()
+    aut = equivalence.automorphism_group(spread.space)
+    pts = search.points_for(spread.q, spread.n)
+    keys = equivalence.orbit_keys(equivalence._points_inside(parents, aut), aut, [7] * len(parents))
+    counts = [
+        (spans, len(points))
+        for start in range(0, len(parents), search._BLOCK)
+        for spans, points, _ in search._process_parents(parents[start:start + search._BLOCK], pts, 8)
+    ]
+    first = {}
+    for key, count in zip(keys, counts):
+        assert first.setdefault(key, count) == count
+    assert (len(parents), len(first)) == FINAL_ORBITS[name]
+    evaluated = []
+    process = search._process_parents
+
+    def recording(block, pts, least, **kw):
+        if block[0].dim == 7:
+            evaluated.extend(block)
+        return process(block, pts, least, **kw)
+
+    monkeypatch.setattr(search, "_diag_probe", lambda space, R, pts: None)
+    monkeypatch.setattr(search, "_process_parents", recording)
+    rep = search.disprove_rank(spread, 8)
+    assert [p.key for p in evaluated] == [p.key for p in orbit_firsts(parents, aut)]
+    assert rep.level(8) == {"dim": 8, "spaces": sum(c[0] for c in counts), "witnesses": 0}
+    assert rep.timings[-1]["evaluated"] == len(first)
+
+
+def test_final_level_charges_the_witness_steps_later_orbit_members(monkeypatch):
+    # F8 R=6, probe off: the first final step holds the witness.  Two of its
+    # four parents are evaluated, with 3 and 2 witness children; the other
+    # two lie in their orbits and are charged those counts, not 0, so the
+    # level counts the 9 witnesses of FROZEN_RUNS
+    goods = []
+    process = search._process_parents
+
+    def recording(block, pts, least, **kw):
+        results = process(block, pts, least, **kw)
+        if block[0].dim == 5:
+            goods.extend(len(points) for _, points, _ in results)
+        return results
+
+    monkeypatch.setattr(search, "_diag_probe", lambda space, R, pts: None)
+    monkeypatch.setattr(search, "_process_parents", recording)
+    events = []
+    rep = search.disprove_rank(algebra.field_construct(2, 3), 6, progress=events.append)
+    assert goods == [3, 2]
+    assert events[-1] == {"dim": 6, "parents_done": 4, "parents_total": 12, "spaces": 60, "good": 9}
+    assert rep.level(6) == {"dim": 6, "spaces": 60, "witnesses": 9}
+    assert rep.timings[-1]["evaluated"] == 2
 
 
 def test_process_parents_mixes_skipped_and_ranked_parents_in_one_block(monkeypatch):
@@ -1157,7 +1288,7 @@ def test_diag_probe_matches_scan_oracle(name):
 
 def test_disprove_rank_checkpoint_records_the_filter_flag(tmp_path):
     f16 = algebra.field_construct(2, 4)
-    baseline = uninterrupted(4, 8)
+    baseline, _ = uninterrupted(4, 8)
     ckpt = tmp_path / "state.json"
     with pytest.raises(Stop):
         search.disprove_rank(f16, 8, checkpoint=str(ckpt), progress=interrupt_at(7, 1))
