@@ -1,27 +1,22 @@
 """Equivalence of matrix spaces under (A, B) . X = A X B with A, B invertible.
 
-Testing is anchored: fix an invertible X1 in S1; for each invertible Y in S2
-the unknown B equals (A X1)^-1 Y, which reduces A S1 B = S2 to the conjugacy
-problem A (S1 X1^-1) A^-1 = S2 Y^-1 between spaces containing the identity.
-Conjugacy is solved by guessing images of a few generators among elements of
-the target with matching characteristic polynomial; each guess is a linear
-constraint on A, so the search intersects nullspaces and enumerates the last
-small solution space.  The candidates of that space are validated as a batch:
-one batched inverse, one product for the images of the basis of U under
-every candidate, and one membership test in V.
+Testing is anchored: an isotopism sends the anchor x of S1 to a unit
+multiple of some invertible y of S2, and then B = (A x)^-1 y, which reduces
+A S1 B = S2 to the conjugacy problem A (S1 x^-1) A^-1 = S2 y^-1 between
+spaces containing the identity.  The anchor is the element of S1 whose cpm
+class (charpoly multiset of S1 x^-1) is rarest in S2, least index first,
+which leaves the fewest images y.  Division signatures, the multisets of
+those classes, are full invariants and are compared first.
 
-Anchor candidates are pre-filtered by division signatures: the multiset, over
-invertible Y, of characteristic-polynomial multisets of S Y^-1 is a full
-G-invariant of S and is compared before any backtracking.
-
-Both are_equivalent and automorphism_group anchor on the element of S1
-whose cpm class (charpoly multiset of S1 X1^-1) is rarest in S2, least
-index first, which leaves the fewest images Y to try.  are_equivalent runs
-one first-hit search per Y, in order, and stops at the first hit.
-automorphism_group (S1 = S2) runs no search: of the normal forms of
-U = S X1^-1 and each S Y^-1 under spin frames [v1, g v1, .., v2, g v2, ..]
-of their members g, those at X1 that tie give the conjugation stabilizer of
-U, and one of S Y^-1 among them gives Y's representative.
+Conjugacy is decided by normal forms, not by a search (_conjugators): the
+members g of U = S1 x^-1 of one conjugation-invariant kind have spin frames
+K = [v1, g v1, .., v2, g v2, ..], which a conjugator maps onto the frames
+of the same kind in the target, so y is reached iff one frame of one member
+of S2 y^-1 has the normal form (K^-1 g K, RREF of K^-1 U K) of a frame at x.
+are_equivalent returns the first reached pair, and automorphism_group
+(S1 = S2) every reached pair times the conjugation stabilizer of U, which
+the frames at x that tie with the first give.  Two 1-dimensional spaces
+with an invertible element are isotopic outright.
 
 Classification (equivalence_classes without a group) keys each space once
 instead of testing pairs.  The canonical isotopism key normalises twice:
@@ -66,7 +61,7 @@ from .algebra import MatSpace, SpreadSet, points_for, rank_one_elements
 from .codec import encode_rows
 from .errors import BadParameters, NotContained, NotInvertible, TooLarge
 
-_ENUMERATE_CAP = 1 << 13  # max q^dim scanned when a solution space is left, max spin frames
+_ENUMERATE_CAP = 1 << 13  # max spin frames
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +409,11 @@ def _min_degrees(G, q):
     return gf.rank_batch(np.stack(powers, axis=-1).reshape(len(G), -1, G.shape[-1]), q)
 
 
-def _spin_frames(G, spaces, q):
+def _spin_frames(G, spaces, q, lone=None):
     """(K, K^-1, member) over the spin frames of a (k, n, n) stack, g-major,
     as uint8 stacks: member[i] is the index of K[i]'s g, a member of the
-    space U with basis matrices spaces[i].
+    space U with basis matrices spaces[i].  The members from index lone on
+    get one frame each, the one that takes the first best v of each pass.
 
     A spin frame is [v1, g v1, .., v2, g v2, ..], in (v1, v2, ..) order: v1
     is projective, and each vj has the longest spin under g modulo the
@@ -453,6 +449,9 @@ def _spin_frames(G, spaces, q):
             span[refine] = gf.rank_batch(Uv.reshape(-1, Uv.shape[2], n), q).reshape(-1, m)
             score = rank * (n + 1) - span
             parent, v = np.nonzero(score == score.max(axis=1, keepdims=True))
+            if lone is not None:  # a member from lone on keeps its first best v
+                keep = (g[parent] < lone) | np.append(True, parent[1:] != parent[:-1])
+                parent, v = parent[keep], v[keep]
             at, c, g = parent * m + v, rank[parent, v], g[parent]
             K, full = np.where(np.arange(n) < c[:, None, None], M[at], 0).astype(np.uint8), c == n
             parts.append((K[full], M_inv[at[full]], g[full], K[~full], c[~full], g[~full]))
@@ -480,164 +479,71 @@ def space_data(space):
 
 
 # ---------------------------------------------------------------------------
-# Conjugacy search: all invertible A with A U A^-1 = V, U and V unital
-# ---------------------------------------------------------------------------
-
-
-def _unital_generators(space):
-    """Basis of the space of the form [I, g2, .., gk]."""
-    n = space.n
-    ident = np.eye(n, dtype=np.int64).reshape(-1)
-    coeffs = gf.solve(space.basis.T, ident, space.q)
-    if coeffs is None:
-        raise NotContained("space does not contain the identity")
-    pivot = int(np.nonzero(coeffs)[0][0])
-    gens = [space.basis[i] for i in range(space.dim) if i != pivot]
-    return [g.reshape(n, n).astype(np.int64) for g in gens]
-
-
-def _constraint_matrix(g, W, q, n):
-    """Matrix of A -> A g - W A acting on row-major flattened A.
-
-    Entry [(i, j), (k, l)] is [i = k] g[l, j] - W[i, k] [j = l].
-    """
-    eye = np.eye(n, dtype=np.int64)
-    C = (
-        eye[:, None, :, None] * g.T[None, :, None, :]
-        - W[:, None, :, None] * eye[None, :, None, :]
-    )
-    return C.reshape(n * n, n * n) % q
-
-
-def _intersect(basis, C, q):
-    """Intersect span(basis rows) with the nullspace of C (acting on columns)."""
-    if basis.shape[0] == 0:
-        return basis
-    proj = (C @ basis.T.astype(np.int64)) % q
-    null = gf.nullspace(proj, q)
-    if null.shape[0] == 0:
-        return basis[:0]
-    return (null.astype(np.int64) @ basis.astype(np.int64)) % q
-
-
-def _conjugating(cands, u_mats, V_space, q):
-    """The candidates A of a (B, n, n) stack with A U A^-1 in V_space for
-    every U in u_mats, in input order.
-
-    One batched inverse, one product and one membership test cover the
-    whole stack.
-    """
-    inverses, invertible = gf.inverse_batch(cands, q)
-    A = cands[invertible].astype(np.int64)
-    A_inv = inverses[invertible].astype(np.int64)
-    images = (A[:, None] @ u_mats[None] @ A_inv[:, None]) % q
-    inside = V_space.contains_batch(images.reshape(-1, images.shape[-1] ** 2))
-    return A[inside.reshape(A.shape[0], u_mats.shape[0]).all(axis=1)].astype(np.uint8)
-
-
-def _conjugators(dataU, dataV, find_all):
-    """Invertible A with A U A^-1 = V, as a (k, n, n) uint8 stack: all of
-    them with find_all (the tests' oracle), else at most the first.
-
-    dataU/dataV wrap unital spaces of equal dimension whose charpoly
-    multisets already match.
-    """
-    q, n = dataU.q, dataU.n
-    U_space, V_space = dataU.space, dataV.space
-    gens = _unital_generators(U_space)
-    if not gens and not find_all:
-        return np.eye(n, dtype=np.uint8)[None]
-
-    v_mats = dataV.elems.reshape(-1, n, n).astype(np.int64)
-    v_ids = dataV.cp_ids
-    if gens:
-        gen_ids = _cp_of_mats(np.stack(gens), q)
-        by_count = sorted(
-            range(len(gens)), key=lambda i: int((v_ids == gen_ids[i]).sum())
-        )
-        gens = [gens[i] for i in by_count]
-        gen_ids = gen_ids[by_count]
-    u_mats = U_space.basis.reshape(-1, n, n).astype(np.int64)
-    empty = np.zeros((0, n, n), dtype=np.uint8)
-
-    def search(idx, basis):
-        """Conjugators in span(basis), guessing images of gens[idx:] in V."""
-        d = basis.shape[0]
-        if d == 0:
-            return empty
-        if idx == len(gens) or q**d <= 256:
-            if q**d > _ENUMERATE_CAP:
-                raise TooLarge(f"conjugacy solution space q^{d} too large to scan")
-            cands = (gf.coefficient_grid(q, d)[1:] @ basis.astype(np.int64)) % q
-            found = _conjugating(cands.reshape(-1, n, n), u_mats, V_space, q)
-            return found if find_all else found[:1]
-        found = []
-        for wi in np.nonzero(v_ids == gen_ids[idx])[0]:
-            C = _constraint_matrix(gens[idx], v_mats[wi], q, n)
-            sub = search(idx + 1, _intersect(basis, C, q))
-            if len(sub) and not find_all:
-                return sub
-            found.append(sub)
-        return np.concatenate(found) if found else empty
-
-    return search(0, np.eye(n * n, dtype=np.uint8))
-
-
-# ---------------------------------------------------------------------------
 # Equivalence testing
 # ---------------------------------------------------------------------------
 
 
-def _right_translate(space, m_inv):
-    n = space.n
-    mats = space.basis.reshape(-1, n, n).astype(np.int64)
-    rows = (mats @ m_inv) % space.q
-    return MatSpace.from_rows(space.q, n, rows.reshape(-1, n * n))
+def _conjugators(d1, d2):
+    """Normal forms at the anchor x of S1 against S2: ((x, x^-1, K, K^-1)
+    over the frames K at x, their forms, and the (A_y, B_y) stacks of the
+    reached images y in division_data order).
 
-
-def _anchor(d1, d2):
-    """(x, data of S1 x^-1, images) for the anchor x of S1 against S2.
-
-    The anchor is the projective invertible element of S1 whose cpm key is
-    rarest among those of S2, the least index on ties.  An isotopism sends x
-    to a unit multiple of one of its images: the (index, inverse) pairs of
-    the projective invertible elements of S2 with x's cpm key, in
-    division_data order.
+    x is the projective invertible element of S1 whose cpm class is rarest
+    in S2 (which must hold it), least index on ties; an isotopism sends x
+    to a unit multiple of an image y of S2 in that class.  The members g
+    of U = S1 x^-1 of the (charpoly id, minimal-polynomial degree) of most
+    degree, then fewest members, then least id have the normal forms
+    (K^-1 g K, RREF of K^-1 U K) over their spin frames K.  A conjugator
+    of U onto S2 y^-1 maps those frames onto the frames of the members of
+    S2 y^-1 in that group, so y is reached iff any one frame K_y of its
+    first such member has the form of a frame K_i at x, and then
+    (A_y, B_y) = (K_y K_i^-1, x^-1 K_i K_y^-1 y) by _key_isotopism.  One
+    _spin_frames call and one RREF pass cover every frame.
     """
-    _, per_y1 = d1.division_data
-    _, per_y2 = d2.division_data
-    count2 = Counter(k for k, _, _ in per_y2)
-    cpm_x, x_idx, x_inv = min(per_y1, key=lambda item: (count2[item[0]], item[1]))
-    x = d1.elems[x_idx].reshape(d1.n, d1.n).astype(np.int64)
-    images = [(y_idx, y_inv) for cpm, y_idx, y_inv in per_y2 if cpm == cpm_x]
-    return x, space_data(_right_translate(d1.space, x_inv.astype(np.int64))), images
-
-
-def _anchored_isotopism(x, dataU, d2, y_idx, y_inv):
-    """An isotopism (A, B) from S1 to S2 with A x B = y, as (n, n) uint8
-    matrices, or None when there is none.
-
-    dataU wraps S1 x^-1, and y is element y_idx of S2, with inverse y_inv.
-    A is the first conjugator of S1 x^-1 onto S2 y^-1 that the search finds
-    and B = (A x)^-1 y.
-    """
-    q, n = d2.q, d2.n
-    V = _right_translate(d2.space, y_inv.astype(np.int64))
-    As = _conjugators(dataU, space_data(V), find_all=False)
-    if not len(As):
-        return None
-    inverse, invertible = gf.inverse_batch((As.astype(np.int64) @ x) % q, q)
-    if not invertible.all():
-        raise NotInvertible("a conjugator times the anchor is singular")
-    y = d2.elems[y_idx].reshape(n, n).astype(np.int64)
-    return As[0], ((inverse[0].astype(np.int64) @ y) % q).astype(np.uint8)
+    q, n = d1.q, d1.n
+    count = Counter(cpm for cpm, _, _ in d2.division_data[1])
+    cpm_x, x_idx, x_inv = min(d1.division_data[1], key=lambda item: (count[item[0]], item[1]))
+    y_idx, Y_inv = (np.array(part) for part in zip(*(
+        (y, y_inv) for cpm, y, y_inv in d2.division_data[1] if cpm == cpm_x)))
+    x = d1.elems[x_idx].reshape(n, n).astype(np.int16)
+    # U element by element and S2 y^-1 of each image y, their bases and ids
+    U = d1.elems.reshape(-1, n, n).astype(np.int16) @ x_inv % q
+    V = d2.elems.reshape(-1, n, n).astype(np.int16)[None] @ Y_inv[:, None] % q
+    U_basis = d1.space.basis.reshape(-1, n, n).astype(np.int16) @ x_inv % q
+    bases = d2.space.basis.reshape(-1, n, n).astype(np.int16) @ Y_inv[:, None] % q
+    ids, degrees = _cp_of_mats(U, q), _min_degrees(U, q)
+    sizes = Counter(zip(ids.tolist(), degrees.tolist()))
+    cid, deg = min(sizes, key=lambda key: (-key[1], sizes[key], key[0]))
+    g = np.nonzero((ids == cid) & (degrees == deg))[0]
+    at, elem = np.nonzero(_cp_of_mats(V.reshape(-1, n, n), q).reshape(len(V), -1) == cid)
+    at, elem = np.stack([at, elem])[:, _min_degrees(V[at, elem], q) == deg]
+    first = np.unique(at, return_index=True)[1]
+    at, elem = at[first], elem[first]
+    # every frame of every member at x, then one frame at each image
+    G = np.concatenate([U[g], V[at, elem]])
+    spaces = np.concatenate([np.broadcast_to(U_basis, (len(g), *U_basis.shape)), bases[at]])
+    K, K_inv, member = _spin_frames(G, spaces, q, lone=len(g))
+    K, K_inv = K.astype(np.int16), K_inv.astype(np.int16)
+    forms = np.concatenate([(K_inv @ G[member] % q @ K % q).reshape(len(K), -1),
+                            _normal_forms(K, K_inv, spaces[member], q)], axis=1)
+    f = int((member < len(g)).sum())  # x's frames lead
+    index = dict(zip(map(bytes, forms[f - 1::-1]), range(f - 1, -1, -1)))
+    hit = np.array([index.get(bytes(row), -1) for row in forms[f:]], dtype=np.int64)
+    reached = hit >= 0
+    Y = d2.elems[y_idx[at[member[f:][reached] - len(g)]]].reshape(-1, n, n).astype(np.int16)
+    RA, RB = _key_isotopism((x, x_inv, K[hit[reached]], K_inv[hit[reached]]),
+                            (Y, None, K[f:][reached], K_inv[f:][reached]), q)
+    return (x, x_inv, K[:f], K_inv[:f]), forms[:f], RA, RB
 
 
 def are_equivalent(s1, s2):
     """A witness Isotopism g with act(g, s1) = s2, or None.
 
-    Exhaustive given the anchoring argument: any witness must map the chosen
-    invertible anchor of s1 to some invertible element of s2.
+    Exhaustive given the anchoring argument of _conjugators: any witness
+    maps the anchor of s1 to a unit multiple of one of its images in s2.
+    The witness is the pair of the first image reached, checked with act
+    (NotContained otherwise).  Two 1-dimensional spaces <x> and <y> are
+    isotopic by (I, x^-1 y).
     """
     if isinstance(s1, SpreadSet):
         s1 = s1.space
@@ -662,17 +568,19 @@ def are_equivalent(s1, s2):
 
     if d1.division_data[0] != d2.division_data[0]:
         return None
-
-    x, dataU, images = _anchor(d1, d2)
-    for y_idx, y_inv in images:
-        hit = _anchored_isotopism(x, dataU, d2, y_idx, y_inv)
-        if hit is None:
-            continue
-        witness = Isotopism(*hit, q)
-        if act(witness, s1) != s2:
-            raise NotContained("equivalence witness does not map s1 onto s2")
-        return witness
-    return None
+    if s1.dim == 1:
+        (_, _, x_inv), = d1.division_data[1]
+        y = d2.elems[inv2[0]].reshape(n, n)
+        A, B = np.eye(n, dtype=np.int16), x_inv.astype(np.int16) @ y % q
+    else:
+        _, _, RA, RB = _conjugators(d1, d2)
+        if not len(RA):
+            return None
+        A, B = RA[0], RB[0]
+    witness = Isotopism(A.astype(np.uint8), B.astype(np.uint8), q)
+    if act(witness, s1) != s2:
+        raise NotContained("equivalence witness does not map s1 onto s2")
+    return witness
 
 
 def _brute_force_equivalent(s1, s2):
@@ -977,16 +885,11 @@ def automorphism_group(space):
     with its point tables.
 
     An automorphism sends the anchor x to a unit multiple of an image y, and
-    those sending x to y are (A_y C, D B_y) times units: A_y x B_y = y, C
-    runs over the conjugation stabilizer of U = S x^-1, D = x^-1 C^-1 x.
-    The members g of each S y^-1 of the (charpoly id, minimal-polynomial
-    degree) of most degree, then fewest members, then least id have normal
-    forms (K^-1 g K, RREF of K^-1 S y^-1 K) over spin frames K: all at x,
-    the first of the first member at each y, in one frame and one RREF pass.
-    The frames K_i at x that tie with the first, K_0, give C = K_i K_0^-1;
-    y is reached iff its form is that of a K_i, and then (A_y, B_y) =
-    (K_y K_i^-1, x^-1 K_i K_y^-1 y), both by _key_isotopism.  One batch
-    checks them all (NotContained otherwise).  The group is a block per
+    those sending x to y are (A_y C, D B_y) times units: (A_y, B_y) is y's
+    pair from _conjugators(S, S), C runs over the conjugation stabilizer of
+    U = S x^-1 and D = x^-1 C^-1 x.  The frames K_i at x whose form ties
+    with the first, K_0, give C = K_i K_0^-1, by _key_isotopism.  One batch
+    checks every pair (NotContained otherwise).  The group is a block per
     reached y in division_data order, A-major, times every pair of units,
     with point tables composed from those of the factors.
     """
@@ -996,35 +899,9 @@ def automorphism_group(space):
     data = space_data(space)
     if data.invertible_projective.size == 0:
         return _brute_force_stabilizer(space)
-    x, _, images = _anchor(data, data)
-    y_idx, Y_inv = (np.array(part) for part in zip(*images))
-    # S y^-1 of each image y, element by element, its charpoly ids and basis
-    V = data.elems.reshape(-1, n, n).astype(np.int16)[None] @ Y_inv[:, None] % q
-    ids = _cp_of_mats(V.reshape(-1, n, n), q).reshape(len(V), -1)
-    bases = space.basis.reshape(-1, n, n).astype(np.int16) @ Y_inv[:, None] % q
-    at_x = int(np.argmax((data.elems[y_idx] == x.reshape(-1)).all(axis=1)))
-    sizes = Counter(zip(ids[at_x].tolist(), _min_degrees(V[at_x], q).tolist()))
-    cid, deg = min(sizes, key=lambda key: (-key[1], sizes[key], key[0]))
-    at, elem = np.nonzero(ids == cid)
-    at, elem = np.stack([at, elem])[:, _min_degrees(V[at, elem], q) == deg]
-    # every member at x, then the first member at each image, and their frames
-    pick = np.concatenate([np.nonzero(at == at_x)[0], np.unique(at, return_index=True)[1]])
-    G, owner, k = V[at[pick], elem[pick]], at[pick], int((at == at_x).sum())
-    K, K_inv, member = _spin_frames(G, bases[owner], q)
-    keep = (member < k) | (np.searchsorted(member, member) == np.arange(len(member)))
-    K, K_inv, member = K[keep].astype(np.int16), K_inv[keep].astype(np.int16), member[keep]
-    forms = np.concatenate([(K_inv @ G[member] % q @ K % q).reshape(len(K), -1),
-                            _normal_forms(K, K_inv, bases[owner[member]], q)], axis=1)
-    f = int((member < k).sum())  # x's frames lead
-    index = dict(zip(map(bytes, forms[f - 1::-1]), range(f - 1, -1, -1)))
-    hit = np.array([index.get(bytes(row), -1) for row in forms[f:]])
-    reached = hit >= 0
-    x = x.astype(np.int16)
-    Y = data.elems[y_idx[owner[member[f:][reached]]]].reshape(-1, n, n).astype(np.int16)
-    RA, RB = _key_isotopism((x, Y_inv[at_x], K[hit[reached]], K_inv[hit[reached]]),
-                            (Y, None, K[f:][reached], K_inv[f:][reached]), q)
-    ties = (forms[:f] == forms[0]).all(axis=1)  # C is the stabilizer up to units
-    C, D = _key_isotopism((x, Y_inv[at_x], K[0], K_inv[0]), (x, None, K[:f][ties], K_inv[:f][ties]), q)
+    (x, x_inv, K, K_inv), forms, RA, RB = _conjugators(data, data)
+    ties = (forms == forms[0]).all(axis=1)  # C is the stabilizer up to units
+    C, D = _key_isotopism((x, x_inv, K[0], K_inv[0]), (x, None, K[ties], K_inv[ties]), q)
     moved = _act_arrays(np.concatenate([RA, C]), np.concatenate([RB, D]), space.basis, q)
     if not space.contains_batch(moved.reshape(-1, n * n)).all():
         raise NotContained("a normal-form automorphism does not fix the space")

@@ -460,29 +460,117 @@ def test_orbit_keys_match_per_space_oracle_on_classified_levels(monkeypatch, nam
 
 
 # ---------------------------------------------------------------------------
-# Checks that guard results raise, so that python -O keeps them
+# The nullspace-intersection conjugacy search, the oracle of _conjugators
 # ---------------------------------------------------------------------------
+
+
+def right_translate(space, m_inv):
+    """The space S m^-1, given the inverse of m."""
+    n = space.n
+    rows = space.basis.reshape(-1, n, n).astype(np.int64) @ m_inv.astype(np.int64) % space.q
+    return algebra.MatSpace.from_rows(space.q, n, rows.reshape(-1, n * n))
+
+
+def unital_generators(space):
+    """Basis of the space of the form [I, g2, .., gk], as [g2, .., gk]."""
+    n = space.n
+    ident = np.eye(n, dtype=np.int64).reshape(-1)
+    coeffs = gf.solve(space.basis.T, ident, space.q)
+    if coeffs is None:
+        raise NotContained("space does not contain the identity")
+    pivot = int(np.nonzero(coeffs)[0][0])
+    gens = [space.basis[i] for i in range(space.dim) if i != pivot]
+    return [g.reshape(n, n).astype(np.int64) for g in gens]
+
+
+def constraint_matrix(g, W, q, n):
+    """Matrix of A -> A g - W A acting on row-major flattened A.
+
+    Entry [(i, j), (k, l)] is [i = k] g[l, j] - W[i, k] [j = l].
+    """
+    eye = np.eye(n, dtype=np.int64)
+    C = (
+        eye[:, None, :, None] * g.T[None, :, None, :]
+        - W[:, None, :, None] * eye[None, :, None, :]
+    )
+    return C.reshape(n * n, n * n) % q
+
+
+def intersect(basis, C, q):
+    """Intersect span(basis rows) with the nullspace of C (acting on columns)."""
+    if basis.shape[0] == 0:
+        return basis
+    proj = (C @ basis.T.astype(np.int64)) % q
+    null = gf.nullspace(proj, q)
+    if null.shape[0] == 0:
+        return basis[:0]
+    return (null.astype(np.int64) @ basis.astype(np.int64)) % q
+
+
+def oracle_conjugating(cands, u_mats, V_space, q):
+    """The candidates A of a (B, n, n) stack with A U A^-1 in V_space for
+    every U in u_mats, in input order: one rank batch, then one inverse and
+    one membership test per candidate, as a (k, n, n) uint8 stack."""
+    n = cands.shape[-1]
+    good = []
+    invertible = gf.rank_batch(cands, q) == n
+    for A, ok in zip(cands, invertible):
+        if not ok:
+            continue
+        A = A.astype(np.int64)
+        A_inv = gf.mat_inverse(A, q).astype(np.int64)
+        images = np.stack([(A @ bm @ A_inv) % q for bm in u_mats])
+        if V_space.contains_batch(images.reshape(len(u_mats), -1)).all():
+            good.append(A.astype(np.uint8))
+    return np.array(good, dtype=np.uint8).reshape(-1, n, n)
+
+
+def oracle_conjugators(dataU, dataV, find_all):
+    """Oracle: invertible A with A U A^-1 = V, as a (k, n, n) uint8 stack,
+    all of them with find_all, else at most the first, for unital spaces of
+    one dimension.  Each generator of U is sent to an element of V with its
+    charpoly (fewest choices first); each guess is a linear constraint on A,
+    so the search intersects nullspaces and scans the last small solution
+    space (TooLarge past _ENUMERATE_CAP candidates)."""
+    q, n = dataU.q, dataU.n
+    gens = unital_generators(dataU.space)
+    if not gens and not find_all:
+        return np.eye(n, dtype=np.uint8)[None]
+    v_mats = dataV.elems.reshape(-1, n, n).astype(np.int64)
+    v_ids = dataV.cp_ids
+    if gens:
+        gen_ids = equivalence._cp_of_mats(np.stack(gens), q)
+        by_count = sorted(range(len(gens)), key=lambda i: int((v_ids == gen_ids[i]).sum()))
+        gens, gen_ids = [gens[i] for i in by_count], gen_ids[by_count]
+    u_mats = dataU.space.basis.reshape(-1, n, n).astype(np.int64)
+    empty = np.zeros((0, n, n), dtype=np.uint8)
+
+    def search(idx, basis):
+        """Conjugators in span(basis), guessing images of gens[idx:] in V."""
+        d = basis.shape[0]
+        if d == 0:
+            return empty
+        if idx == len(gens) or q**d <= 256:
+            if q**d > equivalence._ENUMERATE_CAP:
+                raise TooLarge(f"conjugacy solution space q^{d} too large to scan")
+            cands = (gf.coefficient_grid(q, d)[1:] @ basis.astype(np.int64)) % q
+            found = oracle_conjugating(cands.reshape(-1, n, n), u_mats, dataV.space, q)
+            return found if find_all else found[:1]
+        found = []
+        for wi in np.nonzero(v_ids == gen_ids[idx])[0]:
+            sub = search(idx + 1, intersect(basis, constraint_matrix(gens[idx], v_mats[wi], q, n), q))
+            if len(sub) and not find_all:
+                return sub
+            found.append(sub)
+        return np.concatenate(found) if found else empty
+
+    return search(0, np.eye(n * n, dtype=np.uint8))
 
 
 def test_unital_generators_rejects_space_without_identity():
     space = algebra.MatSpace.from_rows(2, 2, np.array([[0, 1, 1, 0]]))
     with pytest.raises(NotContained):
-        equivalence._unital_generators(space)
-
-
-def test_are_equivalent_rejects_false_witness(monkeypatch):
-    rng = np.random.default_rng(8)
-    space = random_space_with_identity(rng, 2, 4, 2)
-    moved = equivalence.act(random_isotopism(rng, 2, 4), space)
-    assert moved != space
-    monkeypatch.setattr(equivalence, "act", lambda g, s: s)
-    with pytest.raises(NotContained):
-        equivalence.are_equivalent(space, moved)
-
-
-# ---------------------------------------------------------------------------
-# Batched conjugacy kernel against the per-candidate loops it replaces
-# ---------------------------------------------------------------------------
+        unital_generators(space)
 
 
 def kron_constraint_matrix(g, W, q, n):
@@ -497,10 +585,85 @@ def test_constraint_matrix_matches_kron(q, n):
     for _ in range(20):
         g = rng.integers(0, q, (n, n)).astype(np.int64)
         W = rng.integers(0, q, (n, n)).astype(np.int64)
-        fast = equivalence._constraint_matrix(g, W, q, n)
+        fast = constraint_matrix(g, W, q, n)
         slow = kron_constraint_matrix(g, W, q, n)
         assert fast.dtype == slow.dtype and fast.shape == slow.shape
         assert fast.tobytes() == slow.tobytes()
+
+
+def oracle_automorphism_group(space, x_idx):
+    """Oracle: the automorphism group anchored on element x_idx, with every
+    conjugator found by its own find-all search per image y, one
+    mat_inverse per anchor, y and conjugator and one B per (conjugator,
+    unit), as uint8 (A, B) stacks."""
+    q, n = space.q, space.n
+    data = equivalence.space_data(space)
+    mats = data.elems.reshape(-1, n, n)
+    _, per_y = data.division_data
+    cpm_x = {yi: k for k, yi, _ in per_y}[x_idx]
+    x1 = mats[x_idx].astype(np.int64)
+    dataU = equivalence.space_data(right_translate(space, gf.mat_inverse(x1, q)))
+    pairs_A, pairs_B = [], []
+    for cpm2, y_idx, _ in per_y:
+        if cpm2 != cpm_x:
+            continue
+        y = mats[y_idx].astype(np.int64)
+        dataV = equivalence.space_data(right_translate(space, gf.mat_inverse(y, q)))
+        for A in oracle_conjugators(dataU, dataV, find_all=True):
+            base = gf.mat_inverse((A.astype(np.int64) @ x1) % q, q).astype(np.int64)
+            for lam in range(1, q):
+                pairs_A.append(A)
+                pairs_B.append(((base * lam % q) @ y % q).astype(np.uint8))
+    return tuple(np.array(pairs, dtype=np.uint8).reshape(-1, n, n) for pairs in (pairs_A, pairs_B))
+
+
+def oracle_are_equivalent(s1, s2):
+    """Oracle: the anchor loop over the conjugacy search, for spaces that
+    hold invertible elements: the anchor of S1 is the element whose cpm key
+    is rarest in S2, least index on ties, and the witness is the first
+    conjugator's (A, (A x)^-1 y), with one mat_inverse per y and one mat_mul
+    per witness, or None."""
+    q, n = s1.q, s1.n
+    if s1.dim != s2.dim:
+        return None
+    d1, d2 = equivalence.space_data(s1), equivalence.space_data(s2)
+    _, per_y1 = d1.division_data
+    _, per_y2 = d2.division_data
+    count2 = Counter(k for k, _, _ in per_y2)
+    cpm1, x_idx, _ = min(per_y1, key=lambda item: (count2[item[0]], item[1]))
+    mats1 = d1.elems.reshape(-1, n, n)
+    mats2 = d2.elems.reshape(-1, n, n)
+    x1 = mats1[x_idx].astype(np.int64)
+    dataU = equivalence.space_data(right_translate(s1, gf.mat_inverse(x1, q)))
+    for cpm2, y_idx, _ in per_y2:
+        if cpm2 != cpm1:
+            continue
+        y = mats2[y_idx].astype(np.int64)
+        dataV = equivalence.space_data(right_translate(s2, gf.mat_inverse(y, q)))
+        for A in oracle_conjugators(dataU, dataV, find_all=False):
+            B = gf.mat_mul(gf.mat_inverse((A.astype(np.int64) @ x1) % q, q), y, q)
+            return equivalence.Isotopism(A, B, q)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Checks that guard results raise, so that python -O keeps them
+# ---------------------------------------------------------------------------
+
+
+def test_are_equivalent_rejects_false_witness(monkeypatch):
+    rng = np.random.default_rng(8)
+    space = random_space_with_identity(rng, 2, 4, 2)
+    moved = equivalence.act(random_isotopism(rng, 2, 4), space)
+    assert moved != space
+    monkeypatch.setattr(equivalence, "act", lambda g, s: s)
+    with pytest.raises(NotContained):
+        equivalence.are_equivalent(space, moved)
+
+
+# ---------------------------------------------------------------------------
+# The q = 2 charpoly table against the kernel
+# ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("n, sample", [(3, None), (4, 3000)], ids=["all-3x3", "sample-4x4"])
@@ -522,49 +685,9 @@ def test_charpoly_table_ids_equal_kernel_ids(monkeypatch, n, sample):
     assert len(np.unique(kernel_ids)) == 2**n  # every monic charpoly of degree n occurs
 
 
-def oracle_conjugating(cands, u_mats, V_space, q):
-    """Oracle: one rank batch, then one inverse and one membership test per
-    candidate; the passing candidates as a (k, n, n) uint8 stack."""
-    n = cands.shape[-1]
-    good = []
-    invertible = gf.rank_batch(cands, q) == n
-    for A, ok in zip(cands, invertible):
-        if not ok:
-            continue
-        A = A.astype(np.int64)
-        A_inv = gf.mat_inverse(A, q).astype(np.int64)
-        images = np.stack([(A @ bm @ A_inv) % q for bm in u_mats])
-        if V_space.contains_batch(images.reshape(len(u_mats), -1)).all():
-            good.append(A.astype(np.uint8))
-    return np.array(good, dtype=np.uint8).reshape(-1, n, n)
-
-
-def oracle_automorphism_group(space, x_idx):
-    """Oracle: the automorphism group anchored on element x_idx, with every
-    conjugator found by its own find-all search per image y, one
-    mat_inverse per anchor, y and conjugator and one B per (conjugator,
-    unit), as uint8 (A, B) stacks."""
-    q, n = space.q, space.n
-    data = equivalence.space_data(space)
-    mats = data.elems.reshape(-1, n, n)
-    _, per_y = data.division_data
-    cpm_x = {yi: k for k, yi, _ in per_y}[x_idx]
-    x1 = mats[x_idx].astype(np.int64)
-    U = equivalence._right_translate(space, gf.mat_inverse(x1, q).astype(np.int64))
-    dataU = equivalence.space_data(U)
-    pairs_A, pairs_B = [], []
-    for cpm2, y_idx, _ in per_y:
-        if cpm2 != cpm_x:
-            continue
-        y = mats[y_idx].astype(np.int64)
-        V = equivalence._right_translate(space, gf.mat_inverse(y, q).astype(np.int64))
-        dataV = equivalence.space_data(V)
-        for A in equivalence._conjugators(dataU, dataV, find_all=True):
-            base = gf.mat_inverse((A.astype(np.int64) @ x1) % q, q).astype(np.int64)
-            for lam in range(1, q):
-                pairs_A.append(A)
-                pairs_B.append(((base * lam % q) @ y % q).astype(np.uint8))
-    return tuple(np.array(pairs, dtype=np.uint8).reshape(-1, n, n) for pairs in (pairs_A, pairs_B))
+# ---------------------------------------------------------------------------
+# Normal forms at the anchor against the conjugacy search
+# ---------------------------------------------------------------------------
 
 
 def pair_set(gA, gB):
@@ -598,9 +721,11 @@ def assert_group_matches_oracle(space, x_idx):
 def no_cyclic_member_at_the_anchor(space):
     """Whether U = S x^-1, x the anchor of automorphism_group, has no
     cyclic member, so that its frames are spin frames of several blocks."""
+    q, n = space.q, space.n
     data = equivalence.space_data(space)
-    _, dataU, _ = equivalence._anchor(data, data)
-    return equivalence._min_degrees(dataU.elems.reshape(-1, space.n, space.n), space.q).max() < space.n
+    (_, x_inv, _, _), _, _, _ = equivalence._conjugators(data, data)
+    U = data.elems.reshape(-1, n, n).astype(np.int64) @ x_inv % q
+    return equivalence._min_degrees(U, q).max() < n
 
 
 def seeded_s2_image():
@@ -623,13 +748,12 @@ SPUN_CASES = {
 
 
 @pytest.mark.parametrize("name", [*SPUN_CASES, "S2-image", *ATLAS_CASES])
-def test_automorphism_group_matches_per_candidate_oracle(name, monkeypatch):
+def test_automorphism_group_matches_per_candidate_oracle(name):
     if name in SPUN_CASES:
         space = SPUN_CASES[name]()
         assert no_cyclic_member_at_the_anchor(space)
     else:
         space = seeded_s2_image() if name == "S2-image" else atlas.atlas_get(name).space()
-    monkeypatch.setattr(equivalence, "_conjugating", oracle_conjugating)
     # the oracle at the same anchor, and at the first one
     assert_group_matches_oracle(space, rarest_anchor(space))
     assert_group_matches_oracle(space, int(equivalence.space_data(space).invertible_projective[0]))
@@ -700,13 +824,21 @@ def test_automorphism_group_tables_and_elements(space):
 
 
 @pytest.mark.parametrize("name, order", [("F81", 25600), ("GTF81", 640)])
-def test_automorphism_group_makes_no_conjugacy_search(monkeypatch, name, order):
+def test_automorphism_group_and_are_equivalent_run_one_normal_form_pass(monkeypatch, name, order):
     def never(*args, **kwargs):
-        raise AssertionError("automorphism_group ran a conjugacy search")
+        raise AssertionError("a nullspace-intersection search ran")
 
-    monkeypatch.setattr(equivalence, "_conjugators", never)
-    monkeypatch.setattr(equivalence, "_anchored_isotopism", never)
-    assert equivalence.automorphism_group(atlas.atlas_get(name).space()).order == order
+    space = atlas.atlas_get(name).space()
+    moved = equivalence.act(random_isotopism(np.random.default_rng(23), 3, 4), space)
+    calls = []
+    conjugators = equivalence._conjugators
+    monkeypatch.setattr(equivalence, "_conjugators", lambda d1, d2: calls.append(d2) or conjugators(d1, d2))
+    monkeypatch.setattr(gf, "nullspace", never)  # the kernel of the search oracle
+    assert equivalence.automorphism_group(space).order == order
+    assert len(calls) == 1
+    witness = equivalence.are_equivalent(space, moved)
+    assert len(calls) == 2
+    assert equivalence.act(witness, space) == moved
 
 
 def test_automorphism_group_refuses_a_corrupted_image_frame(monkeypatch):
@@ -739,65 +871,145 @@ def test_division_data_keeps_the_inverse_of_each_element(name):
         assert y_inv.dtype == want.dtype and y_inv.tobytes() == want.tobytes()
 
 
-def test_are_equivalent_witness_matches_per_candidate_oracle(monkeypatch):
-    rng = np.random.default_rng(9)
-    pairs = []
-    for q in (2, 3):
-        for _ in range(8):
-            space = random_space_with_identity(rng, q, 4, int(rng.integers(1, 4)))
-            pairs.append((space, equivalence.act(random_isotopism(rng, q, 4), space)))
-    fast = [equivalence.are_equivalent(s1, s2) for s1, s2 in pairs]
-    monkeypatch.setattr(equivalence, "_conjugating", oracle_conjugating)
-    slow = [equivalence.are_equivalent(s1, s2) for s1, s2 in pairs]
-    for got, want in zip(fast, slow):
-        assert got.A.tobytes() == want.A.tobytes()
-        assert got.B.tobytes() == want.B.tobytes()
-
-
-def oracle_are_equivalent(s1, s2):
-    """Oracle: the anchor loop of are_equivalent before it was shared with
-    automorphism_group, with one mat_inverse per y and one mat_mul per
-    witness.  The pre-filters are assumed passed."""
-    q, n = s1.q, s1.n
-    d1, d2 = equivalence.space_data(s1), equivalence.space_data(s2)
-    _, per_y1 = d1.division_data
-    _, per_y2 = d2.division_data
-    count2 = Counter(k for k, _, _ in per_y2)
-    cpm1, x_idx, _ = min(per_y1, key=lambda item: (count2[item[0]], item[1]))
-    mats1 = d1.elems.reshape(-1, n, n)
-    mats2 = d2.elems.reshape(-1, n, n)
-    x1 = mats1[x_idx].astype(np.int64)
-    U = equivalence._right_translate(s1, gf.mat_inverse(x1, q).astype(np.int64))
-    dataU = equivalence.space_data(U)
-    for cpm2, y_idx, _ in per_y2:
-        if cpm2 != cpm1:
-            continue
-        y = mats2[y_idx].astype(np.int64)
-        V = equivalence._right_translate(s2, gf.mat_inverse(y, q).astype(np.int64))
-        for A in equivalence._conjugators(dataU, equivalence.space_data(V), find_all=False):
-            B = gf.mat_mul(gf.mat_inverse((A.astype(np.int64) @ x1) % q, q), y, q)
-            return equivalence.Isotopism(A, B, q)
-    return None
-
-
-def test_are_equivalent_witness_matches_anchor_loop_oracle():
+def isotopic_and_inequivalent_pairs():
+    """Seeded pairs of n = 4 spaces at q in {2, 3}: spaces holding I and
+    atlas entries, each with an isotopic image, then pairs that no isotopism
+    joins."""
     rng = np.random.default_rng(11)
-    pairs = []
+    spaces = [random_space_with_identity(rng, q, 4, int(rng.integers(1, 4))) for q in (2, 3) for _ in range(8)]
+    spaces += [atlas.atlas_get(name).space() for name in ("F16", "S1", "S2", "F81", "I")]
+    isotopic = [(s, equivalence.act(random_isotopism(rng, s.q, 4), s)) for s in spaces]
+    named = [("F16", "S1"), ("S1", "S2"), ("F81", "GTF81"), ("I", "II")]
+    apart = [tuple(atlas.atlas_get(name).space() for name in pair) for pair in named]
     for q in (2, 3):
-        for _ in range(8):
-            space = random_space_with_identity(rng, q, 4, int(rng.integers(1, 4)))
-            pairs.append((space, equivalence.act(random_isotopism(rng, q, 4), space)))
-    for name in ("F16", "S1", "S2", "F81", "I"):
-        space = atlas.atlas_get(name).space()
-        pairs.append((space, equivalence.act(random_isotopism(rng, space.q, 4), space)))
-    for s1, s2 in pairs:
+        for dim in (2, 3, 4):  # a space holding I against another one of its dimension
+            s1, s2 = (random_space_with_identity(rng, q, 4, dim - 1) for _ in range(2))
+            apart.append((s1, equivalence.act(random_isotopism(rng, q, 4), s2)))
+    return isotopic, apart
+
+
+def test_are_equivalent_agrees_with_conjugacy_search_oracle():
+    # the witness verifies, and is None exactly when the search finds none
+    isotopic, apart = isotopic_and_inequivalent_pairs()
+    found = []
+    for s1, s2 in isotopic + apart:
         assert s1 != s2
         got = equivalence.are_equivalent(s1, s2)
-        want = oracle_are_equivalent(s1, s2)
-        assert equivalence.act(got, s1) == s2
-        for g, w in ((got.A, want.A), (got.B, want.B)):
-            assert g.dtype == w.dtype and g.shape == w.shape
-            assert g.tobytes() == w.tobytes()
+        assert (got is None) == (oracle_are_equivalent(s1, s2) is None)
+        if got is not None:
+            assert got.A.dtype == got.B.dtype == np.uint8
+            assert equivalence.act(got, s1) == s2
+        found.append(got is not None)
+    assert found == [True] * len(isotopic) + [False] * len(apart)
+
+
+def outcome(test, s1, s2):
+    """"TooLarge", None, or "witness" for a witness that maps s1 onto s2."""
+    try:
+        witness = test(s1, s2)
+    except TooLarge:
+        return "TooLarge"
+    if witness is None:
+        return None
+    assert equivalence.act(witness, s1) == s2
+    return "witness"
+
+
+def jordan(sizes):
+    """Unipotent Jordan blocks of the given sizes, eigenvalue 1."""
+    J = np.eye(sum(sizes), dtype=np.int64)
+    at = np.cumsum(sizes)
+    for i in range(sum(sizes) - 1):
+        J[i, i + 1] = (i + 1) not in at
+    return J
+
+
+STRUCTURED = {
+    "diag-1122": np.diag([1, 1, 2, 2]),
+    "diag-1222": np.diag([1, 2, 2, 2]),
+    "transvection": jordan([2, 1, 1]),
+    "J2+J2": jordan([2, 2]),
+    "J4": jordan([4]),
+}
+
+
+def structured_pairs():
+    """<I, g> and <I, g, h> at n = 4, q in {2, 3}, for the structured g and
+    a seeded h, each with a seeded isotopic image, then <I> and <x> with
+    another 1-dimensional <y>."""
+    rng = np.random.default_rng(24)
+    for q in (2, 3):
+        for name, g in STRUCTURED.items():
+            h = rng.integers(0, q, (4, 4))
+            for rows, label in (([g], "g"), ([g, h], "g-h")):
+                space = algebra.MatSpace.from_matrices(q, 4, [np.eye(4, dtype=np.int64)] + [M % q for M in rows])
+                moved = equivalence.act(random_isotopism(rng, q, 4), space)
+                yield pytest.param(space, moved, id=f"q{q}-I-{label}-{name}")
+        y = algebra.MatSpace.from_matrices(q, 4, [random_invertible(rng, q, 4)])
+        for x, label in ((np.eye(4, dtype=np.uint8), "I"), (random_invertible(rng, q, 4), "x")):
+            yield pytest.param(algebra.MatSpace.from_matrices(q, 4, [x]), y, id=f"q{q}-dim1-{label}")
+
+
+@pytest.mark.parametrize("s1, s2", structured_pairs())
+def test_are_equivalent_matches_search_oracle_on_structured_spaces(s1, s2):
+    assert outcome(equivalence.are_equivalent, s1, s2) == outcome(oracle_are_equivalent, s1, s2)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_one_dimensional_spaces_are_isotopic_by_the_right_factor(q):
+    rng = np.random.default_rng(25 + q)
+    x, y = random_invertible(rng, q, 4), random_invertible(rng, q, 4)
+    s1, s2 = (algebra.MatSpace.from_matrices(q, 4, [M]) for M in (x, y))
+    witness = equivalence.are_equivalent(s1, s2)
+    (_, _, x_inv), = equivalence.space_data(s1).division_data[1]
+    y = equivalence.space_data(s2).elems[equivalence.space_data(s2).invertible_projective[0]]
+    assert witness.A.tobytes() == np.eye(4, dtype=np.uint8).tobytes()
+    assert witness.B.tobytes() == gf.mat_mul(x_inv, y.reshape(4, 4), q).astype(np.uint8).tobytes()
+    lower = algebra.MatSpace.from_matrices(q, 4, [np.diag([1, 1, 1, 0])])
+    assert equivalence.are_equivalent(s1, lower) is None
+    assert equivalence.are_equivalent(lower, s1) is None
+
+
+def spin_frame_calls(monkeypatch):
+    """The (G, spaces, q, lone) arguments of each _spin_frames call, with
+    its result."""
+    calls, spin = [], equivalence._spin_frames
+
+    def recording(G, spaces, q, lone=None):
+        calls.append(((G, spaces, q, lone), spin(G, spaces, q, lone)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(equivalence, "_spin_frames", recording)
+    return calls, spin
+
+
+def assert_one_frame_per_image(monkeypatch, spaces):
+    # each image-side member gets one frame, the first of its whole
+    # enumeration, and the members at the anchor get every frame
+    calls, spin = spin_frame_calls(monkeypatch)
+    for space in spaces:
+        del calls[:]
+        equivalence.automorphism_group(space)
+        ((G, frame_spaces, q, lone), (K, K_inv, member)), = calls
+        all_K, all_K_inv, all_member = spin(G, frame_spaces, q)
+        at_x = member < lone
+        assert_same_array(K[at_x], all_K[all_member < lone])
+        assert_same_array(K_inv[at_x], all_K_inv[all_member < lone])
+        assert member[~at_x].tolist() == list(range(lone, len(G)))
+        first = np.searchsorted(all_member, np.arange(lone, len(G)))
+        assert_same_array(K[~at_x], all_K[first])
+        assert_same_array(K_inv[~at_x], all_K_inv[first])
+
+
+def test_spin_frames_give_each_image_member_its_first_frame(monkeypatch, order8_levels):
+    inputs = automorphism_inputs(order8_levels, 2, 3)
+    assert len(inputs) == 22
+    assert_one_frame_per_image(monkeypatch, inputs)
+
+
+@pytest.mark.parametrize("name", ATLAS_CASES)
+def test_spin_frames_give_each_image_member_its_first_frame_on_atlas(monkeypatch, name):
+    assert_one_frame_per_image(monkeypatch, [atlas.atlas_get(name).space()])
 
 
 # ---------------------------------------------------------------------------
