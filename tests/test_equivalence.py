@@ -617,6 +617,14 @@ def oracle_automorphism_group(space, x_idx):
     return tuple(np.array(pairs, dtype=np.uint8).reshape(-1, n, n) for pairs in (pairs_A, pairs_B))
 
 
+def oracle_anchor(d1, d2):
+    """(cpm key, index) of the anchor of S1: the projective invertible
+    element whose cpm key is rarest in S2, least index on ties."""
+    count2 = Counter(k for k, _, _ in d2.division_data[1])
+    cpm1, x_idx, _ = min(d1.division_data[1], key=lambda item: (count2[item[0]], item[1]))
+    return cpm1, x_idx
+
+
 def oracle_are_equivalent(s1, s2):
     """Oracle: the anchor loop over the conjugacy search, for spaces that
     hold invertible elements: the anchor of S1 is the element whose cpm key
@@ -627,10 +635,8 @@ def oracle_are_equivalent(s1, s2):
     if s1.dim != s2.dim:
         return None
     d1, d2 = equivalence.space_data(s1), equivalence.space_data(s2)
-    _, per_y1 = d1.division_data
     _, per_y2 = d2.division_data
-    count2 = Counter(k for k, _, _ in per_y2)
-    cpm1, x_idx, _ = min(per_y1, key=lambda item: (count2[item[0]], item[1]))
+    cpm1, x_idx = oracle_anchor(d1, d2)
     mats1 = d1.elems.reshape(-1, n, n)
     mats2 = d2.elems.reshape(-1, n, n)
     x1 = mats1[x_idx].astype(np.int64)
@@ -901,6 +907,40 @@ def test_are_equivalent_agrees_with_conjugacy_search_oracle():
             assert equivalence.act(got, s1) == s2
         found.append(got is not None)
     assert found == [True] * len(isotopic) + [False] * len(apart)
+
+
+def assert_witness_matches_oracle(s1, s2):
+    """The witness of are_equivalent and the oracle's both map s1 onto s2,
+    are uint8 n x n pairs, and send the anchor x of s1 to the same image
+    y = A x B of s2: the first one reached in division_data order."""
+    got = equivalence.are_equivalent(s1, s2)
+    want = oracle_are_equivalent(s1, s2)
+    assert equivalence.act(got, s1) == s2 and equivalence.act(want, s1) == s2
+    for g, w in ((got.A, want.A), (got.B, want.B)):
+        assert g.dtype == w.dtype == np.uint8 and g.shape == w.shape
+    q, n = s1.q, s1.n
+    _, x_idx = oracle_anchor(equivalence.space_data(s1), equivalence.space_data(s2))
+    x = equivalence.space_data(s1).elems[x_idx].reshape(n, n)
+    got_y, want_y = (gf.mat_mul(gf.mat_mul(w.A, x, q), w.B, q) for w in (got, want))
+    assert got_y.tobytes() == want_y.tobytes()
+
+
+def test_are_equivalent_witness_matches_per_candidate_oracle():
+    # the oracle's search scans candidates one inverse and membership test each
+    rng = np.random.default_rng(9)
+    for q in (2, 3):
+        for _ in range(8):
+            space = random_space_with_identity(rng, q, 4, int(rng.integers(1, 4)))
+            moved = equivalence.act(random_isotopism(rng, q, 4), space)
+            assert space != moved
+            assert_witness_matches_oracle(space, moved)
+
+
+def test_are_equivalent_witness_matches_anchor_loop_oracle():
+    isotopic, _ = isotopic_and_inequivalent_pairs()
+    for s1, s2 in isotopic:
+        assert s1 != s2
+        assert_witness_matches_oracle(s1, s2)
 
 
 def outcome(test, s1, s2):
