@@ -23,10 +23,11 @@ instead of testing pairs.  The canonical isotopism key normalises twice:
 an anchor y from the rarest cpm class makes U = S y^-1 unital, and a cyclic
 member g of U with a Krylov basis K = [v, g v, ..] conjugates U to
 K^-1 U K, whose least RREF over every such (y, g, v) is the key.  Equal keys
-give an isotopism composed from the two normalisers, which is checked with
-act before a merge.  The spaces without a key (no invertible element, or no
-cyclic member in the anchor class) are compared pairwise with
-are_equivalent, as are all spaces by callers that test one pair.
+give an isotopism composed from the two normalisers, whose determinants and
+image are checked for all merges of one (q, n, dim) at once.  The spaces
+without a key (no invertible element, or no cyclic member in the anchor
+class) are compared pairwise with are_equivalent, as are all spaces by
+callers that test one pair.
 
 The invariants of a classification are computed for blocks of spaces of one
 (q, n, dim), at most _DIVISION_BLOCK elements a block: one rank pass for the
@@ -95,10 +96,11 @@ def act(g, space):
 
 
 def _act_arrays(gA, gB, basis, q):
-    """Apply a stack of pairs to one basis: (G,n,n),(k,nn) -> (G,k,nn)."""
+    """Apply a stack of pairs to one basis, (G,n,n),(k,nn) -> (G,k,nn), or
+    pair i to basis i, (G,n,n),(G,k,nn) -> (G,k,nn)."""
     n = gA.shape[-1]
-    mats = basis.reshape(-1, n, n).astype(np.int64)
-    out = (gA[:, None].astype(np.int64) @ mats[None] @ gB[:, None].astype(np.int64)) % q
+    mats = basis.reshape(*basis.shape[:-1], n, n).astype(np.int64)
+    out = (gA[:, None].astype(np.int64) @ mats @ gB[:, None].astype(np.int64)) % q
     return out.reshape(gA.shape[0], -1, n * n)
 
 
@@ -752,9 +754,8 @@ def isotopism_classes(spaces):
     Spaces are bucketed by fingerprint; in a bucket of two or more, each
     space with an isotopism key joins the class of its key, and the spaces
     without one are tested pairwise with are_equivalent against the first
-    member of each class found so far.  Every key merge is checked: the
-    isotopism composed from the two normalisers must map the space onto
-    its class's first member (NotContained otherwise).
+    member of each class found so far.  Every key merge is checked, in one
+    batch per (q, n, dim) by _check_key_merges.
 
     The invariants are computed in blocks (_block_pass): the fingerprints
     of every space, then the keys of the spaces in buckets of two or more,
@@ -769,7 +770,7 @@ def isotopism_classes(spaces):
         buckets.setdefault(data.fingerprint, []).append(i)
     shared = [datas[i] for bucket in buckets.values() if len(bucket) > 1 for i in bucket]
     _block_pass(shared, "isotopism_key", _key_stage)
-    classes = []
+    classes, merges = [], []
     for bucket in buckets.values():
         if len(bucket) == 1:
             classes.append(bucket)
@@ -783,9 +784,7 @@ def isotopism_classes(spaces):
             key, norm = found
             first, first_norm, members = keyed.setdefault(key, (i, norm, []))
             if members:
-                witness = Isotopism(*_key_isotopism(norm, first_norm, spaces[i].q), spaces[i].q)
-                if act(witness, spaces[i]) != spaces[first]:
-                    raise NotContained("equal isotopism keys, but the composed isotopism fails")
+                merges.append((i, first, norm, first_norm))
             members.append(i)
         classes.extend(members for _, _, members in keyed.values())
         pairwise = []
@@ -797,7 +796,27 @@ def isotopism_classes(spaces):
             else:
                 pairwise.append([i])
         classes.extend(pairwise)
+    _check_key_merges(spaces, merges)
     return sorted(classes)
+
+
+def _check_key_merges(spaces, merges):
+    """Check the (i, first, norm, first_norm) merges of isotopism_classes in
+    one batch per (q, n, dim): each composed isotopism must be invertible
+    (NotInvertible) and map space i into, so onto, space first (NotContained)."""
+    groups = {}
+    for merge in merges:
+        s = spaces[merge[0]]
+        groups.setdefault((s.q, s.n, s.dim), []).append(merge)
+    for (q, n, _), group in groups.items():
+        at, firsts, norms, first_norms = zip(*group)
+        A, B = _key_isotopism(*(tuple(map(np.stack, zip(*ns))) for ns in (norms, first_norms)), q)
+        if not (gf.det_batch(A, q).all() and gf.det_batch(B, q).all()):
+            raise NotInvertible("isotopism components must be invertible")
+        moved = _act_arrays(A, B, np.stack([spaces[i].basis for i in at]), q)
+        for first in sorted(set(firsts)):
+            if not spaces[first].contains_batch(moved[np.equal(firsts, first)].reshape(-1, n * n)).all():
+                raise NotContained("equal isotopism keys, but the composed isotopism fails")
 
 
 def _key_isotopism(norm_v, norm_w, q):

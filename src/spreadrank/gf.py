@@ -2,6 +2,8 @@
 
 Matrices and vectors are numpy uint8 arrays of residues.  Every operation is
 pure; hot paths have batched variants that vectorise over a leading axis.
+Row reduction has two kernels: rref for one matrix, and _eliminate for
+stacks, which masks a uint8 copy of the whole stack (XOR at q = 2) per column.
 
 Determinants and characteristic polynomials have one kernel, charpoly_batch:
 the division-free Samuelson-Berkowitz recurrence, batched over the stack.
@@ -96,10 +98,7 @@ def rref(rows, q):
     Returns (R, pivots) where R has no zero rows and pivots is the tuple of
     pivot column indices, strictly increasing.
     """
-    A = np.asarray(rows, dtype=np.int64) % q
-    if A.ndim == 1:
-        A = A[None, :]
-    A = A.copy()
+    A = np.atleast_2d(np.asarray(rows, dtype=np.int64) % q)
     nrows, ncols = A.shape
     inv = inv_table(q)
     pivots = []
@@ -128,47 +127,54 @@ def rank(rows, q):
     return rref(rows, q)[0].shape[0]
 
 
+mat_rank = rank
+
+
 def rank_batch(mats, q):
     """Ranks of a (B, r, c) stack over F_q, vectorised across the batch."""
     return rref_batch(mats, q)[1]
 
 
 def rref_batch(mats, q):
-    """Batched RREF.  Returns (R, ranks): R is the reduced stack, rows beyond
-    the rank are zero.  All items share the input row count."""
-    A = np.asarray(mats, dtype=np.int16) % q
-    if A.ndim == 2:
-        A = A[None]
-    return _eliminate(A, q, A.shape[2])
+    """Batched RREF.  Returns (R, ranks): R is the reduced uint8 stack, rows
+    beyond the rank are zero.  All items share the input row count."""
+    A = np.asarray(mats) % q
+    return _eliminate(A[None] if A.ndim == 2 else A, q, A.shape[-1])
 
 
 def _eliminate(A, q, ncols):
-    """Gauss-Jordan elimination of an int16 (B, r, c) residue stack, in
-    place, with pivots taken from the first ncols columns only.  Returns
-    (the uint8 stack, the number of pivots of each item)."""
+    """Gauss-Jordan elimination of a (B, r, c) residue stack, A untouched,
+    with pivots (first nonzero at or below the current row) from the first
+    ncols columns only.  Each column step updates a uint8 copy of the whole
+    stack, items last; an item without a pivot gets scale 1, zero factors.
+    Returns (the reduced uint8 stack, each item's pivot count)."""
     nb, nr, _ = A.shape
-    inv = inv_table(q).astype(np.int16)
     row = np.zeros(nb, dtype=np.int64)
-    rowidx = np.arange(nr)
+    if not nb or not nr:
+        return A.astype(np.uint8), row
+    T = A.transpose(1, 2, 0).astype(np.uint8, order="C")  # items last
+    inv = inv_table(q).astype(np.uint8)
+    rowidx, items = np.arange(nr)[:, None], np.arange(nb)
     for c in range(ncols):
-        colvals = A[:, :, c]
-        cand = (colvals != 0) & (rowidx[None, :] >= row[:, None])
-        has = cand.any(axis=1)
-        b = np.nonzero(has)[0]
-        if b.size == 0:
+        cand = (T[:, c] != 0) & (rowidx >= row)
+        piv = cand.argmax(axis=0)
+        has = cand[piv, items]
+        if not has.any():
             continue
-        piv = np.argmax(cand[b], axis=1)
-        cur = row[b]
-        tmp = A[b, piv, :].copy()
-        A[b, piv, :] = A[b, cur, :]
-        A[b, cur, :] = tmp
-        pivrow = (A[b, cur, :] * inv[A[b, cur, c]][:, None]) % q
-        A[b, cur, :] = pivrow
-        factors = A[b, :, c].copy()
-        factors[np.arange(b.size), cur] = 0
-        A[b] = (A[b] - factors[:, :, None] * pivrow[:, None, :]) % q
-        row[b] += 1
-    return A.astype(np.uint8), row
+        cur = np.minimum(row, nr - 1)
+        piv = np.where(has, piv, cur)  # no pivot: scale 1, zero factors
+        prow = np.ascontiguousarray(T[piv, :, items].T)
+        if q > 2:
+            prow = prow * np.where(has, inv[prow[c]], 1) % q
+        f = T[:, c] * has
+        if q == 2:
+            T ^= f[:, None] & prow
+        else:  # at most 6 + 7 * 6 = 48 < 256 before the mod
+            np.remainder(T + (q - f)[:, None] * prow, q, out=T)
+        T[piv, :, items] = T[cur, :, items]  # row piv is now zero
+        T[cur, :, items] = prow.T
+        row += has
+    return np.ascontiguousarray(T.transpose(2, 0, 1)), row
 
 
 # ---------------------------------------------------------------------------
@@ -204,26 +210,20 @@ def inverse_batch(mats, q):
 
     Returns (inverses, invertible): one elimination of [M | I] with pivots
     in the left block only, where an item is invertible iff it gets n
-    pivots, and its right block is then the inverse.  Inverses of the
+    pivots, and its uint8 right block is then the inverse.  Inverses of the
     singular items are zero.
     """
-    A = np.asarray(mats, dtype=np.int16) % q
+    A = np.asarray(mats) % q
     n = A.shape[-1]
-    eye = np.broadcast_to(np.eye(n, dtype=np.int16), A.shape)
+    eye = np.broadcast_to(np.eye(n, dtype=A.dtype), A.shape)
     R, ranks = _eliminate(np.concatenate([A, eye], axis=2), q, n)
-    invertible = ranks == n
     inverses = R[:, :, n:]
-    inverses[~invertible] = 0
-    return inverses, invertible
+    inverses[ranks != n] = 0
+    return inverses, ranks == n
 
 
 def mat_mul(A, B, q):
     return (np.asarray(A, dtype=np.int64) @ np.asarray(B, dtype=np.int64) % q).astype(np.uint8)
-
-
-def mat_rank(M, q):
-    """Rank of a single matrix over F_q."""
-    return int(rank(np.asarray(M), q))
 
 
 def charpoly_batch(mats, q):

@@ -1347,6 +1347,27 @@ def test_mutated_normaliser_raises_not_contained():
         equivalence.equivalence_classes([space, moved])
 
 
+@pytest.mark.parametrize("error", [NotContained, NotInvertible])
+def test_key_merge_checks_catch_one_bad_merge_among_classes(error, monkeypatch):
+    # two classes of three spaces, their merges checked in one batch
+    rng = np.random.default_rng(24)
+    field = algebra.field_construct(2, 4).space
+    bases = [field.extend(np.diag(d)) for d in ([1, 0, 0, 0], [1, 1, 0, 0])]
+    spaces = [equivalence.act(random_isotopism(rng, 2, 4), s) for s in bases for _ in range(3)]
+    assert len(equivalence.equivalence_classes(spaces)) == 2
+    data = equivalence.space_data(spaces[-1])
+    key, (y, y_inv, K, K_inv) = data.isotopism_key
+    if error is NotContained:
+        M = np.eye(4, dtype=np.int64)
+        M[0, 3] = 1  # a transvection that moves the normal form
+        K, K_inv = K @ M % 2, M @ K_inv % 2
+    else:
+        K, K_inv = 0 * K, 0 * K_inv  # every composed isotopism is singular
+    monkeypatch.setattr(data, "isotopism_key", (key, (y, y_inv, K, K_inv)))
+    with pytest.raises(error):
+        equivalence.equivalence_classes(spaces)
+
+
 # ---------------------------------------------------------------------------
 # Block invariants against the per-space computation they replace
 # ---------------------------------------------------------------------------

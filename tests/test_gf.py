@@ -89,7 +89,7 @@ def test_inverse_round_trip():
             assert np.array_equal(gf.mat_mul(M, inv, q), np.eye(4, dtype=np.uint8))
 
 
-@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("q", gf.SUPPORTED_Q)
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_inverse_batch_matches_mat_inverse(q, n):
     rng = np.random.default_rng(100 * q + n)
@@ -110,23 +110,126 @@ def test_inverse_batch_matches_mat_inverse(q, n):
             assert np.array_equal(inv, expected)
 
 
+# (r, c) shapes of the batch kernel tests: square, wide, tall, one row, one column
+BATCH_SHAPES = [(4, 4), (7, 7), (5, 9), (3, 6), (9, 5), (1, 6), (6, 1)]
+
+
 def test_rank_batch_matches_single():
-    rng = np.random.default_rng(3)
-    for q in (2, 3, 5):
-        mats = rng.integers(0, q, (50, 4, 4))
-        batch = gf.rank_batch(mats, q)
-        singles = [gf.mat_rank(m, q) for m in mats]
-        assert batch.tolist() == singles
+    for q in gf.SUPPORTED_Q:
+        rng = np.random.default_rng(3 + q)
+        for r, c in BATCH_SHAPES:
+            mats = rng.integers(0, q, (50, r, c))
+            mats[::5, -1] = mats[::5, 0]  # rank-deficient
+            batch = gf.rank_batch(mats, q)
+            singles = [gf.mat_rank(m, q) for m in mats]
+            assert batch.tolist() == singles
 
 
 def test_rref_batch_matches_single():
-    rng = np.random.default_rng(11)
-    mats = rng.integers(0, 3, (40, 5, 9))
-    reduced, ranks = gf.rref_batch(mats, 3)
-    for i in range(40):
-        single, piv = gf.rref(mats[i], 3)
-        assert ranks[i] == single.shape[0]
-        assert np.array_equal(reduced[i, : len(piv)], single)
+    for q in gf.SUPPORTED_Q:
+        rng = np.random.default_rng(11 + q)
+        for r, c in BATCH_SHAPES:
+            mats = rng.integers(0, q, (40, r, c))
+            mats[::4, -1] = mats[::4, 0]  # rank-deficient
+            reduced, ranks = gf.rref_batch(mats, q)
+            assert reduced.shape == mats.shape and reduced.dtype == np.uint8
+            for i in range(40):
+                single, piv = gf.rref(mats[i], q)
+                assert ranks[i] == single.shape[0]
+                assert np.array_equal(reduced[i, : len(piv)], single)
+                assert not reduced[i, len(piv):].any()
+
+
+# ---------------------------------------------------------------------------
+# The batch elimination kernel against the subset-gather kernel it replaced
+# ---------------------------------------------------------------------------
+
+
+def oracle_eliminate(A, q, ncols):
+    """Oracle: Gauss-Jordan elimination of an int16 (B, r, c) residue stack,
+    in place, gathering the items that have a pivot in each column and
+    scattering them back, with pivots from the first ncols columns only.
+    Returns (the uint8 stack, the number of pivots of each item)."""
+    nb, nr, _ = A.shape
+    inv = gf.inv_table(q).astype(np.int16)
+    row = np.zeros(nb, dtype=np.int64)
+    rowidx = np.arange(nr)
+    for c in range(ncols):
+        cand = (A[:, :, c] != 0) & (rowidx[None, :] >= row[:, None])
+        b = np.nonzero(cand.any(axis=1))[0]
+        if b.size == 0:
+            continue
+        piv = np.argmax(cand[b], axis=1)
+        cur = row[b]
+        tmp = A[b, piv, :].copy()
+        A[b, piv, :] = A[b, cur, :]
+        A[b, cur, :] = tmp
+        pivrow = (A[b, cur, :] * inv[A[b, cur, c]][:, None]) % q
+        A[b, cur, :] = pivrow
+        factors = A[b, :, c].copy()
+        factors[np.arange(b.size), cur] = 0
+        A[b] = (A[b] - factors[:, :, None] * pivrow[:, None, :]) % q
+        row[b] += 1
+    return A.astype(np.uint8), row
+
+
+def oracle_inverse_batch(mats, q):
+    """Oracle: inverse_batch through oracle_eliminate."""
+    A = np.asarray(mats, dtype=np.int16) % q
+    n = A.shape[-1]
+    eye = np.broadcast_to(np.eye(n, dtype=np.int16), A.shape)
+    R, ranks = oracle_eliminate(np.concatenate([A, eye], axis=2), q, n)
+    inverses = R[:, :, n:]
+    inverses[ranks != n] = 0
+    return inverses, ranks == n
+
+
+def kernel_stacks(q):
+    """Named (B, r, c) test stacks over F_q: tall, wide and square with
+    singular items, all-zero, sparse, single-row, and the empty shapes
+    r = 0, c = 0, n = 0 and B = 0."""
+    rng = np.random.default_rng(50 + q)
+    stacks = {
+        "tall": rng.integers(0, q, (40, 9, 4)),
+        "wide": rng.integers(0, q, (40, 4, 9)),
+        "square": rng.integers(0, q, (60, 5, 5)),
+        "all-zero": np.zeros((6, 4, 4), dtype=np.int64),
+        "sparse": rng.integers(0, q, (60, 6, 6)) * (rng.random((60, 6, 6)) < 0.2),
+        "single-row": rng.integers(0, q, (30, 1, 7)),
+        "r=0": np.zeros((5, 0, 6), dtype=np.int64),
+        "c=0": np.zeros((5, 3, 0), dtype=np.int64),
+        "n=0": np.zeros((4, 0, 0), dtype=np.int64),
+        "B=0": np.zeros((0, 4, 4), dtype=np.int64),
+    }
+    for name in ("tall", "wide", "square"):
+        stacks[name][::3, -1] = stacks[name][::3, 0]  # singular items
+    return stacks
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("q", gf.SUPPORTED_Q)
+def test_batch_kernels_match_gather_oracle(q):
+    for name, mats in kernel_stacks(q).items():
+        for given in (mats, mats.astype(np.uint8)):
+            before = given.copy()
+            reduced, ranks = gf.rref_batch(given, q)
+            want = oracle_eliminate(given.astype(np.int16) % q, q, given.shape[2])
+            assert_same_bytes(reduced, want[0])
+            assert_same_bytes(ranks, want[1])
+            assert_same_bytes(gf.rank_batch(given, q), want[1])
+            if given.shape[1] == given.shape[2]:
+                for got, want_part in zip(gf.inverse_batch(given, q), oracle_inverse_batch(given, q)):
+                    assert_same_bytes(got, want_part)
+            for ncols in range(given.shape[2] + 1):  # pivots from a left block only
+                got = gf._eliminate(given, q, ncols)
+                want = oracle_eliminate(given.astype(np.int16), q, ncols)
+                assert_same_bytes(got[0], want[0])
+                assert_same_bytes(got[1], want[1])
+            assert given.tobytes() == before.tobytes(), name  # the caller's stack is untouched
 
 
 def test_charpoly_matches_determinant_shift():
