@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -109,43 +109,6 @@ def _act_arrays(gA, gB, basis, q):
 # ---------------------------------------------------------------------------
 
 
-def _charpoly_ids(mats, q):
-    """Charpoly id of each matrix of a (B, n, n) stack: the base-q code of
-    its non-leading charpoly coefficients."""
-    return encode_rows(gf.charpoly_batch(mats, q)[:, 1:], q)
-
-
-@lru_cache(maxsize=4)
-def _charpoly_code_table(q, n):
-    """_charpoly_ids of the n x n matrices, indexed by their encoding
-    (entry j of a flattened matrix is digit j, least first), -1 where not
-    yet computed: a process-wide cache that _cp_of_mats fills as batches
-    ask, so it never runs the kernel on more than the full table."""
-    return np.full(q ** (n * n), -1, dtype=np.int64)
-
-
-def _cp_of_mats(mats, q):
-    """Charpoly ids of a (B, n, n) stack: for q = 2, n <= 4 a table
-    lookup, whose missing entries are computed for the distinct codes of
-    the batch in one kernel call, and all at once when half the table is
-    filled (a classification asks for nearly all of it, in thousands of
-    small calls); else the kernel."""
-    n = mats.shape[-1]
-    if q == 2 and n <= 4:
-        table = _charpoly_code_table(q, n)
-        codes = encode_rows(mats.reshape(mats.shape[0], -1) % q, q)
-        missing = table[codes] < 0
-        if missing.any():
-            new, at = np.unique(codes[missing], return_index=True)
-            table[new] = _charpoly_ids(mats[missing][at], q)
-            rest = np.nonzero(table < 0)[0]
-            if 0 < 2 * rest.size <= table.size:  # half filled: the rest now, 4,096 a call
-                for part in (rest[lo:lo + 4096] for lo in range(0, rest.size, 4096)):
-                    table[part] = _charpoly_ids((part[:, None] // q ** np.arange(n * n) % q).reshape(-1, n, n), q)
-        return table[codes]
-    return _charpoly_ids(mats, q)
-
-
 class SpaceData:
     """Element-level invariants of one MatSpace, each computed on first use.
 
@@ -171,7 +134,7 @@ class SpaceData:
     @cached_property
     def cp_ids(self):
         """Stable per-element characteristic polynomial ids."""
-        return _cp_of_mats(self.elems.reshape(-1, self.n, self.n), self.q)
+        return gf.charpoly_ids(self.elems.reshape(-1, self.n, self.n), self.q)
 
     @cached_property
     def fingerprint(self):
@@ -313,7 +276,7 @@ def _unital_ids(mats, owner, inverses, q):
     step = max(1, _DIVISION_BLOCK // max(1, m))
     for lo in range(0, len(inverses), step):
         prods = mats[owner[lo:lo + step]] @ inverses[lo:lo + step, None].astype(np.int16) % q
-        ids[lo:lo + step] = _cp_of_mats(prods.reshape(-1, n, n), q).reshape(-1, m)
+        ids[lo:lo + step] = gf.charpoly_ids(prods.reshape(-1, n, n), q).reshape(-1, m)
     return ids
 
 
@@ -361,7 +324,7 @@ def _key_stage(block):
         target[live] = [ranked[s][r][1] for s in live]
         anchor, member = np.nonzero(rows == target[anchors, None])
         G = mats[anchors[anchor], member].astype(np.int16) @ y_inv[anchor] % q
-        cyclic = _min_degrees(G, q) == n
+        cyclic = gf.min_degrees(G, q) == n
         anchor, G = anchor[cyclic], G[cyclic]
         K, K_inv, member = _spin_frames(G, bases[anchors[anchor]] @ y_inv[anchor, None] % q, q)
         space = anchors[anchor[member]]
@@ -400,15 +363,6 @@ def _least_forms(bases, space, anchor, y_inv, K, K_inv, q):
         first = order[np.append(True, spaces[order][1:] != spaces[order][:-1])]
         best, best_space, best_at = rows[first], spaces[first], at[first]
     return best_space, best, best_at
-
-
-def _min_degrees(G, q):
-    """Degree of the minimal polynomial of each matrix of a (k, n, n) stack:
-    the rank of its powers I, g, .., g^(n-1), one rank_batch."""
-    powers = [np.broadcast_to(np.eye(G.shape[-1], dtype=np.int16), G.shape)]
-    for _ in range(G.shape[-1] - 1):
-        powers.append(powers[-1] @ G.astype(np.int16) % q)
-    return gf.rank_batch(np.stack(powers, axis=-1).reshape(len(G), -1, G.shape[-1]), q)
 
 
 def _spin_frames(G, spaces, q, lone=None):
@@ -513,12 +467,12 @@ def _conjugators(d1, d2):
     V = d2.elems.reshape(-1, n, n).astype(np.int16)[None] @ Y_inv[:, None] % q
     U_basis = d1.space.basis.reshape(-1, n, n).astype(np.int16) @ x_inv % q
     bases = d2.space.basis.reshape(-1, n, n).astype(np.int16) @ Y_inv[:, None] % q
-    ids, degrees = _cp_of_mats(U, q), _min_degrees(U, q)
+    ids, degrees = gf.charpoly_ids(U, q), gf.min_degrees(U, q)
     sizes = Counter(zip(ids.tolist(), degrees.tolist()))
     cid, deg = min(sizes, key=lambda key: (-key[1], sizes[key], key[0]))
     g = np.nonzero((ids == cid) & (degrees == deg))[0]
-    at, elem = np.nonzero(_cp_of_mats(V.reshape(-1, n, n), q).reshape(len(V), -1) == cid)
-    at, elem = np.stack([at, elem])[:, _min_degrees(V[at, elem], q) == deg]
+    at, elem = np.nonzero(gf.charpoly_ids(V.reshape(-1, n, n), q).reshape(len(V), -1) == cid)
+    at, elem = np.stack([at, elem])[:, gf.min_degrees(V[at, elem], q) == deg]
     first = np.unique(at, return_index=True)[1]
     at, elem = at[first], elem[first]
     # every frame of every member at x, then one frame at each image

@@ -9,6 +9,13 @@ Determinants and characteristic polynomials have one kernel, charpoly_batch:
 the division-free Samuelson-Berkowitz recurrence, batched over the stack.
 det_batch reads the determinant off its constant coefficient.
 
+In front of both kernels sits one code table per (q, n) with q^(n^2) <= 2^16
+(q = 2 up to n = 4, q = 3 up to n = 3, q = 5 and 7 up to n = 2): rank, inverse,
+minimal-polynomial degree and charpoly id of every n x n matrix, indexed by
+its base-q code and filled lazily by the kernels.  rank_batch, inverse_batch,
+charpoly_ids and min_degrees read it on square stacks within that bound; the
+other stacks go to the kernels, which stay the oracles of the table.
+
 The enumerators of vectors (coefficient_grid), of projective normal forms
 (leading_coeff) and of subspaces in RREF (rref_subspaces) live here, so
 every module that walks F_q^k or its subspaces walks it in the same order.
@@ -131,8 +138,13 @@ mat_rank = rank
 
 
 def rank_batch(mats, q):
-    """Ranks of a (B, r, c) stack over F_q, vectorised across the batch."""
-    return rref_batch(mats, q)[1]
+    """int64 ranks of a (B, r, c) stack over F_q: a code-table lookup for a
+    square stack within the tables' bound, else one elimination."""
+    hit = _table_lookup(mats, q)
+    if hit is None:
+        return rref_batch(mats, q)[1]
+    table, codes = hit
+    return table["rank"][codes].astype(np.int64)
 
 
 def rref_batch(mats, q):
@@ -208,18 +220,30 @@ def mat_inverse(M, q):
 def inverse_batch(mats, q):
     """Inverses of a (B, n, n) stack over F_q.
 
-    Returns (inverses, invertible): one elimination of [M | I] with pivots
-    in the left block only, where an item is invertible iff it gets n
-    pivots, and its uint8 right block is then the inverse.  Inverses of the
-    singular items are zero.
+    Returns (inverses, invertible): the uint8 inverses, zero for the
+    singular items, and the bool invertible flags, from the code table
+    within its bound, else from _inverse_kernel.
     """
-    A = np.asarray(mats) % q
+    n = np.shape(mats)[-1]
+    hit = _table_lookup(mats, q)
+    if hit is None:
+        inverses, ranks = _inverse_kernel(np.asarray(mats) % q, q)
+        return inverses, ranks == n
+    table, codes = hit
+    return _decode(table["inverse"][codes], q, n), table["rank"][codes] == n
+
+
+def _inverse_kernel(A, q):
+    """(inverses, ranks) of a (B, n, n) residue stack: one elimination of
+    [A | I] with pivots in the left block only, whose pivot count is the
+    rank, and whose uint8 right block is the inverse of a full-rank item;
+    the inverses of the other items are zero."""
     n = A.shape[-1]
     eye = np.broadcast_to(np.eye(n, dtype=A.dtype), A.shape)
     R, ranks = _eliminate(np.concatenate([A, eye], axis=2), q, n)
     inverses = R[:, :, n:]
     inverses[ranks != n] = 0
-    return inverses, ranks == n
+    return inverses, ranks
 
 
 def mat_mul(A, B, q):
@@ -263,6 +287,114 @@ def charpoly_batch(mats, q):
 def charpoly(M, q):
     """Characteristic polynomial of one matrix, coefficients highest first."""
     return tuple(int(c) for c in charpoly_batch(np.asarray(M)[None], q)[0])
+
+
+def charpoly_ids(mats, q):
+    """Charpoly id of each matrix of a (B, n, n) stack, as int64: the base-q
+    code of its non-leading charpoly coefficients, the x^(n-1) coefficient
+    least significant.  From the code table within its bound, else from
+    charpoly_batch."""
+    hit = _table_lookup(mats, q)
+    if hit is None:
+        return _charpoly_id_kernel(np.asarray(mats), q)
+    table, codes = hit
+    return table["charpoly"][codes].astype(np.int64)
+
+
+def _charpoly_id_kernel(mats, q):
+    """charpoly_ids by one charpoly_batch."""
+    n = mats.shape[-1]
+    return charpoly_batch(mats, q)[:, 1:].astype(np.int64) @ q ** np.arange(n, dtype=np.int64)
+
+
+def min_degrees(mats, q):
+    """Degree of the minimal polynomial of each matrix of a (B, n, n) stack,
+    as int64: from the code table within its bound, else the rank of the
+    powers I, g, .., g^(n-1) by one elimination."""
+    hit = _table_lookup(mats, q)
+    if hit is None:
+        return _min_degree_kernel(np.asarray(mats), q)
+    table, codes = hit
+    return table["min_degree"][codes].astype(np.int64)
+
+
+def _min_degree_kernel(G, q):
+    """min_degrees by one elimination of the (B, n^2, n) stacks whose
+    columns are I, g, .., g^(n-1)."""
+    n = G.shape[-1]
+    powers = [np.broadcast_to(np.eye(n, dtype=np.int16), G.shape)]
+    for _ in range(n - 1):
+        powers.append(powers[-1] @ (G % q).astype(np.int16) % q)
+    return _eliminate(np.stack(powers, axis=-1).reshape(len(G), -1, n), q, n)[1]
+
+
+# ---------------------------------------------------------------------------
+# Per-matrix code tables
+# ---------------------------------------------------------------------------
+
+# rank_batch, inverse_batch, charpoly_ids and min_degrees of a square stack
+# read one table per (q, n) with q^(n^2) <= _TABLE_CODES, indexed by the
+# matrix's code: entry j of the flattened matrix is digit j, least first.
+_TABLE_CODES = 1 << 16
+_FILL_STEP = 4096  # codes per kernel call once a table is half filled
+_TABLE_FIELDS = np.dtype([("rank", np.int8), ("inverse", np.uint16),
+                          ("min_degree", np.int8), ("charpoly", np.int8)])
+
+
+@lru_cache(maxsize=None)
+def _code_table(q, n):
+    """The process-wide table of the n x n matrices over F_q, rank -1 where
+    not yet filled; the inverse's code is 0 for a singular matrix."""
+    table = np.zeros(q ** (n * n), dtype=_TABLE_FIELDS)
+    table["rank"] = -1
+    return table
+
+
+def _decode(codes, q, n):
+    """The uint8 (B, n, n) matrices of the given codes."""
+    digits = np.asarray(codes, dtype=np.int64)[:, None] // q ** np.arange(n * n, dtype=np.int64) % q
+    return digits.astype(np.uint8).reshape(-1, n, n)
+
+
+def _fill(table, codes, q, n):
+    """Fill the entries of distinct codes by the kernels: one [M | I]
+    elimination, one elimination of the powers, one charpoly_batch."""
+    mats = _decode(codes, q, n)
+    inverses, ranks = _inverse_kernel(mats, q)
+    table["inverse"][codes] = inverses.reshape(-1, n * n) @ q ** np.arange(n * n, dtype=np.int64)
+    table["min_degree"][codes] = _min_degree_kernel(mats, q)
+    table["charpoly"][codes] = _charpoly_id_kernel(mats, q)
+    table["rank"][codes] = ranks  # last: it marks the entries filled
+
+
+def _table_lookup(mats, q):
+    """(the code table of a square (B, n, n) stack's (q, n), its items'
+    codes), every entry of those codes filled; None for other stacks and
+    for q^(n^2) > _TABLE_CODES.
+
+    The missing distinct codes of a call are filled in one kernel pass;
+    once half the table is filled, the rest is, _FILL_STEP codes a pass (a
+    classification asks for nearly all of it, in thousands of small calls).
+    """
+    shape = np.shape(mats)
+    if len(shape) != 3 or shape[1] != shape[2] or not shape[1] or q ** (shape[1] ** 2) > _TABLE_CODES:
+        return None
+    n = shape[1]
+    table = _code_table(q, n)
+    flat = np.asarray(mats).reshape(shape[0], n * n)
+    if flat.size and (flat.min() < 0 or flat.max() >= q):  # an integer mod costs more than the check
+        flat = flat % q
+    # a code is below 2^16, so float32 sums are exact
+    codes = (flat @ q ** np.arange(n * n, dtype=np.float32)).astype(np.intp)
+    missing = table["rank"][codes] < 0
+    if missing.any():
+        # return_index: a plain np.unique imports numpy.ma
+        _fill(table, np.unique(codes[missing], return_index=True)[0], q, n)
+        rest = np.nonzero(table["rank"] < 0)[0]
+        if 0 < 2 * rest.size <= table.size:
+            for lo in range(0, rest.size, _FILL_STEP):
+                _fill(table, rest[lo:lo + _FILL_STEP], q, n)
+    return table, codes
 
 
 # ---------------------------------------------------------------------------

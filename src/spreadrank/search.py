@@ -243,7 +243,7 @@ def _stacked(parts, pad):
     return out
 
 
-def _process_parents(parents, pts, least, members=False):
+def _process_parents(parents, pts, least, members=False, times=None):
     """Each parent's children at a raw level whose rank-one score reaches least.
 
     The parents are a block of spaces of one dimension.  A child's score is
@@ -254,10 +254,17 @@ def _process_parents(parents, pts, least, members=False):
     members are ranked (see _rank_one_profile).  Returns, per parent,
     (child spans, the point indices that define the kept children, in child
     order, and their scores), with members the kept children's rows of
-    _members as a fourth item; nothing is built.
+    _members as a fourth item; nothing is built.  With times, a dict, the
+    seconds of the grouping and of the rank-one profile are added to its
+    group_s and profile_s.
     """
+    started = time.perf_counter()
     ext = extension_groups(parents, pts)
+    grouped = time.perf_counter()
     base_rank, extras = _rank_one_profile(parents, ext, pts, least)
+    if times is not None:
+        times["group_s"] += grouped - started
+        times["profile_s"] += time.perf_counter() - grouped
     scores = base_rank[ext.parent] + extras
     keep = np.nonzero(scores >= least)[0]
     cuts = np.searchsorted(keep, ext.first[1:-1])
@@ -284,9 +291,11 @@ class SearchReport:
     timings runs parallel to levels: one {dim, wall_s} per level, the wall
     seconds from the level's start to its entry, plus the seconds of each
     phase where the search times them (the classified levels: children_s,
-    classify_s, and filter_s in spread_sets_by_rank; the final level of
-    disprove_rank: key_s and the number of parents evaluated).  The times
-    stay out of levels, which runs of one search reproduce exactly.
+    classify_s, and filter_s in spread_sets_by_rank; the raw levels of
+    disprove_rank: group_s and profile_s, the grouping and rank-one profile
+    seconds summed over the block kernel's calls, and at the final level
+    also key_s and the number of parents evaluated).  The times stay out of
+    levels, which runs of one search reproduce exactly.
     """
 
     algorithm: str
@@ -703,13 +712,15 @@ def disprove_rank(spread, R, aut=None, checkpoint=None, progress=None):
     time in one call of the block kernel and accounts for them in steps of
     _CHUNK parents: one log record and one progress event per step, and the
     final level stops after the first step with a witness, so levels,
-    witnesses and logs do not depend on _BLOCK.  At R = 2n the final level's
-    parents are the filter level's rows, whose rank-one points that level
-    keeps in memory; the final level keys them in one orbit_keys pass,
-    evaluates only the first parent of each orbit under the automorphism
-    group, charges each later one the first's spans and witness count (orbit
-    invariants, so a later one never holds the first witness), and records
-    key_s and the parents evaluated in its timings entry.  With a checkpoint
+    witnesses and logs do not depend on _BLOCK; the level's timings entry
+    sums the kernel's grouping and profile seconds as group_s and
+    profile_s.  At R = 2n the final level's parents are the filter level's
+    rows, whose rank-one points that level keeps in memory; the final level
+    keys them in one orbit_keys pass, evaluates only the first parent of
+    each orbit under the automorphism group, charges each later one the
+    first's spans and witness count (orbit invariants, so a later one never
+    holds the first witness), and records key_s and the parents evaluated
+    in its timings entry.  With a checkpoint
     path, the log's header is written before the first level (an unwritable
     path raises OSError at once), and each step appends one record (see
     _Checkpoint).  A run started again with the same spread set, R and
@@ -830,14 +841,15 @@ def disprove_rank(spread, R, aut=None, checkpoint=None, progress=None):
             for j, key in zip(todo.tolist(), orbit_keys(held[todo], aut, np.full(todo.size, dim - 1))):
                 first[j] = seen.setdefault(key, j)
             scan = [j for j in scan if first[j] == j]
-        phase, results = {"key_s": time.perf_counter() - keying, "evaluated": 0}, {}
+        phase, results = {"key_s": time.perf_counter() - keying, "evaluated": 0,
+                          "group_s": 0.0, "profile_s": 0.0}, {}
         for at in range(0, len(scan), _BLOCK):
             if final and kept:  # the first witness, found or replayed
                 break
             block = scan[at:at + _BLOCK]
             phase["evaluated"] += len(block)
             parents = _parents(current, rows, block, pts)
-            results.update(zip(block, _process_parents(parents, pts, least, members=carry)))
+            results.update(zip(block, _process_parents(parents, pts, least, members=carry, times=phase)))
             ready = scan[at + _BLOCK] if at + _BLOCK < len(scan) else total  # the parents before are settled
             while min(pos + _CHUNK, total) <= ready and pos < total and not (final and kept):
                 chunk, kept_before = range(pos, min(pos + _CHUNK, total)), len(kept)
@@ -865,7 +877,7 @@ def disprove_rank(spread, R, aut=None, checkpoint=None, progress=None):
                 hit = _parents(current, rows, [j], pts)[0].extend(pts.flat[point])
                 report.witness = _witness_rank_ones(hit, pts)
             break
-        report.add_level(entry, started)
+        report.add_level(entry, started, group_s=phase["group_s"], profile_s=phase["profile_s"])
         if filtering:
             entry["survivors"] = counts["good"]
         members = _stacked(members, len(pts)) if carry else None

@@ -8,7 +8,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from spreadrank import algebra, atlas, codec, equivalence, gf, search
+from spreadrank import algebra, atlas, codec, gf, search
 
 # (q, largest k or n) with every smaller size included; the sizes stay small
 SMALL = [(2, 4), (3, 4), (5, 4)]
@@ -273,16 +273,18 @@ def test_charpoly_digits_match_digit_loop(q, n):
     assert np.ascontiguousarray(reversed_grid).tobytes() == oracle_charpoly_digits(q, n).tobytes()
 
 
-def fill_code_table(n, step):
-    """The q = 2 charpoly table, empty at first, after _cp_of_mats has been
-    asked for every n x n matrix in batches of step, each batch half new
-    codes and half codes of the batch before, repeats included."""
-    equivalence._charpoly_code_table.cache_clear()
-    mats = oracle_charpoly_digits(2, n).reshape(-1, n, n)
-    for lo in range(0, len(mats), step):
+def fill_code_table(q, n, step):
+    """The (q, n) code table, empty at first, after the table's readers
+    have been asked for every n x n matrix in batches of step, each batch
+    half new codes and half codes of the batch before, repeats included;
+    the readers take turns, so every one of them fills entries."""
+    gf._code_table.cache_clear()
+    mats = oracle_charpoly_digits(q, n).reshape(-1, n, n)
+    readers = [gf.charpoly_ids, gf.rank_batch, gf.inverse_batch, gf.min_degrees]
+    for turn, lo in enumerate(range(0, len(mats), step)):
         batch = np.concatenate([mats[lo:lo + step], mats[max(0, lo - step // 2):lo + step // 2]])
-        equivalence._cp_of_mats(batch, 2)
-    return equivalence._charpoly_code_table(2, n)
+        readers[turn % len(readers)](batch, q)
+    return gf._code_table(q, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -292,20 +294,27 @@ def test_charpoly_code_table_matches_digit_loop(n):
     digits = oracle_charpoly_digits(2, n)
     cps = gf.charpoly_batch(digits.reshape(-1, n, n), 2)
     ids = codec.encode_rows(cps[:, 1:], 2)
-    got = fill_code_table(n, max(1, 2 ** (n * n) // 16))
-    assert got.tobytes() == ids.tobytes()
-    equivalence._charpoly_code_table.cache_clear()
+    got = fill_code_table(2, n, max(1, 2 ** (n * n) // 16))
+    assert (got["rank"] >= 0).all()
+    assert got["charpoly"].astype(np.int64).tobytes() == ids.tobytes()
+    gf._code_table.cache_clear()
 
 
 def test_charpoly_code_table_build_peak_memory():
     # one charpoly_batch over all 65,536 matrices peaked at about 27 MB; the
-    # digit grid alone is 8.4 MB.  Filling the table in batches of 4,096
-    # stays below 16 MB
+    # digit grid alone is 8.4 MB.  Filling every field of the table in
+    # batches of 4,096 stays below 16 MB
     tracemalloc.start()
     try:
-        fill_code_table(4, 4096)
+        table = fill_code_table(2, 4, 4096)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        equivalence._charpoly_code_table.cache_clear()
+        gf._code_table.cache_clear()
     assert peak < 16e6
+    assert set(np.unique(table["rank"])) == set(range(5))
+    assert set(np.unique(table["min_degree"])) == set(range(1, 5))
+    assert set(np.unique(table["charpoly"])) == set(range(16))
+    invertible = table["rank"] == 4
+    assert invertible.sum() == 20160  # |GL_4(F_2)|
+    assert (table["inverse"][invertible] > 0).all() and not table["inverse"][~invertible].any()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from spreadrank import algebra, atlas, equivalence, gf, search
+from spreadrank import algebra, atlas, codec, equivalence, gf, search
 from spreadrank.errors import (
     BadParameters,
     NotContained,
@@ -539,7 +539,7 @@ def oracle_conjugators(dataU, dataV, find_all):
     v_mats = dataV.elems.reshape(-1, n, n).astype(np.int64)
     v_ids = dataV.cp_ids
     if gens:
-        gen_ids = equivalence._cp_of_mats(np.stack(gens), q)
+        gen_ids = gf.charpoly_ids(np.stack(gens), q)
         by_count = sorted(range(len(gens)), key=lambda i: int((v_ids == gen_ids[i]).sum()))
         gens, gen_ids = [gens[i] for i in by_count], gen_ids[by_count]
     u_mats = dataU.space.basis.reshape(-1, n, n).astype(np.int64)
@@ -668,25 +668,25 @@ def test_are_equivalent_rejects_false_witness(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The q = 2 charpoly table against the kernel
+# The q = 2 code table's charpoly ids against the kernel
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("n, sample", [(3, None), (4, 3000)], ids=["all-3x3", "sample-4x4"])
 def test_charpoly_table_ids_equal_kernel_ids(monkeypatch, n, sample):
-    # one charpoly id: the q = 2 table is a precomputed copy of the kernel's
+    # one charpoly id: the q = 2 code table is a precomputed copy of the kernel's
     mats = gf.coefficient_grid(2, n * n).astype(np.uint8).reshape(-1, n, n)
     if sample:
         mats = mats[np.random.default_rng(n).choice(len(mats), sample, replace=False)]
-    kernel_ids = equivalence._charpoly_ids(mats, 2)
-    equivalence._charpoly_code_table.cache_clear()
-    filled = equivalence._cp_of_mats(mats, 2)  # fills the table's entries of these codes
+    kernel_ids = codec.encode_rows(gf.charpoly_batch(mats, 2)[:, 1:], 2)
+    gf._code_table.cache_clear()
+    filled = gf.charpoly_ids(mats, 2)  # fills the table's entries of these codes
 
     def no_kernel(mats, q):
         raise AssertionError("the q = 2 path ran the kernel")
 
     monkeypatch.setattr(gf, "charpoly_batch", no_kernel)
-    table_ids = equivalence._cp_of_mats(mats, 2)
+    table_ids = gf.charpoly_ids(mats, 2)
     assert filled.tobytes() == table_ids.tobytes() == kernel_ids.tobytes()
     assert len(np.unique(kernel_ids)) == 2**n  # every monic charpoly of degree n occurs
 
@@ -731,7 +731,7 @@ def no_cyclic_member_at_the_anchor(space):
     data = equivalence.space_data(space)
     (_, x_inv, _, _), _, _, _ = equivalence._conjugators(data, data)
     U = data.elems.reshape(-1, n, n).astype(np.int64) @ x_inv % q
-    return equivalence._min_degrees(U, q).max() < n
+    return gf.min_degrees(U, q).max() < n
 
 
 def seeded_s2_image():
@@ -1391,7 +1391,7 @@ def oracle_unital_ids(data, inverses):
     mats = data.elems.reshape(-1, n, n).astype(np.int16)
     step = max(1, equivalence._DIVISION_BLOCK // len(mats))
     return np.concatenate([
-        equivalence._cp_of_mats(
+        gf.charpoly_ids(
             (mats[None] @ block[:, None].astype(np.int16) % q).reshape(-1, n, n), q)
         for block in np.split(inverses, range(step, len(inverses), step))
     ]).reshape(len(inverses), len(mats))
@@ -1547,7 +1547,7 @@ def test_order81_atlas_entries_get_twelve_distinct_block_keys():
 def test_spin_frames_of_cyclic_members_are_their_krylov_bases(q, n):
     G = np.random.default_rng(10 * q + n).integers(0, q, (48, n, n)).astype(np.uint8)
     G[::12] = np.eye(n, dtype=np.uint8)
-    cyclic = np.nonzero(equivalence._min_degrees(G, q) == n)[0]
+    cyclic = np.nonzero(gf.min_degrees(G, q) == n)[0]
     want_K, want_K_inv, want_member = oracle_krylov_bases(G.astype(np.int64), q)
     # a member has a Krylov basis iff it is cyclic, and both kinds occur
     assert set(want_member.tolist()) == set(cyclic.tolist())

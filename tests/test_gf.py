@@ -3,7 +3,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from spreadrank import codec, gf
+from spreadrank import algebra, atlas, codec, gf, search
 from spreadrank.errors import NotIrreducible, NotRankOne, SingularMatrix
 
 
@@ -230,6 +230,110 @@ def test_batch_kernels_match_gather_oracle(q):
                 assert_same_bytes(got[0], want[0])
                 assert_same_bytes(got[1], want[1])
             assert given.tobytes() == before.tobytes(), name  # the caller's stack is untouched
+
+
+# ---------------------------------------------------------------------------
+# The per-matrix code tables against the kernels
+# ---------------------------------------------------------------------------
+
+TABLE_SIZES = [(q, n) for q in gf.SUPPORTED_Q for n in range(1, 5) if q ** (n * n) <= 1 << 16]
+
+
+def every_matrix(q, n):
+    """Every n x n matrix over F_q as a uint8 stack, item i of code i."""
+    return np.ascontiguousarray(gf.coefficient_grid(q, n * n)[:, ::-1]).astype(np.uint8).reshape(-1, n, n)
+
+
+def oracle_table_fields(mats, q):
+    """(ranks, inverses, invertible, minimal-polynomial degrees, charpoly
+    ids) of a (B, n, n) stack straight from the kernels: rref_batch, one
+    _eliminate of [M | I] with pivots in M, the rank of the rows vec(g^i),
+    i < n, by rref_batch, and charpoly_batch."""
+    n = mats.shape[-1]
+    ranks = gf.rref_batch(mats, q)[1]
+    eye = np.broadcast_to(np.eye(n, dtype=np.uint8), mats.shape)
+    R, pivots = gf._eliminate(np.concatenate([mats, eye], axis=2), q, n)
+    inverses = R[:, :, n:]
+    inverses[pivots != n] = 0
+    powers = [eye]
+    for _ in range(n - 1):  # a sum is at most n (q - 1)^2 <= 72: uint8 holds it
+        powers.append(powers[-1] @ mats % q)
+    degrees = gf.rref_batch(np.stack(powers, axis=1).reshape(len(mats), n, n * n), q)[1]
+    ids = codec.encode_rows(gf.charpoly_batch(mats, q)[:, 1:], q)
+    return ranks, inverses, pivots == n, degrees, ids
+
+
+def table_fields(mats, q):
+    """The same five arrays from the table's readers."""
+    inverses, invertible = gf.inverse_batch(mats, q)
+    return gf.rank_batch(mats, q), inverses, invertible, gf.min_degrees(mats, q), gf.charpoly_ids(mats, q)
+
+
+@pytest.mark.parametrize("q, n", TABLE_SIZES)
+def test_code_table_matches_kernels_on_every_code(monkeypatch, q, n):
+    mats = every_matrix(q, n)
+    want = oracle_table_fields(mats, q)
+    # lazy fill: shuffled batches of about 1/16 of the codes, each with
+    # half the codes of the batch before again, the readers taking turns
+    gf._code_table.cache_clear()
+    order = np.random.default_rng(q * 10 + n).permutation(len(mats))
+    step = max(2, len(mats) // 16)
+    readers = [gf.rank_batch, gf.inverse_batch, gf.min_degrees, gf.charpoly_ids]
+    for turn, lo in enumerate(range(0, len(mats), step)):
+        batch = order[max(0, lo - step // 2):lo + step]
+        readers[turn % len(readers)](mats[batch], q)
+    table = gf._code_table(q, n)
+    assert (table["rank"] >= 0).all()  # the half-filled rule filled the rest
+    got = table_fields(mats, q)
+    for got_part, want_part in zip(got, want):
+        assert_same_bytes(got_part, want_part)
+
+    def no_kernel(*args):
+        raise AssertionError("a table hit ran a kernel")
+
+    monkeypatch.setattr(gf, "_eliminate", no_kernel)
+    monkeypatch.setattr(gf, "charpoly_batch", no_kernel)
+    again = np.concatenate([order[:50], order[:50]])  # repeats
+    for got_part, hit_part, want_part in zip(got, table_fields(mats[again], q), want):
+        assert_same_bytes(hit_part, want_part[again])
+    for got_part, hit_part in zip(got, table_fields(mats, q)):
+        assert_same_bytes(hit_part, got_part)
+
+
+def test_stacks_outside_the_tables_reach_the_kernels(monkeypatch):
+    # 3^16 codes of q = 3, n = 4 (F81), a 2^25-code square stack and
+    # non-square stacks get no table: every reader runs its kernel
+    shapes = []
+    eliminate, charpoly_batch = gf._eliminate, gf.charpoly_batch
+
+    def counting_eliminate(A, q, ncols):
+        shapes.append(("eliminate", q, A.shape[1:]))
+        return eliminate(A, q, ncols)
+
+    def counting_charpoly(mats, q):
+        shapes.append(("charpoly", q, np.shape(mats)[1:]))
+        return charpoly_batch(mats, q)
+
+    monkeypatch.setattr(gf, "_eliminate", counting_eliminate)
+    monkeypatch.setattr(gf, "charpoly_batch", counting_charpoly)
+    gf._code_table.cache_clear()
+    rng = np.random.default_rng(81)
+    f81 = rng.integers(0, 3, (20, 4, 4)).astype(np.uint8)
+    want = oracle_table_fields(f81, 3)
+    del shapes[:]
+    for got_part, want_part in zip(table_fields(f81, 3), want):
+        assert_same_bytes(got_part, want_part)
+    assert shapes == [("eliminate", 3, (4, 8)), ("eliminate", 3, (4, 4)),
+                      ("eliminate", 3, (16, 4)), ("charpoly", 3, (4, 4))]
+    del shapes[:]
+    assert gf.rank_batch(rng.integers(0, 2, (10, 5, 5)), 2).shape == (10,)
+    assert shapes == [("eliminate", 2, (5, 5))]
+    # the rank-one profile ranks (children, members, dim + 1) rows
+    del shapes[:]
+    f16 = atlas.atlas_get("F16").space()
+    search._process_parents([f16], algebra.points_for(2, 4), 0)
+    assert any(kind == "eliminate" and shape[1] == 5 for kind, _, shape in shapes)
+    assert gf._code_table.cache_info().currsize == 0
 
 
 def test_charpoly_matches_determinant_shift():

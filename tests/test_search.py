@@ -1,6 +1,8 @@
 import functools
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import types
 
@@ -621,8 +623,9 @@ def test_code_exists_is_computed_once_per_argument(monkeypatch):
 def test_reports_time_every_level():
     # one {dim, wall_s} per level, beside the levels and in the JSON report,
     # with every time rounded there; F8 R=8 ends at a final level with a
-    # witness; spread_sets_by_rank also times its three phases, and the
-    # classified levels of disprove_rank their two
+    # witness; spread_sets_by_rank also times its three phases, the
+    # classified levels of disprove_rank their two, and its raw levels
+    # their grouping and rank-one profile
     reports = [
         search.disprove_rank(algebra.field_construct(2, 4), 8),
         search.disprove_rank(algebra.field_construct(2, 3), 8),
@@ -639,12 +642,17 @@ def test_reports_time_every_level():
                         (reports[1], ("children_s", "classify_s")),
                         (reports[2], ("children_s", "classify_s", "filter_s"))):
         for entry, t in zip(rep.levels, rep.timings):
+            raw = ("group_s", "profile_s")
             if "witnesses" in entry:  # the final level of disprove_rank
-                assert set(t) == {"dim", "wall_s", "key_s", "evaluated"}
+                assert set(t) == {"dim", "wall_s", "key_s", "evaluated", *raw}
                 assert 0 <= t["key_s"] <= t["wall_s"] and t["evaluated"] > 0
+                assert all(t[k] > 0 for k in raw)
+                assert t["key_s"] + t["group_s"] + t["profile_s"] <= t["wall_s"]
                 continue
             if "classes" not in entry:  # another raw level of disprove_rank
-                assert set(t) == {"dim", "wall_s"}
+                assert set(t) == {"dim", "wall_s", *raw}
+                assert all(t[k] > 0 for k in raw)
+                assert t["group_s"] + t["profile_s"] <= t["wall_s"]
                 continue
             assert set(t) == {"dim", "wall_s", *phases}
             assert all(t[k] >= 0 for k in phases)
@@ -653,6 +661,23 @@ def test_reports_time_every_level():
     assert [e["dim"] for e in reports[1].levels if "classes" in e] == [4]
     # F16 R=8 evaluates one final parent per orbit; F8 R=8 one block, up to its witness
     assert [rep.timings[-1]["evaluated"] for rep in reports[:2]] == [16, search._BLOCK]
+
+
+@pytest.mark.parametrize("call", [
+    "search.disprove_rank(atlas.atlas_get('F81').spread_set(), 6)",
+    "search.spread_sets_by_rank(2, 3, 8)",
+    "search.tensor_rank(atlas.atlas_get('S1').spread_set())",
+], ids=["disprove-F81-R6", "classify-order8-R8", "tensor-rank-S1"])
+def test_searches_leave_numpy_ma_unimported(call):
+    # a plain np.unique imports numpy.ma, 12 ms and its memory in every
+    # process (NOTES.md, "Performance pitfalls"); each search runs in a
+    # fresh interpreter, which imports the package from this checkout
+    src = os.path.dirname(os.path.dirname(os.path.abspath(search.__file__)))
+    code = (f"import sys; sys.path.insert(0, {src!r}); from spreadrank import atlas, search; "
+            f"{call}; print('numpy.ma' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 def test_tensor_rank_events_carry_their_target():
