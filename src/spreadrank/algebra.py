@@ -472,8 +472,8 @@ def knuth_orbit(spread):
     """Distinct isotopism classes among the six slot permutations of a spread set.
 
     Each image is Kaplansky-normalised; the images are classified by
-    equivalence.isotopism_classes (isotopism keys, pairwise tests for the
-    spaces without one), and the first image of each class in S3 order
+    equivalence.isotopism_classes (one isotopism key per image, as every
+    image holds I), and the first image of each class in S3 order
     represents it, so the result length is the number of isotopism classes
     in the Knuth orbit.
     """

@@ -284,7 +284,8 @@ def genbound(T, q):
     """Code-theoretic lower bound on tensor rank: the best N_q(dim, d_i) over
     the three slots, where d_i is the least rank of a nonzero contraction.
 
-    Slots whose table entry is unknown are skipped.
+    A slot whose N_q(dim, d_i) is unknown counts with the Griesmer length
+    griesmer_bound(q, dim, d_i), which is at most N_q(dim, d_i).
     """
     T = np.asarray(T)
     if T.ndim != 3:
@@ -303,7 +304,7 @@ def genbound(T, q):
         try:
             best = max(best, nq_lookup(q, dim, d_i))
         except UnknownBound:
-            pass
+            best = max(best, griesmer_bound(q, dim, d_i))
     return best
 
 

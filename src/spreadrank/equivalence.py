@@ -19,22 +19,20 @@ the frames at x that tie with the first give.  Two 1-dimensional spaces
 with an invertible element are isotopic outright.
 
 Classification (equivalence_classes without a group) keys each space once
-instead of testing pairs.  The canonical isotopism key normalises twice:
-an anchor y from the rarest cpm class makes U = S y^-1 unital, and a cyclic
-member g of U with a Krylov basis K = [v, g v, ..] conjugates U to
-K^-1 U K, whose least RREF over every such (y, g, v) is the key.  Equal keys
-give an isotopism composed from the two normalisers, whose determinants and
-image are checked for all merges of one (q, n, dim) at once.  The spaces
-without a key (no invertible element, or no cyclic member in the anchor
-class) are compared pairwise with are_equivalent, as are all spaces by
-callers that test one pair.
+instead of testing pairs.  The canonical isotopism key normalises twice, by
+the frame rule of _conjugators: an anchor y of the rarest cpm class makes
+U = S y^-1 unital, and a spin frame K of a frame member of U conjugates U
+to K^-1 U K, whose least RREF over such (y, K) is the key.  Equal keys give
+an isotopism composed from the two normalisers, checked for all merges of
+one (q, n, dim) at once.  Only spaces without an invertible element have no
+key; they are compared pairwise by the GL x GL scan.
 
 The invariants of a classification are computed for blocks of spaces of one
 (q, n, dim), at most _DIVISION_BLOCK elements a block: one rank pass for the
 fingerprints, one inverse pass and a charpoly pass per _DIVISION_BLOCK
-products for the division data, one Krylov frame pass per charpoly-id rank
-and one RREF pass per _KEY_CANDIDATES normal forms for the keys.  A
-SpaceData property is the same stage run on a block of one.
+products for the division data, one _spin_frames call and one RREF pass
+per _KEY_CANDIDATES normal forms for the keys.  A SpaceData property is
+the same stage run on a block of one.
 
 Stabilizer groups act on the projective rank-one points by permutations:
 (A, B) sends u w^T to (A u)(B^T w)^T, so two int16 tables over the
@@ -164,19 +162,17 @@ class SpaceData:
     @cached_property
     def isotopism_key(self):
         """(key, normaliser) of a canonical isotopism key, or None when
-        the space has no invertible element or its anchor class no cyclic
-        member.
+        the space has no invertible element.
 
-        The anchor class is the cpm class of least (count, cpm key), and
-        its charpoly ids are ranked in (count, id) order.  For each anchor
-        y, U = S y^-1 holds I; the first rank with a cyclic member g in
-        some U (K = [v, g v, .., g^(n-1) v] invertible for a projective v)
-        fixes the id, and the key is (q, n, dim, cpm key, id, least RREF
-        bytes of K^-1 U K) over the anchors, members and v of that rank,
-        the first such (y, g, v) on ties.  An isotopism maps anchors to
-        anchors (y -> A y B), U onto A U A^-1 and K onto A K, so equal keys
-        mean isotopic spaces.  The normaliser (y, y^-1, K, K^-1), int64
-        (n, n) matrices, is one that reaches the key.
+        The anchors y are the cpm class of least (count, cpm key), and
+        U = S y^-1 holds I.  The key is (q, n, dim, cpm key, descriptor,
+        least RREF bytes of K^-1 U K) over the anchors whose frame members
+        (_frame_members) have the least descriptor and every spin frame K
+        of those members, the first such (y, K) on ties.  An isotopism maps
+        anchors to anchors (y -> A y B), U onto A U A^-1 and K onto A K, so
+        equal keys mean isotopic spaces.  The normaliser (y, y^-1, K, K^-1),
+        int64 (n, n) matrices, reaches the key.  A 1-dimensional <y> has
+        the key (q, n, 1) and the normaliser (y, y^-1, I, I).
         """
         return _key_stage([self])[0]
 
@@ -284,63 +280,68 @@ def _key_stage(block):
     """isotopism_key of each space of a block of one (q, n, dim).
 
     The division stage runs over the block (filling division_data where it
-    is empty) and its unsorted id rows give the anchors' members.  Each
-    charpoly-id rank round takes one _spin_frames call over the cyclic
-    members (Krylov bases) of every space still unresolved, and the normal
-    forms of the resolved spaces are reduced _KEY_CANDIDATES at a time,
-    each folded into a running least form per space.
+    is empty); its unsorted id rows and one min_degrees pass give the frame
+    members of every anchor.  One _spin_frames call covers every frame of
+    the members of the anchors of least descriptor, and the normal forms
+    are reduced _KEY_CANDIDATES at a time, each folded into a running least
+    form per space.
     """
     q, n, dim, mats = _block_elements(block)
     divisions = _division_stage(block)
     for data, (division, _) in zip(block, divisions):
         data.__dict__.setdefault("division_data", division)
-    # per space: the anchor class, its ranked ids, and its anchors' rows
-    anchors, y_inv, elem, ranked, rows = [], [], [], [], []
+    keys = [None] * len(block)
+    # per anchor: its space, element, inverse and the id row of S y^-1
+    cpms, space, elem, y_inv, rows = {}, [], [], [], []
     for s, ((_, per_y), ids) in enumerate(divisions):
         if not per_y:
-            ranked.append([])
             continue
         counts = Counter(cpm for cpm, _, _ in per_y)
-        cpm = min(counts, key=lambda c: (counts[c], c))
-        ranked.append([(cpm, cid) for cid, _ in sorted(cpm, key=lambda item: (item[1], item[0]))])
-        mine = [i for i, (c, _, _) in enumerate(per_y) if c == cpm]
-        rows.append(ids[mine])
-        anchors.append(np.full(len(mine), s))
-        y_inv += [per_y[i][2] for i in mine]
+        cpms[s] = min(counts, key=lambda c: (counts[c], c))
+        mine = [i for i, (c, _, _) in enumerate(per_y) if c == cpms[s]]
+        space += [s] * len(mine)
         elem += [per_y[i][1] for i in mine]
-    if not rows:
-        return [None] * len(block)
-    rows, anchors = np.concatenate(rows), np.concatenate(anchors)
-    y_inv = np.stack(y_inv).astype(np.int16)
+        y_inv += [per_y[i][2] for i in mine]
+        rows.append(ids[mine])
+    if not space:
+        return keys
+    space, y_inv = np.array(space), np.stack(y_inv).astype(np.int16)
+    y = mats[space, elem].astype(np.int64)
+    if dim == 1:  # U = <I>, every frame of which ties
+        for s, y_s, inv in zip(space.tolist(), y, y_inv.astype(np.int64)):
+            keys[s] = (q, n, 1), (y_s, inv, np.eye(n, dtype=np.int64), np.eye(n, dtype=np.int64))
+        return keys
+    U = mats[space].astype(np.int16) @ y_inv[:, None] % q
+    degrees = gf.min_degrees(U.reshape(-1, n, n), q).reshape(len(space), -1)
+    descriptors, masks = _frame_members(np.concatenate(rows), degrees)
+    least = dict(sorted(zip(space.tolist(), descriptors), reverse=True))  # each space's least last
+    kept = [descriptor == least[s] for s, descriptor in zip(space.tolist(), descriptors)]
+    anchor, member = np.nonzero(masks & np.array(kept)[:, None])
     bases = np.stack([data.space.basis for data in block]).reshape(len(block), -1, n, n).astype(np.int16)
-    # Krylov rounds: space s takes rank r of its ids until one has a cyclic member
-    found = [None] * len(block)
-    cands = []  # per round: (space, anchor row, K, K^-1) of each candidate
-    for r in range(max(map(len, ranked))):
-        live = [s for s, ids in enumerate(ranked) if found[s] is None and r < len(ids)]
-        if not live:
-            break
-        target = np.full(len(block), -1, dtype=np.int64)
-        target[live] = [ranked[s][r][1] for s in live]
-        anchor, member = np.nonzero(rows == target[anchors, None])
-        G = mats[anchors[anchor], member].astype(np.int16) @ y_inv[anchor] % q
-        cyclic = gf.min_degrees(G, q) == n
-        anchor, G = anchor[cyclic], G[cyclic]
-        K, K_inv, member = _spin_frames(G, bases[anchors[anchor]] @ y_inv[anchor, None] % q, q)
-        space = anchors[anchor[member]]
-        for s in set(space.tolist()):
-            found[s] = ranked[s][r]
-        cands.append((space, anchor[member], K, K_inv))
-    space, anchor, K, K_inv = (np.concatenate(part) for part in zip(*cands))
-    order = np.argsort(space, kind="stable")  # space-major; each space's candidates in order
-    space, anchor, K, K_inv = space[order], anchor[order], K[order], K_inv[order]
-    keys = [None] * len(block)
-    for s, form, at in zip(*_least_forms(bases, space, anchor, y_inv, K, K_inv, q)):
-        a = anchor[at]
-        norm = (mats[s, elem[a]].astype(np.int64), y_inv[a].astype(np.int64),
-                K[at].astype(np.int64), K_inv[at].astype(np.int64))
-        keys[s] = (q, n, dim, *found[s], form.tobytes()), norm
+    K, K_inv, at = _spin_frames(U[anchor, member], bases[space[anchor]] @ y_inv[anchor, None] % q, q)
+    anchor = anchor[at]  # space-major, as the anchors are
+    for s, form, i in zip(*_least_forms(bases, space[anchor], anchor, y_inv, K, K_inv, q)):
+        a = anchor[i]
+        norm = (y[a], y_inv[a].astype(np.int64), K[i].astype(np.int64), K_inv[i].astype(np.int64))
+        keys[s] = (q, n, dim, cpms[s], least[s], form.tobytes()), norm
     return keys
+
+
+def _frame_members(ids, degrees):
+    """(descriptors, masks) of the frame members of unital spaces U, from
+    the (spaces, elements) charpoly ids and minimal-polynomial degrees of
+    their elements.  Row i's mask holds the (id, degree) group of U_i of
+    most degree, then fewest members, then least id; descriptors[i] is that
+    group's (-degree, count, id), which conjugation keeps."""
+    rows, m = ids.shape
+    width, top = int(ids.max()) + 1, int(degrees.max()) + 1
+    group = (np.arange(rows)[:, None] * top + degrees) * width + ids
+    _, at, counts = np.unique(group, return_inverse=True, return_counts=True)
+    size = counts[at].reshape(rows, m)
+    rank = ((top - degrees) * (m + 1) + size) * width + ids  # (-degree, count, id) order
+    first = np.arange(rows), rank.argmin(axis=1)
+    descriptors = zip((-degrees[first]).tolist(), size[first].tolist(), ids[first].tolist())
+    return list(descriptors), rank == rank[first][:, None]
 
 
 def _least_forms(bases, space, anchor, y_inv, K, K_inv, q):
@@ -380,8 +381,13 @@ def _spin_frames(G, spaces, q, lone=None):
     invertible [P | v, g v, ..] (one inverse_batch) is complete, as is each
     Krylov basis of a cyclic g in the first pass; a P with none keeps the v
     of highest rank (one rank_batch), as P spans a g-invariant space.  Past
-    the first pass, more than _ENUMERATE_CAP frames raise TooLarge."""
+    the first pass, more than _ENUMERATE_CAP frames of one space U (a run
+    of members with equal spaces[i], partial frames included) raise
+    TooLarge, so the outcome for a space does not depend on the other
+    spaces of the call."""
     n = G.shape[-1]
+    flat = spaces.reshape(len(spaces), -1)
+    owner = np.cumsum(np.append(0, (flat[1:] != flat[:-1]).any(axis=1)))
     P, filled, member = np.zeros((len(G), n, n), np.uint8), np.zeros(len(G), int), np.arange(len(G))
     done, cands = [(P[:0], P[:0], member[:0])], points_for(q, n).vectors
     while len(member):
@@ -413,8 +419,9 @@ def _spin_frames(G, spaces, q, lone=None):
             parts.append((K[full], M_inv[at[full]], g[full], K[~full], c[~full], g[~full]))
         *found, P, filled, member = (np.concatenate(part) for part in zip(*parts))
         done.append(found)
-        if len(done) > 2 and sum(len(g) for _, _, g in done) + len(member) > _ENUMERATE_CAP:
-            raise TooLarge(f"more than {_ENUMERATE_CAP} spin frames")
+        frames = np.bincount(owner[np.concatenate([g for _, _, g in done] + [member])])
+        if len(done) > 2 and frames.max(initial=0) > _ENUMERATE_CAP:
+            raise TooLarge(f"more than {_ENUMERATE_CAP} spin frames of one space")
         cands = gf.coefficient_grid(q, n)[1:]
     K, K_inv, member = (np.concatenate(part) for part in zip(*done))
     order = np.argsort(member, kind="stable")
@@ -446,13 +453,12 @@ def _conjugators(d1, d2):
 
     x is the projective invertible element of S1 whose cpm class is rarest
     in S2 (which must hold it), least index on ties; an isotopism sends x
-    to a unit multiple of an image y of S2 in that class.  The members g
-    of U = S1 x^-1 of the (charpoly id, minimal-polynomial degree) of most
-    degree, then fewest members, then least id have the normal forms
-    (K^-1 g K, RREF of K^-1 U K) over their spin frames K.  A conjugator
-    of U onto S2 y^-1 maps those frames onto the frames of the members of
-    S2 y^-1 in that group, so y is reached iff any one frame K_y of its
-    first such member has the form of a frame K_i at x, and then
+    to a unit multiple of an image y of S2 in that class.  The frame
+    members g of U = S1 x^-1 (_frame_members, as for the keys) have the
+    normal forms (K^-1 g K, RREF of K^-1 U K) over their spin frames K.  A
+    conjugator of U onto S2 y^-1 maps those frames onto the frames of the
+    members of S2 y^-1 in that group, so y is reached iff any one frame K_y
+    of its first such member has the form of a frame K_i at x, and then
     (A_y, B_y) = (K_y K_i^-1, x^-1 K_i K_y^-1 y) by _key_isotopism.  One
     _spin_frames call and one RREF pass cover every frame.
     """
@@ -467,10 +473,8 @@ def _conjugators(d1, d2):
     V = d2.elems.reshape(-1, n, n).astype(np.int16)[None] @ Y_inv[:, None] % q
     U_basis = d1.space.basis.reshape(-1, n, n).astype(np.int16) @ x_inv % q
     bases = d2.space.basis.reshape(-1, n, n).astype(np.int16) @ Y_inv[:, None] % q
-    ids, degrees = gf.charpoly_ids(U, q), gf.min_degrees(U, q)
-    sizes = Counter(zip(ids.tolist(), degrees.tolist()))
-    cid, deg = min(sizes, key=lambda key: (-key[1], sizes[key], key[0]))
-    g = np.nonzero((ids == cid) & (degrees == deg))[0]
+    [(deg, _, cid)], members = _frame_members(gf.charpoly_ids(U, q)[None], gf.min_degrees(U, q)[None])
+    g, deg = np.nonzero(members[0])[0], -deg
     at, elem = np.nonzero(gf.charpoly_ids(V.reshape(-1, n, n), q).reshape(len(V), -1) == cid)
     at, elem = np.stack([at, elem])[:, gf.min_degrees(V[at, elem], q) == deg]
     first = np.unique(at, return_index=True)[1]
@@ -515,19 +519,13 @@ def are_equivalent(s1, s2):
     if d1.fingerprint != d2.fingerprint:
         return None
 
-    inv1 = d1.invertible_projective
-    inv2 = d2.invertible_projective
-    if inv1.size == 0 or inv2.size == 0:
-        if inv1.size != inv2.size:
-            return None
+    if d1.invertible_projective.size == 0:  # nor has s2, by its fingerprint
         return _brute_force_equivalent(s1, s2)
 
     if d1.division_data[0] != d2.division_data[0]:
         return None
-    if s1.dim == 1:
-        (_, _, x_inv), = d1.division_data[1]
-        y = d2.elems[inv2[0]].reshape(n, n)
-        A, B = np.eye(n, dtype=np.int16), x_inv.astype(np.int16) @ y % q
+    if s1.dim == 1:  # (I, x^-1 y) from the constant keys
+        A, B = _key_isotopism(d1.isotopism_key[1], d2.isotopism_key[1], q)
     else:
         _, _, RA, RB = _conjugators(d1, d2)
         if not len(RA):
@@ -668,7 +666,7 @@ def equivalence_classes(spaces, group=None, members=None):
 
     Under the full group the classes are those of isotopism_classes:
     spaces are looked up by their canonical isotopism key, and only the
-    spaces without a key are tested pairwise with are_equivalent.  When an
+    spaces without an invertible element are compared pairwise.  When an
     explicit subgroup is supplied, classes are orbits under exactly that
     subgroup, keyed in one orbit_keys pass.  Each space must then contain
     group.space and equal group.space plus the span of its rank-one points
@@ -706,10 +704,11 @@ def isotopism_classes(spaces):
     each increasing, in order of their first position.
 
     Spaces are bucketed by fingerprint; in a bucket of two or more, each
-    space with an isotopism key joins the class of its key, and the spaces
-    without one are tested pairwise with are_equivalent against the first
-    member of each class found so far.  Every key merge is checked, in one
-    batch per (q, n, dim) by _check_key_merges.
+    space joins the class of its isotopism key.  A bucket of spaces without
+    an invertible element has no keys: each of them is compared with
+    _brute_force_equivalent against the first member of each class found
+    so far (TooLarge past 4,096 matrices).  Every key merge is checked, in
+    one batch per (q, n, dim) by _check_key_merges.
 
     The invariants are computed in blocks (_block_pass): the fingerprints
     of every space, then the keys of the spaces in buckets of two or more,
@@ -729,11 +728,13 @@ def isotopism_classes(spaces):
         if len(bucket) == 1:
             classes.append(bucket)
             continue
-        keyed, unkeyed = {}, []
+        keyed = {}
         for i in bucket:
             found = datas[i].isotopism_key
-            if found is None:
-                unkeyed.append(i)
+            if found is None:  # no invertible element: the first class isotopic to it, or its own
+                key = next((k for k, (j, _, _) in keyed.items()
+                            if _brute_force_equivalent(spaces[j], spaces[i])), i)
+                keyed.setdefault(key, (i, None, []))[2].append(i)
                 continue
             key, norm = found
             first, first_norm, members = keyed.setdefault(key, (i, norm, []))
@@ -741,15 +742,6 @@ def isotopism_classes(spaces):
                 merges.append((i, first, norm, first_norm))
             members.append(i)
         classes.extend(members for _, _, members in keyed.values())
-        pairwise = []
-        for i in unkeyed:
-            for members in pairwise:
-                if are_equivalent(spaces[members[0]], spaces[i]) is not None:
-                    members.append(i)
-                    break
-            else:
-                pairwise.append([i])
-        classes.extend(pairwise)
     _check_key_merges(spaces, merges)
     return sorted(classes)
 
@@ -917,7 +909,7 @@ def rank_one_orbits(group):
         if labelled[i]:
             continue
         images = _act_arrays(group.A, group.B, flat[i], q)[:, 0]
-        hit = np.unique(np.searchsorted(codes, encode_rows(images, q)))
+        hit = np.searchsorted(codes, encode_rows(images, q))
         labelled[hit] = True
-        out.append((M, hit.size))
+        out.append((M, int(np.count_nonzero(np.bincount(hit)))))
     return out

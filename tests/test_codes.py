@@ -225,6 +225,15 @@ def test_genbound_order8():
     assert codes.genbound(f8.hypercube(), 2) == 6
 
 
+def test_genbound_takes_the_griesmer_length_of_an_unknown_slot():
+    # N_2(5, 5) and N_7(3, 3) are in no table and too large to search
+    for q, n, want in ((2, 5, 12), (7, 3, 5)):
+        with pytest.raises(UnknownBound):
+            codes.nq_lookup(q, n, n)
+        assert codes.genbound(algebra.field_construct(q, n).hypercube(), q) == want
+        assert codes.griesmer_bound(q, n, n) == want
+
+
 def test_genbound_equality_when_q_large():
     # 2n-1 bound attained at q = 5, n = 2
     f25 = algebra.field_construct(5, 2)

@@ -1255,6 +1255,19 @@ def test_keyed_classes_equal_pairwise_classes_order16(order16_levels):
         assert_keyed_like_pairwise(spaces)
 
 
+@pytest.mark.slow
+def test_order16_classification_makes_no_pairwise_tests(monkeypatch):
+    from test_acceptance import OUR_ORDER16_LEVELS
+
+    calls = []
+    pairwise = equivalence.are_equivalent
+    monkeypatch.setattr(equivalence, "are_equivalent", lambda a, b: calls.append((a, b)) or pairwise(a, b))
+    report, classes = search.spread_sets_by_rank(2, 4, 8)
+    assert classes == [] and calls == []
+    for dim, want in OUR_ORDER16_LEVELS.items():
+        assert {key: report.level(dim)[key] for key in want} == want
+
+
 def lu_invertible(q, n):
     """Invertible n x n matrices P L U over F_q: a permutation P, L unit
     lower triangular, U upper triangular with a nonzero diagonal."""
@@ -1293,13 +1306,17 @@ def spaces_and_isotopisms(draw):
 
 @given(spaces_and_isotopisms())
 def test_isotopism_key_is_invariant(case):
+    # every space holds I, so it has a key unless its frames pass the cap,
+    # which an isotopism keeps
     space, g = case
     moved = equivalence.act(g, space)
-    found = equivalence.space_data(space).isotopism_key
-    moved_found = equivalence.space_data(moved).isotopism_key
-    if found is None:
-        assert moved_found is None
+    try:
+        found = equivalence.space_data(space).isotopism_key
+    except TooLarge:
+        with pytest.raises(TooLarge):
+            equivalence.space_data(moved).isotopism_key
         return
+    moved_found = equivalence.space_data(moved).isotopism_key
     assert found[0] == moved_found[0]
     A, B = equivalence._key_isotopism(found[1], moved_found[1], space.q)
     witness = equivalence.Isotopism(A, B, space.q)
@@ -1309,27 +1326,53 @@ def test_isotopism_key_is_invariant(case):
 def diag_plus_rank_one():
     """diag(4) plus E_12 in M_4(F_2): its invertible elements I and I + E_12
     are unipotent with minimal polynomial (x - 1)^2, and no element of S y^-1
-    is cyclic, so it has no isotopism key."""
+    is cyclic, so its key spins frames of several blocks."""
     rows = [np.diag(e).reshape(-1) for e in np.eye(4, dtype=np.uint8)]
     point = np.zeros((4, 4), dtype=np.uint8)
     point[0, 1] = 1
     return algebra.MatSpace.from_rows(2, 4, np.stack(rows + [point.reshape(-1)]))
 
 
-def test_space_without_key_is_classified_pairwise(monkeypatch):
+def test_space_without_cyclic_member_is_keyed(monkeypatch):
     rng = np.random.default_rng(21)
     space = diag_plus_rank_one()
     moved = equivalence.act(random_isotopism(rng, 2, 4), space)
-    assert equivalence.space_data(space).isotopism_key is None
-    assert equivalence.space_data(moved).isotopism_key is None
+    key, norm = equivalence.space_data(space).isotopism_key
+    moved_key, moved_norm = equivalence.space_data(moved).isotopism_key
+    assert key == moved_key and key[4][0] > -4  # the frame members are not cyclic
+    witness = equivalence.Isotopism(*equivalence._key_isotopism(norm, moved_norm, 2), 2)
+    assert equivalence.act(witness, space) == moved
     calls = []
     pairwise = equivalence.are_equivalent
-    counted = lambda a, b: calls.append((a, b)) or pairwise(a, b)
-    monkeypatch.setattr(equivalence, "are_equivalent", counted)
+    monkeypatch.setattr(equivalence, "are_equivalent", lambda a, b: calls.append((a, b)) or pairwise(a, b))
     assert equivalence.isotopism_classes([space, moved]) == [[0, 1]]
-    assert calls == [(space, moved)]
     reps = equivalence.equivalence_classes([moved, space])
     assert [s.key for s in reps] == [min(space.key, moved.key)]
+    assert calls == []
+
+
+def singular_spaces_2_3():
+    """Three 2-dimensional spaces of M_3(F_2) without an invertible
+    element: <E_11, E_12>, a seeded isotopic image of it, and <E_11, E_22>,
+    which has the same element ranks but is not isotopic to them."""
+    E = np.eye(9, dtype=np.uint8)
+    space = algebra.MatSpace.from_rows(2, 3, E[[0, 1]])
+    moved = equivalence.act(random_isotopism(np.random.default_rng(26), 2, 3), space)
+    return space, moved, algebra.MatSpace.from_rows(2, 3, E[[0, 4]])
+
+
+def test_spaces_without_invertible_element_are_classified_by_brute_force(monkeypatch):
+    spaces = singular_spaces_2_3()
+    assert all(equivalence.space_data(s).isotopism_key is None for s in spaces)
+    # the oracle: the GL x GL scan between each pair
+    joined = [[len(equivalence._isotopisms_between(a, b, "")[0]) > 0 for b in spaces] for a in spaces]
+    assert joined == [[True, True, False], [True, True, False], [False, False, True]]
+    calls = []
+    pairwise = equivalence.are_equivalent
+    monkeypatch.setattr(equivalence, "are_equivalent", lambda a, b: calls.append((a, b)) or pairwise(a, b))
+    assert equivalence.isotopism_classes(list(spaces)) == [[0, 1], [2]]
+    assert equivalence.isotopism_classes([spaces[2], spaces[1], spaces[0]]) == [[0], [1, 2]]
+    assert calls == []
 
 
 def test_mutated_normaliser_raises_not_contained():
@@ -1429,43 +1472,44 @@ def oracle_krylov_bases(G, q):
 
 
 def oracle_isotopism_key(data):
-    """Oracle: the per-space isotopism key, with its own _unital_ids call
-    for the anchor class, one Krylov call per id rank and one running
-    least form over its own candidate chunks."""
-    q, n = data.q, data.n
+    """Oracle: the per-space isotopism key.  Each anchor y of the anchor
+    class gets its own ids of U = S y^-1 (oracle_unital_ids), its own
+    min_degrees, its own frame group by the rule written out here, and its
+    own _spin_frames call; one running least (descriptor, form) over the
+    anchors in division order keeps the first frame that reaches it."""
+    q, n, dim = data.q, data.n, data.space.dim
     _, per_y = oracle_division_data(data)
     if not per_y:
         return None
     counts = Counter(cpm for cpm, _, _ in per_y)
     cpm = min(counts, key=lambda c: (counts[c], c))
-    ids = [cid for cid, _ in sorted(cpm, key=lambda item: (item[1], item[0]))]
-    y_idx = np.array([yi for c, yi, _ in per_y if c == cpm])
-    y_inv = np.stack([inv for c, _, inv in per_y if c == cpm]).astype(np.int64)
     mats = data.elems.reshape(-1, n, n).astype(np.int64)
-    u_ids = oracle_unital_ids(data, y_inv)
-    for cid in ids:
-        anchor, member = np.nonzero(u_ids == cid)
-        K, K_inv, which = oracle_krylov_bases((mats[member] @ y_inv[anchor]) % q, q)
-        if len(K):
-            break
-    else:
-        return None
-    anchor = anchor[which]
     basis = data.space.basis.reshape(-1, n, n).astype(np.int64)
     best = None
-    for i in range(0, len(K), equivalence._KEY_CANDIDATES):
-        part = slice(i, i + equivalence._KEY_CANDIDATES)
-        U = basis[None] @ y_inv[anchor[part], None] % q
-        forms = (K_inv[part, None] @ U @ K[part, None]) % q
-        reduced = gf.rref_batch(forms.reshape(len(forms), -1, n * n), q)[0]
-        flat = reduced.reshape(len(forms), -1)
-        j = int(np.lexsort(flat.T[::-1])[0])
-        if best is None or flat[j].tobytes() < best[0]:
-            best = flat[j].tobytes(), i + j
-    form, j = best
-    y = data.elems[y_idx[anchor[j]]].reshape(n, n).astype(np.int64)
-    key = (q, n, data.space.dim, cpm, cid, form)
-    return key, (y, y_inv[anchor[j]], K[j].copy(), K_inv[j].copy())
+    for c, yi, y_inv in per_y:
+        if c != cpm:
+            continue
+        y_inv = y_inv.astype(np.int64)
+        if dim == 1:
+            ident = np.eye(n, dtype=np.int64)
+            return (q, n, 1), (mats[yi], y_inv, ident, ident)
+        U = mats @ y_inv % q
+        ids, degrees = oracle_unital_ids(data, y_inv[None])[0], gf.min_degrees(U, q)
+        groups = {}
+        for cid, deg in zip(ids.tolist(), degrees.tolist()):
+            groups[cid, deg] = groups.get((cid, deg), 0) + 1
+        descriptor = min((-deg, size, cid) for (cid, deg), size in groups.items())
+        G = U[(ids == descriptor[2]) & (degrees == -descriptor[0])]
+        U_basis = basis @ y_inv % q
+        K, K_inv, _ = equivalence._spin_frames(G, np.broadcast_to(U_basis, (len(G), *U_basis.shape)), q)
+        K, K_inv = K.astype(np.int64), K_inv.astype(np.int64)
+        forms = (K_inv[:, None] @ U_basis[None] % q @ K[:, None]) % q
+        reduced = gf.rref_batch(forms.reshape(len(K), -1, n * n), q)[0].reshape(len(K), -1)
+        for j, form in enumerate(reduced):
+            if best is None or (descriptor, form.tobytes()) < best[0]:
+                best = (descriptor, form.tobytes()), (mats[yi], y_inv, K[j], K_inv[j])
+    (descriptor, form), norm = best
+    return (q, n, dim, cpm, descriptor, form), norm
 
 
 def assert_same_array(got, want):
@@ -1518,12 +1562,13 @@ def test_block_invariants_match_oracles_order16(order16_levels):
 
 @given(st.lists(spaces_and_isotopisms(), min_size=1, max_size=3), st.integers(0, 6))
 def test_block_pass_over_mixed_spaces_keeps_a_preset_key(cases, preset):
-    # spaces of several (q, n, dim), their isotopic images, and two keyless
-    # spaces; one slot is set by hand first and must survive the pass
+    # spaces of several (q, n, dim), their isotopic images, and two spaces
+    # without an invertible element, so without a key; one slot is set by
+    # hand first and must survive the pass
     spaces = [s for space, g in cases for s in (space, equivalence.act(g, space))]
-    keyless = diag_plus_rank_one()
-    moved = equivalence.act(random_isotopism(np.random.default_rng(preset), 2, 4), keyless)
-    spaces += [keyless, moved]
+    singular = algebra.MatSpace.from_rows(2, 4, np.eye(16, dtype=np.uint8)[[0, 1, 5]])
+    moved = equivalence.act(random_isotopism(np.random.default_rng(preset), 2, 4), singular)
+    spaces += [singular, moved]
     datas = [equivalence.SpaceData(s) for s in spaces]
     held = datas[preset % len(datas)]
     sentinel = ("set by hand", None)

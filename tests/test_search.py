@@ -667,13 +667,14 @@ def test_reports_time_every_level():
     "search.disprove_rank(atlas.atlas_get('F81').spread_set(), 6)",
     "search.spread_sets_by_rank(2, 3, 8)",
     "search.tensor_rank(atlas.atlas_get('S1').spread_set())",
-], ids=["disprove-F81-R6", "classify-order8-R8", "tensor-rank-S1"])
+    "equivalence.rank_one_orbits(equivalence.automorphism_group(atlas.atlas_get('F16').space()))",
+], ids=["disprove-F81-R6", "classify-order8-R8", "tensor-rank-S1", "rank-one-orbits-F16"])
 def test_searches_leave_numpy_ma_unimported(call):
     # a plain np.unique imports numpy.ma, 12 ms and its memory in every
     # process (NOTES.md, "Performance pitfalls"); each search runs in a
     # fresh interpreter, which imports the package from this checkout
     src = os.path.dirname(os.path.dirname(os.path.abspath(search.__file__)))
-    code = (f"import sys; sys.path.insert(0, {src!r}); from spreadrank import atlas, search; "
+    code = (f"import sys; sys.path.insert(0, {src!r}); from spreadrank import atlas, equivalence, search; "
             f"{call}; print('numpy.ma' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
