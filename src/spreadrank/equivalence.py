@@ -32,26 +32,32 @@ The invariants of a classification are computed for blocks of spaces of one
 fingerprints, one inverse pass and a charpoly pass per _DIVISION_BLOCK
 products for the division data, one _spin_frames call and one RREF pass
 per _KEY_CANDIDATES normal forms for the keys.  A SpaceData property is
-the same stage run on a block of one.
+the same stage run on a block of one.  The division data multiplies only
+the projective elements of S by each Y^-1: lam M has the charpoly of M
+with coefficient i scaled by lam^i.
 
 Stabilizer groups act on the projective rank-one points by permutations:
 (A, B) sends u w^T to (A u)(B^T w)^T, so two int16 tables over the
 projective vectors of F_q^n give every element's action by index gathers.
-Every group is built with its tables: automorphism_group composes them,
-stabilizer_of_space slices its group's, and StabilizerGroup.of_elements
-maps a given element stack (scanned stabilizers, the trivial group).
+A group is stored by rows: automorphism_group keeps one row per pair
+modulo the scalar pairs (lam I, mu I), which every group holds and which
+fix every space and point, so its tables have |G| / (q - 1)^2 rows, and
+its element stacks are expanded only on request.  Every group is built
+with its tables: automorphism_group composes them, stabilizer_of_space
+slices its group's, and StabilizerGroup.of_elements maps a given element
+stack, one row an element (scanned stabilizers, the trivial group).
 Orbit keys, stabilizers of spaces and orbits of points all use those
 tables; a space counts through its rank-one points, which determine it when
 it is the group's space plus their span.  orbit_keys keys a batch of spaces
 from those points, as search's block kernel knows them, scanning for each
-only the elements that send one of them to the least point of their orbits.
+only the rows that send one of them to the least point of their orbits.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -120,6 +126,7 @@ class SpaceData:
         self.space = space
         self.q = space.q
         self.n = space.n
+        self.division_ids = None  # the id rows of S Y^-1 that the division_data property keeps
 
     @cached_property
     def elems(self):
@@ -157,7 +164,20 @@ class SpaceData:
         cpm_key is the sorted charpoly multiset of S Y^-1; the signature is
         the sorted multiset of cpm_keys, a full equivalence invariant.
         """
-        return _division_stage([self])[0][0]
+        division, self.division_ids = _division_stage([self])[0]
+        return division
+
+    def unital_ids(self, at):
+        """The charpoly ids of the elements of S Y^-1 for the Y at the
+        given positions of division_data, one row each: from division_ids,
+        or, where a block stage filled division_data and kept no rows, from
+        one _unital_ids call over those Y."""
+        _, per_y = self.division_data
+        if self.division_ids is not None:
+            return self.division_ids[at]
+        inverses = np.stack([per_y[j][2] for j in at])
+        elems = self.elems.reshape(1, -1, self.n, self.n)
+        return _unital_ids(elems, np.zeros(len(inverses), dtype=np.intp), inverses, self.q, self.space.dim)
 
     @cached_property
     def isotopism_key(self):
@@ -233,15 +253,15 @@ def _division_stage(block):
     """(division_data, the unsorted charpoly id rows of S Y^-1, one per
     projective invertible Y in division_data order) of each space of a
     block of one (q, n, dim).  One batched inverse covers every Y of the
-    block, and the charpoly ids of S Y^-1 are taken for _DIVISION_BLOCK
-    products at a time; each space gets its own copy of its inverses."""
-    q, n, _, mats = _block_elements(block)
+    block, and the charpoly ids of S Y^-1 come from _unital_ids; each space
+    gets its own copy of its inverses."""
+    q, n, dim, mats = _block_elements(block)
     idx = [data.invertible_projective for data in block]
     owner = np.repeat(np.arange(len(block)), [len(i) for i in idx])
     if not owner.size:
         return [(((), []), None) for _ in block]
     inverses = gf.inverse_batch(mats[owner, np.concatenate(idx)], q)[0]
-    ids = _unital_ids(mats, owner, inverses, q)
+    ids = _unital_ids(mats, owner, inverses, q, dim)
     ordered = np.sort(ids, axis=1)
     # runs of equal ids in each sorted row: their values and lengths
     starts = np.ones(ordered.shape, dtype=bool)
@@ -261,19 +281,48 @@ def _division_stage(block):
     return out
 
 
-def _unital_ids(mats, owner, inverses, q):
+def _unital_ids(mats, owner, inverses, q, dim):
     """Charpoly ids of the elements of S Y^-1 for each Y^-1 of a (k, n, n)
     stack, S the space owner[i] of a (spaces, elements, n, n) element
-    stack, as a (k, elements) array of the narrowest type that holds an
-    id, _DIVISION_BLOCK products at a time."""
-    m, n = mats.shape[1], mats.shape[-1]
-    mats = mats.astype(np.int16)
-    ids = np.empty((len(inverses), m), dtype=np.min_scalar_type(q**n - 1))
-    step = max(1, _DIVISION_BLOCK // max(1, m))
+    stack of dim-dimensional spaces, as a (k, elements) array of the
+    narrowest type that holds an id.  Only the projective elements are
+    multiplied, _DIVISION_BLOCK products a charpoly pass; the ids of their
+    unit multiples are scaled from theirs (_scaled_charpoly_ids)."""
+    n = mats.shape[-1]
+    proj, multiples = _projective_multiples(q, dim)
+    mats = mats[:, proj].astype(np.int16)
+    ids = np.empty((len(inverses), q**dim - 1), dtype=np.min_scalar_type(q**n - 1))
+    step = max(1, _DIVISION_BLOCK // len(proj))
     for lo in range(0, len(inverses), step):
         prods = mats[owner[lo:lo + step]] @ inverses[lo:lo + step, None].astype(np.int16) % q
-        ids[lo:lo + step] = gf.charpoly_ids(prods.reshape(-1, n, n), q).reshape(-1, m)
+        ids[lo:lo + step, proj] = gf.charpoly_ids(prods.reshape(-1, n, n), q).reshape(-1, len(proj))
+    base = ids[:, proj]
+    for at, table in zip(multiples, _scaled_charpoly_ids(q, n)):
+        ids[:, at] = table[base]
     return ids
+
+
+@lru_cache(maxsize=None)
+def _projective_multiples(q, dim):
+    """(projective, multiples) of the nonzero elements of a dim-dimensional
+    space, in nonzero_elements order: the indices of those with leading
+    coefficient 1, and a (q - 2, len(projective)) array whose row lam - 2
+    holds the index of lam times each of them."""
+    grid = gf.coefficient_grid(q, dim)[1:]
+    proj = np.nonzero(gf.leading_coeff(grid, q) == 1)[0]
+    weights = q ** np.arange(dim - 1, -1, -1)  # the grid's first entry is most significant
+    return proj, np.arange(2, q)[:, None, None] * grid[proj] % q @ weights - 1
+
+
+@lru_cache(maxsize=None)
+def _scaled_charpoly_ids(q, n):
+    """(q - 2, q^n) tables: row lam - 2 maps the charpoly id of an n x n
+    matrix M to the id of lam M.  det(xI - lam M) has lam^i c_i where
+    det(xI - M) has c_i at x^(n-i), and c_i is digit i - 1 of the id."""
+    digits = gf.coefficient_grid(q, n)[:, ::-1]  # row j: the digits of j, least first
+    powers = np.arange(2, q)[:, None] ** np.arange(1, n + 1) % q
+    scaled = digits * powers[:, None] % q @ q ** np.arange(n)
+    return scaled.astype(np.min_scalar_type(q**n - 1))
 
 
 def _key_stage(block):
@@ -459,28 +508,34 @@ def _conjugators(d1, d2):
     conjugator of U onto S2 y^-1 maps those frames onto the frames of the
     members of S2 y^-1 in that group, so y is reached iff any one frame K_y
     of its first such member has the form of a frame K_i at x, and then
-    (A_y, B_y) = (K_y K_i^-1, x^-1 K_i K_y^-1 y) by _key_isotopism.  One
-    _spin_frames call and one RREF pass cover every frame.
+    (A_y, B_y) = (K_y K_i^-1, x^-1 K_i K_y^-1 y) by _key_isotopism.  The
+    charpoly ids of U and of each S2 y^-1 are the division stage's rows
+    (SpaceData.unital_ids); one _spin_frames call and one RREF pass cover
+    every frame.
     """
     q, n = d1.q, d1.n
-    count = Counter(cpm for cpm, _, _ in d2.division_data[1])
-    cpm_x, x_idx, x_inv = min(d1.division_data[1], key=lambda item: (count[item[0]], item[1]))
-    y_idx, Y_inv = (np.array(part) for part in zip(*(
-        (y, y_inv) for cpm, y, y_inv in d2.division_data[1] if cpm == cpm_x)))
+    per_x, per_y = d1.division_data[1], d2.division_data[1]
+    count = Counter(cpm for cpm, _, _ in per_y)
+    i = min(range(len(per_x)), key=lambda i: (count[per_x[i][0]], per_x[i][1]))
+    cpm_x, x_idx, x_inv = per_x[i]
+    images = np.array([j for j, (cpm, _, _) in enumerate(per_y) if cpm == cpm_x])
+    y_idx, Y_inv = (np.array(part) for part in zip(*(per_y[j][1:] for j in images)))
     x = d1.elems[x_idx].reshape(n, n).astype(np.int16)
-    # U element by element and S2 y^-1 of each image y, their bases and ids
+    # U element by element, the bases of U and of S2 y^-1 of each image y
     U = d1.elems.reshape(-1, n, n).astype(np.int16) @ x_inv % q
-    V = d2.elems.reshape(-1, n, n).astype(np.int16)[None] @ Y_inv[:, None] % q
     U_basis = d1.space.basis.reshape(-1, n, n).astype(np.int16) @ x_inv % q
     bases = d2.space.basis.reshape(-1, n, n).astype(np.int16) @ Y_inv[:, None] % q
-    [(deg, _, cid)], members = _frame_members(gf.charpoly_ids(U, q)[None], gf.min_degrees(U, q)[None])
+    [(deg, _, cid)], members = _frame_members(d1.unital_ids([i]), gf.min_degrees(U, q)[None])
     g, deg = np.nonzero(members[0])[0], -deg
-    at, elem = np.nonzero(gf.charpoly_ids(V.reshape(-1, n, n), q).reshape(len(V), -1) == cid)
-    at, elem = np.stack([at, elem])[:, gf.min_degrees(V[at, elem], q) == deg]
+    # the first member of each S2 y^-1 in the group of x's frame members
+    at, elem = np.nonzero(d2.unital_ids(images) == cid)
+    V = d2.elems.reshape(-1, n, n)[elem].astype(np.int16) @ Y_inv[at] % q
+    keep = gf.min_degrees(V, q) == deg
+    at, V = at[keep], V[keep]
     first = np.unique(at, return_index=True)[1]
-    at, elem = at[first], elem[first]
+    at = at[first]
     # every frame of every member at x, then one frame at each image
-    G = np.concatenate([U[g], V[at, elem]])
+    G = np.concatenate([U[g], V[first]])
     spaces = np.concatenate([np.broadcast_to(U_basis, (len(g), *U_basis.shape)), bases[at]])
     K, K_inv, member = _spin_frames(G, spaces, q, lone=len(g))
     K, K_inv = K.astype(np.int16), K_inv.astype(np.int16)
@@ -606,10 +661,10 @@ def orbit_keys(members, group, dims):
     and has dimension dims[i].
 
     The least image starts at L, the least point whose orbit holds a
-    member, so only the elements that send a member of L's orbit onto L
-    are scanned: with one point_images column per orbit, grouped by image,
-    the elements g with g(L) = x, whose inverses send x to L.  Their
-    inverse point actions invert only their rows of group.tables.
+    member, so only the rows that send a member of L's orbit onto L are
+    scanned: with one point_images column per orbit, grouped by image, the
+    rows g with g(L) = x, whose inverses send x to L.  Their inverse point
+    actions invert only their rows of group.tables.
     """
     pts = points_for(group.q, group.n)
     npts = len(pts)
@@ -627,7 +682,7 @@ def orbit_keys(members, group, dims):
         count = np.bincount(col, minlength=npts + 1)
         orbit = np.nonzero(count)[0]
         least[orbit], size[orbit] = low, count[orbit]
-        start[orbit] = group.order * len(columns) + (np.cumsum(count) - count)[orbit]
+        start[orbit] = col.size * len(columns) + (np.cumsum(count) - count)[orbit]
         columns.append(np.argsort(col.astype(np.min_scalar_type(npts)), kind="stable"))  # radix
     step = max(1, _ORBIT_KEY_ROWS // max(1, M.shape[1] * size.max()))  # spaces a pass
     for lo in range(0, len(M), step):
@@ -782,28 +837,31 @@ def _key_isotopism(norm_v, norm_w, q):
 
 @dataclass(frozen=True, eq=False)
 class StabilizerGroup:
-    """Setwise stabilizer {(A, B) : A S B = S}, fully enumerated.
+    """Setwise stabilizer {(A, B) : A S B = S}, fully enumerated by rows.
 
-    Carries the complete element arrays (order is the pair count).  Each
-    element also permutes the projective rank-one points, u w^T ->
-    (A u)(B^T w)^T; tables, built with the group, holds that action as two
-    int16 (order, m) tables: the projective index of A v and of B^T v for
-    every projective vector v.
+    rows holds two uint8 stacks, one pair (A_i, B_i) per row.  With
+    scalars, a row stands for its (q - 1)^2 unit multiples (lam A_i, mu
+    B_i), which act alike on every space and projective point; otherwise it
+    is one element.  order counts the elements, and A and B expand the rows
+    to the element stacks: row-major, then lam, then mu.  Each row permutes
+    the projective rank-one points, u w^T -> (A u)(B^T w)^T; tables, built
+    with the group, holds that action as two int16 (rows, m) tables: the
+    projective index of A_i v and of B_i^T v for every projective vector v.
     """
 
     q: int
     n: int
-    A: np.ndarray
-    B: np.ndarray
+    rows: tuple
     tables: tuple
     space: MatSpace = None
+    scalars: bool = False
 
     @classmethod
     def of_elements(cls, q, n, A, B, space=None):
         """The group of the given element stacks, with their point tables."""
         pts = points_for(q, n)
         tables = (pts.vector_images(A), pts.vector_images(B.transpose(0, 2, 1)))
-        return cls(q, n, A, B, tables, space)
+        return cls(q, n, (A, B), tables, space)
 
     @classmethod
     def trivial(cls, q, n):
@@ -812,13 +870,30 @@ class StabilizerGroup:
 
     @property
     def order(self):
-        return self.A.shape[0]
+        return len(self.rows[0]) * ((self.q - 1) ** 2 if self.scalars else 1)
+
+    @cached_property
+    def A(self):
+        return self._expand(self.rows[0], lam=True)
+
+    @cached_property
+    def B(self):
+        return self._expand(self.rows[1], lam=False)
+
+    def _expand(self, M, lam):
+        """The element stack of one side: each row times lam, or times mu."""
+        if not self.scalars:
+            return M
+        q = self.q
+        scaled = (M[:, None].astype(np.int16) * np.arange(1, q, dtype=np.int16)[:, None, None] % q).astype(np.uint8)
+        units = np.repeat(scaled, q - 1, axis=1) if lam else np.tile(scaled, (1, q - 1, 1, 1))
+        return units.reshape(-1, self.n, self.n)
 
     def isotopisms(self):
         return [Isotopism(a, b, self.q) for a, b in zip(self.A, self.B)]
 
     def point_images(self, idx):
-        """(order, len(idx)) indices of the images of the given points."""
+        """(rows, len(idx)) indices of the images of the given points."""
         pts = points_for(self.q, self.n)
         TA, TB = self.tables
         return pts.of_uw[TA[:, pts.u[idx]], TB[:, pts.w[idx]]]
@@ -828,15 +903,16 @@ class StabilizerGroup:
 
         The space must be self.space plus the span of its rank-one points
         (BadParameters otherwise); an element then fixes it iff it fixes
-        that point set.  members, when given, holds those points as one
-        row of orbit_keys; otherwise they are found by containment.
+        that point set, and a row's unit multiples fix it with the row.
+        members, when given, holds those points as one row of orbit_keys;
+        otherwise they are found by containment.
         """
         inside = np.sort(_points_inside([space], self)[0] if members is None else members)
         inside = inside[inside < len(points_for(self.q, self.n))]
         _check_span(inside[None], self, [space.dim])
         ok = (np.sort(self.point_images(inside), axis=1) == inside).all(axis=1)
-        tables = tuple(T[ok] for T in self.tables)
-        return StabilizerGroup(self.q, self.n, self.A[ok], self.B[ok], tables, space)
+        return replace(self, rows=tuple(M[ok] for M in self.rows),
+                       tables=tuple(T[ok] for T in self.tables), space=space)
 
 
 def _normal_forms(K, K_inv, bases, q):
@@ -854,9 +930,10 @@ def automorphism_group(space):
     pair from _conjugators(S, S), C runs over the conjugation stabilizer of
     U = S x^-1 and D = x^-1 C^-1 x.  The frames K_i at x whose form ties
     with the first, K_0, give C = K_i K_0^-1, by _key_isotopism.  One batch
-    checks every pair (NotContained otherwise).  The group is a block per
-    reached y in division_data order, A-major, times every pair of units,
-    with point tables composed from those of the factors.
+    checks every pair (NotContained otherwise).  The group holds one row
+    (A_y C, D B_y) per pair, a block per reached y in division_data order,
+    A-major, with point tables composed from those of the factors; each
+    row stands for its (q - 1)^2 unit multiples (StabilizerGroup).
     """
     if isinstance(space, SpreadSet):
         space = space.space
@@ -870,15 +947,12 @@ def automorphism_group(space):
     moved = _act_arrays(np.concatenate([RA, C]), np.concatenate([RB, D]), space.basis, q)
     if not space.contains_batch(moved.reshape(-1, n * n)).all():
         raise NotContained("a normal-form automorphism does not fix the space")
-    units = np.arange(1, q, dtype=np.int16)[:, None, None]
-    A = np.repeat((RA[:, None] @ C % q)[:, :, None] * units % q, q - 1, axis=2)
-    B = np.tile((D @ RB[:, None] % q)[:, :, None] * units % q, (1, 1, q - 1, 1, 1))
+    rows = tuple(M.reshape(-1, n, n).astype(np.uint8) for M in (RA[:, None] @ C % q, D @ RB[:, None] % q))
     pts = points_for(q, n)
-    tables = tuple(np.repeat(T[:, U], (q - 1) ** 2, axis=1).reshape(-1, U.shape[1]) for T, U in (
+    tables = tuple(T[:, U].reshape(-1, U.shape[1]) for T, U in (
         (pts.vector_images(RA), pts.vector_images(C)),
         (pts.vector_images(RB.transpose(0, 2, 1)), pts.vector_images(D.transpose(0, 2, 1)))))
-    A, B = (M.reshape(-1, n, n).astype(np.uint8) for M in (A, B))
-    return StabilizerGroup(q, n, A, B, tables, space)
+    return StabilizerGroup(q, n, rows, tables, space, scalars=True)
 
 
 def _brute_force_stabilizer(space):

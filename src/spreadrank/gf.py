@@ -139,8 +139,14 @@ mat_rank = rank
 
 def rank_batch(mats, q):
     """int64 ranks of a (B, r, c) stack over F_q: a code-table lookup for a
-    square stack within the tables' bound, else one elimination."""
+    square stack within the tables' bound, else for r = 1 whether the row
+    is nonzero mod q, else one elimination."""
     hit = _table_lookup(mats, q)
+    if hit is None and np.ndim(mats) == 3 and np.shape(mats)[1] == 1:
+        rows = np.asarray(mats)[:, 0]
+        if rows.size and (rows.min() < 0 or rows.max() >= q):  # an integer mod costs more than the check
+            rows = rows % q
+        return rows.any(axis=1).astype(np.int64)
     if hit is None:
         return rref_batch(mats, q)[1]
     table, codes = hit
@@ -351,9 +357,10 @@ def _code_table(q, n):
 
 
 def _decode(codes, q, n):
-    """The uint8 (B, n, n) matrices of the given codes."""
-    digits = np.asarray(codes, dtype=np.int64)[:, None] // q ** np.arange(n * n, dtype=np.int64) % q
-    return digits.astype(np.uint8).reshape(-1, n, n)
+    """The uint8 (B, n, n) matrices of the given codes.  A code is below
+    2^16, so float64 floor division is exact, and faster than int64's."""
+    whole = np.floor(np.asarray(codes, dtype=np.float64)[:, None] / q ** np.arange(n * n + 1, dtype=np.float64))
+    return (whole[:, :-1] - q * whole[:, 1:]).astype(np.uint8).reshape(-1, n, n)
 
 
 def _fill(table, codes, q, n):

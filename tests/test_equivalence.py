@@ -332,8 +332,9 @@ def test_stabilizer_of_space_matches_brute_scan():
             assert np.array_equal(stab.A, group.A[keep])
             assert np.array_equal(stab.B, group.B[keep])
             fresh = equivalence.StabilizerGroup.of_elements(stab.q, stab.n, stab.A, stab.B)
+            per_row = stab.order // len(stab.tables[0])  # each row's unit multiples act alike
             for sliced, built in zip(stab.tables, fresh.tables):
-                assert np.array_equal(sliced, built)
+                assert np.array_equal(np.repeat(sliced, per_row, axis=0), built)
 
 
 def test_point_action_requires_group_space_plus_rank_one_span():
@@ -457,6 +458,20 @@ def test_orbit_keys_match_per_space_oracle_on_classified_levels(monkeypatch, nam
         for s, row in list(zip(spaces, members))[:5]:
             with_members, found = group.stabilizer_of_space(s, row), group.stabilizer_of_space(s)
             assert np.array_equal(with_members.A, found.A) and np.array_equal(with_members.B, found.B)
+
+
+def test_orbit_keys_under_a_group_with_several_point_orbits():
+    # Aut(GTF81) has 160 rows (640 elements) and 10 orbits on the 1,600
+    # points, so the rows sending a point to the least of a later orbit sit
+    # past the first orbit's column
+    space = atlas.atlas_get("GTF81").space()
+    group = equivalence.automorphism_group(space)
+    flat = search.points_for(3, 4).flat
+    spaces = [space.extend(point) for point in flat[::5]]
+    members = equivalence._points_inside(spaces, group)
+    keys = equivalence.orbit_keys(members, group, [s.dim for s in spaces])
+    assert keys == [oracle_orbit_canonical_key(s, group) for s in spaces]
+    assert len(set(keys)) == 10
 
 
 # ---------------------------------------------------------------------------
@@ -708,6 +723,16 @@ def rarest_anchor(space):
     return min(per_y, key=lambda item: (count[item[0]], item[1]))[1]
 
 
+def assert_tables_are_element_images(group):
+    """Each element's vector images equal the point tables of its row."""
+    pts = algebra.points_for(group.q, group.n)
+    per_row = group.order // len(group.tables[0])
+    TA, TB = (np.repeat(T, per_row, axis=0) for T in group.tables)
+    assert TA.dtype == TB.dtype == np.int16
+    assert np.array_equal(TA, pts.vector_images(group.A))
+    assert np.array_equal(TB, pts.vector_images(group.B.transpose(0, 2, 1)))
+
+
 def assert_group_matches_oracle(space, x_idx):
     """automorphism_group equals the oracle anchored at x_idx as a set of
     (A, B) pairs, without repeats, and its tables are the vector images of
@@ -717,11 +742,7 @@ def assert_group_matches_oracle(space, x_idx):
     assert fast.A.dtype == fast.B.dtype == np.uint8
     assert fast.order == len(A) == len(pair_set(A, B)) == len(pair_set(fast.A, fast.B))
     assert pair_set(fast.A, fast.B) == pair_set(A, B)
-    pts = algebra.points_for(space.q, space.n)
-    TA, TB = fast.tables
-    assert TA.dtype == TB.dtype == np.int16
-    assert np.array_equal(TA, pts.vector_images(fast.A))
-    assert np.array_equal(TB, pts.vector_images(fast.B.transpose(0, 2, 1)))
+    assert_tables_are_element_images(fast)
 
 
 def no_cyclic_member_at_the_anchor(space):
@@ -819,14 +840,105 @@ GROUP_SPACES = [
 @pytest.mark.parametrize("space", GROUP_SPACES)
 def test_automorphism_group_tables_and_elements(space):
     aut = equivalence.automorphism_group(space)
-    pts = algebra.points_for(space.q, space.n)
-    TA, TB = aut.tables
-    assert np.array_equal(TA, pts.vector_images(aut.A))
-    assert np.array_equal(TB, pts.vector_images(aut.B.transpose(0, 2, 1)))
-    assert TA.dtype == TB.dtype == np.int16
+    assert_tables_are_element_images(aut)
     moved = equivalence._act_arrays(aut.A, aut.B, space.basis, space.q)
     assert space.contains_batch(moved.reshape(-1, space.n**2)).all()
     assert len(pair_set(aut.A, aut.B)) == aut.order
+
+
+def oracle_group_assembly(space):
+    """Oracle: the elements and point tables of automorphism_group, one
+    element per unit pair: each reached pair (A_y, B_y) of _conjugators
+    times each conjugation stabilizer pair (C, D), A-major, times every
+    (lam, mu), lam outer, as uint8 (A, B) stacks, and each point table row
+    repeated (q - 1)^2 times.  A space without an invertible element gets
+    the scanned stabilizer."""
+    q, n = space.q, space.n
+    pts = algebra.points_for(q, n)
+    data = equivalence.space_data(space)
+    if data.invertible_projective.size == 0:
+        A, B = equivalence._isotopisms_between(space, space, "scan")
+        return A, B, (pts.vector_images(A), pts.vector_images(B.transpose(0, 2, 1)))
+    (x, x_inv, K, K_inv), forms, RA, RB = equivalence._conjugators(data, data)
+    ties = (forms == forms[0]).all(axis=1)
+    C, D = equivalence._key_isotopism((x, x_inv, K[0], K_inv[0]), (x, None, K[ties], K_inv[ties]), q)
+    units = np.arange(1, q, dtype=np.int16)[:, None, None]
+    A = np.repeat((RA[:, None] @ C % q)[:, :, None] * units % q, q - 1, axis=2)
+    B = np.tile((D @ RB[:, None] % q)[:, :, None] * units % q, (1, 1, q - 1, 1, 1))
+    tables = tuple(np.repeat(T[:, U], (q - 1) ** 2, axis=1).reshape(-1, U.shape[1]) for T, U in (
+        (pts.vector_images(RA), pts.vector_images(C)),
+        (pts.vector_images(RB.transpose(0, 2, 1)), pts.vector_images(D.transpose(0, 2, 1)))))
+    A, B = (M.reshape(-1, n, n).astype(np.uint8) for M in (A, B))
+    return A, B, tables
+
+
+def seeded_order81_images():
+    rng = np.random.default_rng(28)
+    for name in ("F81", "GTF81"):
+        space = atlas.atlas_get(name).space()
+        for k in range(2):
+            yield pytest.param(equivalence.act(random_isotopism(rng, 3, 4), space), id=f"{name}-image-{k}")
+
+
+@pytest.mark.parametrize("space", [*GROUP_SPACES, *seeded_order81_images()])
+def test_group_rows_expand_to_the_unit_broadcast_oracle(space):
+    aut = equivalence.automorphism_group(space)
+    A, B, tables = oracle_group_assembly(space)
+    assert_same_array(aut.A, A)
+    assert_same_array(aut.B, B)
+    assert aut.order == len(A)
+    keyed = equivalence.space_data(space).invertible_projective.size > 0
+    per_row = (space.q - 1) ** 2 if keyed else 1
+    assert len(aut.tables[0]) * per_row == aut.order
+    for T, want in zip(aut.tables, tables):
+        assert_same_array(np.repeat(T, per_row, axis=0), want)
+
+
+def test_automorphism_group_takes_the_charpolys_of_projective_products_only(monkeypatch):
+    # F81: 40 projective invertible y, 40 projective elements of S y^-1,
+    # where the whole-space products with a second pass in _conjugators
+    # made 6,480; one table row per projective pair
+    space = equivalence.act(random_isotopism(np.random.default_rng(81), 3, 4), atlas.atlas_get("F81").space())
+    sizes = []
+    charpoly_ids = gf.charpoly_ids
+    monkeypatch.setattr(gf, "charpoly_ids", lambda mats, q: sizes.append(len(mats)) or charpoly_ids(mats, q))
+    monkeypatch.setattr(equivalence, "_DATA_CACHE", {})
+    aut = equivalence.automorphism_group(space)
+    assert sum(sizes) == 1600
+    assert aut.order == 25600
+    assert len(aut.tables[0]) == len(aut.tables[1]) == 6400
+
+
+@pytest.mark.parametrize("q, n, sample", [(3, 3, None), (5, 3, 3000), (7, 2, 2000)])
+def test_scaled_charpoly_ids_are_the_ids_of_unit_multiples(q, n, sample):
+    rng = np.random.default_rng(q * 10 + n)
+    if sample is None:  # every 3 x 3 matrix over F_3
+        mats = gf.coefficient_grid(q, n * n).astype(np.uint8).reshape(-1, n, n)
+    else:
+        mats = rng.integers(0, q, (sample, n, n)).astype(np.uint8)
+    ids = gf.charpoly_ids(mats, q)
+    tables = equivalence._scaled_charpoly_ids(q, n)
+    assert tables.shape == (q - 2, q**n)
+    for lam, table in zip(range(2, q), tables):
+        assert np.array_equal(table[ids], gf._charpoly_id_kernel(mats * lam % q, q))
+
+
+@pytest.mark.parametrize("q, n, extra", [(3, 4, 3), (3, 3, 1), (5, 3, 2), (7, 2, 1), (2, 4, 3)])
+def test_division_ids_equal_the_ids_of_every_product(q, n, extra):
+    # the projective products' ids, scaled, against every product's ids;
+    # a key stage keeps no rows, and unital_ids then takes the rows asked for
+    space = random_space_with_identity(np.random.default_rng(q + n + extra), q, n, extra)
+    data = equivalence.SpaceData(space)
+    _, per_y = data.division_data
+    want = oracle_unital_ids(data, np.stack([y_inv for _, _, y_inv in per_y]))
+    assert data.division_ids.dtype == np.min_scalar_type(q**n - 1)
+    assert np.array_equal(data.division_ids, want)
+    keyed = equivalence.SpaceData(space)
+    block_pass([keyed])
+    assert "division_data" in keyed.__dict__ and keyed.division_ids is None
+    at = np.arange(len(per_y))[::-2]
+    assert_same_array(keyed.unital_ids(at), data.division_ids[at])
+    assert_same_array(data.unital_ids(at), data.division_ids[at])
 
 
 @pytest.mark.parametrize("name, order", [("F81", 25600), ("GTF81", 640)])

@@ -328,12 +328,43 @@ def test_stacks_outside_the_tables_reach_the_kernels(monkeypatch):
     del shapes[:]
     assert gf.rank_batch(rng.integers(0, 2, (10, 5, 5)), 2).shape == (10,)
     assert shapes == [("eliminate", 2, (5, 5))]
-    # the rank-one profile ranks (children, members, dim + 1) rows
+    # the rank-one profile ranks (children, members, dim + 1) rows: at F16
+    # every child has one member, which needs no elimination; at a child of
+    # F16 the two-member children reach the kernel
     del shapes[:]
-    f16 = atlas.atlas_get("F16").space()
-    search._process_parents([f16], algebra.points_for(2, 4), 0)
-    assert any(kind == "eliminate" and shape[1] == 5 for kind, _, shape in shapes)
+    f16, pts = atlas.atlas_get("F16").space(), algebra.points_for(2, 4)
+    search._process_parents([f16], pts, 0)
+    assert not any(kind == "eliminate" and shape[1] == 5 for kind, _, shape in shapes)
+    search._process_parents([f16.extend(pts.flat[3])], pts, 0)
+    assert ("eliminate", 2, (2, 6)) in shapes
     assert gf._code_table.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_single_row_ranks_match_the_kernel(q):
+    # a one-row stack is ranked by a nonzero test: zero rows, residues and
+    # unreduced int16 entries (negative and >= q) against _eliminate
+    rng = np.random.default_rng(q)
+    rows = rng.integers(-3 * q, 3 * q, (400, 1, 7)).astype(np.int16)
+    rows[::5] = 0
+    rows[1::5] *= q  # zero mod q, nonzero as integers
+    for stack in (rows, rows % q, rows[:, :, :1], rows[:0]):
+        want = gf._eliminate(np.asarray(stack) % q, q, stack.shape[-1])[1]
+        assert_same_bytes(gf.rank_batch(stack, q), want)
+
+
+def oracle_decode(codes, q, n):
+    """The n x n matrices of the codes by int64 floor division."""
+    digits = np.asarray(codes, dtype=np.int64)[:, None] // q ** np.arange(n * n, dtype=np.int64) % q
+    return digits.astype(np.uint8).reshape(-1, n, n)
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (2, 4), (3, 3), (5, 2), (7, 2)])
+def test_decode_matches_integer_division_on_every_code(q, n):
+    codes = np.arange(q ** (n * n))
+    for dtype in (np.int64, np.uint16):
+        assert_same_bytes(gf._decode(codes.astype(dtype), q, n), oracle_decode(codes, q, n))
+    assert_same_bytes(gf._decode(codes, q, n), every_matrix(q, n))
 
 
 def test_charpoly_matches_determinant_shift():
