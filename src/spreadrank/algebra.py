@@ -472,10 +472,10 @@ def knuth_orbit(spread):
     """Distinct isotopism classes among the six slot permutations of a spread set.
 
     Each image is Kaplansky-normalised; the images are classified by
-    equivalence.isotopism_classes (one isotopism key per image, as every
-    image holds I), and the first image of each class in S3 order
-    represents it, so the result length is the number of isotopism classes
-    in the Knuth orbit.
+    equivalence.isotopism_classes (each image, as it holds I, tested against
+    the normal forms of the classes found before it), and the first image
+    of each class in S3 order represents it, so the result length is the
+    number of isotopism classes in the Knuth orbit.
     """
     from .equivalence import isotopism_classes
 

@@ -1,63 +1,46 @@
 """Equivalence of matrix spaces under (A, B) . X = A X B with A, B invertible.
 
-Testing is anchored: an isotopism sends the anchor x of S1 to a unit
+Testing is anchored: an isotopism sends an invertible x of S1 to a unit
 multiple of some invertible y of S2, and then B = (A x)^-1 y, which reduces
 A S1 B = S2 to the conjugacy problem A (S1 x^-1) A^-1 = S2 y^-1 between
-spaces containing the identity.  The anchor is the element of S1 whose cpm
-class (charpoly multiset of S1 x^-1) is rarest in S2, least index first,
-which leaves the fewest images y.  Division signatures, the multisets of
-those classes, are full invariants and are compared first.
+spaces containing the identity.  Division signatures, the multisets of the
+cpm classes (charpoly multisets of S y^-1), are full invariants and are
+compared first.  Conjugacy is decided by normal forms, not by a search
+(_conjugators): the members g of U = S1 x^-1 of one conjugation-invariant
+kind have spin frames K = [v1, g v1, .., v2, g v2, ..], which a conjugator
+maps onto the frames of the same kind in the target, so y is reached iff
+one frame of one member of S2 y^-1 has the normal form (K^-1 g K, RREF of
+K^-1 U K) of a frame at x.  are_equivalent returns the first reached pair,
+and automorphism_group (S1 = S2) every reached pair times the conjugation
+stabilizer of U, which the frames at x that tie with the first give.
 
-Conjugacy is decided by normal forms, not by a search (_conjugators): the
-members g of U = S1 x^-1 of one conjugation-invariant kind have spin frames
-K = [v1, g v1, .., v2, g v2, ..], which a conjugator maps onto the frames
-of the same kind in the target, so y is reached iff one frame of one member
-of S2 y^-1 has the normal form (K^-1 g K, RREF of K^-1 U K) of a frame at x.
-are_equivalent returns the first reached pair, and automorphism_group
-(S1 = S2) every reached pair times the conjugation stabilizer of U, which
-the frames at x that tie with the first give.  Two 1-dimensional spaces
-with an invertible element are isotopic outright.
-
-Classification (equivalence_classes without a group) keys each space once
-instead of testing pairs.  The canonical isotopism key normalises twice, by
-the frame rule of _conjugators: an anchor y of the rarest cpm class makes
-U = S y^-1 unital, and a spin frame K of a frame member of U conjugates U
-to K^-1 U K, whose least RREF over such (y, K) is the key.  Equal keys give
-an isotopism composed from the two normalisers, checked for all merges of
-one (q, n, dim) at once.  Only spaces without an invertible element have no
-key; they are compared pairwise by the GL x GL scan.
-
-The invariants of a classification are computed for blocks of spaces of one
-(q, n, dim), at most _DIVISION_BLOCK elements a block: one rank pass for the
-fingerprints, one inverse pass and a charpoly pass per _DIVISION_BLOCK
-products for the division data, one _spin_frames call and one RREF pass
-per _KEY_CANDIDATES normal forms for the keys.  A SpaceData property is
-the same stage run on a block of one.  The division data multiplies only
-the projective elements of S by each Y^-1: lam M has the charpoly of M
-with coefficient i scaled by lam^i.
+Classification (equivalence_classes without a group) tests each space
+against the class representatives found so far: a space gets one normal
+form at each anchor of its invariant anchor set (_Anchored), and is
+isotopic to a representative iff the table of every frame at the
+representative's anchor holds one of them; every merge is checked.  The
+same forms give the representative's automorphism group.  The invariants
+are computed for blocks of spaces of one (q, n, dim), at most
+_DIVISION_BLOCK elements a block, a SpaceData property being the same stage
+run on a block of one.  Only spaces without an invertible element are
+compared pairwise, by the GL x GL scan.
 
 Stabilizer groups act on the projective rank-one points by permutations:
 (A, B) sends u w^T to (A u)(B^T w)^T, so two int16 tables over the
 projective vectors of F_q^n give every element's action by index gathers.
-A group is stored by rows: automorphism_group keeps one row per pair
-modulo the scalar pairs (lam I, mu I), which every group holds and which
-fix every space and point, so its tables have |G| / (q - 1)^2 rows, and
-its element stacks are expanded only on request.  Every group is built
-with its tables: automorphism_group composes them, stabilizer_of_space
-slices its group's, and StabilizerGroup.of_elements maps a given element
-stack, one row an element (scanned stabilizers, the trivial group).
-Orbit keys, stabilizers of spaces and orbits of points all use those
-tables; a space counts through its rank-one points, which determine it when
-it is the group's space plus their span.  orbit_keys keys a batch of spaces
-from those points, as search's block kernel knows them, scanning for each
-only the rows that send one of them to the least point of their orbits.
+automorphism_group keeps one row per pair modulo the scalar pairs
+(lam I, mu I), which fix every space and point.  Orbit keys, stabilizers of
+spaces and orbits of points all use the tables; a space counts through its
+rank-one points, which determine it when it is the group's space plus
+their span.  orbit_keys keys a batch of spaces from those points.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,7 +87,7 @@ def _act_arrays(gA, gB, basis, q):
     pair i to basis i, (G,n,n),(G,k,nn) -> (G,k,nn)."""
     n = gA.shape[-1]
     mats = basis.reshape(*basis.shape[:-1], n, n).astype(np.int64)
-    out = (gA[:, None].astype(np.int64) @ mats @ gB[:, None].astype(np.int64)) % q
+    out = gf.mod(gA[:, None].astype(np.int64) @ mats @ gB[:, None].astype(np.int64), q)
     return out.reshape(gA.shape[0], -1, n * n)
 
 
@@ -114,13 +97,9 @@ def _act_arrays(gA, gB, basis, q):
 
 
 class SpaceData:
-    """Element-level invariants of one MatSpace, each computed on first use.
-
-    fingerprint, division_data and isotopism_key are computed by block
-    stages over a list of spaces of one (q, n, dim) (_fingerprint_stage,
-    _division_stage, _key_stage); the properties run a block of one, and
-    isotopism_classes fills the slots of a whole list with _block_pass.
-    """
+    """Element-level invariants of one MatSpace, each computed on first use;
+    fingerprint, division_data and anchored by block stages (_block_pass),
+    a property running a block of one."""
 
     def __init__(self, space):
         self.space = space
@@ -135,11 +114,6 @@ class SpaceData:
     @cached_property
     def ranks(self):
         return gf.rank_batch(self.elems.reshape(-1, self.n, self.n), self.q)
-
-    @cached_property
-    def cp_ids(self):
-        """Stable per-element characteristic polynomial ids."""
-        return gf.charpoly_ids(self.elems.reshape(-1, self.n, self.n), self.q)
 
     @cached_property
     def fingerprint(self):
@@ -168,10 +142,8 @@ class SpaceData:
         return division
 
     def unital_ids(self, at):
-        """The charpoly ids of the elements of S Y^-1 for the Y at the
-        given positions of division_data, one row each: from division_ids,
-        or, where a block stage filled division_data and kept no rows, from
-        one _unital_ids call over those Y."""
+        """The charpoly ids of S Y^-1 for the Y at the given positions of
+        division_data, one row each: from division_ids, or one _unital_ids call."""
         _, per_y = self.division_data
         if self.division_ids is not None:
             return self.division_ids[at]
@@ -180,42 +152,61 @@ class SpaceData:
         return _unital_ids(elems, np.zeros(len(inverses), dtype=np.intp), inverses, self.q, self.space.dim)
 
     @cached_property
-    def isotopism_key(self):
-        """(key, normaliser) of a canonical isotopism key, or None when
-        the space has no invertible element.
+    def anchored(self):
+        """_Anchored with its table (automorphism_group's data), or None
+        without an invertible element."""
+        return _anchored_stage([self])[0]
 
-        The anchors y are the cpm class of least (count, cpm key), and
-        U = S y^-1 holds I.  The key is (q, n, dim, cpm key, descriptor,
-        least RREF bytes of K^-1 U K) over the anchors whose frame members
-        (_frame_members) have the least descriptor and every spin frame K
-        of those members, the first such (y, K) on ties.  An isotopism maps
-        anchors to anchors (y -> A y B), U onto A U A^-1 and K onto A K, so
-        equal keys mean isotopic spaces.  The normaliser (y, y^-1, K, K^-1),
-        int64 (n, n) matrices, reaches the key.  A 1-dimensional <y> has
-        the key (q, n, 1) and the normaliser (y, y^-1, I, I).
-        """
-        return _key_stage([self])[0]
+    def normaliser(self, at, K=None, K_inv=None):
+        """(y, y^-1, K, K^-1), int16, for the y at a position of division_data; K = I by default."""
+        _, y, y_inv = self.division_data[1][at]
+        ident = np.eye(self.n, dtype=np.int16)
+        return (self.elems[y].reshape(self.n, self.n).astype(np.int16), y_inv.astype(np.int16),
+                ident if K is None else K, ident if K_inv is None else K_inv)
+
+
+class _Anchored(NamedTuple):
+    """Normal forms of a space at its anchor set (_anchored_stage): key is its
+    (cpm key, descriptor), at its positions in division_data, x = at[0], and
+    members the frame members of S x^-1; singles holds (K, K^-1, forms) over
+    one frame at each anchor, table over every frame at x (None until built)."""
+
+    key: tuple
+    at: np.ndarray
+    members: np.ndarray
+    singles: tuple
+    table: tuple = None
+
+
+def _form_index(forms, own=None):
+    """The rows of a form stack by their bytes, the first on ties; raises
+    NotContained unless it holds the form own, when given."""
+    index = dict(zip(map(bytes, forms[::-1]), range(len(forms) - 1, -1, -1)))
+    if own is not None and bytes(own) not in index:
+        raise NotContained("the form at the anchor is missing from its own table")
+    return index
 
 
 _DIVISION_BLOCK = 1024  # elements per space block, products S Y^-1 per charpoly pass, frames per pass
-_KEY_CANDIDATES = 256  # normalisations reduced per rref_batch
 
 
-def _block_pass(datas, slot, stage):
-    """Fill the cached slot of every SpaceData of the list that lacks it,
-    with one stage call per block: spaces of one (q, n, dim) with at most
-    _DIVISION_BLOCK elements in all (at least one space).  A value already
-    in a slot is kept."""
+def _blocks(datas):
+    """SpaceData in blocks of one (q, n, dim), of at most _DIVISION_BLOCK elements (or one space)."""
     groups = {}
     for data in datas:
-        if slot not in data.__dict__:
-            groups.setdefault((data.q, data.n, data.space.dim), []).append(data)
+        groups.setdefault((data.q, data.n, data.space.dim), []).append(data)
     for (q, _, dim), group in groups.items():
         step = max(1, _DIVISION_BLOCK // max(1, q**dim - 1))
         for lo in range(0, len(group), step):
-            block = group[lo:lo + step]
-            for data, value in zip(block, stage(block)):
-                data.__dict__.setdefault(slot, value)
+            yield group[lo:lo + step]
+
+
+def _block_pass(datas, slot, stage):
+    """Fill the cached slot of each SpaceData that lacks it, with one stage
+    call per block (_blocks); a value already in a slot is kept."""
+    for block in _blocks([data for data in datas if slot not in data.__dict__]):
+        for data, value in zip(block, stage(block)):
+            data.__dict__.setdefault(slot, value)
 
 
 def _block_elements(block):
@@ -294,7 +285,7 @@ def _unital_ids(mats, owner, inverses, q, dim):
     ids = np.empty((len(inverses), q**dim - 1), dtype=np.min_scalar_type(q**n - 1))
     step = max(1, _DIVISION_BLOCK // len(proj))
     for lo in range(0, len(inverses), step):
-        prods = mats[owner[lo:lo + step]] @ inverses[lo:lo + step, None].astype(np.int16) % q
+        prods = gf.mod(mats[owner[lo:lo + step]] @ inverses[lo:lo + step, None].astype(np.int16), q)
         ids[lo:lo + step, proj] = gf.charpoly_ids(prods.reshape(-1, n, n), q).reshape(-1, len(proj))
     base = ids[:, proj]
     for at, table in zip(multiples, _scaled_charpoly_ids(q, n)):
@@ -325,55 +316,56 @@ def _scaled_charpoly_ids(q, n):
     return scaled.astype(np.min_scalar_type(q**n - 1))
 
 
-def _key_stage(block):
-    """isotopism_key of each space of a block of one (q, n, dim).
+def _unital(datas, at, ids=None):
+    """(U, bases) of U = S y^-1 as int16 (anchors, ., n, n) stacks, for
+    each space datas[i] of one (q, n, dim) and the y at the positions at[i]
+    of its division_data; with the id rows of those U, also the
+    (descriptors, masks) of their frame members (_frame_members)."""
+    q, n = datas[0].q, datas[0].n
+    owner = np.repeat(np.arange(len(datas)), [len(a) for a in at])
+    y_inv = np.stack([data.division_data[1][j][2] for data, a in zip(datas, at) for j in a]).astype(np.int16)
+    elems, bases = (np.stack(part).reshape(len(datas), -1, n, n).astype(np.int16)[owner] @ y_inv[:, None]
+                    for part in zip(*((data.elems, data.space.basis) for data in datas)))
+    U, bases = gf.mod(elems, q), gf.mod(bases, q)
+    if ids is None:
+        return U, bases
+    return U, bases, *_frame_members(ids, gf.min_degrees(U.reshape(-1, n, n), q).reshape(len(U), -1))
 
-    The division stage runs over the block (filling division_data where it
-    is empty); its unsorted id rows and one min_degrees pass give the frame
-    members of every anchor.  One _spin_frames call covers every frame of
-    the members of the anchors of least descriptor, and the normal forms
-    are reduced _KEY_CANDIDATES at a time, each folded into a running least
-    form per space.
-    """
-    q, n, dim, mats = _block_elements(block)
-    divisions = _division_stage(block)
-    for data, (division, _) in zip(block, divisions):
+
+def _anchored_stage(block, table=True):
+    """_Anchored of each space of a block of one (q, n, dim), with its table
+    if table, None without an invertible element.  The anchor set, the y of
+    the cpm class of least (count, cpm key) whose U = S y^-1 has frame
+    members of least descriptor, is invariant.  One division stage over the
+    spaces without division_data and one _conjugators call."""
+    missing = [data for data in block if "division_data" not in data.__dict__]
+    fresh = dict(zip(missing, _division_stage(missing) if missing else []))
+    for data, (division, _) in fresh.items():
         data.__dict__.setdefault("division_data", division)
-    keys = [None] * len(block)
-    # per anchor: its space, element, inverse and the id row of S y^-1
-    cpms, space, elem, y_inv, rows = {}, [], [], [], []
-    for s, ((_, per_y), ids) in enumerate(divisions):
-        if not per_y:
-            continue
-        counts = Counter(cpm for cpm, _, _ in per_y)
-        cpms[s] = min(counts, key=lambda c: (counts[c], c))
-        mine = [i for i, (c, _, _) in enumerate(per_y) if c == cpms[s]]
-        space += [s] * len(mine)
-        elem += [per_y[i][1] for i in mine]
-        y_inv += [per_y[i][2] for i in mine]
-        rows.append(ids[mine])
-    if not space:
-        return keys
-    space, y_inv = np.array(space), np.stack(y_inv).astype(np.int16)
-    y = mats[space, elem].astype(np.int64)
-    if dim == 1:  # U = <I>, every frame of which ties
-        for s, y_s, inv in zip(space.tolist(), y, y_inv.astype(np.int64)):
-            keys[s] = (q, n, 1), (y_s, inv, np.eye(n, dtype=np.int64), np.eye(n, dtype=np.int64))
-        return keys
-    U = mats[space].astype(np.int16) @ y_inv[:, None] % q
-    degrees = gf.min_degrees(U.reshape(-1, n, n), q).reshape(len(space), -1)
-    descriptors, masks = _frame_members(np.concatenate(rows), degrees)
-    least = dict(sorted(zip(space.tolist(), descriptors), reverse=True))  # each space's least last
-    kept = [descriptor == least[s] for s, descriptor in zip(space.tolist(), descriptors)]
-    anchor, member = np.nonzero(masks & np.array(kept)[:, None])
-    bases = np.stack([data.space.basis for data in block]).reshape(len(block), -1, n, n).astype(np.int16)
-    K, K_inv, at = _spin_frames(U[anchor, member], bases[space[anchor]] @ y_inv[anchor, None] % q, q)
-    anchor = anchor[at]  # space-major, as the anchors are
-    for s, form, i in zip(*_least_forms(bases, space[anchor], anchor, y_inv, K, K_inv, q)):
-        a = anchor[i]
-        norm = (y[a], y_inv[a].astype(np.int64), K[i].astype(np.int64), K_inv[i].astype(np.int64))
-        keys[s] = (q, n, dim, cpms[s], least[s], form.tobytes()), norm
-    return keys
+    out, spaces, at, cpms, ids = [None] * len(block), [], [], [], []
+    for s, data in enumerate(block):
+        per_y = data.division_data[1]
+        if per_y:
+            counts = Counter(cpm for cpm, _, _ in per_y)
+            cpms.append(min(counts, key=lambda c: (counts[c], c)))
+            at.append(np.array([j for j, (c, _, _) in enumerate(per_y) if c == cpms[-1]]))
+            ids.append(fresh[data][1][at[-1]] if data in fresh else data.unital_ids(at[-1]))
+            spaces.append(s)
+    if not spaces:
+        return out
+    U, bases, descriptors, masks = _unital([block[s] for s in spaces], at, np.concatenate(ids))
+    bounds = np.cumsum([0] + [len(a) for a in at]).tolist()
+    least = [min(descriptors[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    rows = [[r for r in range(lo, hi) if descriptors[r] == d] for lo, hi, d in zip(bounds, bounds[1:], least)]
+    members = [np.nonzero(masks[r[0]])[0] for r in rows]
+    lone = np.concatenate(rows)
+    tables, singles = _conjugators([(U[r[0], m], bases[r[0]]) for r, m in zip(rows, members)] if table else [],
+                                   (U[lone, masks[lone].argmax(axis=1)], bases[lone]), block[0].q)
+    ends = np.cumsum([0] + [len(r) for r in rows])
+    for k, s in enumerate(spaces):
+        out[s] = _Anchored((cpms[k], least[k]), at[k][np.array(rows[k]) - bounds[k]], members[k],
+                           tuple(M[ends[k]:ends[k + 1]] for M in singles), tables[k] if table else None)
+    return out
 
 
 def _frame_members(ids, degrees):
@@ -391,28 +383,6 @@ def _frame_members(ids, degrees):
     first = np.arange(rows), rank.argmin(axis=1)
     descriptors = zip((-degrees[first]).tolist(), size[first].tolist(), ids[first].tolist())
     return list(descriptors), rank == rank[first][:, None]
-
-
-def _least_forms(bases, space, anchor, y_inv, K, K_inv, q):
-    """(spaces, least RREF rows, first candidate reaching each) of the
-    normal forms K^-1 (S y^-1) K of the candidates, which are space-major
-    and in each space's candidate order, S from its bases: one rref_batch per
-    _KEY_CANDIDATES forms, each chunk folded into the running least rows
-    by one lexsort with the space as its primary key (stable, so the
-    earlier candidate wins a tie)."""
-    n = K.shape[-1]
-    best_space = best_at = np.zeros(0, dtype=np.int64)
-    best = np.zeros((0, bases.shape[1] * n * n), dtype=np.uint8)
-    for lo in range(0, len(K), _KEY_CANDIDATES):
-        part = slice(lo, lo + _KEY_CANDIDATES)
-        U = bases[space[part]] @ y_inv[anchor[part], None] % q
-        rows = np.concatenate([best, _normal_forms(K[part], K_inv[part], U, q)])
-        spaces = np.concatenate([best_space, space[part]])
-        at = np.concatenate([best_at, np.arange(lo, lo + len(U))])
-        order = np.lexsort((*rows.T[::-1], spaces))
-        first = order[np.append(True, spaces[order][1:] != spaces[order][:-1])]
-        best, best_space, best_at = rows[first], spaces[first], at[first]
-    return best_space, best, best_at
 
 
 def _spin_frames(G, spaces, q, lone=None):
@@ -445,7 +415,7 @@ def _spin_frames(G, spaces, q, lone=None):
             c, g = filled[lo:lo + step], member[lo:lo + step]
             cols = [np.broadcast_to(cands.astype(np.int16), (len(g), m, n))]
             for _ in range(n - 1):
-                cols.append(cols[-1] @ G[g].transpose(0, 2, 1).astype(np.int16) % q)  # v -> (g v)^T
+                cols.append(gf.mod(cols[-1] @ G[g].transpose(0, 2, 1).astype(np.int16), q))  # v -> (g v)^T
             src = np.arange(n) - np.repeat(c, m)[:, None, None]  # column j is spin column j - c
             spins = np.stack(cols, axis=-1).reshape(-1, n, n)
             M = np.where(src >= 0, np.take_along_axis(spins, src.clip(0).repeat(n, axis=1), axis=2),
@@ -456,7 +426,7 @@ def _spin_frames(G, spaces, q, lone=None):
             rank[shut] = gf.rank_batch(M.reshape(-1, m, n, n)[shut].reshape(-1, n, n), q).reshape(-1, m)
             # past the Krylov bases of the first pass, least dim U v among the longest spins
             refine, span = shut | (c > 0), np.zeros_like(rank)
-            Uv = spaces[g[refine], None].astype(np.int16) @ cands[:, None, :, None].astype(np.int16) % q
+            Uv = gf.mod(spaces[g[refine], None].astype(np.int16) @ cands[:, None, :, None].astype(np.int16), q)
             span[refine] = gf.rank_batch(Uv.reshape(-1, Uv.shape[2], n), q).reshape(-1, m)
             score = rank * (n + 1) - span
             parent, v = np.nonzero(score == score.max(axis=1, keepdims=True))
@@ -495,75 +465,59 @@ def space_data(space):
 # ---------------------------------------------------------------------------
 
 
-def _conjugators(d1, d2):
-    """Normal forms at the anchor x of S1 against S2: ((x, x^-1, K, K^-1)
-    over the frames K at x, their forms, and the (A_y, B_y) stacks of the
-    reached images y in division_data order).
+def _conjugators(every, lone, q):
+    """Normal forms at anchors of spaces of one (q, n, dim), in one
+    _spin_frames call and one RREF pass: (K, K^-1, forms) for each (G,
+    basis) of every, the int16 frame members of U = S x^-1 and U's basis,
+    over every frame of each member, then over the stacks (G, bases) of
+    lone, one member a row, one frame each.  A form is K^-1 g K, then the
+    RREF of K^-1 U K, uint8 (bits at q = 2); a conjugator of U onto V maps
+    g's frames onto those of A g A^-1, so U and V share a form iff conjugate."""
+    G = np.concatenate([g for g, _ in every] + [lone[0]])
+    spaces = np.concatenate([np.broadcast_to(B, (len(g), *B.shape)) for g, B in every] + [lone[1]])
+    sizes = np.cumsum([0] + [len(g) for g, _ in every])
+    K, K_inv, member = (M.astype(np.int16) for M in _spin_frames(G, spaces, q, lone=sizes[-1]))
+    forms = np.concatenate([gf.mod(gf.mod(K_inv @ G[member], q) @ K, q).reshape(len(K), -1),
+                            _normal_forms(K, K_inv, spaces[member], q)], axis=1).astype(np.uint8)
+    forms = np.packbits(forms, axis=1) if q == 2 else forms  # eight entries a byte
+    ends = np.searchsorted(member, sizes).tolist()
+    tables = [(K[lo:hi], K_inv[lo:hi], forms[lo:hi]) for lo, hi in zip(ends, ends[1:])]
+    return tables, (K[ends[-1]:], K_inv[ends[-1]:], forms[ends[-1]:])
 
-    x is the projective invertible element of S1 whose cpm class is rarest
-    in S2 (which must hold it), least index on ties; an isotopism sends x
-    to a unit multiple of an image y of S2 in that class.  The frame
-    members g of U = S1 x^-1 (_frame_members, as for the keys) have the
-    normal forms (K^-1 g K, RREF of K^-1 U K) over their spin frames K.  A
-    conjugator of U onto S2 y^-1 maps those frames onto the frames of the
-    members of S2 y^-1 in that group, so y is reached iff any one frame K_y
-    of its first such member has the form of a frame K_i at x, and then
-    (A_y, B_y) = (K_y K_i^-1, x^-1 K_i K_y^-1 y) by _key_isotopism.  The
-    charpoly ids of U and of each S2 y^-1 are the division stage's rows
-    (SpaceData.unital_ids); one _spin_frames call and one RREF pass cover
-    every frame.
-    """
-    q, n = d1.q, d1.n
+
+def _witness(d1, d2):
+    """(A, B) of the first image y of the anchor x of S1 that the normal
+    forms reach, in division_data order, or None: x is the element of S1
+    whose cpm class is rarest in S2, least index on ties, and its images
+    are those of that class whose members have x's descriptor."""
     per_x, per_y = d1.division_data[1], d2.division_data[1]
     count = Counter(cpm for cpm, _, _ in per_y)
     i = min(range(len(per_x)), key=lambda i: (count[per_x[i][0]], per_x[i][1]))
-    cpm_x, x_idx, x_inv = per_x[i]
-    images = np.array([j for j, (cpm, _, _) in enumerate(per_y) if cpm == cpm_x])
-    y_idx, Y_inv = (np.array(part) for part in zip(*(per_y[j][1:] for j in images)))
-    x = d1.elems[x_idx].reshape(n, n).astype(np.int16)
-    # U element by element, the bases of U and of S2 y^-1 of each image y
-    U = d1.elems.reshape(-1, n, n).astype(np.int16) @ x_inv % q
-    U_basis = d1.space.basis.reshape(-1, n, n).astype(np.int16) @ x_inv % q
-    bases = d2.space.basis.reshape(-1, n, n).astype(np.int16) @ Y_inv[:, None] % q
-    [(deg, _, cid)], members = _frame_members(d1.unital_ids([i]), gf.min_degrees(U, q)[None])
-    g, deg = np.nonzero(members[0])[0], -deg
-    # the first member of each S2 y^-1 in the group of x's frame members
-    at, elem = np.nonzero(d2.unital_ids(images) == cid)
-    V = d2.elems.reshape(-1, n, n)[elem].astype(np.int16) @ Y_inv[at] % q
-    keep = gf.min_degrees(V, q) == deg
-    at, V = at[keep], V[keep]
-    first = np.unique(at, return_index=True)[1]
-    at = at[first]
-    # every frame of every member at x, then one frame at each image
-    G = np.concatenate([U[g], V[first]])
-    spaces = np.concatenate([np.broadcast_to(U_basis, (len(g), *U_basis.shape)), bases[at]])
-    K, K_inv, member = _spin_frames(G, spaces, q, lone=len(g))
-    K, K_inv = K.astype(np.int16), K_inv.astype(np.int16)
-    forms = np.concatenate([(K_inv @ G[member] % q @ K % q).reshape(len(K), -1),
-                            _normal_forms(K, K_inv, spaces[member], q)], axis=1)
-    f = int((member < len(g)).sum())  # x's frames lead
-    index = dict(zip(map(bytes, forms[f - 1::-1]), range(f - 1, -1, -1)))
-    hit = np.array([index.get(bytes(row), -1) for row in forms[f:]], dtype=np.int64)
-    reached = hit >= 0
-    Y = d2.elems[y_idx[at[member[f:][reached] - len(g)]]].reshape(-1, n, n).astype(np.int16)
-    RA, RB = _key_isotopism((x, x_inv, K[hit[reached]], K_inv[hit[reached]]),
-                            (Y, None, K[f:][reached], K_inv[f:][reached]), q)
-    return (x, x_inv, K[:f], K_inv[:f]), forms[:f], RA, RB
+    images = np.array([j for j, (cpm, _, _) in enumerate(per_y) if cpm == per_x[i][0]])
+    ids = np.concatenate([d1.unital_ids([i]), d2.unital_ids(images)])
+    U, bases, descriptors, masks = _unital([d1, d2], [[i], images], ids)
+    same = np.array([k for k in range(1, len(U)) if descriptors[k] == descriptors[0]], dtype=np.intp)
+    [(K, K_inv, forms)], (K_y, K_y_inv, forms_y) = _conjugators(
+        [(U[0, masks[0]], bases[0])], (U[same, masks[same].argmax(axis=1)], bases[same]), d1.q)
+    index = _form_index(forms)
+    for k, form in enumerate(forms_y):
+        hit = index.get(bytes(form))
+        if hit is not None:
+            return _key_isotopism(d1.normaliser(i, K[hit], K_inv[hit]),
+                                  d2.normaliser(images[same[k] - 1], K_y[k], K_y_inv[k]), d1.q)
+    return None
 
 
 def are_equivalent(s1, s2):
     """A witness Isotopism g with act(g, s1) = s2, or None.
 
-    Exhaustive given the anchoring argument of _conjugators: any witness
-    maps the anchor of s1 to a unit multiple of one of its images in s2.
-    The witness is the pair of the first image reached, checked with act
+    Exhaustive given the anchoring argument of _witness: any witness maps
+    the anchor of s1 to a unit multiple of one of its images in s2.  The
+    witness is the pair of the first image reached, checked with act
     (NotContained otherwise).  Two 1-dimensional spaces <x> and <y> are
     isotopic by (I, x^-1 y).
     """
-    if isinstance(s1, SpreadSet):
-        s1 = s1.space
-    if isinstance(s2, SpreadSet):
-        s2 = s2.space
+    s1, s2 = (s.space if isinstance(s, SpreadSet) else s for s in (s1, s2))
     if (s1.q, s1.n) != (s2.q, s2.n):
         return None
     q, n = s1.q, s1.n
@@ -579,14 +533,10 @@ def are_equivalent(s1, s2):
 
     if d1.division_data[0] != d2.division_data[0]:
         return None
-    if s1.dim == 1:  # (I, x^-1 y) from the constant keys
-        A, B = _key_isotopism(d1.isotopism_key[1], d2.isotopism_key[1], q)
-    else:
-        _, _, RA, RB = _conjugators(d1, d2)
-        if not len(RA):
-            return None
-        A, B = RA[0], RB[0]
-    witness = Isotopism(A.astype(np.uint8), B.astype(np.uint8), q)
+    found = _key_isotopism(d1.normaliser(0), d2.normaliser(0), q) if s1.dim == 1 else _witness(d1, d2)
+    if found is None:
+        return None
+    witness = Isotopism(*(M.astype(np.uint8) for M in found), q)
     if act(witness, s1) != s2:
         raise NotContained("equivalence witness does not map s1 onto s2")
     return witness
@@ -719,19 +669,15 @@ def _orbit_canonical_key(space, group):
 def equivalence_classes(spaces, group=None, members=None):
     """Representatives of the distinct equivalence classes of the input.
 
-    Under the full group the classes are those of isotopism_classes:
-    spaces are looked up by their canonical isotopism key, and only the
-    spaces without an invertible element are compared pairwise.  When an
-    explicit subgroup is supplied, classes are orbits under exactly that
-    subgroup, keyed in one orbit_keys pass.  Each space must then contain
+    Under the full group the classes are those of isotopism_classes.
+    Under an explicit subgroup, classes are orbits under exactly that
+    subgroup, keyed in one orbit_keys pass: each space must contain
     group.space and equal group.space plus the span of its rank-one points
-    (BadParameters otherwise), so that the orbit of its rank-one point set
-    is a complete key.  members, when given, holds those points as rows
-    (as search's block kernel knows them, see orbit_keys); otherwise they
-    are found by containment.
-    The output is a deterministic function of the input set: each
-    representative is the member of its class with the least (dim, RREF
-    basis bytes), and the output is sorted by that key.
+    (BadParameters otherwise), and members, when given, holds those points
+    as rows (as search's block kernel knows them); otherwise they are found
+    by containment.  The output is a deterministic function of the input
+    set: each representative is the member of its class with the least
+    (dim, RREF basis bytes), and the output is sorted by that key.
     """
     spaces = list(spaces)
     if not spaces:
@@ -758,47 +704,68 @@ def isotopism_classes(spaces):
     """The isotopism classes of a list of spaces, as lists of positions,
     each increasing, in order of their first position.
 
-    Spaces are bucketed by fingerprint; in a bucket of two or more, each
-    space joins the class of its isotopism key.  A bucket of spaces without
-    an invertible element has no keys: each of them is compared with
-    _brute_force_equivalent against the first member of each class found
-    so far (TooLarge past 4,096 matrices).  Every key merge is checked, in
-    one batch per (q, n, dim) by _check_key_merges.
-
-    The invariants are computed in blocks (_block_pass): the fingerprints
-    of every space, then the keys of the spaces in buckets of two or more,
-    each stage one pass per block of spaces of one (q, n, dim).  A slot
-    already filled, such as a key set by hand, is kept.
-    """
+    Spaces are bucketed by fingerprint, and by _Anchored key if they have an
+    invertible element and dimension 2 or more; each in turn joins the first
+    class of its bucket whose representative's table holds one of its
+    forms, or represents a new class.  Tables are built in rounds of one new
+    class per bucket and kept in anchored slots (a filled slot is kept), and
+    every merge is checked by _check_key_merges.  Other spaces are tested
+    against each class's first member, 1-dimensional ones by are_equivalent
+    and those without an invertible element by _brute_force_equivalent."""
     # held here: space_data clears its cache past 4,000 entries
     datas = [space_data(s) for s in spaces]
     _block_pass(datas, "fingerprint", _fingerprint_stage)
+    shared = Counter(data.fingerprint for data in datas)
+    framed = [data for data in datas if shared[data.fingerprint] > 1
+              and data.space.dim > 1 and data.invertible_projective.size]
+    found = {data: data.__dict__.get("anchored") for data in framed}
+    for block in _blocks([data for data in framed if found[data] is None]):
+        found.update(zip(block, _anchored_stage(block, table=False)))
     buckets = {}
     for i, data in enumerate(datas):
-        buckets.setdefault(data.fingerprint, []).append(i)
-    shared = [datas[i] for bucket in buckets.values() if len(bucket) > 1 for i in bucket]
-    _block_pass(shared, "isotopism_key", _key_stage)
-    classes, merges = [], []
+        buckets.setdefault((data.fingerprint, getattr(found.get(data), "key", None)), []).append(i)
+    classes, merges, pending = [], [], []
     for bucket in buckets.values():
-        if len(bucket) == 1:
-            classes.append(bucket)
+        head = datas[bucket[0]]
+        if head in found and len(bucket) > 1:
+            pending.append((deque(bucket), []))
             continue
-        keyed = {}
+        # a bucket of one, of 1-dimensional spaces, or of spaces without an invertible element
+        pairwise = are_equivalent if head.invertible_projective.size else _brute_force_equivalent
+        scanned = {}
         for i in bucket:
-            found = datas[i].isotopism_key
-            if found is None:  # no invertible element: the first class isotopic to it, or its own
-                key = next((k for k, (j, _, _) in keyed.items()
-                            if _brute_force_equivalent(spaces[j], spaces[i])), i)
-                keyed.setdefault(key, (i, None, []))[2].append(i)
-                continue
-            key, norm = found
-            first, first_norm, members = keyed.setdefault(key, (i, norm, []))
-            if members:
-                merges.append((i, first, norm, first_norm))
-            members.append(i)
-        classes.extend(members for _, _, members in keyed.values())
+            scanned.setdefault(next((j for j in scanned if pairwise(spaces[j], spaces[i])), i), []).append(i)
+        classes.extend(scanned.values())
+    while pending:  # a round: each bucket's first space left represents a new class
+        for block in _blocks([datas[left[0]] for left, _ in pending if found[datas[left[0]]].table is None]):
+            U, bases = _unital(block, [found[data].at[:1] for data in block])  # every frame at each x
+            every = [(U_x[found[data].members], B) for data, U_x, B in zip(block, U, bases)]
+            tables, _ = _conjugators(every, (U[:0, 0], bases[:0]), block[0].q)
+            found.update((data, found[data]._replace(singles=tuple(M.copy() for M in found[data].singles), table=table))
+                         for data, table in zip(block, tables))  # the copies let the block's other forms go
+        for left, reps in pending:
+            i = left.popleft()
+            record = found[datas[i]] = datas[i].__dict__.setdefault("anchored", found[datas[i]])
+            reps.append((i, _form_index(record.table[2], record.singles[2][0]), [i]))
+            while left and (hit := _table_hit(found[datas[left[0]]], reps)):
+                (first, _, members), j, h = hit
+                i = left.popleft()
+                record, first_record = found[datas[i]], found[datas[first]]
+                merges.append((i, first, datas[i].normaliser(record.at[j], *(M[j] for M in record.singles[:2])),
+                               datas[first].normaliser(first_record.at[0], *(M[h] for M in first_record.table[:2]))))
+                members.append(i)
+            if not left:  # the bucket is done: drop the forms of its other members
+                classes.extend(members for _, _, members in reps)
+                found.update((datas[i], None) for _, _, members in reps for i in members[1:])
+        pending = [(left, reps) for left, reps in pending if left]
     _check_key_merges(spaces, merges)
     return sorted(classes)
+
+
+def _table_hit(record, reps):
+    """(representative, j, h) of the first of reps whose table holds the j-th form of the record, as row h."""
+    return next(((rep, j, h) for rep in reps for j, form in enumerate(record.singles[2])
+                 if (h := rep[1].get(bytes(form))) is not None), None)
 
 
 def _check_key_merges(spaces, merges):
@@ -817,7 +784,7 @@ def _check_key_merges(spaces, merges):
         moved = _act_arrays(A, B, np.stack([spaces[i].basis for i in at]), q)
         for first in sorted(set(firsts)):
             if not spaces[first].contains_batch(moved[np.equal(firsts, first)].reshape(-1, n * n)).all():
-                raise NotContained("equal isotopism keys, but the composed isotopism fails")
+                raise NotContained("equal normal forms, but the composed isotopism fails")
 
 
 def _key_isotopism(norm_v, norm_w, q):
@@ -839,29 +806,31 @@ def _key_isotopism(norm_v, norm_w, q):
 class StabilizerGroup:
     """Setwise stabilizer {(A, B) : A S B = S}, fully enumerated by rows.
 
-    rows holds two uint8 stacks, one pair (A_i, B_i) per row.  With
-    scalars, a row stands for its (q - 1)^2 unit multiples (lam A_i, mu
-    B_i), which act alike on every space and projective point; otherwise it
-    is one element.  order counts the elements, and A and B expand the rows
-    to the element stacks: row-major, then lam, then mu.  Each row permutes
-    the projective rank-one points, u w^T -> (A u)(B^T w)^T; tables, built
-    with the group, holds that action as two int16 (rows, m) tables: the
-    projective index of A_i v and of B_i^T v for every projective vector v.
+    rows, two uint8 stacks of pairs (A_i, B_i), is multiplied out from the
+    factors (RA, C, D, RB) when read: the rows (RA_y C_c, D_c RB_y),
+    y-major, or those at the indices select.  With scalars, a row stands
+    for its (q - 1)^2 unit multiples (lam A_i, mu B_i); otherwise it is one
+    element.  order counts the elements, and A and B expand the rows:
+    row-major, then lam, then mu.  tables holds each row's action
+    u w^T -> (A u)(B^T w)^T on the projective rank-one points as two int16
+    (rows, m) tables: the projective index of A_i v and of B_i^T v.
     """
 
     q: int
     n: int
-    rows: tuple
+    factors: tuple
     tables: tuple
     space: MatSpace = None
     scalars: bool = False
+    select: np.ndarray = None
 
     @classmethod
     def of_elements(cls, q, n, A, B, space=None):
         """The group of the given element stacks, with their point tables."""
         pts = points_for(q, n)
         tables = (pts.vector_images(A), pts.vector_images(B.transpose(0, 2, 1)))
-        return cls(q, n, (A, B), tables, space)
+        ident = np.eye(n, dtype=np.uint8)[None]
+        return cls(q, n, (A, ident, ident, B), tables, space)
 
     @classmethod
     def trivial(cls, q, n):
@@ -870,7 +839,13 @@ class StabilizerGroup:
 
     @property
     def order(self):
-        return len(self.rows[0]) * ((self.q - 1) ** 2 if self.scalars else 1)
+        return len(self.tables[0]) * ((self.q - 1) ** 2 if self.scalars else 1)
+
+    @cached_property
+    def rows(self):
+        RA, C, D, RB = self.factors
+        y, c = np.divmod(np.arange(len(RA) * len(C)) if self.select is None else self.select, len(C))
+        return tuple(gf.mod(L @ R, self.q).astype(np.uint8) for L, R in ((RA[y], C[c]), (D[c], RB[y])))
 
     @cached_property
     def A(self):
@@ -911,48 +886,57 @@ class StabilizerGroup:
         inside = inside[inside < len(points_for(self.q, self.n))]
         _check_span(inside[None], self, [space.dim])
         ok = (np.sort(self.point_images(inside), axis=1) == inside).all(axis=1)
-        return replace(self, rows=tuple(M[ok] for M in self.rows),
-                       tables=tuple(T[ok] for T in self.tables), space=space)
+        select = np.nonzero(ok)[0] if self.select is None else self.select[ok]
+        return replace(self, select=select, tables=tuple(T[ok] for T in self.tables), space=space)
 
 
 def _normal_forms(K, K_inv, bases, q):
     """RREF rows of K^-1 V K for (f, n, n) frames, their inverses and bases of V, one rref_batch."""
-    V = K_inv[:, None].astype(np.int16) @ bases.astype(np.int16) % q @ K[:, None].astype(np.int16) % q
+    V = gf.mod(gf.mod(K_inv[:, None].astype(np.int16) @ bases.astype(np.int16), q) @ K[:, None].astype(np.int16), q)
     return gf.rref_batch(V.reshape(len(K), -1, K.shape[-1] ** 2), q)[0].reshape(len(K), -1)
 
 
 def automorphism_group(space):
     """Exact setwise stabilizer of a space containing an invertible element,
-    with its point tables.
+    with its point tables, from its anchored slot.
 
-    An automorphism sends the anchor x to a unit multiple of an image y, and
-    those sending x to y are (A_y C, D B_y) times units: (A_y, B_y) is y's
-    pair from _conjugators(S, S), C runs over the conjugation stabilizer of
-    U = S x^-1 and D = x^-1 C^-1 x.  The frames K_i at x whose form ties
-    with the first, K_0, give C = K_i K_0^-1, by _key_isotopism.  One batch
-    checks every pair (NotContained otherwise).  The group holds one row
-    (A_y C, D B_y) per pair, a block per reached y in division_data order,
-    A-major, with point tables composed from those of the factors; each
-    row stands for its (q - 1)^2 unit multiples (StabilizerGroup).
+    An automorphism sends the anchor x to a unit multiple of an anchor y,
+    and those sending x to y are (A_y C, D B_y) times units: y is reached
+    iff its form is in the table at x, (A_y, B_y) composed from the first
+    such frame, and the frames at x that tie with the first give the
+    conjugation stabilizer C of S x^-1 and D = x^-1 C^-1 x.  One batch
+    checks every pair (NotContained otherwise).  A row stands for its
+    (q - 1)^2 unit multiples, a block per reached y in division_data order.
     """
-    if isinstance(space, SpreadSet):
-        space = space.space
+    space = space.space if isinstance(space, SpreadSet) else space
     q, n = space.q, space.n
     data = space_data(space)
     if data.invertible_projective.size == 0:
         return _brute_force_stabilizer(space)
-    (x, x_inv, K, K_inv), forms, RA, RB = _conjugators(data, data)
+    found = data.anchored
+    (K, K_inv, forms), (K_y, K_y_inv, forms_y) = found.table, found.singles
+    index = _form_index(forms, forms_y[0])
+    hit = np.array([index.get(bytes(form), -1) for form in forms_y])
+    reached, (x, x_inv, _, _) = np.nonzero(hit >= 0)[0], data.normaliser(found.at[0])
+    Y = np.stack([data.normaliser(found.at[j])[0] for j in reached])
+    RA, RB = _key_isotopism((x, x_inv, K[hit[reached]], K_inv[hit[reached]]),
+                            (Y, None, K_y[reached], K_y_inv[reached]), q)
     ties = (forms == forms[0]).all(axis=1)  # C is the stabilizer up to units
     C, D = _key_isotopism((x, x_inv, K[0], K_inv[0]), (x, None, K[ties], K_inv[ties]), q)
     moved = _act_arrays(np.concatenate([RA, C]), np.concatenate([RB, D]), space.basis, q)
     if not space.contains_batch(moved.reshape(-1, n * n)).all():
         raise NotContained("a normal-form automorphism does not fix the space")
-    rows = tuple(M.reshape(-1, n, n).astype(np.uint8) for M in (RA[:, None] @ C % q, D @ RB[:, None] % q))
     pts = points_for(q, n)
     tables = tuple(T[:, U].reshape(-1, U.shape[1]) for T, U in (
         (pts.vector_images(RA), pts.vector_images(C)),
         (pts.vector_images(RB.transpose(0, 2, 1)), pts.vector_images(D.transpose(0, 2, 1)))))
-    return StabilizerGroup(q, n, rows, tables, space, scalars=True)
+    return StabilizerGroup(q, n, (RA, C, D, RB), tables, space, scalars=True)
+
+
+def automorphism_groups(spaces):
+    """automorphism_group of each space, their anchored slots filled by blocks."""
+    _block_pass([space_data(s) for s in spaces], "anchored", _anchored_stage)
+    return [automorphism_group(s) for s in spaces]
 
 
 def _brute_force_stabilizer(space):

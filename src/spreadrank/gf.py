@@ -53,6 +53,11 @@ def as_residues(a, q):
     return (np.asarray(a, dtype=np.int64) % q).astype(np.uint8)
 
 
+def mod(a, q):
+    """An integer array mod q, of its type: & 1 at q = 2, 1 % the cost of % 2."""
+    return a & 1 if q == 2 else a % q
+
+
 # ---------------------------------------------------------------------------
 # Enumerators
 # ---------------------------------------------------------------------------
@@ -316,10 +321,13 @@ def _charpoly_id_kernel(mats, q):
 def min_degrees(mats, q):
     """Degree of the minimal polynomial of each matrix of a (B, n, n) stack,
     as int64: from the code table within its bound, else the rank of the
-    powers I, g, .., g^(n-1) by one elimination."""
+    powers I, g, .., g^(n-1) of each distinct matrix by one elimination."""
     hit = _table_lookup(mats, q)
     if hit is None:
-        return _min_degree_kernel(np.asarray(mats), q)
+        mats = np.ascontiguousarray(np.asarray(mats) % q, dtype=np.uint8)
+        rows = mats.reshape(len(mats), mats.shape[-1] ** 2).view(f"V{mats.shape[-1] ** 2}")[:, 0]
+        _, first, back = np.unique(rows, return_index=True, return_inverse=True)  # a plain np.unique imports numpy.ma
+        return _min_degree_kernel(mats[first], q)[back]
     table, codes = hit
     return table["min_degree"][codes].astype(np.int64)
 

@@ -52,7 +52,7 @@ from .algebra import (
 )
 from .codec import encode_rows
 from .codes import code_exists, genbound
-from .equivalence import automorphism_group, equivalence_classes, orbit_keys
+from .equivalence import automorphism_group, automorphism_groups, equivalence_classes, orbit_keys
 from .errors import BadParameters, RankExceedsCap
 
 
@@ -457,12 +457,12 @@ def _point_orbit_reps(group, ext, p):
     return sorted(reps)
 
 
-def _orbit_children(parents, pts, stabilizer):
-    """Children of the parents, one per orbit of stabilizer(parent) on each
-    parent's children, with the number of child spans before the orbit
-    reduction and the children's rows of _members.  The children
-    are grouped and built _BLOCK parents at a time.  Equal spans from two
-    parents are left to the callers' equivalence_classes."""
+def _orbit_children(parents, pts, stabilizers):
+    """Children of the parents, one per orbit of each parent's stabilizer on
+    its children, with the number of child spans before the orbit reduction
+    and the children's rows of _members.  The children are grouped and
+    built _BLOCK parents at a time, stabilizers(block) giving the groups.
+    Equal spans from two parents are left to equivalence_classes."""
     children, spans, members = [], 0, []
     for start in range(0, len(parents), _BLOCK):
         block = parents[start:start + _BLOCK]
@@ -470,8 +470,8 @@ def _orbit_children(parents, pts, stabilizer):
         spans += len(ext.group_reps)
         named = [
             (p, point)
-            for p, parent in enumerate(block)
-            for point in _point_orbit_reps(stabilizer(parent), ext, p)
+            for p, group in enumerate(stabilizers(block))
+            for point in _point_orbit_reps(group, ext, p)
         ]
         at, points = (np.array([row[i] for row in named], dtype=np.int64) for i in (0, 1))
         children += MatSpace.extend_batch([block[p] for p in at], pts.flat[points])
@@ -534,7 +534,7 @@ def spread_sets_by_rank(q, n, R, prune=None, progress=None):
     while dim < R:
         dim += 1
         started = time.perf_counter()
-        candidates, raw_count, _ = _orbit_children(current, pts, automorphism_group)
+        candidates, raw_count, _ = _orbit_children(current, pts, automorphism_groups)
         grown = time.perf_counter()
         classes = equivalence_classes(candidates)
         classified = time.perf_counter()
@@ -786,8 +786,8 @@ def disprove_rank(spread, R, aut=None, checkpoint=None, progress=None):
 
     known = {}  # the rank-one points of the classified levels' spaces, by key
 
-    def stabilizer(parent):
-        return aut if parent is space else aut.stabilizer_of_space(parent, known[parent.key])
+    def stabilizers(block):
+        return [aut if parent is space else aut.stabilizer_of_space(parent, known[parent.key]) for parent in block]
 
     current, kept, members = [space], None, None  # a level's parents: current, or kept rows over it
     dim = n
@@ -798,7 +798,7 @@ def disprove_rank(spread, R, aut=None, checkpoint=None, progress=None):
         if dim <= 2 * n - 2 and not final:
             # per-parent stabilizer orbits pre-reduce the children, then
             # one global reduction under the full automorphism group
-            children, _, found = _orbit_children(current, pts, stabilizer)
+            children, _, found = _orbit_children(current, pts, stabilizers)
             grown = time.perf_counter()
             current = equivalence_classes(children, group=aut, members=found)
             known = dict(zip((child.key for child in children), found))

@@ -38,7 +38,7 @@ def search_levels(q, n, R):
     current = [search._diag_space(q, n)]
     levels = []
     for dim in range(n + 1, R + 1):
-        candidates, _, _ = search._orbit_children(current, pts, equivalence.automorphism_group)
+        candidates, _, _ = search._orbit_children(current, pts, equivalence.automorphism_groups)
         classes = equivalence.equivalence_classes(candidates)
         levels.append((dim, candidates, classes))
         if dim in prune:

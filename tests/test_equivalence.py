@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -552,7 +553,7 @@ def oracle_conjugators(dataU, dataV, find_all):
     if not gens and not find_all:
         return np.eye(n, dtype=np.uint8)[None]
     v_mats = dataV.elems.reshape(-1, n, n).astype(np.int64)
-    v_ids = dataV.cp_ids
+    v_ids = gf.charpoly_ids(dataV.elems.reshape(-1, dataV.n, dataV.n), dataV.q)
     if gens:
         gen_ids = gf.charpoly_ids(np.stack(gens), q)
         by_count = sorted(range(len(gens)), key=lambda i: int((v_ids == gen_ids[i]).sum()))
@@ -715,12 +716,11 @@ def pair_set(gA, gB):
     return {a.tobytes() + b.tobytes() for a, b in zip(gA, gB)}
 
 
-def rarest_anchor(space):
-    """The anchor automorphism_group takes: the projective invertible
-    element whose cpm key is rarest, least index on ties."""
-    _, per_y = equivalence.space_data(space).division_data
-    count = Counter(k for k, _, _ in per_y)
-    return min(per_y, key=lambda item: (count[item[0]], item[1]))[1]
+def group_anchor(space):
+    """The anchor automorphism_group takes: the first anchor of the space's
+    anchor set, as an element index."""
+    data = equivalence.space_data(space)
+    return data.division_data[1][data.anchored.at[0]][1]
 
 
 def assert_tables_are_element_images(group):
@@ -750,7 +750,7 @@ def no_cyclic_member_at_the_anchor(space):
     cyclic member, so that its frames are spin frames of several blocks."""
     q, n = space.q, space.n
     data = equivalence.space_data(space)
-    (_, x_inv, _, _), _, _, _ = equivalence._conjugators(data, data)
+    _, x_inv, _, _ = data.normaliser(data.anchored.at[0])
     U = data.elems.reshape(-1, n, n).astype(np.int64) @ x_inv % q
     return gf.min_degrees(U, q).max() < n
 
@@ -782,7 +782,7 @@ def test_automorphism_group_matches_per_candidate_oracle(name):
     else:
         space = seeded_s2_image() if name == "S2-image" else atlas.atlas_get(name).space()
     # the oracle at the same anchor, and at the first one
-    assert_group_matches_oracle(space, rarest_anchor(space))
+    assert_group_matches_oracle(space, group_anchor(space))
     assert_group_matches_oracle(space, int(equivalence.space_data(space).invertible_projective[0]))
 
 
@@ -803,21 +803,33 @@ def test_automorphism_group_matches_oracle_on_every_order8_input(order8_levels):
     assert len(inputs) == 22
     assert [no_cyclic_member_at_the_anchor(s) for s in inputs].count(True) == 1  # the diagonal space
     for space in inputs:
-        assert_group_matches_oracle(space, rarest_anchor(space))
+        assert_group_matches_oracle(space, group_anchor(space))
+
+
+def test_automorphism_group_matches_oracle_on_every_order8_class(order8_levels):
+    # the groups from the representatives' classification tables, and those
+    # of fresh SpaceData, against the oracle
+    reps = [s for _, _, classes in order8_levels for s in classes]
+    assert len(reps) == 53
+    for space in reps:
+        assert_group_matches_oracle(space, group_anchor(space))
+        fresh = equivalence.SpaceData(space).anchored
+        assert_same_anchored(equivalence.space_data(space).anchored, fresh)
 
 
 @pytest.mark.slow
 def test_automorphism_group_matches_oracle_on_every_order16_input(monkeypatch):
     inputs = []
-    group = search.automorphism_group
-    monkeypatch.setattr(search, "automorphism_group", lambda s: inputs.append(s) or group(s))
+    group = equivalence.automorphism_group
+    monkeypatch.setattr(equivalence, "automorphism_group", lambda s: inputs.append(s) or group(s))
     search.spread_sets_by_rank(2, 4, 8)
+    monkeypatch.undo()
     assert len(inputs) == 55
     # the diagonal space and 12 dim-5 classes need frames of several blocks
     spun = [s.dim for s in inputs if no_cyclic_member_at_the_anchor(s)]
     assert spun == [4] + [5] * 12
     for space in inputs:
-        assert_group_matches_oracle(space, rarest_anchor(space))
+        assert_group_matches_oracle(space, group_anchor(space))
 
 
 def isotopic_field_images():
@@ -848,18 +860,29 @@ def test_automorphism_group_tables_and_elements(space):
 
 def oracle_group_assembly(space):
     """Oracle: the elements and point tables of automorphism_group, one
-    element per unit pair: each reached pair (A_y, B_y) of _conjugators
-    times each conjugation stabilizer pair (C, D), A-major, times every
-    (lam, mu), lam outer, as uint8 (A, B) stacks, and each point table row
-    repeated (q - 1)^2 times.  A space without an invertible element gets
-    the scanned stabilizer."""
+    element per unit pair, multiplied out at once: for each single form of
+    the anchored slot that one of the table's forms equals (the first, by a
+    scan), the pair (A_y, B_y), times each conjugation stabilizer pair
+    (C, D), A-major, times every (lam, mu), lam outer, as uint8 (A, B)
+    stacks, and each point table row repeated (q - 1)^2 times.  A space
+    without an invertible element gets the scanned stabilizer."""
     q, n = space.q, space.n
     pts = algebra.points_for(q, n)
     data = equivalence.space_data(space)
     if data.invertible_projective.size == 0:
         A, B = equivalence._isotopisms_between(space, space, "scan")
         return A, B, (pts.vector_images(A), pts.vector_images(B.transpose(0, 2, 1)))
-    (x, x_inv, K, K_inv), forms, RA, RB = equivalence._conjugators(data, data)
+    found = data.anchored
+    (K, K_inv, forms), (K_y, K_y_inv, forms_y) = found.table, found.singles
+    x, x_inv, _, _ = data.normaliser(found.at[0])
+    pairs = []
+    for j, form in enumerate(forms_y):
+        hits = [i for i, row in enumerate(forms) if row.tobytes() == form.tobytes()]
+        if hits:
+            y = data.normaliser(found.at[j])[0]
+            pairs.append(equivalence._key_isotopism((x, x_inv, K[hits[0]], K_inv[hits[0]]),
+                                                    (y, None, K_y[j], K_y_inv[j]), q))
+    RA, RB = (np.stack(M) for M in zip(*pairs))
     ties = (forms == forms[0]).all(axis=1)
     C, D = equivalence._key_isotopism((x, x_inv, K[0], K_inv[0]), (x, None, K[ties], K_inv[ties]), q)
     units = np.arange(1, q, dtype=np.int16)[:, None, None]
@@ -894,6 +917,31 @@ def test_group_rows_expand_to_the_unit_broadcast_oracle(space):
         assert_same_array(np.repeat(T, per_row, axis=0), want)
 
 
+@pytest.mark.parametrize("space", [*GROUP_SPACES, *seeded_order81_images()])
+def test_group_rows_are_multiplied_out_only_when_read(space):
+    # the rows of a stabilizer are those of its group at the rows it keeps
+    aut = equivalence.automorphism_group(space)
+    assert "rows" not in aut.__dict__
+    order, rows = aut.order, aut.rows
+    assert "rows" in aut.__dict__ and aut.order == order
+    pts = algebra.points_for(space.q, space.n)
+    keep = np.arange(len(aut.tables[0]))[::3]
+    part = replace(aut, select=keep, tables=tuple(T[keep] for T in aut.tables))
+    for got, want in zip(part.rows, rows):
+        assert_same_array(got, want[keep])
+    outside = np.nonzero(~space.contains_batch(pts.flat))[0]
+    if not outside.size:  # M_1(F_q)
+        return
+    child = space.extend(pts.flat[outside[0]].reshape(space.n, space.n))
+    sub = aut.stabilizer_of_space(child)
+    assert "rows" not in sub.__dict__
+    inside = np.nonzero(child.contains_batch(pts.flat))[0]
+    fixed = (np.sort(aut.point_images(inside), axis=1) == inside).all(axis=1)
+    assert 0 < fixed.sum() == len(sub.tables[0])
+    for got, want in zip(sub.rows, rows):
+        assert_same_array(got, want[fixed])
+
+
 def test_automorphism_group_takes_the_charpolys_of_projective_products_only(monkeypatch):
     # F81: 40 projective invertible y, 40 projective elements of S y^-1,
     # where the whole-space products with a second pass in _conjugators
@@ -926,7 +974,7 @@ def test_scaled_charpoly_ids_are_the_ids_of_unit_multiples(q, n, sample):
 @pytest.mark.parametrize("q, n, extra", [(3, 4, 3), (3, 3, 1), (5, 3, 2), (7, 2, 1), (2, 4, 3)])
 def test_division_ids_equal_the_ids_of_every_product(q, n, extra):
     # the projective products' ids, scaled, against every product's ids;
-    # a key stage keeps no rows, and unital_ids then takes the rows asked for
+    # the anchored stage keeps no rows, and unital_ids then takes the rows asked for
     space = random_space_with_identity(np.random.default_rng(q + n + extra), q, n, extra)
     data = equivalence.SpaceData(space)
     _, per_y = data.division_data
@@ -934,7 +982,7 @@ def test_division_ids_equal_the_ids_of_every_product(q, n, extra):
     assert data.division_ids.dtype == np.min_scalar_type(q**n - 1)
     assert np.array_equal(data.division_ids, want)
     keyed = equivalence.SpaceData(space)
-    block_pass([keyed])
+    equivalence._block_pass([keyed], "anchored", equivalence._anchored_stage)
     assert "division_data" in keyed.__dict__ and keyed.division_ids is None
     at = np.arange(len(per_y))[::-2]
     assert_same_array(keyed.unital_ids(at), data.division_ids[at])
@@ -950,8 +998,9 @@ def test_automorphism_group_and_are_equivalent_run_one_normal_form_pass(monkeypa
     moved = equivalence.act(random_isotopism(np.random.default_rng(23), 3, 4), space)
     calls = []
     conjugators = equivalence._conjugators
-    monkeypatch.setattr(equivalence, "_conjugators", lambda d1, d2: calls.append(d2) or conjugators(d1, d2))
+    monkeypatch.setattr(equivalence, "_conjugators", lambda *args: calls.append(args) or conjugators(*args))
     monkeypatch.setattr(gf, "nullspace", never)  # the kernel of the search oracle
+    monkeypatch.setattr(equivalence, "_DATA_CACHE", {})  # no group data kept from other tests
     assert equivalence.automorphism_group(space).order == order
     assert len(calls) == 1
     witness = equivalence.are_equivalent(space, moved)
@@ -974,6 +1023,7 @@ def test_automorphism_group_refuses_a_corrupted_image_frame(monkeypatch):
         return found
 
     monkeypatch.setattr(equivalence, "_normal_forms", corrupting)
+    monkeypatch.setattr(equivalence, "_DATA_CACHE", {})  # no group data kept from other tests
     with pytest.raises(NotContained, match="does not fix the space"):
         equivalence.automorphism_group(space)
 
@@ -1141,6 +1191,7 @@ def assert_one_frame_per_image(monkeypatch, spaces):
     calls, spin = spin_frame_calls(monkeypatch)
     for space in spaces:
         del calls[:]
+        monkeypatch.setattr(equivalence, "_DATA_CACHE", {})  # no group data kept from other tests
         equivalence.automorphism_group(space)
         ((G, frame_spaces, q, lone), (K, K_inv, member)), = calls
         all_K, all_K_inv, all_member = spin(G, frame_spaces, q)
@@ -1423,12 +1474,12 @@ def test_isotopism_key_is_invariant(case):
     space, g = case
     moved = equivalence.act(g, space)
     try:
-        found = equivalence.space_data(space).isotopism_key
+        found = isotopism_key(equivalence.space_data(space))
     except TooLarge:
         with pytest.raises(TooLarge):
-            equivalence.space_data(moved).isotopism_key
+            isotopism_key(equivalence.space_data(moved))
         return
-    moved_found = equivalence.space_data(moved).isotopism_key
+    moved_found = isotopism_key(equivalence.space_data(moved))
     assert found[0] == moved_found[0]
     A, B = equivalence._key_isotopism(found[1], moved_found[1], space.q)
     witness = equivalence.Isotopism(A, B, space.q)
@@ -1449,9 +1500,10 @@ def test_space_without_cyclic_member_is_keyed(monkeypatch):
     rng = np.random.default_rng(21)
     space = diag_plus_rank_one()
     moved = equivalence.act(random_isotopism(rng, 2, 4), space)
-    key, norm = equivalence.space_data(space).isotopism_key
-    moved_key, moved_norm = equivalence.space_data(moved).isotopism_key
+    key, norm = isotopism_key(equivalence.space_data(space))
+    moved_key, moved_norm = isotopism_key(equivalence.space_data(moved))
     assert key == moved_key and key[4][0] > -4  # the frame members are not cyclic
+    assert equivalence.space_data(space).anchored.key == (key[3], key[4])
     witness = equivalence.Isotopism(*equivalence._key_isotopism(norm, moved_norm, 2), 2)
     assert equivalence.act(witness, space) == moved
     calls = []
@@ -1475,7 +1527,7 @@ def singular_spaces_2_3():
 
 def test_spaces_without_invertible_element_are_classified_by_brute_force(monkeypatch):
     spaces = singular_spaces_2_3()
-    assert all(equivalence.space_data(s).isotopism_key is None for s in spaces)
+    assert all(equivalence.space_data(s).anchored is None for s in spaces)
     # the oracle: the GL x GL scan between each pair
     joined = [[len(equivalence._isotopisms_between(a, b, "")[0]) > 0 for b in spaces] for a in spaces]
     assert joined == [[True, True, False], [True, True, False], [False, False, True]]
@@ -1487,17 +1539,34 @@ def test_spaces_without_invertible_element_are_classified_by_brute_force(monkeyp
     assert calls == []
 
 
-def test_mutated_normaliser_raises_not_contained():
+def mutate_hit_frame(monkeypatch, rep, other, mutate):
+    """Set rep's anchored slot by hand to its own, with the table frame
+    that the forms of other reach replaced by mutate(K, K^-1)."""
+    data = equivalence.space_data(rep)
+    record = data.anchored
+    single = equivalence._anchored_stage([equivalence.SpaceData(other)], table=False)[0]
+    rows = [{f.tobytes(): h for h, f in reversed(list(enumerate(record.table[2])))}.get(f.tobytes())
+            for f in single.singles[2]]
+    h = next(h for h in rows if h is not None)
+    K, K_inv, forms = (M.copy() for M in record.table)
+    K[h], K_inv[h] = mutate(K[h], K_inv[h])
+    monkeypatch.setattr(data, "anchored", record._replace(table=(K, K_inv, forms)))
+
+
+def transvected(K, K_inv):
+    M = np.eye(4, dtype=np.int16)
+    M[0, 3] = 1  # a transvection that moves the normal form
+    return K @ M % 2, M @ K_inv % 2
+
+
+def test_mutated_normaliser_raises_not_contained(monkeypatch):
+    # the representative keeps its table, so its corrupted frame is used
     rng = np.random.default_rng(22)
     space = algebra.field_construct(2, 4).space.extend(np.diag([1, 0, 0, 0]))
     moved = equivalence.act(random_isotopism(rng, 2, 4), space)
-    want = [min(space, moved, key=equivalence._sort_key)]
-    assert equivalence.equivalence_classes([space, moved]) == want
-    data = equivalence.space_data(moved)
-    key, (y, y_inv, K, K_inv) = data.isotopism_key
-    M = np.eye(4, dtype=np.int64)
-    M[0, 3] = 1  # a transvection that moves the normal form
-    data.isotopism_key = (key, (y, y_inv, K @ M % 2, M @ K_inv % 2))
+    rep, other = sorted([space, moved], key=equivalence._sort_key)
+    assert equivalence.equivalence_classes([space, moved]) == [rep]
+    mutate_hit_frame(monkeypatch, rep, other, transvected)
     with pytest.raises(NotContained):
         equivalence.equivalence_classes([space, moved])
 
@@ -1509,18 +1578,195 @@ def test_key_merge_checks_catch_one_bad_merge_among_classes(error, monkeypatch):
     field = algebra.field_construct(2, 4).space
     bases = [field.extend(np.diag(d)) for d in ([1, 0, 0, 0], [1, 1, 0, 0])]
     spaces = [equivalence.act(random_isotopism(rng, 2, 4), s) for s in bases for _ in range(3)]
-    assert len(equivalence.equivalence_classes(spaces)) == 2
-    data = equivalence.space_data(spaces[-1])
-    key, (y, y_inv, K, K_inv) = data.isotopism_key
-    if error is NotContained:
-        M = np.eye(4, dtype=np.int64)
-        M[0, 3] = 1  # a transvection that moves the normal form
-        K, K_inv = K @ M % 2, M @ K_inv % 2
-    else:
-        K, K_inv = 0 * K, 0 * K_inv  # every composed isotopism is singular
-    monkeypatch.setattr(data, "isotopism_key", (key, (y, y_inv, K, K_inv)))
+    reps = equivalence.equivalence_classes(spaces)
+    assert len(reps) == 2
+    rep = next(r for r in reps if equivalence.are_equivalent(r, spaces[-1]))
+    other = spaces[-1] if spaces[-1] != rep else spaces[-2]
+    mutate = transvected if error is NotContained else lambda K, K_inv: (0 * K, 0 * K_inv)  # singular
+    mutate_hit_frame(monkeypatch, rep, other, mutate)
     with pytest.raises(error):
         equivalence.equivalence_classes(spaces)
+
+
+def test_representative_without_its_own_form_raises(monkeypatch):
+    rng = np.random.default_rng(22)
+    space = algebra.field_construct(2, 4).space.extend(np.diag([1, 0, 0, 0]))
+    moved = equivalence.act(random_isotopism(rng, 2, 4), space)
+    rep = min(space, moved, key=equivalence._sort_key)
+    equivalence.equivalence_classes([space, moved])
+    data = equivalence.space_data(rep)
+    K, K_inv, forms = data.anchored.table
+    monkeypatch.setattr(data, "anchored", data.anchored._replace(table=(K, K_inv, forms ^ 1)))
+    with pytest.raises(NotContained, match="missing from its own table"):
+        equivalence.equivalence_classes([space, moved])
+    with pytest.raises(NotContained, match="missing from its own table"):
+        equivalence.automorphism_group(rep)
+
+
+def test_order8_classification_spins_few_frames(monkeypatch):
+    # every space gets one frame at each anchor, and a class representative
+    # every frame at its anchor; the least-form keys spun 12,546
+    calls, _ = spin_frame_calls(monkeypatch)
+    monkeypatch.setattr(equivalence, "_DATA_CACHE", {})
+    report, _ = search.spread_sets_by_rank(2, 3, 8)
+    assert [{key: level[key] for key in ("dim", "classes")} for level in report.levels] == [
+        {"dim": d, "classes": c} for d, c in ((4, 8), (5, 21), (6, 18), (7, 3), (8, 2))]
+    assert sum(len(K) for _, (K, _, _) in calls) <= 2000
+
+
+def test_diagonal_with_a_large_centraliser_raises_too_large():
+    # <I, diag(1, 2, 2, 2)> at q = 3, n = 4: only the representative's table,
+    # every frame at its anchor, passes the cap, and the image gets none
+    space = algebra.MatSpace.from_matrices(3, 4, [np.eye(4, dtype=np.int64), np.diag([1, 2, 2, 2])])
+    moved = equivalence.act(random_isotopism(np.random.default_rng(30), 3, 4), space)
+    with pytest.raises(TooLarge, match="spin frames"):
+        equivalence.isotopism_classes([space, moved])
+
+
+def test_each_space_takes_one_division_pass(monkeypatch):
+    # division_data read first, then classification, groups and witnesses
+    rng = np.random.default_rng(31)
+    spaces = [atlas.atlas_get(name).space() for name in ("F16", "S1", "S2")]
+    spaces += [equivalence.act(random_isotopism(rng, 2, 4), s) for s in spaces] + [diag_plus_rank_one()]
+    monkeypatch.setattr(equivalence, "_DATA_CACHE", {})
+    passed = []
+    stage = equivalence._division_stage
+    monkeypatch.setattr(equivalence, "_division_stage", lambda block: passed.extend(block) or stage(block))
+    for s in spaces:
+        equivalence.space_data(s).division_data
+    assert equivalence.isotopism_classes(spaces) == [[0, 3], [1, 4], [2, 5], [6]]
+    for s in spaces:
+        equivalence.automorphism_group(s)
+    for s, t in zip(spaces[:3], spaces[3:6]):
+        assert equivalence.are_equivalent(s, t) is not None
+    assert len(passed) == len(spaces)
+    assert {id(data) for data in passed} == {id(equivalence.space_data(s)) for s in spaces}
+
+
+# ---------------------------------------------------------------------------
+# The least-form isotopism key: the canonical key of each space, computed by
+# blocks as classification did before the representatives' tables
+# ---------------------------------------------------------------------------
+
+KEY_CANDIDATES = 256  # normalisations reduced per rref_batch
+
+
+def key_stage(block):
+    """The least-form isotopism key of each space of a block of one (q, n,
+    dim), (key, normaliser), or None without an invertible element.
+
+    The anchors y are the cpm class of least (count, cpm key), and
+    U = S y^-1 holds I.  The key is (q, n, dim, cpm key, descriptor, least
+    RREF bytes of K^-1 U K) over the anchors whose frame members
+    (_frame_members) have the least descriptor and every spin frame K of
+    those members, the first such (y, K) on ties.  The normaliser
+    (y, y^-1, K, K^-1), int64 (n, n) matrices, reaches the key.  A
+    1-dimensional <y> has the key (q, n, 1) and the normaliser
+    (y, y^-1, I, I).  The division stage runs over the block (filling
+    division_data where it is empty); one _spin_frames call covers every
+    frame, and the normal forms are reduced KEY_CANDIDATES at a time, each
+    folded into a running least form per space.
+    """
+    q, n, dim, mats = equivalence._block_elements(block)
+    divisions = equivalence._division_stage(block)
+    for data, (division, _) in zip(block, divisions):
+        data.__dict__.setdefault("division_data", division)
+    keys = [None] * len(block)
+    # per anchor: its space, element, inverse and the id row of S y^-1
+    cpms, space, elem, y_inv, rows = {}, [], [], [], []
+    for s, ((_, per_y), ids) in enumerate(divisions):
+        if not per_y:
+            continue
+        counts = Counter(cpm for cpm, _, _ in per_y)
+        cpms[s] = min(counts, key=lambda c: (counts[c], c))
+        mine = [i for i, (c, _, _) in enumerate(per_y) if c == cpms[s]]
+        space += [s] * len(mine)
+        elem += [per_y[i][1] for i in mine]
+        y_inv += [per_y[i][2] for i in mine]
+        rows.append(ids[mine])
+    if not space:
+        return keys
+    space, y_inv = np.array(space), np.stack(y_inv).astype(np.int16)
+    y = mats[space, elem].astype(np.int64)
+    if dim == 1:  # U = <I>, every frame of which ties
+        for s, y_s, inv in zip(space.tolist(), y, y_inv.astype(np.int64)):
+            keys[s] = (q, n, 1), (y_s, inv, np.eye(n, dtype=np.int64), np.eye(n, dtype=np.int64))
+        return keys
+    U = mats[space].astype(np.int16) @ y_inv[:, None] % q
+    degrees = gf.min_degrees(U.reshape(-1, n, n), q).reshape(len(space), -1)
+    descriptors, masks = equivalence._frame_members(np.concatenate(rows), degrees)
+    least = dict(sorted(zip(space.tolist(), descriptors), reverse=True))  # each space's least last
+    kept = [descriptor == least[s] for s, descriptor in zip(space.tolist(), descriptors)]
+    anchor, member = np.nonzero(masks & np.array(kept)[:, None])
+    bases = np.stack([data.space.basis for data in block]).reshape(len(block), -1, n, n).astype(np.int16)
+    K, K_inv, at = equivalence._spin_frames(U[anchor, member], bases[space[anchor]] @ y_inv[anchor, None] % q, q)
+    anchor = anchor[at]  # space-major, as the anchors are
+    for s, form, i in zip(*least_forms(bases, space[anchor], anchor, y_inv, K, K_inv, q)):
+        a = anchor[i]
+        norm = (y[a], y_inv[a].astype(np.int64), K[i].astype(np.int64), K_inv[i].astype(np.int64))
+        keys[s] = (q, n, dim, cpms[s], least[s], form.tobytes()), norm
+    return keys
+
+
+def least_forms(bases, space, anchor, y_inv, K, K_inv, q):
+    """(spaces, least RREF rows, first candidate reaching each) of the
+    normal forms K^-1 (S y^-1) K of the candidates, which are space-major
+    and in each space's candidate order, S from its bases: one rref_batch per
+    KEY_CANDIDATES forms, each chunk folded into the running least rows
+    by one lexsort with the space as its primary key (stable, so the
+    earlier candidate wins a tie)."""
+    n = K.shape[-1]
+    best_space = best_at = np.zeros(0, dtype=np.int64)
+    best = np.zeros((0, bases.shape[1] * n * n), dtype=np.uint8)
+    for lo in range(0, len(K), KEY_CANDIDATES):
+        part = slice(lo, lo + KEY_CANDIDATES)
+        U = bases[space[part]] @ y_inv[anchor[part], None] % q
+        rows = np.concatenate([best, equivalence._normal_forms(K[part], K_inv[part], U, q)])
+        spaces = np.concatenate([best_space, space[part]])
+        at = np.concatenate([best_at, np.arange(lo, lo + len(U))])
+        order = np.lexsort((*rows.T[::-1], spaces))
+        first = order[np.append(True, spaces[order][1:] != spaces[order][:-1])]
+        best, best_space, best_at = rows[first], spaces[first], at[first]
+    return best_space, best, best_at
+
+
+def isotopism_key(data):
+    """The least-form key of one space, from a block of one, kept in its
+    SpaceData as isotopism_key."""
+    equivalence._block_pass([data], "isotopism_key", key_stage)
+    return data.isotopism_key
+
+
+def key_classes(spaces):
+    """The classes of the distinct spaces by least-form keys in each
+    fingerprint bucket, as a set of key sets, and the least-key member of
+    each class, sorted by that key."""
+    unique = sorted({s.key: s for s in spaces}.values(), key=lambda s: s.key)
+    datas = [equivalence.SpaceData(s) for s in unique]
+    block_pass(datas)
+    classes = {}
+    for s, data in zip(unique, datas):
+        classes.setdefault((data.fingerprint, data.isotopism_key[0]), []).append(s)
+    reps = sorted((min(c, key=equivalence._sort_key) for c in classes.values()), key=equivalence._sort_key)
+    return {frozenset(s.key for s in c) for c in classes.values()}, reps
+
+
+def test_classes_equal_least_key_classes_at_every_order8_level(order8_levels):
+    for _, candidates, _ in order8_levels:
+        want_classes, want_reps = key_classes(candidates)
+        assert key_partition(candidates) == want_classes
+        assert [s.key for s in equivalence.equivalence_classes(candidates)] == [s.key for s in want_reps]
+
+
+def test_classes_equal_least_key_classes_on_order81_images():
+    # the twelve order-81 atlas entries, two seeded images of each
+    rng = np.random.default_rng(29)
+    spaces = [s for name in atlas.ORDER81_NAMES for s in [atlas.atlas_get(name).space()] * 2]
+    spaces = [equivalence.act(random_isotopism(rng, 3, 4), s) for s in spaces]
+    want_classes, want_reps = key_classes(spaces)
+    assert len(want_classes) == 12
+    assert key_partition(spaces) == want_classes
+    assert [s.key for s in equivalence.equivalence_classes(spaces)] == [s.key for s in want_reps]
 
 
 # ---------------------------------------------------------------------------
@@ -1630,10 +1876,10 @@ def assert_same_array(got, want):
 
 
 def block_pass(datas):
-    """Fill the fingerprint and key slots as isotopism_classes does, but
-    over every space."""
+    """Fill the fingerprint and least-form key slots of every space by
+    blocks."""
     equivalence._block_pass(datas, "fingerprint", equivalence._fingerprint_stage)
-    equivalence._block_pass(datas, "isotopism_key", equivalence._key_stage)
+    equivalence._block_pass(datas, "isotopism_key", key_stage)
 
 
 def assert_block_invariants_match_oracles(spaces):
@@ -1653,7 +1899,7 @@ def assert_slots_match_oracles(datas):
         assert [(c, yi) for c, yi, _ in per_y] == [(c, yi) for c, yi, _ in want_per_y]
         for (_, _, got), (_, _, want) in zip(per_y, want_per_y):
             assert_same_array(got, want)
-        found, want = data.isotopism_key, oracle_isotopism_key(data)
+        found, want = isotopism_key(data), oracle_isotopism_key(data)
         assert (found is None) == (want is None)
         if want is not None:
             assert found[0] == want[0]
@@ -1675,8 +1921,9 @@ def test_block_invariants_match_oracles_order16(order16_levels):
 @given(st.lists(spaces_and_isotopisms(), min_size=1, max_size=3), st.integers(0, 6))
 def test_block_pass_over_mixed_spaces_keeps_a_preset_key(cases, preset):
     # spaces of several (q, n, dim), their isotopic images, and two spaces
-    # without an invertible element, so without a key; one slot is set by
-    # hand first and must survive the pass
+    # without an invertible element, so without anchored forms; one slot is
+    # set by hand first and must survive the pass, and every other slot
+    # equals that of a block of one
     spaces = [s for space, g in cases for s in (space, equivalence.act(g, space))]
     singular = algebra.MatSpace.from_rows(2, 4, np.eye(16, dtype=np.uint8)[[0, 1, 5]])
     moved = equivalence.act(random_isotopism(np.random.default_rng(preset), 2, 4), singular)
@@ -1684,18 +1931,29 @@ def test_block_pass_over_mixed_spaces_keeps_a_preset_key(cases, preset):
     datas = [equivalence.SpaceData(s) for s in spaces]
     held = datas[preset % len(datas)]
     sentinel = ("set by hand", None)
-    held.isotopism_key = sentinel
+    held.anchored = sentinel
+    equivalence._block_pass(datas, "anchored", equivalence._anchored_stage)
+    assert held.anchored is sentinel
+    assert all(data.anchored is None for data in datas[-2:] if data is not held)
+    for data in datas:
+        if data is not held and data.anchored is not None:
+            assert_same_anchored(data.anchored, equivalence.SpaceData(data.space).anchored)
     block_pass(datas)
-    assert held.isotopism_key is sentinel
-    assert all(data.isotopism_key is None for data in datas[-2:] if data is not held)
     assert_slots_match_oracles([data for data in datas if data is not held])
     assert held.fingerprint == oracle_fingerprint(held)
+
+
+def assert_same_anchored(got, want):
+    assert got.key == want.key
+    for g, w in [(got.at, want.at), (got.members, want.members), *zip(got.singles, want.singles),
+                 *zip(got.table, want.table)]:
+        assert_same_array(g, w)
 
 
 def test_order81_atlas_entries_get_twelve_distinct_block_keys():
     datas = [equivalence.SpaceData(atlas.atlas_get(name).space()) for name in atlas.ORDER81_NAMES]
     block_pass(datas)
-    keys = [data.isotopism_key[0] for data in datas]
+    keys = [isotopism_key(data)[0] for data in datas]
     assert len(keys) == len(set(keys)) == 12
     assert_slots_match_oracles(datas)
 

@@ -340,6 +340,18 @@ def test_stacks_outside_the_tables_reach_the_kernels(monkeypatch):
     assert gf._code_table.cache_info().currsize == 0
 
 
+def test_min_degrees_outside_the_tables_take_each_distinct_matrix_once(monkeypatch):
+    # q = 3, n = 4: repeats and unreduced int16 entries, against the oracle
+    rng = np.random.default_rng(34)
+    base = rng.integers(0, 3, (12, 4, 4))
+    mats = (base[rng.integers(0, 12, 60)] + 3 * rng.integers(-2, 3, (60, 4, 4))).astype(np.int16)
+    want = oracle_table_fields(mats % 3, 3)[3]
+    sizes, kernel = [], gf._min_degree_kernel
+    monkeypatch.setattr(gf, "_min_degree_kernel", lambda G, q: sizes.append(len(G)) or kernel(G, q))
+    assert_same_bytes(gf.min_degrees(mats, 3), want)
+    assert sizes == [len({m.tobytes() for m in (mats % 3).astype(np.uint8)})]
+
+
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_single_row_ranks_match_the_kernel(q):
     # a one-row stack is ranked by a nonzero test: zero rows, residues and
@@ -357,6 +369,17 @@ def oracle_decode(codes, q, n):
     """The n x n matrices of the codes by int64 floor division."""
     digits = np.asarray(codes, dtype=np.int64)[:, None] // q ** np.arange(n * n, dtype=np.int64) % q
     return digits.astype(np.uint8).reshape(-1, n, n)
+
+
+@pytest.mark.parametrize("q", gf.SUPPORTED_Q)
+@pytest.mark.parametrize("dtype", [np.int16, np.int64])
+def test_mod_matches_the_integer_remainder(q, dtype):
+    # products of residues, and negative entries (two's complement at q = 2)
+    a = np.random.default_rng(q).integers(-300, 300, (64, 4, 4)).astype(dtype)
+    prods = np.abs(a) % q @ (np.abs(a) % q).transpose(0, 2, 1)
+    for x in (a, prods):
+        got, want = gf.mod(x, q), x % q
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("q, n", [(2, 3), (2, 4), (3, 3), (5, 2), (7, 2)])
