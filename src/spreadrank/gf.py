@@ -144,18 +144,23 @@ mat_rank = rank
 
 def rank_batch(mats, q):
     """int64 ranks of a (B, r, c) stack over F_q: a code-table lookup for a
-    square stack within the tables' bound, else for r = 1 whether the row
-    is nonzero mod q, else one elimination."""
+    square stack within the tables' bound, else one elimination for r > 2,
+    else [r_0 != 0] + [r_1 not in F_q·r_0] by comparing rows mod q."""
     hit = _table_lookup(mats, q)
-    if hit is None and np.ndim(mats) == 3 and np.shape(mats)[1] == 1:
-        rows = np.asarray(mats)[:, 0]
-        if rows.size and (rows.min() < 0 or rows.max() >= q):  # an integer mod costs more than the check
-            rows = rows % q
-        return rows.any(axis=1).astype(np.int64)
-    if hit is None:
+    if hit is not None:
+        return hit[0]["rank"][hit[1]].astype(np.int64)
+    if np.ndim(mats) != 3 or np.shape(mats)[1] > 2:
         return rref_batch(mats, q)[1]
-    table, codes = hit
-    return table["rank"][codes].astype(np.int64)
+    rows = np.asarray(mats)
+    if rows.size and (rows.min() < 0 or rows.max() >= q):  # an integer mod costs more than the check
+        rows = rows % q
+    ranks = rows[:, :1].any(axis=(1, 2)).astype(np.int64)
+    if rows.shape[1] == 2:
+        multiple = ~rows[:, 1].any(axis=1)
+        for scale in range(1, q):
+            multiple |= (rows[:, 1] == scale * rows[:, 0] % q).all(axis=1)
+        ranks += ~multiple
+    return ranks
 
 
 def rref_batch(mats, q):
@@ -339,7 +344,7 @@ def _min_degree_kernel(G, q):
     powers = [np.broadcast_to(np.eye(n, dtype=np.int16), G.shape)]
     for _ in range(n - 1):
         powers.append(powers[-1] @ (G % q).astype(np.int16) % q)
-    return _eliminate(np.stack(powers, axis=-1).reshape(len(G), -1, n), q, n)[1]
+    return _eliminate(np.stack(powers, axis=-1).reshape(len(G), n * n, n), q, n)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,10 @@ final level evaluates one parent per orbit and charges the others its counts.
 
 Children are grouped and scored by one block kernel, _process_parents, over
 up to _BLOCK parents of one dimension at a time: one product gives every
-point's residue modulo every parent, one stable sort by (parent, signature)
-numbers the children, and the rank-one profile takes one padded
-base RREF and one rank_batch per block.  Raw levels, the orbit levels and
-the diagonal probe all group children through it.
+point's residue modulo every parent, and one its code; the least code of a
+residue's multiples is its child's signature, two stable sorts number the
+children, and the rank-one profile takes one padded base RREF and one
+rank_batch per block.  Raw levels, orbit levels and the probe all use it.
 
 Counting conventions (they pin the published intermediate numbers): children
 of one parent are deduplicated as spans; once equivalence reduction stops,
@@ -53,7 +53,7 @@ from .algebra import (
 from .codec import encode_rows
 from .codes import code_exists, genbound
 from .equivalence import automorphism_group, automorphism_groups, equivalence_classes, orbit_keys
-from .errors import BadParameters, RankExceedsCap
+from .errors import BadParameters, EncodingOverflow, RankExceedsCap
 
 
 _CHUNK = 4  # parents per raw-level step: the unit of log records and progress
@@ -87,20 +87,20 @@ class _Extension:
 def extension_groups(parents, pts):
     """Group the points outside each parent by the child space they generate.
 
-    The parents are a block of spaces of one dimension d.  Two points span
-    the same child of a parent iff their residues modulo it are
-    proportional, so the normalised residue is a complete child signature.
-    A residue x - x[piv]·B is zero on the parent's pivot columns, so it is
-    taken on the other width - d columns only, by one float32 product of the
-    points with a (width, width - d) map per parent; an entry of that
-    product sums at most d + 1 terms of at most (q - 1)^2, at most 576 for
-    the sizes the codec accepts, so it is exact, and it is reduced mod q in
-    uint16 before it is narrowed to uint8.  Each outside point's normalised
-    residue is encoded with its first column most significant (it fits in
-    int64 wherever the codec accepts q and n); a stable sort by signature
-    and then by parent numbers the children parent by parent in the order of
-    their normalised residue rows, and puts the least point of each child
-    first, with no packed key to overflow.
+    The parents are a block of spaces of one dimension d.  A residue
+    x - x[piv]·B is zero on the parent's pivot columns, so it is taken on the
+    other width - d columns only, by one float32 product of the points with a
+    (width, width - d) map per parent; an entry sums at most d + 1 terms of at
+    most (q - 1)^2, at most 576 for the sizes the codec accepts, so it is
+    exact.  Reduced mod q, each residue r is one code, its first column most
+    significant, by one float64 product, exact while q^(width - d) <= 2^53
+    (at every dimension n or more that the codec accepts; EncodingOverflow
+    past it).  Two points span the same child iff their residues are
+    proportional, so the signature is the least code of λ·r, λ = 1 .. q - 1:
+    the leading digit outweighs the others, so it is the code of the
+    normalised residue, and r's lead is the inverse of its λ.  Stable sorts
+    by signature, then by parent, number the children parent by parent in
+    signature order, each child's least point first.
     """
     q, dim = parents[0].q, parents[0].dim
     npar, (npts, width) = len(parents), pts.flat.shape
@@ -115,14 +115,19 @@ def extension_groups(parents, pts):
     resmap = np.zeros((npar, width, nfree), dtype=np.float32)
     resmap[block, free, cols] = 1
     resmap[block[:, :, None], piv[:, :, None], cols] = -np.take_along_axis(basis, free[:, None], 2) % q
-    res = (np.matmul(pts.flat.astype(np.float32), resmap).astype(np.uint16) % q).astype(np.uint8)
-    outside = res.any(axis=2)
-    rows = res[outside]
-    lead = np.zeros((npar, npts), dtype=np.uint8)
-    lead[outside] = row_lead = gf.leading_coeff(rows, q)
-    normed = rows * gf.inv_table(q).astype(np.uint8)[row_lead][:, None] % q
+    if q**nfree > 2**53:
+        raise EncodingOverflow(f"q^{nfree} residue codes exceed the exact float64 range for q={q}")
+    res = gf.mod(np.matmul(pts.flat.astype(np.float32), resmap).astype(np.uint16), q)
+    weights = float(q) ** np.arange(nfree - 1, -1, -1)
+    sig = res @ weights
+    outside = sig > 0
+    lead = outside.astype(np.uint8)
+    for scale in range(2, q):
+        code = gf.mod(res * scale, q) @ weights
+        lead[code < sig] = gf.inv_table(q)[scale]
+        np.minimum(sig, code, out=sig)
     par, point = np.nonzero(outside)  # by parent, then by point
-    sig = encode_rows(normed[:, ::-1], q)
+    sig = sig[outside]
     # stable sorts by signature, then by parent, each in its narrowest type
     # (a radix sort up to 16 bits), keep each child's points in order
     by_sig = np.argsort(sig.astype(np.min_scalar_type(q**nfree - 1)), kind="stable")
@@ -199,7 +204,7 @@ def _rank_one_profile(parents, ext, pts, least=0):
     for d in range(dim):
         reduced += x[:, d, None] * basemap[at, d]
     rows = np.empty((par.size, dim + 1), dtype=np.int16)
-    rows[:, :dim] = reduced % q
+    rows[:, :dim] = gf.mod(reduced, q)
     rows[:, dim] = ext.lead[par, point]
     child = (np.cumsum(ranked) - 1)[ext.child[par, point]]  # position among the ranked
     sizes = ext.sizes[ranked]

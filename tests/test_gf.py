@@ -186,9 +186,15 @@ def oracle_inverse_batch(mats, q):
 
 def kernel_stacks(q):
     """Named (B, r, c) test stacks over F_q: tall, wide and square with
-    singular items, all-zero, sparse, single-row, and the empty shapes
-    r = 0, c = 0, n = 0 and B = 0."""
+    singular items, all-zero, sparse, single-row, two-row with zero, equal
+    and proportional rows, and the empty shapes r = 0, c = 0, n = 0 and
+    B = 0."""
     rng = np.random.default_rng(50 + q)
+    two = rng.integers(0, q, (80, 2, 7))
+    two[0::8, 0] = two[1::8, 1] = two[2::8] = 0  # a zero first, second or both
+    two[3::8, 1] = two[3::8, 0]  # equal
+    two[4::8, 1] = two[4::8, 0] * rng.integers(0, q, (10, 1)) % q  # proportional
+    two[5::8, 0] = two[5::8, 1] * (q - 1) % q
     stacks = {
         "tall": rng.integers(0, q, (40, 9, 4)),
         "wide": rng.integers(0, q, (40, 4, 9)),
@@ -196,6 +202,8 @@ def kernel_stacks(q):
         "all-zero": np.zeros((6, 4, 4), dtype=np.int64),
         "sparse": rng.integers(0, q, (60, 6, 6)) * (rng.random((60, 6, 6)) < 0.2),
         "single-row": rng.integers(0, q, (30, 1, 7)),
+        "two-row": two,
+        "two-row narrow": two[:, :, :1],
         "r=0": np.zeros((5, 0, 6), dtype=np.int64),
         "c=0": np.zeros((5, 3, 0), dtype=np.int64),
         "n=0": np.zeros((4, 0, 0), dtype=np.int64),
@@ -329,14 +337,20 @@ def test_stacks_outside_the_tables_reach_the_kernels(monkeypatch):
     assert gf.rank_batch(rng.integers(0, 2, (10, 5, 5)), 2).shape == (10,)
     assert shapes == [("eliminate", 2, (5, 5))]
     # the rank-one profile ranks (children, members, dim + 1) rows: at F16
-    # every child has one member, which needs no elimination; at a child of
-    # F16 the two-member children reach the kernel
+    # every child has one member, and at a child of F16 one or two, which
+    # need no elimination; at a grandchild the four-member children reach
+    # the kernel
     del shapes[:]
     f16, pts = atlas.atlas_get("F16").space(), algebra.points_for(2, 4)
     search._process_parents([f16], pts, 0)
     assert not any(kind == "eliminate" and shape[1] == 5 for kind, _, shape in shapes)
-    search._process_parents([f16.extend(pts.flat[3])], pts, 0)
-    assert ("eliminate", 2, (2, 6)) in shapes
+    child = f16.extend(pts.flat[3])
+    search._process_parents([child], pts, 0)
+    assert search.extension_groups([child], pts).sizes.max() == 2
+    assert not any(kind == "eliminate" and shape[1] == 6 for kind, _, shape in shapes)
+    grandchild = child.extend(pts.flat[search.extension_groups([child], pts).group_reps[5]])
+    search._process_parents([grandchild], pts, 0)
+    assert ("eliminate", 2, (4, 7)) in shapes
     assert gf._code_table.cache_info().currsize == 0
 
 
@@ -350,6 +364,18 @@ def test_min_degrees_outside_the_tables_take_each_distinct_matrix_once(monkeypat
     monkeypatch.setattr(gf, "_min_degree_kernel", lambda G, q: sizes.append(len(G)) or kernel(G, q))
     assert_same_bytes(gf.min_degrees(mats, 3), want)
     assert sizes == [len({m.tobytes() for m in (mats % 3).astype(np.uint8)})]
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (2, 5), (3, 3), (3, 4), (5, 2), (7, 3)])
+def test_empty_stacks_get_empty_results(q, n):
+    # B = 0, inside the code tables and outside them: the results of an
+    # empty stack have the shape and type of the results of a full one
+    full, empty = np.eye(n, dtype=np.uint8)[None], np.zeros((0, n, n), dtype=np.uint8)
+    for reader in (gf.rank_batch, gf.charpoly_ids, gf.min_degrees):
+        got, one = reader(empty, q), reader(full, q)
+        assert (got.shape, got.dtype) == ((0,), one.dtype), reader.__name__
+    for got, one in zip(gf.inverse_batch(empty, q), gf.inverse_batch(full, q)):
+        assert (got.shape, got.dtype) == ((0, *one.shape[1:]), one.dtype)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])

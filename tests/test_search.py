@@ -12,7 +12,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from spreadrank import algebra, atlas, codec, codes, equivalence, gf, search
-from spreadrank.errors import BadParameters
+from spreadrank.errors import BadParameters, EncodingOverflow
 
 # ---------------------------------------------------------------------------
 # Rank-one enumeration and spread-set search
@@ -882,12 +882,14 @@ def kernel_parents(name):
         return [algebra.MatSpace.from_rows(2, 2, np.eye(4, dtype=np.uint8))]
     if name == "F27":
         return seeded_parents(algebra.field_construct(3, 3).space, 5, 4)
+    if name == "F125":  # q = 5: three multiples of each residue to compare
+        return seeded_parents(algebra.field_construct(5, 3).space, 6, 3)
     # an atlas spread set (no inside points) and its seeded descendants
     seed, depth = {"F16": (1, 4), "S1": (2, 4), "F81": (3, 3), "V": (4, 3)}[name]
     return seeded_parents(atlas.atlas_get(name).space(), seed, depth)
 
 
-KERNEL_CASES = ["full-M2(F2)", "F16", "S1", "F81", "V", "F27"]
+KERNEL_CASES = ["full-M2(F2)", "F16", "S1", "F81", "V", "F27", "F125"]
 
 
 @pytest.mark.parametrize("name", KERNEL_CASES)
@@ -1181,10 +1183,55 @@ def test_process_parents_on_random_blocks_of_descendants(case):
     ]
 
 
+def oracle_block_groups(parents, pts):
+    """Oracle: extension_groups as it was before residue codes, which found
+    each outside point's lead, normalised its residue row by it and encoded
+    the normalised row."""
+    q, dim = parents[0].q, parents[0].dim
+    npar, (npts, width) = len(parents), pts.flat.shape
+    piv = np.array([parent.pivots for parent in parents], dtype=np.int64).reshape(npar, dim)
+    basis = np.stack([parent.basis for parent in parents]).astype(np.int64)
+    nfree = width - dim
+    on_free = np.ones((npar, width), dtype=bool)
+    on_free[np.arange(npar)[:, None], piv] = False
+    free = np.nonzero(on_free)[1].reshape(npar, nfree)
+    # column k of parent p's map sends x to x[free_k] - x[piv] · B[:, free_k]
+    block, cols = np.arange(npar)[:, None], np.arange(nfree)
+    resmap = np.zeros((npar, width, nfree), dtype=np.float32)
+    resmap[block, free, cols] = 1
+    resmap[block[:, :, None], piv[:, :, None], cols] = -np.take_along_axis(basis, free[:, None], 2) % q
+    res = (np.matmul(pts.flat.astype(np.float32), resmap).astype(np.uint16) % q).astype(np.uint8)
+    outside = res.any(axis=2)
+    rows = res[outside]
+    lead = np.zeros((npar, npts), dtype=np.uint8)
+    lead[outside] = row_lead = gf.leading_coeff(rows, q)
+    normed = rows * gf.inv_table(q).astype(np.uint8)[row_lead][:, None] % q
+    par, point = np.nonzero(outside)  # by parent, then by point
+    sig = codec.encode_rows(normed[:, ::-1], q)
+    # stable sorts by signature, then by parent, each in its narrowest type
+    # (a radix sort up to 16 bits), keep each child's points in order
+    by_sig = np.argsort(sig.astype(np.min_scalar_type(q**nfree - 1)), kind="stable")
+    order = by_sig[np.argsort(par[by_sig].astype(np.min_scalar_type(npar - 1)), kind="stable")]
+    par, sig, point = par[order], sig[order], point[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (par[1:] != par[:-1]) | (sig[1:] != sig[:-1])
+    starts = np.nonzero(new)[0]
+    child = np.full((npar, npts), -1, dtype=np.int64)
+    child[par, point] = np.cumsum(new) - 1
+    first = np.searchsorted(par[starts], np.arange(npar + 1))
+    sizes = np.diff(np.append(starts, order.size))
+    return search._Extension(child, lead, first, point[starts], sizes, point)
+
+
 def assert_groups_match_oracle(block, pts):
-    """extension_groups on the block numbers, sizes and leads every parent's
-    children as the per-parent np.unique kernel did."""
+    """extension_groups on the block equals the lead-normalising block
+    oracle field by field, values and dtypes, and numbers, sizes and leads
+    every parent's children as the per-parent np.unique kernel did."""
     ext = search.extension_groups(block, pts)
+    want_ext = oracle_block_groups(block, pts)
+    for name in ("child", "lead", "first", "group_reps", "sizes", "points"):
+        got, want = getattr(ext, name), getattr(want_ext, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
     for p, parent in enumerate(block):
         want = oracle_parent_groups(parent, pts)
         lo, hi = ext.first[p], ext.first[p + 1]
@@ -1193,6 +1240,20 @@ def assert_groups_match_oracle(block, pts):
         assert ext.group_reps[lo:hi].tolist() == want.group_reps.tolist()
         assert ext.sizes[lo:hi].tolist() == np.bincount(want.child).tolist()
         assert ext.lead[p, want.out_idx].tolist() == want.lead.tolist()
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_extension_groups_matches_the_block_oracle(name):
+    for block in same_dim_blocks(kernel_parents(name)):
+        assert_groups_match_oracle(block, search.points_for(block[0].q, block[0].n))
+
+
+def test_extension_groups_refuses_codes_past_float64_exactness():
+    # q = 3, n = 6, dimension 2: 3^34 residue codes, past 2^53
+    q, n = 3, 6
+    parent = algebra.MatSpace.from_rows(q, n, np.eye(36, dtype=np.uint8)[:2])
+    with pytest.raises(EncodingOverflow):
+        search.extension_groups([parent], search.points_for(q, n))
 
 
 def test_extension_groups_reduces_residues_beyond_a_byte():
