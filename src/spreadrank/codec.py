@@ -58,9 +58,21 @@ def encode_rows(rows, q):
 # ---------------------------------------------------------------------------
 
 
+def _read_lines(path):
+    """The lines of a UTF-8 text file that is not empty, else ParseError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path!s} is not UTF-8 text ({exc.reason})") from exc
+    if not lines:
+        raise ParseError(f"empty file {path!s}", line=1)
+    return lines
+
+
 def _parse_header(line, want, path):
     parts = line.split()
-    if len(parts) != want or not all(p.isdigit() for p in parts):
+    if len(parts) != want or not all(p.isascii() and p.isdigit() for p in parts):
         raise ParseError(f"bad header in {path!s}", line=1)
     values = [int(p) for p in parts]
     if values[0] < 2 or values[1] < 1:
@@ -75,7 +87,7 @@ def _parse_body(lines, count, q, n, path):
         if k >= len(lines):
             raise ParseError(f"expected {count} entries in {path!s}", line=lineno)
         text = lines[k].strip()
-        if not text.isdigit():
+        if not (text.isascii() and text.isdigit()):
             raise ParseError(f"not a decimal encoding: {text!r}", line=lineno)
         try:
             mats.append(decode(int(text), q, n))
@@ -86,10 +98,7 @@ def _parse_body(lines, count, q, n, path):
 
 def read_spreadset_file(path):
     """Read a spread-set basis file.  Returns (q, n, list of matrices)."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError(f"empty file {path!s}", line=1)
+    lines = _read_lines(path)
     q, n = _parse_header(lines[0], 2, path)
     mats = _parse_body(lines[1:], n, q, n, path)
     return q, n, mats
@@ -104,10 +113,7 @@ def write_spreadset_file(path, q, n, mats):
 
 def read_decomposition_file(path):
     """Read a rank-one decomposition file.  Returns (q, n, R, list of matrices)."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError(f"empty file {path!s}", line=1)
+    lines = _read_lines(path)
     q, n, r = _parse_header(lines[0], 3, path)
     mats = _parse_body(lines[1:], r, q, n, path)
     return q, n, r, mats

@@ -3,22 +3,33 @@ a brute-force tensor-rank oracle for tiny tensors.
 
 A decomposition T = sum_j f_j (x) u_j (x) w_j yields one generator matrix per
 slot whose columns are the slot factors; minimum distances of those codes
-bound the tensor rank from below through the shortest-code table N_q(k, d).
+bound the tensor rank from below through the shortest code lengths
+N_q(k, d), which a pruned search over systematic generators decides; each
+code it finds is checked by its minimum distance.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
 from . import gf
-from .algebra import MatSpace, SpreadSet, contraction_space, rank_one_rows
+from .algebra import (
+    MatSpace,
+    SpreadSet,
+    contraction_space,
+    projective_vectors,
+    rank_one_rows,
+)
 from .errors import (
+    BadSlot,
     DependentGenerators,
     NotContained,
+    SpreadRankError,
     TooLarge,
     UnknownBound,
 )
@@ -83,12 +94,8 @@ def decomposition_from_rank_ones(spread, rank_ones):
 def codes_from_decomposition(D):
     """Generator matrices G_1..G_t; column j of G_i is the slot-i factor of
     summand j."""
-    t = len(D.dims)
-    out = []
-    for i in range(t):
-        cols = [np.asarray(s[i], dtype=np.uint8) for s in D.summands]
-        out.append(np.stack(cols, axis=1))
-    return out
+    return [np.stack([np.asarray(s[i], dtype=np.uint8) for s in D.summands], axis=1)
+            for i in range(len(D.dims))]
 
 
 # ---------------------------------------------------------------------------
@@ -98,30 +105,26 @@ def codes_from_decomposition(D):
 _ENUM_LIMITS = {2: 20, 3: 12, 5: 8, 7: 7}
 
 
-def _codewords(G, q):
-    """All distinct codewords of the row space of G."""
+def _weights(G, q):
+    """Hamming weight of every distinct codeword of the row space of G, the
+    zero word first."""
     basis, _ = gf.rref(np.asarray(G, dtype=np.int64) % q, q)
     k = basis.shape[0]
     if k > _ENUM_LIMITS.get(q, 8):
         raise TooLarge(f"cannot enumerate q^{k} codewords at q={q}")
-    return (gf.coefficient_grid(q, k) @ basis.astype(np.int64)) % q
+    return np.count_nonzero((gf.coefficient_grid(q, k) @ basis.astype(np.int64)) % q, axis=1)
 
 
 def weight_distribution(G, q):
     """Counts of codewords of each Hamming weight 0..R (sums to q^dim)."""
-    words = _codewords(G, q)
-    weights = np.count_nonzero(words, axis=1)
-    return np.bincount(weights, minlength=np.asarray(G).shape[1] + 1).tolist()
+    return np.bincount(_weights(G, q), minlength=np.asarray(G).shape[1] + 1).tolist()
 
 
 def min_distance(G, q):
-    """Exact minimum distance by exhaustive codeword enumeration."""
-    words = _codewords(G, q)
-    weights = np.count_nonzero(words, axis=1)
-    nonzero = weights[weights > 0]
-    if nonzero.size == 0:
-        return 0
-    return int(nonzero.min())
+    """Exact minimum distance by exhaustive codeword enumeration (0 for the
+    zero code)."""
+    weights = _weights(G, q)
+    return int(weights[1:].min()) if weights.size > 1 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -152,28 +155,18 @@ def code_equivalent(G1, G2, q):
         return True
     if weight_distribution(basisA, q) != weight_distribution(basisB, q):
         return False
-
-    from collections import Counter
-
     colsA = basisA.T.astype(np.int64)
     colsB = basisB.T.astype(np.int64)
     keysA = Counter(_projective_column_key(c, q) for c in colsA)
     keysB = Counter(_projective_column_key(c, q) for c in colsB)
-    if Counter(keysA.values()) != Counter(keysB.values()):
+    if Counter(keysA.values()) != Counter(keysB.values()) or keysA[b"0"] != keysB[b"0"]:
         return False
-    zerosA = keysA.get(b"0", 0)
-    if zerosA != keysB.get(b"0", 0):
-        return False
-
     nonzero_B = [j for j in range(colsB.shape[0]) if colsB[j].any()]
-
     units = list(range(1, q))
-    from itertools import permutations as ipermutations
-
     # the pivot columns of basisA are an information set on which basisA is
     # the identity, so the row map sending them to the picked columns of
     # basisB, scaled, is those scaled columns themselves
-    for picks in ipermutations(nonzero_B, k):
+    for picks in permutations(nonzero_B, k):
         sub = colsB[list(picks)].T.astype(np.int64)
         if gf.mat_rank(sub, q) != k:
             continue
@@ -188,37 +181,17 @@ def code_equivalent(G1, G2, q):
 
 
 # ---------------------------------------------------------------------------
-# Shortest-code table N_q(k, d)
+# Shortest codes N_q(k, d)
 # ---------------------------------------------------------------------------
 
-# Published values relied on by the reproduction runs.
-_NQ_TABLE = {
-    (2, 4, 4): 8,
-    (3, 4, 4): 8,
-}
-
-# Published nonexistence facts: (q, length, k, d) -> False
-_EXISTS_TABLE = {
-    (3, 8, 4, 5): False,
-}
-
-_SUBSPACE_ENUM_CAP = 1 << 17
-
-
-def _gaussian_binomial(n, k, q):
-    num, den = 1, 1
-    for i in range(k):
-        num *= q ** (n - i) - 1
-        den *= q ** (k - i) - 1
-    return num // den
+# code_exists gives up past this much search work: per node, the P message
+# weights plus the tight messages' hits on each column the node may try.
+_SEARCH_WORK_CAP = 1 << 19
 
 
 def griesmer_bound(q, k, d):
     """Minimal length permitted by the Griesmer bound."""
-    total = 0
-    for i in range(k):
-        total += -(-d // q**i)  # ceil division
-    return total
+    return sum(-(-d // q**i) for i in range(k))  # ceil divisions
 
 
 @lru_cache(maxsize=None)
@@ -226,43 +199,66 @@ def code_exists(q, length, k, d):
     """True / False / None (unknown) for the existence of an [length, k, d]_q
     linear code.
 
-    Nonexistence comes from the Singleton and Griesmer bounds or the embedded
-    table; existence from the table or exhaustive subspace search when small.
+    After the trivial, Singleton and Griesmer bounds, a depth-first search
+    over generators [I_k | A], the columns of A a nondecreasing multiset of
+    projective vectors (a form every code has up to monomial equivalence).
+    w holds the weight of each projective message; a column is tried only if
+    it hits every message that needs all the columns left to reach weight d.
+    A found generator is True once min_distance confirms it.  None when
+    q^k > 4096 or past the work cap.
     """
-    key = (q, length, k, d)
-    if key in _EXISTS_TABLE:
-        return _EXISTS_TABLE[key]
-    if k < 0 or d < 1 or length < k:
-        return False
-    if k == 0:
+    if k < 1 or d < 1 or length < k:
         return False
     if d > length - k + 1:
         return False  # Singleton
     if length < griesmer_bound(q, k, d):
         return False
-    if _gaussian_binomial(length, k, q) <= _SUBSPACE_ENUM_CAP and q**k <= 4096:
-        for G in gf.rref_subspaces(length, k, q):
-            if min_distance(G, q) >= d:
-                return True
+    if q**k > 4096:
+        return None
+    vecs = projective_vectors(q, k)
+    hits = (vecs @ vecs.T) % q != 0  # uint8 sums: k(q - 1)^2 < 256 for q^k <= 4096
+    work = 0
+
+    def extend(w, left, start):
+        nonlocal work
+        if not left:
+            return []
+        tight = w + left == d
+        work += w.size + np.count_nonzero(tight) * (w.size - start)
+        if work > _SEARCH_WORK_CAP:
+            raise TooLarge(f"[{length},{k},{d}]_{q} search passed its work cap")
+        for c in start + np.flatnonzero(hits[tight, start:].all(axis=0)):
+            rest = extend(w + hits[c], left - 1, c)
+            if rest is not None:
+                return [c] + rest
+        return None
+
+    try:
+        cols = extend(np.count_nonzero(vecs, axis=1), length - k, 0)
+    except TooLarge:
+        return None
+    if cols is None:
         return False
-    return None
+    G = np.concatenate([np.eye(k, dtype=np.uint8), vecs[cols].T], axis=1)
+    if min_distance(G, q) < d:
+        raise SpreadRankError(f"search generator is not an [{length},{k},{d}]_{q} code")
+    return True
 
 
 def nq_lookup(q, k, d):
     """Shortest length of a q-ary linear code of dimension k and distance d.
 
-    Exact: embedded published entries, else exhaustive search upward from the
-    Griesmer bound.  Raises UnknownBound rather than guessing.
+    Exact: code_exists upward from the Griesmer bound, so every value is the
+    length of a found generator past lengths with none.  Raises UnknownBound
+    rather than guessing where a length is left undecided.
     """
-    if (q, k, d) in _NQ_TABLE:
-        return _NQ_TABLE[(q, k, d)]
     length = max(k, griesmer_bound(q, k, d))
     for _ in range(64):
         res = code_exists(q, length, k, d)
         if res is True:
             return length
         if res is None:
-            raise UnknownBound(f"N_{q}({k},{d}) not in table and search infeasible")
+            raise UnknownBound(f"N_{q}({k},{d}) undecided at length {length}")
         length += 1
     raise UnknownBound(f"N_{q}({k},{d}) search exceeded the length cap")
 
@@ -383,7 +379,7 @@ def codeword_support_check(D, f, slot):
     f = np.asarray(f, dtype=np.int64) % D.q
     t = len(D.dims)
     if not 1 <= slot <= t:
-        raise TooLarge(f"slot {slot} out of range")
+        raise BadSlot(f"slot {slot} out of range for order-{t} tensor")
     codeword = np.array(
         [int(f @ np.asarray(s[slot - 1], dtype=np.int64)) % D.q for s in D.summands],
         dtype=np.uint8,
@@ -401,10 +397,7 @@ def codeword_support_check(D, f, slot):
     contraction = contraction.astype(np.uint8)
     weight = int(np.count_nonzero(codeword))
     try:
-        cr = brute_force_tensor_rank(contraction, D.q, weight)
-        verified = cr is not None and cr <= weight
-        rank_val = cr
+        rank_val = brute_force_tensor_rank(contraction, D.q, weight)
     except TooLarge:
-        verified = False
         rank_val = None
-    return codeword, contraction, (rank_val, weight, verified)
+    return codeword, contraction, (rank_val, weight, rank_val is not None and rank_val <= weight)

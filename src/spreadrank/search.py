@@ -195,7 +195,11 @@ def _rank_one_profile(parents, ext, pts, least=0):
     ranked = (slot[parent] >= 0) & (ext.sizes >= least - base_rank[parent])
     if not ranked.any():
         return base_rank, extras
-    par, point = np.nonzero(np.append(ranked, False)[ext.child])  # members, -1 -> False
+    # the members of the ranked children, child by child, from ext.points
+    sizes = ext.sizes[ranked]
+    child = np.repeat(np.arange(sizes.size), sizes)  # position among the ranked
+    point = ext.points[np.repeat(ranked, ext.sizes)]
+    par = ext.parent[ranked][child]
     at = slot[par]
     # x[piv]·basemap, one coordinate at a time: no (rows, dim, dim) gather;
     # a sum is at most dim·(q - 1)^2, so int16 holds it
@@ -206,10 +210,6 @@ def _rank_one_profile(parents, ext, pts, least=0):
     rows = np.empty((par.size, dim + 1), dtype=np.int16)
     rows[:, :dim] = gf.mod(reduced, q)
     rows[:, dim] = ext.lead[par, point]
-    child = (np.cumsum(ranked) - 1)[ext.child[par, point]]  # position among the ranked
-    sizes = ext.sizes[ranked]
-    order = np.argsort(child, kind="stable")
-    child, rows = child[order], rows[order]
     place = np.arange(child.size) - (np.cumsum(sizes) - sizes)[child]  # row within its child
     # member-count classes (2^(c-1), 2^c], each one zero-padded batch, so
     # the padding stays within twice the real rows

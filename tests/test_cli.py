@@ -194,6 +194,10 @@ def test_unknown_atlas_entry_usage_error(capsys):
                      "No such file", id="spreadset-file-missing"),
         pytest.param(["verify", "--spreadset", "n0.txt"], "n >= 1", id="verify-header-n-zero"),
         pytest.param(["equiv", "n0.txt", "n0.txt"], "n >= 1", id="equiv-header-n-zero"),
+        pytest.param(["verify", "--spreadset", "sup.txt"], "not a decimal encoding",
+                     id="verify-unicode-digit-in-body"),
+        pytest.param(["equiv", "hdr.txt", "hdr.txt"], "bad header", id="equiv-unicode-digit-in-header"),
+        pytest.param(["verify", "--spreadset", "latin1.txt"], "not UTF-8", id="verify-not-utf8"),
         pytest.param(["disprove", "--atlas", "F16", "--rank", "17"], "n^2",
                      id="disprove-rank-above-n-squared"),
         pytest.param(["disprove", "--atlas", "F16", "--rank", "3"], "between n",
@@ -209,6 +213,9 @@ def test_unknown_atlas_entry_usage_error(capsys):
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "n0.txt").write_text("2 0\n")
+    (tmp_path / "sup.txt").write_text("2 2\n9\n1\u00b2\n", encoding="utf-8")  # 1², not 12
+    (tmp_path / "hdr.txt").write_text("2 \u2074\n", encoding="utf-8")  # n = ⁴
+    (tmp_path / "latin1.txt").write_bytes("2 2\n9\n\u00bd\n".encode("latin-1"))
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err

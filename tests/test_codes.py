@@ -3,8 +3,10 @@ import pytest
 
 from spreadrank import algebra, atlas, codec, codes, gf
 from spreadrank.errors import (
+    BadSlot,
     DependentGenerators,
     NotContained,
+    SpreadRankError,
     TooLarge,
     UnknownBound,
 )
@@ -194,6 +196,102 @@ def test_nq_unknown_raises():
 
 
 # ---------------------------------------------------------------------------
+# The generator search against the subspace enumeration
+# ---------------------------------------------------------------------------
+
+
+def _gaussian_binomial(n, k, q):
+    num, den = 1, 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (k - i) - 1
+    return num // den
+
+
+def oracle_code_exists(q, length, k, d):
+    """code_exists by the subspace enumeration it once ran: every
+    k-subspace of F_q^length in RREF, None past 2^17 of them or q^k > 4096."""
+    if k < 1 or d < 1 or length < k:
+        return False
+    if d > length - k + 1:
+        return False  # Singleton
+    if length < codes.griesmer_bound(q, k, d):
+        return False
+    if _gaussian_binomial(length, k, q) > 1 << 17 or q**k > 4096:
+        return None
+    return any(codes.min_distance(G, q) >= d for G in gf.rref_subspaces(length, k, q))
+
+
+def oracle_domain(small):
+    """Every (q, length, k, d) the oracle answers: those with at most 2^12
+    subspaces to enumerate when small, the others when not."""
+    for q in gf.SUPPORTED_Q:
+        k = 1
+        while q**k <= 4096:
+            length = k
+            while _gaussian_binomial(length, k, q) <= 1 << 17:
+                if (_gaussian_binomial(length, k, q) <= 1 << 12) == small:
+                    for d in range(1, length + 1):
+                        yield q, length, k, d
+                length += 1
+            k += 1
+
+
+@pytest.mark.parametrize(
+    "small", [pytest.param(True, id="small"), pytest.param(False, marks=pytest.mark.slow, id="wide")]
+)
+def test_code_exists_matches_the_subspace_enumeration(small):
+    cases = list(oracle_domain(small))
+    assert len(cases) > 200
+    for case in cases:
+        assert codes.code_exists(*case) == oracle_code_exists(*case), case
+
+
+def test_every_found_code_is_certified(monkeypatch):
+    # True only after min_distance has checked the generator the search found
+    seen = []
+    min_distance = codes.min_distance
+
+    def recording(G, q):
+        seen.append((np.array(G), q, min_distance(G, q)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(codes, "min_distance", recording)
+    codes.code_exists.cache_clear()
+    for q, length, k, d in ((2, 8, 4, 4), (3, 8, 4, 4), (7, 5, 3, 3), (2, 7, 4, 3)):
+        del seen[:]
+        assert codes.code_exists(q, length, k, d) is True
+        [(G, at_q, distance)] = seen
+        assert at_q == q and G.shape == (k, length) and distance >= d
+        assert np.array_equal(G[:, :k], np.eye(k))
+    monkeypatch.setattr(codes, "min_distance", lambda G, q: 0)
+    codes.code_exists.cache_clear()
+    with pytest.raises(SpreadRankError):
+        codes.code_exists(2, 8, 4, 4)
+    codes.code_exists.cache_clear()
+
+
+def test_code_exists_decides_what_no_bound_excludes():
+    # [8, 4, 4]_3 and [8, 4, 5]_5 pass the Singleton and Griesmer bounds; the
+    # search finds the first and exhausts the second
+    for q, d in ((3, 4), (5, 5)):
+        assert codes.griesmer_bound(q, 4, d) == 8 and d <= 8 - 4 + 1
+    assert codes.code_exists(3, 8, 4, 4) is True
+    assert codes.code_exists(5, 8, 4, 5) is False
+
+
+def test_filter_consultations_are_excluded_where_the_enumeration_excluded():
+    # disprove_rank prunes by dimension 2n - 1 only where code_exists(q, R,
+    # n, n + 1) is False; over these runs the search turns unknowns into
+    # True only, so every filter stays on or off as before
+    for q, ns in ((2, range(2, 6)), (3, range(2, 6)), (5, range(1, 4)), (7, range(1, 4))):
+        for n in ns:
+            for R in range(n, min(n * n, 3 * n) + 1):
+                case = (q, R, n, n + 1)
+                assert (codes.code_exists(*case) is False) == (oracle_code_exists(*case) is False), case
+
+
+# ---------------------------------------------------------------------------
 # Lower bounds
 # ---------------------------------------------------------------------------
 
@@ -226,12 +324,19 @@ def test_genbound_order8():
 
 
 def test_genbound_takes_the_griesmer_length_of_an_unknown_slot():
-    # N_2(5, 5) and N_7(3, 3) are in no table and too large to search
-    for q, n, want in ((2, 5, 12), (7, 3, 5)):
-        with pytest.raises(UnknownBound):
-            codes.nq_lookup(q, n, n)
-        assert codes.genbound(algebra.field_construct(q, n).hypercube(), q) == want
-        assert codes.griesmer_bound(q, n, n) == want
+    # the search gives up on [12, 5, 5]_2, so N_2(5, 5) stays unknown and
+    # genbound(F32) takes the Griesmer length
+    with pytest.raises(UnknownBound):
+        codes.nq_lookup(2, 5, 5)
+    assert codes.griesmer_bound(2, 5, 5) == 12
+    assert codes.genbound(algebra.field_construct(2, 5).hypercube(), 2) == 12
+
+
+def test_genbound_of_f343_is_a_computed_length():
+    # N_7(3, 3) = 5 comes from a found [5, 3, 3]_7 generator
+    assert codes.code_exists(7, 5, 3, 3) is True
+    assert codes.nq_lookup(7, 3, 3) == 5
+    assert codes.genbound(algebra.field_construct(7, 3).hypercube(), 7) == 5
 
 
 def test_genbound_equality_when_q_large():
@@ -281,6 +386,14 @@ def test_codeword_support_check_semifield():
     zero = np.zeros(4, dtype=np.uint8)
     cw, ct, _ = codes.codeword_support_check(D, zero, 1)
     assert not cw.any() and not ct.any()
+
+
+def test_codeword_support_check_rejects_a_bad_slot():
+    e = atlas.atlas_get("F16")
+    D = codes.decomposition_from_rank_ones(e.spread_set(), e.decomposition_matrices())
+    for slot in (0, 4):
+        with pytest.raises(BadSlot):
+            codes.codeword_support_check(D, np.array([1, 0, 0, 0], dtype=np.uint8), slot)
 
 
 def test_mindist_lemma_contraction_rank_at_most_weight():
